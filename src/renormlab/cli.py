@@ -178,7 +178,7 @@ def _select_map(cfg: RunConfig, args):
 def _tower_for(cfg: RunConfig, args):
     f, label = _select_map(cfg, args)
     depth = getattr(args, "depth", None) or cfg.tower_depth
-    return tower(f, depth), label, depth
+    return tower(f, depth), label, depth, f
 
 
 def _run_feigenbaum(cfg, args, out):
@@ -186,7 +186,7 @@ def _run_feigenbaum(cfg, args, out):
     rep = spectrum(fp.map)
     xs = np.linspace(-1.0, 1.0, cfg.grid)
     write_csv(out / "feigenbaum_map.csv", ["x", "g_x"],
-              zip(xs, [fp.map(x) for x in xs]))
+              zip(xs, fp.map(xs)))
     results = {
         "lambda_star": fp.lambda_star,
         "residual": fp.residual,
@@ -237,7 +237,7 @@ def _run_orbit(cfg, args, out):
 
 
 def _run_tower(cfg, args, out):
-    tw, label, depth = _tower_for(cfg, args)
+    tw, label, depth, _ = _tower_for(cfg, args)
     write_csv(out / "tower.csv", ["k", "i", "left", "right", "length"],
               tower_rows(tw))
     results = {"map": label, **tower_header(tw)}
@@ -248,7 +248,7 @@ def _run_tower(cfg, args, out):
 
 
 def _run_geometry(cfg, args, out):
-    tw, label, _ = _tower_for(cfg, args)
+    tw, label, _, _ = _tower_for(cfg, args)
     rep = _geometry.bounded_geometry(tw)
     rows = []
     for k, (cr, gr) in enumerate(zip(rep.child_ratios, rep.gap_ratios), 1):
@@ -269,11 +269,10 @@ def _run_geometry(cfg, args, out):
 
 
 def _run_sums(cfg, args, out):
-    tw, label, _ = _tower_for(cfg, args)
+    tw, label, _, f = _tower_for(cfg, args)
     fit = _geometry.spectral_sum(tw, args.t)
     write_csv(out / "spectral_sums.csv", ["k", "S_k"],
               enumerate(fit.sums, 1))
-    f, _ = _select_map(cfg, args)
     L = _loperator.renorm_derivative_as_loperator(f)
     norms = _loperator.norm_growth(L, args.gamma, args.m_max)
     write_csv(out / "norm_growth.csv", ["m", "norm"],
@@ -294,7 +293,7 @@ def _run_sums(cfg, args, out):
 
 
 def _run_dimension(cfg, args, out):
-    tw, label, _ = _tower_for(cfg, args)
+    tw, label, _, _ = _tower_for(cfg, args)
     rep = _geometry.hausdorff_dimension(tw)
     write_csv(out / "partition_sums.csv", ["k", "sum_at_s"],
               enumerate(rep.sums, 1))

@@ -21,7 +21,7 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .errors import OperatorDomainError, TermBlowup
 from .maps import UnimodalMap
-from .renorm import RenormStep, detect
+from .renorm import RenormStep, detect, iterate_derivative, orbit_stack
 
 CONTAINMENT_GRID = 128
 CONTAINMENT_TOL = 1e-10
@@ -64,25 +64,15 @@ def compose_smooth(outer: SmoothMap1D, inner: SmoothMap1D) -> SmoothMap1D:
     return SmoothMap1D(fn, dfn, f"{outer.label}({inner.label})")
 
 
-def _iter_val_deriv(f: UnimodalMap, z0: np.ndarray, k: int):
-    """(f^k(z0), Df^k(z0)), vectorized; raw polynomial evaluation."""
-    z = np.asarray(z0, dtype=float)
-    dz = np.ones_like(z)
-    for _ in range(k):
-        dz = dz * (2.0 * z * f.phi_deriv(z * z, 1))
-        z = f.phi(z * z)
-    return z, dz
-
-
 def map_iterate(f: UnimodalMap, k: int, scale: float = 1.0) -> SmoothMap1D:
     """x -> f^k(scale*x) with derivative scale*Df^k(scale*x)."""
 
     def fn(x):
-        val, _ = _iter_val_deriv(f, scale * np.asarray(x, float), k)
+        val, _ = iterate_derivative(f, scale * np.asarray(x, float), k)
         return val
 
     def dfn(x):
-        _, dv = _iter_val_deriv(f, scale * np.asarray(x, float), k)
+        _, dv = iterate_derivative(f, scale * np.asarray(x, float), k)
         return scale * dv
 
     return SmoothMap1D(fn, dfn, f"f^{k}({scale:.6g}x)")
@@ -279,8 +269,8 @@ def compose_power(L: LOperator, m: int, cap: int = COMPOSE_CAP) -> LOperator:
 
 def _renorm_phi(f: UnimodalMap, lam: float, p: int, j: int):
     def phi(x):
-        y, _ = _iter_val_deriv(f, lam * np.asarray(x, float), p - j)
-        _, dj = _iter_val_deriv(f, y, j)
+        y, _ = iterate_derivative(f, lam * np.asarray(x, float), p - j)
+        _, dj = iterate_derivative(f, y, j)
         return dj / lam
 
     return phi
@@ -303,20 +293,14 @@ def renorm_derivative_as_loperator(f: UnimodalMap,
     terms = [(_renorm_phi(f, lam, p, j), map_iterate(f, p - j - 1, lam))
              for j in range(p)]
 
-    zc = np.zeros(1)
-    crit = [0.0]
-    for _ in range(p):
-        zc = f.phi(zc * zc)
-        crit.append(float(zc[0]))
-    nodes = np.array([crit[p - j - 1] for j in range(p)])
-    coeffs = np.empty(p)
-    for j in range(p):
-        _, dj = _iter_val_deriv(f, np.array([crit[p - j]]), j)
-        coeffs[j] = dj[0]
+    crit = orbit_stack(f, np.zeros(1), p)
+    nodes = crit[p - 1::-1, 0]
+    coeffs = np.array([iterate_derivative(f, crit[p - j], j)[1][0]
+                       for j in range(p)])
 
     def tail_weight(x):
         x = np.asarray(x, dtype=float)
-        zp, dp = _iter_val_deriv(f, lam * x, p)
+        zp, dp = iterate_derivative(f, lam * x, p)
         return (x * dp - zp / lam) / lam
 
     tail = RankOneTail(tail_weight, nodes, coeffs)

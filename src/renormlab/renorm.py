@@ -50,15 +50,31 @@ def _sample_symmetric(a: float, grid: int) -> np.ndarray:
     return np.union1d(xs, [0.0])
 
 
-def _iterate_derivative(f: UnimodalMap, xs: np.ndarray, p: int):
-    """(f^p(xs), Df^p(xs)) by forward iteration of the chain rule.
+def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
+    """Z[i] = f^i(z0) for i = 0..n, stacked along a new first axis.
 
     Works on phi directly so orbits of slightly denormalized maps (derivative
     probes) extrapolate smoothly instead of hitting the eval clamp."""
-    z = np.array(xs, dtype=float)
+    z = np.asarray(z0, dtype=float)
+    zs = [z]
+    for _ in range(n):
+        z = f.phi(z * z)
+        zs.append(z)
+    return np.stack(zs)
+
+
+def slopes(f: UnimodalMap, z) -> np.ndarray:
+    """f'(z) = 2 z phi'(z^2), unclamped like orbit_stack."""
+    z = np.asarray(z, dtype=float)
+    return 2.0 * z * f.phi_deriv(z * z, 1)
+
+
+def iterate_derivative(f: UnimodalMap, z0, k: int):
+    """(f^k(z0), Df^k(z0)) by forward iteration of the chain rule."""
+    z = np.asarray(z0, dtype=float)
     dz = np.ones_like(z)
-    for _ in range(p):
-        dz *= 2.0 * z * f.phi_deriv(z * z, 1)
+    for _ in range(k):
+        dz = dz * slopes(f, z)
         z = f.phi(z * z)
     return z, dz
 
@@ -69,14 +85,21 @@ def spatial_permutation(intervals: np.ndarray) -> tuple[int, ...]:
     Raises OverlapError when the intervals are not pairwise disjoint."""
     intervals = np.asarray(intervals, dtype=float)
     order = np.argsort(intervals[:, 0])
-    for a, b in zip(order[:-1], order[1:]):
-        if intervals[b, 0] <= intervals[a, 1]:
-            raise OverlapError(
-                f"pieces {a} and {b} overlap: "
-                f"{intervals[a].tolist()} vs {intervals[b].tolist()}")
+    gaps = intervals[order[1:], 0] - intervals[order[:-1], 1]
+    if np.any(gaps <= 0.0):
+        w = int(np.argmin(gaps))
+        a, b = order[w], order[w + 1]
+        raise OverlapError(
+            f"pieces {a} and {b} overlap by {-gaps[w]:.3e}: "
+            f"{intervals[a].tolist()} vs {intervals[b].tolist()}")
     ranks = np.empty(len(order), dtype=int)
     ranks[order] = np.arange(len(order))
     return tuple(int(r) for r in ranks)
+
+
+def _hulls(zs: np.ndarray) -> np.ndarray:
+    """(len(zs), 2) intervals [min, max] of each row of an orbit stack."""
+    return np.stack([zs.min(axis=1), zs.max(axis=1)], axis=1)
 
 
 def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
@@ -96,13 +119,9 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
         if not diag.ok:
             raise InvalidMap("detect requires a structurally valid map")
     reasons: dict[int, str] = {}
-    x = 0.0
-    lam_path = [0.0]
-    for _ in range(p_max):
-        x = float(f.phi(x * x))
-        lam_path.append(x)
+    lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
-        lam = lam_path[p]
+        lam = float(lam_path[p])
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
@@ -110,23 +129,19 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
             reasons[p] = f"|lam| = {abs(lam):.6f} too close to 1"
             continue
         a = abs(lam)
-        xs = _sample_symmetric(a, grid)
-        ys, dys = _iterate_derivative(f, xs, p)
-        if np.max(np.abs(ys)) > a + INVARIANCE_TOL:
+        zs = orbit_stack(f, _sample_symmetric(a, grid), p)
+        reach = np.max(np.abs(zs[p]))
+        if reach > a + INVARIANCE_TOL:
             reasons[p] = (f"J not invariant: |f^{p}| reaches "
-                          f"{np.max(np.abs(ys)):.6e} > {a:.6e}")
+                          f"{reach:.6e} > {a:.6e}")
             continue
-        signs = np.sign(dys)
+        signs = np.sign(np.prod(slopes(f, zs[:p]), axis=0))
         signs = signs[signs != 0.0]
         flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
         if flips != 1:
             reasons[p] = f"f^{p} not unimodal on J: {flips} derivative sign changes"
             continue
-        pieces = np.empty((p, 2))
-        zs = xs.copy()
-        for i in range(p):
-            pieces[i] = (zs.min(), zs.max())
-            zs = f.phi(zs * zs)
+        pieces = _hulls(zs[:p])
         try:
             perm = spatial_permutation(pieces)
         except OverlapError as exc:
@@ -150,6 +165,20 @@ class Renormalized:
         return iter((self.map, self.step))
 
 
+def project_T(f: UnimodalMap, step: RenormStep,
+              degree: int) -> tuple[np.ndarray, float]:
+    """(coeffs, residual) of phi_{Tf}(u) = f^{p-1}(phi(lam^2 u)) / lam.
+
+    Least-squares projection on oversampled Chebyshev nodes; the constant
+    term is left as fitted, so Tf(0) = 1 holds only to roundoff."""
+    lam, p = step.lam, step.p
+
+    def phi_tf(u):
+        return orbit_stack(f, f.phi((lam * lam) * u), p - 1)[-1] / lam
+
+    return _basis.project_function(phi_tf, degree, f.basis)
+
+
 def renormalize(f: UnimodalMap, step: RenormStep | None = None,
                 degree: int | None = None,
                 residual_cap: float = PROJECTION_CAP) -> Renormalized:
@@ -162,16 +191,8 @@ def renormalize(f: UnimodalMap, step: RenormStep | None = None,
     """
     if step is None:
         step = detect(f)
-    lam, p = step.lam, step.p
     target = degree if degree is not None else max(f.degree, DEFAULT_DEGREE)
-
-    def phi_rf(u):
-        z = f.phi((lam * lam) * u)
-        for _ in range(p - 1):
-            z = f.phi(z * z)
-        return z / lam
-
-    coeffs, residual = _basis.project_function(phi_rf, target, f.basis)
+    coeffs, residual = project_T(f, step, target)
     if residual >= residual_cap:
         raise TruncationLoss(
             f"projection residual {residual:.3e} exceeds {residual_cap:.1e} "
@@ -234,13 +255,10 @@ class IntervalTower:
 
 
 def _check_level_disjoint(intervals: np.ndarray, k: int) -> None:
-    order = np.argsort(intervals[:, 0])
-    lefts = intervals[order, 0]
-    rights = intervals[order, 1]
-    gaps = lefts[1:] - rights[:-1]
-    if np.any(gaps <= 0.0):
-        worst = float(np.min(gaps))
-        raise OverlapError(f"level {k} pieces overlap by {-worst:.3e}")
+    try:
+        spatial_permutation(intervals)
+    except OverlapError as exc:
+        raise OverlapError(f"level {k} {exc}") from None
 
 
 def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int,
@@ -278,11 +296,7 @@ def tower(f: UnimodalMap, depth: int, grid: int = 64) -> IntervalTower:
         p_cum *= ren.step.p
         lam_cum *= ren.step.lam
         a = abs(lam_cum)
-        xs = _sample_symmetric(a, grid)
-        pieces = np.empty((p_cum, 2))
-        for i in range(p_cum):
-            pieces[i] = (xs.min(), xs.max())
-            xs = f.phi(xs * xs)
+        pieces = _hulls(orbit_stack(f, _sample_symmetric(a, grid), p_cum - 1))
         _check_level_disjoint(pieces, k)
         if levels:
             _check_nesting(pieces, levels[-1], k)

@@ -16,7 +16,7 @@ point is the expansion constant delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -27,8 +27,8 @@ from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
                      RenormlabError, TruncationLoss, WindowNotFound)
 from .maps import QuadraticFamily, UnimodalMap
-from .renorm import (THETA_DOUBLING, RenormStep, Renormalized, detect,
-                     renormalize, renormalize_with)
+from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
+                     project_T, renormalize, renormalize_with, slopes)
 
 COLUMN_RESIDUAL_CAP = 1e-8
 UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
@@ -45,16 +45,10 @@ class NewtonSettings:
     residual_grid: int = 200
 
 
-def _orbit_stack(f: UnimodalMap, x0: np.ndarray, p: int):
-    """(Z, FP): Z[i] = f^i(x0) for i = 0..p, FP[i] = f'(Z[i]) for i < p."""
-    z = np.array(x0, dtype=float)
-    zs = [z]
-    fps = []
-    for _ in range(p):
-        fps.append(2.0 * z * f.phi_deriv(z * z, 1))
-        z = f.phi(z * z)
-        zs.append(z)
-    return np.stack(zs), np.stack(fps)
+def _suffix_products(fps: np.ndarray) -> np.ndarray:
+    """amp[j] = fps[p-1] * ... * fps[p-j] for j = 0..p (amp[0] = 1)."""
+    return np.concatenate([np.ones((1,) + fps.shape[1:]),
+                           np.cumprod(fps[::-1], axis=0)])
 
 
 def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
@@ -77,24 +71,19 @@ def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
     u_nodes = _basis.collocation_nodes(2 * dim)
     x = np.sqrt(u_nodes)
 
-    zs, fps = _orbit_stack(f, lam * x, p)
+    zs = orbit_stack(f, lam * x, p)
     # suffix products: amp[j] = Df^j evaluated at z_{p-j}
-    amp = np.ones((p + 1, x.size))
-    for j in range(1, p + 1):
-        amp[j] = amp[j - 1] * fps[p - j]
+    amp = _suffix_products(slopes(f, zs[:p]))
     # basis values at the arguments of v: rows j = 0..p-1 use z_{p-j-1}
-    args = np.stack([zs[p - j - 1] for j in range(p)])
+    args = zs[p - 1::-1]
     design = _basis.design_matrix(args.ravel() ** 2, dim - 1, f.basis)
     design = design.reshape(p, x.size, dim)
     principal = np.einsum("jt,jtn->tn", amp[:p], design) / lam
 
     # scaling sensitivity along the critical orbit
-    zc, fpc = _orbit_stack(f, np.zeros(1), p)
-    campl = np.ones(p + 1)
-    for j in range(1, p + 1):
-        campl[j] = campl[j - 1] * fpc[p - j, 0]
-    crit_args = np.array([zc[p - j - 1, 0] for j in range(p)])
-    crit_design = _basis.design_matrix(crit_args ** 2, dim - 1, f.basis)
+    zc = orbit_stack(f, 0.0, p)
+    campl = _suffix_products(slopes(f, zc[:p]))
+    crit_design = _basis.design_matrix(zc[p - 1::-1] ** 2, dim - 1, f.basis)
     sens = campl[:p] @ crit_design
     tf_vals = zs[p] / lam
     tail_weight = (x * amp[p] - tf_vals) / lam
@@ -121,29 +110,17 @@ def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6,
     base = np.zeros(dim)
     base[: f.coeffs.size] = f.coeffs
     cols = np.empty((dim, dim))
+
+    def coeffs_of_T(c):
+        g = UnimodalMap(c, f.basis, check=False)
+        return project_T(g, detect(g, validate_input=False), target)[0]
+
     for n in range(dim):
         plus, minus = base.copy(), base.copy()
         plus[n] += h
         minus[n] -= h
-        c_plus = _project_T(UnimodalMap(plus, f.basis, check=False), target)
-        c_minus = _project_T(UnimodalMap(minus, f.basis, check=False), target)
-        cols[:, n] = (c_plus - c_minus) / (2.0 * h)
+        cols[:, n] = (coeffs_of_T(plus) - coeffs_of_T(minus)) / (2.0 * h)
     return cols
-
-
-def _project_T(f: UnimodalMap, degree: int) -> np.ndarray:
-    """Coefficients of T(f) without renormalizing the constant term."""
-    step = detect(f, validate_input=False)
-    lam, p = step.lam, step.p
-
-    def phi_rf(u):
-        z = f.phi((lam * lam) * u)
-        for _ in range(p - 1):
-            z = f.phi(z * z)
-        return z / lam
-
-    coeffs, _ = _basis.project_function(phi_rf, degree, f.basis)
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -322,14 +299,10 @@ def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
     are seeded by chasing the nested parameter windows of the quadratic
     family and renormalizing a parameter from deep inside.
     """
-    settings = settings or NewtonSettings()
-    if tol != settings.tol:
-        settings = NewtonSettings(tol=tol, max_iters=settings.max_iters,
-                                  max_halvings=settings.max_halvings,
-                                  residual_grid=settings.residual_grid)
+    settings = replace(settings or NewtonSettings(), tol=tol)
     theta = tuple(theta)
     if seed is None:
-        seed = _seed_map((theta,), degree)
+        seed = _seed_cycle((theta,), degree)[0]
     cycle, rens, res, history, iters = _newton_polish(
         seed, (theta,), settings)
     g = cycle[0]
@@ -355,11 +328,7 @@ def solve_periodic_orbit(thetas, degree: int = 24, tol: float = 1e-10,
     thetas = tuple(tuple(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one combinatorial type")
-    settings = settings or NewtonSettings()
-    if tol != settings.tol:
-        settings = NewtonSettings(tol=tol, max_iters=settings.max_iters,
-                                  max_halvings=settings.max_halvings,
-                                  residual_grid=settings.residual_grid)
+    settings = replace(settings or NewtonSettings(), tol=tol)
     if seeds is None:
         seeds = _seed_cycle(thetas, degree)
     cycle, rens, res, history, iters = _newton_polish(
@@ -459,10 +428,6 @@ def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
         out.append(renormalize_with(out[-1], thetas[i - 1],
                                     degree=degree).map)
     return tuple(out)
-
-
-def _seed_map(thetas: tuple[tuple[int, ...], ...], degree: int) -> UnimodalMap:
-    return _seed_cycle(thetas, degree)[0]
 
 
 @dataclass(frozen=True)

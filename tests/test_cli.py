@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from renormlab import cli
 from renormlab.cli import main
 
 REPORT_KEYS = {"command", "version", "config", "status", "results",
@@ -127,3 +128,17 @@ def test_chaotic_parameter_yields_empty_tower_note(tmp_path):
     rep = load_report(tmp_path, "tower")
     assert rep["results"]["depth"] == 0
     assert rep["results"]["truncated_at"] == 1
+
+
+def test_sums_fixed_point_solves_once(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.solve_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_fixed_point", counting)
+    assert run(tmp_path, "sums", "--fixed-point", "--degree", "16",
+               "--depth", "4", "--m-max", "2") == 0
+    assert len(calls) == 1
