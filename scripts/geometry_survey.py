@@ -4,7 +4,7 @@ Builds interval towers of increasing depth and reports bounded-geometry
 ratios, per-level covering sums, dimension estimates, and the norm
 growth of the positive operator associated with the derivative. With
 --parameter-dimension it also estimates the dimension of the parameter
-Cantor set for the {doubling, tripling} itinerary alphabet (slow).
+Cantor set for the {doubling, tripling} itinerary alphabet (about 2 s).
 
     python3 scripts/geometry_survey.py --depth 9
 """

@@ -44,37 +44,46 @@ def design_matrix(u, degree: int, basis: PhiBasis) -> np.ndarray:
 
 
 def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
-    """phi(u) via Clenshaw (orthogonal) or Horner (monomial)."""
+    """phi(u) via Clenshaw (orthogonal) or Horner (monomial).
+
+    A coefficient stack of shape (n, D+1) evaluates row i at u[i], all rows
+    in one pass; u broadcasts against (n, 1)."""
     u = np.asarray(u, dtype=float)
+    tensor = np.ndim(coeffs) == 1
+    if not tensor:
+        coeffs = np.asarray(coeffs).T[..., None]
     if basis is PhiBasis.ORTHOGONAL:
-        return _cheb.chebval(2.0 * u - 1.0, coeffs)
-    return _poly.polyval(u, coeffs)
+        return _cheb.chebval(2.0 * u - 1.0, coeffs, tensor=tensor)
+    return _poly.polyval(u, coeffs, tensor=tensor)
 
 
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
-    """Coefficients of d^order phi / du^order in the same basis."""
+    """Coefficients of d^order phi / du^order in the same basis (per row of
+    a stack)."""
     if basis is PhiBasis.ORTHOGONAL:
         # t = 2u - 1, so each u-derivative picks up a factor 2
-        return _cheb.chebder(coeffs, order) * (2.0 ** order)
-    return _poly.polyder(coeffs, order)
+        return _cheb.chebder(coeffs, order, axis=-1) * (2.0 ** order)
+    return _poly.polyder(coeffs, order, axis=-1)
 
 
 def eval_phi_deriv(coeffs: np.ndarray, basis: PhiBasis, u, order: int = 1):
     return eval_phi(deriv_coeffs(coeffs, basis, order), basis, u)
 
 
-def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
+def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis):
+    """phi(0), one value per row of a stack."""
+    coeffs = np.asarray(coeffs, dtype=float)
     if basis is PhiBasis.ORTHOGONAL:
-        return float(_cheb.chebval(-1.0, coeffs))
-    return float(coeffs[0])
+        return _cheb.chebval(-1.0, coeffs.T)
+    return coeffs[..., 0]
 
 
 def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
-    """Shift the constant coefficient so phi(0) = 1 exactly.
+    """Shift the constant coefficient so phi(0) = 1 exactly (every row).
 
     Both bases have a constant element equal to 1, so the shift is exact."""
     out = np.array(coeffs, dtype=float)
-    out[0] += 1.0 - phi_at_zero(out, basis)
+    out[..., 0] += 1.0 - phi_at_zero(out, basis)
     return out
 
 
@@ -83,12 +92,15 @@ def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
     """Least-squares coefficients for phi on the nodes plus the sup residual.
 
     The residual is max |phi(u_t) - values_t| over the nodes; callers decide
-    whether that level of truncation loss is acceptable.
+    whether that level of truncation loss is acceptable.  Values of shape
+    (n, nodes) are n functions fitted by one solve: coefficients (n, D+1)
+    and one residual per row.
     """
     mat = design_matrix(u_nodes, degree, basis)
-    coeffs, *_ = np.linalg.lstsq(mat, values, rcond=None)
-    residual = float(np.max(np.abs(mat @ coeffs - values)))
-    return coeffs, residual
+    values = np.asarray(values, dtype=float)
+    coeffs, *_ = np.linalg.lstsq(mat, values.T, rcond=None)
+    residual = np.max(np.abs(mat @ coeffs - values.T), axis=0)
+    return coeffs.T, residual if residual.ndim else float(residual)
 
 
 def project_function(fn, degree: int, basis: PhiBasis,

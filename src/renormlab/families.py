@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (BracketNotFound, DomainError, RenormlabError,
                      SingleItinerary, WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
-from .maps import QuadraticFamily, UnimodalMap
-from .renorm import IntervalTower, detect, renormalize
+from .maps import QuadraticFamily, validate
+from .renorm import IntervalTower, detect, renormalize, renormalize_type
 
 SCAN_GRID = 2000
 EDGE_TOL = 1e-8
@@ -156,10 +156,12 @@ class Window:
 
 
 def _classify(fam: QuadraticFamily, c: float, p: int):
-    """(matches_p, theta_or_None); degenerate scaling counts as inside."""
+    """(matches_p, theta_or_None); degenerate scaling counts as inside.
+
+    Periods above p are not scanned: they could only give False."""
     try:
         g = fam.member(c)
-        step = detect(g, grid=32)
+        step = detect(g, p_max=p, grid=32)
     except RenormlabError as err:
         deg_p = getattr(err, "p", None)
         if deg_p == p:
@@ -223,6 +225,8 @@ def _bisect_edge(inside, c_out: float, c_in: float,
                  tol: float = EDGE_TOL) -> float:
     while abs(c_in - c_out) > tol:
         mid = 0.5 * (c_in + c_out)
+        if mid == c_in or mid == c_out:
+            break
         if inside(mid):
             c_in = mid
         else:
@@ -235,17 +239,42 @@ def _bisect_edge(inside, c_out: float, c_in: float,
 
 
 def _itinerary_ok(fam: QuadraticFamily, c: float, prefix) -> bool:
-    """Does f_c realize the first len(prefix) renormalization types?"""
+    """Does f_c realize the first len(prefix) renormalization types?
+
+    Each level scans periods only up to len(theta): any other period fails."""
     try:
         g = fam.member(c)
         for theta in prefix:
-            step = detect(g, grid=32)
+            step = detect(g, p_max=len(theta), grid=32)
             if step.p != len(theta) or step.perm != tuple(theta):
                 return False
             g, _ = renormalize(g, step, degree=WINDOW_DEGREE)
     except RenormlabError:
         return False
     return True
+
+
+def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
+    """_itinerary_ok at every parameter of cs, as one boolean array.
+
+    The members form one coefficient stack and each level renormalizes all
+    surviving rows together (renorm.renormalize_type), so the cost is one
+    pass per level, not one per parameter.  Parameters outside the family's
+    domain, and members that fail validation, come out False.
+    """
+    cs = np.asarray(cs, dtype=float)
+    inside, g = fam.members(cs)
+    rows = np.nonzero(inside)[0]
+    valid = validate(g).ok
+    rows, g = rows[valid], g[valid]
+    for theta in prefix:
+        if not rows.size:
+            break
+        hit, g = renormalize_type(g, tuple(theta), WINDOW_DEGREE, grid=32)
+        rows = rows[hit]
+    ok = np.zeros(cs.shape, dtype=bool)
+    ok[rows] = True
+    return ok
 
 
 def _window_for_prefix(fam: QuadraticFamily, prefix,
@@ -256,7 +285,7 @@ def _window_for_prefix(fam: QuadraticFamily, prefix,
     lo, hi = bracket
     for grid in grids:
         cs = np.linspace(lo, hi, grid)
-        ok = np.array([_itinerary_ok(fam, float(c), prefix) for c in cs])
+        ok = classify(fam, cs, prefix)
         if not ok.any():
             continue
         padded = np.r_[False, ok, False]

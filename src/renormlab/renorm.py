@@ -17,7 +17,7 @@ import numpy as np
 from . import basis as _basis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, InvalidMap,
                      NotRenormalizable, OverlapError, TruncationLoss)
-from .maps import UnimodalMap, validate
+from .maps import MapStack, UnimodalMap, validate
 
 LAMBDA_FLOOR = 1e-8
 INVARIANCE_TOL = 1e-12
@@ -44,10 +44,13 @@ class RenormStep:
         object.__setattr__(self, "perm", tuple(int(r) for r in self.perm))
 
 
-def _sample_symmetric(a: float, grid: int) -> np.ndarray:
-    """Points of [-a, a] including both endpoints and the tip at 0."""
-    xs = np.linspace(-a, a, grid)
-    return np.union1d(xs, [0.0])
+def _sample_symmetric(a, grid: int) -> np.ndarray:
+    """Points of [-a, a] for each entry of a: the grid with both endpoints,
+    then the tip 0 appended last (no test below depends on point order
+    beyond the grid's own)."""
+    a = np.asarray(a, dtype=float)
+    xs = np.linspace(-a, a, grid, axis=-1)
+    return np.concatenate([xs, np.zeros(a.shape + (1,))], axis=-1)
 
 
 def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
@@ -79,27 +82,113 @@ def iterate_derivative(f: UnimodalMap, z0, k: int):
     return z, dz
 
 
+def _left_to_right(intervals: np.ndarray):
+    """(order, gaps) of intervals (..., q, 2): order sorts them by left end,
+    gaps[..., k] is the space between the k-th and (k+1)-th in that order."""
+    order = np.argsort(intervals[..., 0], axis=-1)
+    srt = np.take_along_axis(intervals, order[..., None], axis=-2)
+    return order, srt[..., 1:, 0] - srt[..., :-1, 1]
+
+
 def spatial_permutation(intervals: np.ndarray) -> tuple[int, ...]:
     """perm[i] = rank of interval i when sorted left to right.
 
     Raises OverlapError when the intervals are not pairwise disjoint."""
     intervals = np.asarray(intervals, dtype=float)
-    order = np.argsort(intervals[:, 0])
-    gaps = intervals[order[1:], 0] - intervals[order[:-1], 1]
+    order, gaps = _left_to_right(intervals)
     if np.any(gaps <= 0.0):
         w = int(np.argmin(gaps))
         a, b = order[w], order[w + 1]
         raise OverlapError(
             f"pieces {a} and {b} overlap by {-gaps[w]:.3e}: "
             f"{intervals[a].tolist()} vs {intervals[b].tolist()}")
-    ranks = np.empty(len(order), dtype=int)
-    ranks[order] = np.arange(len(order))
-    return tuple(int(r) for r in ranks)
+    return tuple(int(r) for r in np.argsort(order))
 
 
 def _hulls(zs: np.ndarray) -> np.ndarray:
-    """(len(zs), 2) intervals [min, max] of each row of an orbit stack."""
-    return np.stack([zs.min(axis=1), zs.max(axis=1)], axis=1)
+    """Intervals [min, max] over the last axis of an orbit stack: shape
+    zs.shape[:-1] + (2,)."""
+    return np.stack([zs.min(axis=-1), zs.max(axis=-1)], axis=-1)
+
+
+def _sign_changes(s: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis between consecutive nonzero
+    entries (zeros skipped), per row."""
+    pos = np.arange(s.shape[-1])
+    last = np.maximum.accumulate(np.where(s != 0.0, pos, 0), axis=-1)
+    prev = np.take_along_axis(s, last[..., :-1], axis=-1)
+    nxt = s[..., 1:]
+    return np.count_nonzero((nxt != 0.0) & (prev != 0.0) & (nxt != prev),
+                            axis=-1)
+
+
+# first test a candidate period fails, in the order they run
+_NEAR_ONE, _NOT_INVARIANT, _NOT_UNIMODAL, _OVERLAP = 1, 2, 3, 4
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """Candidate period p tested on every row of a map stack."""
+
+    p: int
+    lam: np.ndarray       # (n,) f^p(0)
+    fail: np.ndarray      # (n,) 0 for an admissible row, else the test code
+    reach: np.ndarray     # (n,) max |f^p| on J
+    flips: np.ndarray     # (n,) sign changes of (f^p)' on J
+    pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
+    ranks: np.ndarray     # (n, p) spatial rank of each piece
+
+    def reason(self, i: int) -> str:
+        """Why row i (a failed one) failed, in detect's words."""
+        code, p, a = self.fail[i], self.p, abs(self.lam[i])
+        if code == _NEAR_ONE:
+            return f"|lam| = {a:.6f} too close to 1"
+        if code == _NOT_INVARIANT:
+            return (f"J not invariant: |f^{p}| reaches "
+                    f"{self.reach[i]:.6e} > {a:.6e}")
+        if code == _NOT_UNIMODAL:
+            return (f"f^{p} not unimodal on J: {self.flips[i]} derivative "
+                    "sign changes")
+        try:
+            spatial_permutation(self.pieces[i])
+        except OverlapError as exc:
+            return f"pieces overlap: {exc}"
+
+
+def _test_period(f: MapStack, lam: np.ndarray, p: int, grid: int) -> _Trial:
+    """The admissibility tests of period p, on every row of f at once.
+
+    lam = f^p(0) per row, already checked nondegenerate (detect raises on
+    that, classify drops the row).  In order: |lam| not within LAMBDA_FLOOR
+    of 1; J = [-|lam|, |lam|] invariant under f^p; (f^p)' changes sign
+    exactly once on J; the pieces f^i(J), i < p, pairwise disjoint.  Each
+    test runs only on the rows that passed the ones before it.
+    """
+    n = lam.size
+    a = np.abs(lam)
+    t = _Trial(p=p, lam=lam,
+               fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
+               reach=np.zeros(n), flips=np.zeros(n, dtype=int),
+               pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
+    rows = np.nonzero(t.fail == 0)[0]
+    if rows.size:
+        zs = orbit_stack(f[rows], _sample_symmetric(a[rows], grid), p)
+        t.reach[rows] = np.max(np.abs(zs[p]), axis=-1)
+        bad = t.reach[rows] > a[rows] + INVARIANCE_TOL
+        t.fail[rows[bad]] = _NOT_INVARIANT
+        rows, zs = rows[~bad], zs[:, ~bad]
+    if rows.size:
+        t.flips[rows] = _sign_changes(
+            np.sign(np.prod(slopes(f[rows], zs[:p]), axis=0)))
+        bad = t.flips[rows] != 1
+        t.fail[rows[bad]] = _NOT_UNIMODAL
+        rows, zs = rows[~bad], zs[:, ~bad]
+    if rows.size:
+        t.pieces[rows] = np.swapaxes(_hulls(zs[:p]), 0, 1)
+        order, gaps = _left_to_right(t.pieces[rows])
+        t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
+        t.ranks[rows] = np.argsort(order, axis=-1)
+    return t
 
 
 def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
@@ -111,13 +200,15 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
     and the pieces f^i(J) pairwise disjoint.  The first reason each candidate
     fails is kept and reported on NotRenormalizable.
 
-    validate_input=False skips the structural pre-check; derivative probes
-    evaluate T at maps that are off the normalized slice by construction.
+    A map built with check=True was validated on construction, so only
+    unchecked maps get the structural pre-check, and validate_input=False
+    skips it for them too; derivative probes evaluate T at maps that are off
+    the normalized slice by construction.
     """
-    if validate_input:
-        diag = validate(f)
-        if not diag.ok:
+    if validate_input and not f.check:
+        if not validate(f).ok:
             raise InvalidMap("detect requires a structurally valid map")
+    row = f.stack()
     reasons: dict[int, str] = {}
     lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
@@ -125,31 +216,48 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        if abs(lam) >= 1.0 - LAMBDA_FLOOR:
-            reasons[p] = f"|lam| = {abs(lam):.6f} too close to 1"
+        trial = _test_period(row, np.array([lam]), p, grid)
+        if trial.fail[0]:
+            reasons[p] = trial.reason(0)
             continue
-        a = abs(lam)
-        zs = orbit_stack(f, _sample_symmetric(a, grid), p)
-        reach = np.max(np.abs(zs[p]))
-        if reach > a + INVARIANCE_TOL:
-            reasons[p] = (f"J not invariant: |f^{p}| reaches "
-                          f"{reach:.6e} > {a:.6e}")
-            continue
-        signs = np.sign(np.prod(slopes(f, zs[:p]), axis=0))
-        signs = signs[signs != 0.0]
-        flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
-        if flips != 1:
-            reasons[p] = f"f^{p} not unimodal on J: {flips} derivative sign changes"
-            continue
-        pieces = _hulls(zs[:p])
-        try:
-            perm = spatial_permutation(pieces)
-        except OverlapError as exc:
-            reasons[p] = f"pieces overlap: {exc}"
-            continue
-        return RenormStep(p=p, lam=lam, perm=perm, intervals=pieces)
+        return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
+                          intervals=trial.pieces[0])
     raise NotRenormalizable(
         f"no admissible period up to {p_max}", reasons=reasons)
+
+
+def renormalize_type(f: MapStack, theta: tuple[int, ...], degree: int,
+                     grid: int) -> tuple[np.ndarray, MapStack]:
+    """detect(p_max=len(theta)) and renormalize, insisting on type theta,
+    for every row of f at once.
+
+    Row i survives when no period p < q = len(theta) is degenerate or
+    admissible, p = q is nondegenerate and admissible with spatial ranks
+    exactly theta, the projection residual stays under PROJECTION_CAP and
+    the renormalized map is structurally valid.  Returns (survived, R of the
+    survivors): one least-squares solve fits all their projections.
+    """
+    q = len(theta)
+    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
+    rows = np.arange(len(f) if q >= 2 else 0)
+    for p in range(2, q + 1):
+        rows = rows[~(np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR)]
+        trial = _test_period(f[rows], lam_path[p, rows], p, grid)
+        if p < q:
+            rows = rows[trial.fail != 0]
+            continue
+        hit = (trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)
+        rows = rows[hit]
+    survived = np.zeros(len(f), dtype=bool)
+    if not rows.size:
+        return survived, MapStack(np.zeros((0, degree + 1)), f.basis)
+    step = RenormStep(p=q, lam=lam_path[q, rows, None], perm=theta,
+                      intervals=trial.pieces[hit])
+    coeffs, residual = project_T(f[rows], step, degree)
+    kept = MapStack(_basis.normalized_constant(coeffs, f.basis), f.basis)
+    ok = ~(residual >= PROJECTION_CAP) & validate(kept).ok
+    survived[rows[ok]] = True
+    return survived, kept[ok]
 
 
 @dataclass(frozen=True)
@@ -170,7 +278,9 @@ def project_T(f: UnimodalMap, step: RenormStep,
     """(coeffs, residual) of phi_{Tf}(u) = f^{p-1}(phi(lam^2 u)) / lam.
 
     Least-squares projection on oversampled Chebyshev nodes; the constant
-    term is left as fitted, so Tf(0) = 1 holds only to roundoff."""
+    term is left as fitted, so Tf(0) = 1 holds only to roundoff.  For a
+    MapStack, step.lam is the column (n, 1) of scalings and every row is
+    projected by one solve."""
     lam, p = step.lam, step.p
 
     def phi_tf(u):

@@ -22,10 +22,11 @@ import numpy as np
 import scipy.linalg
 
 from . import basis as _basis
+from . import families as _families
 from .basis import PhiBasis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
-                     RenormlabError, TruncationLoss, WindowNotFound)
+                     TruncationLoss, WindowNotFound)
 from .maps import QuadraticFamily, UnimodalMap
 from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
                      project_T, renormalize, renormalize_with, slopes)
@@ -347,20 +348,13 @@ def solve_periodic_orbit(thetas, degree: int = 24, tol: float = 1e-10,
 # seeding via nested parameter windows of the quadratic family
 
 _SEED_FAMILY = QuadraticFamily()
-_SEED_DEGREE = 16
 
 
 def _itinerary_ok(c: float, prefix) -> bool:
-    try:
-        g = _SEED_FAMILY.member(float(c), degree=_SEED_DEGREE)
-        for theta in prefix:
-            step = detect(g, grid=32)
-            if step.perm != theta:
-                return False
-            g = renormalize(g, step=step, degree=_SEED_DEGREE).map
-    except RenormlabError:
-        return False
-    return True
+    """The families predicate on the seed family, kept as the seeding
+    chase's own function so its calls can be told apart from the window
+    chase's."""
+    return _families._itinerary_ok(_SEED_FAMILY, float(c), prefix)
 
 
 def _refine_edge(c_out: float, c_in: float, prefix, bits: int = 10) -> float:
@@ -379,7 +373,7 @@ def _window_for_prefix(prefix, bracket, grids=(129, 513, 2049)):
     lo, hi = bracket
     for grid in grids:
         cs = np.linspace(lo, hi, grid)
-        mask = np.array([_itinerary_ok(c, prefix) for c in cs])
+        mask = _families.classify(_SEED_FAMILY, cs, prefix)
         if mask.any():
             break
     else:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renormlab import families as F
-from renormlab.errors import (BracketNotFound, DomainError, SingleItinerary,
-                              WindowNotFound)
-from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, detect
+from renormlab.errors import (BracketNotFound, DomainError, RenormlabError,
+                              SingleItinerary, WindowNotFound)
+from renormlab.maps import QuadraticFamily
+from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
+                              renormalize)
 from conftest import C_INF
 
 DELTA = 4.6692016091
@@ -137,3 +141,66 @@ def test_depth_limits(quadratic):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 0)
     with pytest.raises(DomainError):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 11)
+
+
+def test_bisect_edge_stops_at_float_resolution():
+    # tol below the float spacing: the midpoint rounds onto an endpoint
+    c_in = 1.7864402555636192
+    c_out = float(np.nextafter(c_in, 0.0))
+    calls = []
+
+    def inside(c):
+        calls.append(c)
+        if len(calls) > 200:
+            raise RuntimeError("bisection does not terminate")
+        return True
+
+    assert F._bisect_edge(inside, c_out, c_in, tol=1e-20) == c_in
+
+
+def reference_itinerary_ok(fam, c, prefix):
+    """The per-point predicate with the full period scan p = 2..16."""
+    try:
+        g = fam.member(c)
+        for theta in prefix:
+            step = detect(g, grid=32)
+            if step.p != len(theta) or step.perm != tuple(theta):
+                return False
+            g = renormalize(g, step, degree=F.WINDOW_DEGREE).map
+    except RenormlabError:
+        return False
+    return True
+
+
+@st.composite
+def parameter_grids(draw):
+    """Uniform draws over the scan bracket plus sorted clusters at the
+    doubling and tripling accumulation points, where windows nest."""
+    cs = draw(st.lists(st.floats(0.3, 2.0), max_size=12))
+    for centre in (1.401, 1.786):
+        offsets = draw(st.lists(st.floats(-2e-3, 2e-3), max_size=6))
+        cs += sorted(centre + o for o in offsets)
+    return np.array(cs)
+
+
+@given(cs=parameter_grids(),
+       prefix=st.lists(st.sampled_from([THETA_DOUBLING, THETA_TRIPLING]),
+                       min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_classify_matches_the_per_point_predicate(cs, prefix):
+    fam = QuadraticFamily()
+    got = F.classify(fam, cs, prefix)
+    want = [reference_itinerary_ok(fam, float(c), prefix) for c in cs]
+    assert got.dtype == bool and got.shape == cs.shape
+    assert got.tolist() == want
+
+
+def test_classify_outside_the_domain_is_false(quadratic):
+    cs = np.array([-1.0, 0.0, 1.2, 2.0 + 1e-9, 3.0])
+    assert F.classify(quadratic, cs, [THETA_DOUBLING]).tolist() == [
+        False, False, True, False, False]
+
+
+def test_classify_empty_grid(quadratic):
+    ok = F.classify(quadratic, np.array([]), [THETA_DOUBLING, THETA_TRIPLING])
+    assert ok.shape == (0,) and ok.dtype == bool

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
-                              NotRenormalizable, OverlapError)
-from renormlab.maps import QuadraticFamily
+                              InvalidMap, NotRenormalizable, OverlapError,
+                              RenormlabError)
+from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING,
                               central_dominance, detect, renormalize,
                               renormalize_with, spatial_permutation, tower,
@@ -47,6 +48,19 @@ def test_chaotic_parameter_reports_reasons():
         detect(fam.member(1.9))
     assert err.value.reasons
     assert all(isinstance(k, int) for k in err.value.reasons)
+
+
+def test_detect_validates_unchecked_maps():
+    # phi(0) = 1.1: built unchecked, so detect must validate it itself
+    f = UnimodalMap(np.array([0.7, -0.4]), check=False)
+    with pytest.raises(InvalidMap):
+        detect(f)
+    try:
+        detect(f, validate_input=False)
+    except InvalidMap:
+        pytest.fail("validate_input=False still validated")
+    except RenormlabError:
+        pass
 
 
 def test_renormalized_map_is_normalized_exactly():
