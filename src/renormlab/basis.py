@@ -66,10 +66,6 @@ def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndar
     return _poly.polyder(coeffs, order, axis=-1)
 
 
-def eval_phi_deriv(coeffs: np.ndarray, basis: PhiBasis, u, order: int = 1):
-    return eval_phi(deriv_coeffs(coeffs, basis, order), basis, u)
-
-
 def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis):
     """phi(0), one value per row of a stack."""
     coeffs = np.asarray(coeffs, dtype=float)

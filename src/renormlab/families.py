@@ -278,12 +278,10 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
 
 
 def _window_for_prefix(fam: QuadraticFamily, prefix,
-                       bracket: tuple[float, float],
-                       grids=WINDOW_GRIDS,
-                       edge_tol: float = EDGE_TOL) -> tuple[float, float]:
+                       bracket: tuple[float, float]) -> tuple[float, float]:
     """Longest parameter run in `bracket` realizing `prefix`, edges refined."""
     lo, hi = bracket
-    for grid in grids:
+    for grid in WINDOW_GRIDS:
         cs = np.linspace(lo, hi, grid)
         ok = classify(fam, cs, prefix)
         if not ok.any():
@@ -296,7 +294,7 @@ def _window_for_prefix(fam: QuadraticFamily, prefix,
         best = int(np.argmax(ends - starts))
         i, j = starts[best], ends[best] - 1
         inside = lambda c: _itinerary_ok(fam, c, prefix)
-        tol = min(edge_tol, 1e-3 * (cs[j] - cs[i] + cs[1] - cs[0]))
+        tol = min(EDGE_TOL, 1e-3 * (cs[j] - cs[i] + cs[1] - cs[0]))
         a = cs[i] if i == 0 else _bisect_edge(inside, cs[i - 1], cs[i], tol)
         b = cs[j] if j == grid - 1 else _bisect_edge(inside, cs[j + 1],
                                                      cs[j], tol)

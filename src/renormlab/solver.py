@@ -26,7 +26,7 @@ from . import families as _families
 from .basis import PhiBasis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
-                     TruncationLoss, WindowNotFound)
+                     TruncationLoss)
 from .maps import QuadraticFamily, UnimodalMap
 from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
                      project_T, renormalize, renormalize_with, slopes)
@@ -351,56 +351,11 @@ _SEED_FAMILY = QuadraticFamily()
 
 
 def _itinerary_ok(c: float, prefix) -> bool:
-    """The families predicate on the seed family, kept as the seeding
-    chase's own function so its calls can be told apart from the window
-    chase's."""
+    """The families predicate on the seed family.  Nothing in the package
+    calls it: the seeding chase runs in families.  It stays because
+    perfbench/layers.py wraps this name, and `run.py --trace 1` raises if
+    it is missing."""
     return _families._itinerary_ok(_SEED_FAMILY, float(c), prefix)
-
-
-def _refine_edge(c_out: float, c_in: float, prefix, bits: int = 10) -> float:
-    for _ in range(bits):
-        mid = 0.5 * (c_out + c_in)
-        if mid == c_out or mid == c_in:
-            break
-        if _itinerary_ok(mid, prefix):
-            c_in = mid
-        else:
-            c_out = mid
-    return c_in
-
-
-def _window_for_prefix(prefix, bracket, grids=(129, 513, 2049)):
-    lo, hi = bracket
-    for grid in grids:
-        cs = np.linspace(lo, hi, grid)
-        mask = _families.classify(_SEED_FAMILY, cs, prefix)
-        if mask.any():
-            break
-    else:
-        raise WindowNotFound(
-            f"no parameter with itinerary {list(prefix)} in "
-            f"[{lo:.12g}, {hi:.12g}]", depth=len(prefix))
-    runs = []
-    start = None
-    for i, hit in enumerate(mask):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    a, b = max(runs, key=lambda r: r[1] - r[0])
-    left = cs[a] if a == 0 else _refine_edge(cs[a - 1], cs[a], prefix)
-    right = cs[b] if b == len(cs) - 1 else _refine_edge(cs[b + 1], cs[b], prefix)
-    return left, right
-
-
-def _seed_parameter(prefix) -> float:
-    bracket = (0.3, 2.0)
-    for d in range(1, len(prefix) + 1):
-        bracket = _window_for_prefix(tuple(prefix[:d]), bracket)
-    return 0.5 * (bracket[0] + bracket[1])
 
 
 def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
@@ -412,7 +367,8 @@ def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
     burn = m * max(1, math.ceil(2 / m))
     depth = burn + 3
     prefix = tuple(thetas[d % m] for d in range(depth))
-    c = _seed_parameter(prefix)
+    c = _families.infinitely_renormalizable_parameter(
+        _SEED_FAMILY, thetas, depth).c
     g = _SEED_FAMILY.member(c, degree=degree)
     for i in range(burn):
         g = renormalize_with(g, prefix[i], degree=degree).map

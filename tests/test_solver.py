@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from renormlab import families
 from renormlab.basis import design_matrix
-from renormlab.errors import CombinatoricsMismatch, NoConvergence
+from renormlab.errors import CombinatoricsMismatch, DomainError, NoConvergence
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
@@ -21,6 +22,8 @@ LAMBDA_STAR = -0.399535280523
 DELTA = 4.6692016091
 LEADING_EIGS = [4.669202, 0.159628, -0.123653, -0.057307, 0.025481, -0.010146]
 TRIPLING_LAMBDA = -0.107789504
+# 30-digit mpmath power-series solve of the tripling fixed-point equation
+TRIPLING_LAMBDA_REF = -0.10778950429255075546354518683
 TRIPLING_DELTA = 55.247027
 TWO_CYCLE_MULTIPLIER = 218.411795
 
@@ -139,6 +142,7 @@ def test_tripling_fixed_point(tripling_fixed_point):
     assert fp.theta == THETA_TRIPLING
     assert fp.residual < 1e-10
     assert fp.lambda_star == pytest.approx(TRIPLING_LAMBDA, abs=1e-6)
+    assert fp.lambda_star == pytest.approx(TRIPLING_LAMBDA_REF, rel=5e-12)
     rep = spectrum(fp.map)
     assert rep.delta == pytest.approx(TRIPLING_DELTA, abs=1e-3)
     assert int(np.sum(np.abs(rep.eigenvalues) > 1)) == 1
@@ -146,7 +150,7 @@ def test_tripling_fixed_point(tripling_fixed_point):
 
 def test_two_cycle_structure(two_cycle):
     orbit = two_cycle
-    assert orbit.residual < 1e-8
+    assert orbit.residual < 1e-10
     assert orbit.combinatorics == (THETA_DOUBLING, THETA_TRIPLING)
     assert len(orbit.cycle) == 2
     assert sup_distance(orbit.cycle[0], orbit.cycle[1]) > 1e-2
@@ -155,6 +159,17 @@ def test_two_cycle_structure(two_cycle):
     assert orbit.multipliers.hyperbolic
     moduli = np.abs(orbit.multipliers.eigenvalues)
     assert int(np.sum(moduli > 1)) == 1 and moduli[1] < 0.05
+
+
+def test_long_cycle_hits_the_seeding_depth_cap(monkeypatch):
+    # eight types need a depth-11 seed; the chase refuses before any scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the parameter chase scanned")
+
+    monkeypatch.setattr(families, "classify", no_scan)
+    monkeypatch.setattr(families, "_itinerary_ok", no_scan)
+    with pytest.raises(DomainError, match="depth"):
+        solve_periodic_orbit([THETA_TRIPLING] * 8, degree=16)
 
 
 def test_period_one_cycle_is_the_fixed_point(fixed_point_24):
