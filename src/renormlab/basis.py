@@ -1,11 +1,10 @@
-"""Polynomial bases for the even factor phi(u), u = x^2 on [0, 1].
+"""The Chebyshev basis for the even factor phi(u), u = x^2 on [0, 1].
 
 A unimodal map with quadratic tip is stored as f(x) = phi(x^2) where phi is a
-polynomial on [0, 1].  Two coefficient bases are supported: Chebyshev
-polynomials shifted to [0, 1] (the default, stable to high degree) and plain
-monomials in u (capped at low degree, for hand-checkable cases).  All fitting
-goes through least squares on first-kind Chebyshev nodes with the sup residual
-at the nodes reported, so truncation loss is observable rather than silent.
+polynomial on [0, 1], written in Chebyshev polynomials shifted to [0, 1],
+T_n(2u - 1).  Every projection onto the basis goes through one least-squares
+fit on 2(D+1) first-kind Chebyshev nodes with the sup residual at the nodes
+reported, so truncation loss is observable rather than silent.
 """
 
 from __future__ import annotations
@@ -14,16 +13,15 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 
 class PhiBasis(str, Enum):
+    """Tag of the coefficient basis, recorded in the JSON map format and the
+    reports.  There is one basis; the `basis` arguments below carry the tag
+    and do not change the arithmetic."""
+
     ORTHOGONAL = "orthogonal-u"  # Chebyshev T_n(2u - 1)
-    MONOMIAL = "monomial-u"      # u^n
 
-
-# Monomial Vandermonde conditioning degrades fast; refuse silly degrees.
-MONOMIAL_DEGREE_CAP = 20
 
 DEGREE_MIN = 1
 DEGREE_MAX = 64
@@ -38,13 +36,11 @@ def collocation_nodes(count: int) -> np.ndarray:
 def design_matrix(u, degree: int, basis: PhiBasis) -> np.ndarray:
     """Rows evaluate the basis at u: shape (len(u), degree + 1)."""
     u = np.asarray(u, dtype=float)
-    if basis is PhiBasis.ORTHOGONAL:
-        return _cheb.chebvander(2.0 * u - 1.0, degree)
-    return _poly.polyvander(u, degree)
+    return _cheb.chebvander(2.0 * u - 1.0, degree)
 
 
 def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
-    """phi(u) via Clenshaw (orthogonal) or Horner (monomial).
+    """phi(u) via Clenshaw.
 
     A coefficient stack of shape (n, D+1) evaluates row i at u[i], all rows
     in one pass; u broadcasts against (n, 1)."""
@@ -52,32 +48,25 @@ def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
     tensor = np.ndim(coeffs) == 1
     if not tensor:
         coeffs = np.asarray(coeffs).T[..., None]
-    if basis is PhiBasis.ORTHOGONAL:
-        return _cheb.chebval(2.0 * u - 1.0, coeffs, tensor=tensor)
-    return _poly.polyval(u, coeffs, tensor=tensor)
+    return _cheb.chebval(2.0 * u - 1.0, coeffs, tensor=tensor)
 
 
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
     """Coefficients of d^order phi / du^order in the same basis (per row of
     a stack)."""
-    if basis is PhiBasis.ORTHOGONAL:
-        # t = 2u - 1, so each u-derivative picks up a factor 2
-        return _cheb.chebder(coeffs, order, axis=-1) * (2.0 ** order)
-    return _poly.polyder(coeffs, order, axis=-1)
+    # t = 2u - 1, so each u-derivative picks up a factor 2
+    return _cheb.chebder(coeffs, order, axis=-1) * (2.0 ** order)
 
 
 def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis):
     """phi(0), one value per row of a stack."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if basis is PhiBasis.ORTHOGONAL:
-        return _cheb.chebval(-1.0, coeffs.T)
-    return coeffs[..., 0]
+    return _cheb.chebval(-1.0, coeffs.T)
 
 
 def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
-    """Shift the constant coefficient so phi(0) = 1 exactly (every row).
-
-    Both bases have a constant element equal to 1, so the shift is exact."""
+    """Shift the constant coefficient so phi(0) = 1 to within one rounding,
+    every row (the shifted sum is rounded, so not exactly)."""
     out = np.array(coeffs, dtype=float)
     out[..., 0] += 1.0 - phi_at_zero(out, basis)
     return out
@@ -99,8 +88,11 @@ def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
     return coeffs.T, residual if residual.ndim else float(residual)
 
 
-def project_function(fn, degree: int, basis: PhiBasis,
-                     oversample: int = 2) -> tuple[np.ndarray, float]:
-    """Project a callable of u onto the basis; returns (coeffs, residual)."""
-    u = collocation_nodes(oversample * (degree + 1))
+def project_function(fn, degree: int,
+                     basis: PhiBasis) -> tuple[np.ndarray, float]:
+    """Project a callable of u onto the basis; returns (coeffs, residual).
+
+    fn is sampled on the 2(D+1) collocation nodes; it may return one row of
+    values or a stack (n, nodes) of n functions, fitted by one solve."""
+    u = collocation_nodes(2 * (degree + 1))
     return fit_phi(u, np.asarray(fn(u), dtype=float), degree, basis)

@@ -149,6 +149,11 @@ def cascade(fam: QuadraticFamily, n_max: int) -> CascadeReport:
 
 @dataclass(frozen=True)
 class Window:
+    """A half window: interval runs from about superstable_c, where
+    lam = f^p(0) = 0, to the right edge, not from the saddle-node where the
+    tuning window starts (p = 3: (1.7548776, 1.7903275) against the tuning
+    window from 1.75; doubling: (0.99999930, 1.5436890), superstable_c 1)."""
+
     p: int
     theta: tuple[int, ...]
     interval: tuple[float, float]
@@ -177,6 +182,8 @@ def find_windows(fam: QuadraticFamily, p: int,
     and constant permutation, refined at both edges.
 
     The superstable parameter inside each window is the root of f_c^p(0).
+    Left of it J = [-|lam|, |lam|] is not invariant, so each run is a half
+    window [about superstable_c, right edge]; see Window.
     """
     if grid < 100:
         raise DomainError(f"grid must be >= 100, got {grid}")

@@ -89,9 +89,6 @@ class UnimodalMap(_Phi):
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidMap("coefficient vector must be 1-d with degree >= 1")
-        if self.basis is PhiBasis.MONOMIAL and arr.size - 1 > _basis.MONOMIAL_DEGREE_CAP:
-            raise InvalidMap(
-                f"monomial basis capped at degree {_basis.MONOMIAL_DEGREE_CAP}")
         if arr.size - 1 > _basis.DEGREE_MAX:
             raise InvalidMap(f"degree above {_basis.DEGREE_MAX} unsupported")
         arr.setflags(write=False)
@@ -144,11 +141,20 @@ class UnimodalMap(_Phi):
 
     @staticmethod
     def from_json(text: str) -> "UnimodalMap":
-        payload = json.loads(text)
-        coeffs = np.asarray(payload["coeffs"], dtype=float)
-        if int(payload["degree"]) != coeffs.size - 1:
+        """Inverse of to_json; malformed JSON, a missing key or an unknown
+        basis tag raises InvalidMap."""
+        try:
+            payload = json.loads(text)
+            coeffs = np.asarray(payload["coeffs"], dtype=float)
+            degree = payload["degree"]
+            basis = PhiBasis(payload["basis"])
+        except KeyError as err:
+            raise InvalidMap(f"map JSON lacks the key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise InvalidMap(f"map JSON: {err}") from None
+        if degree != coeffs.size - 1:
             raise InvalidMap("degree field inconsistent with coefficient count")
-        return UnimodalMap(coeffs, PhiBasis(payload["basis"]))
+        return UnimodalMap(coeffs, basis)
 
 
 @dataclass(frozen=True)
@@ -224,33 +230,28 @@ class QuadraticFamily:
     c_min: float = 0.0
     c_max: float = 2.0
 
-    def member(self, c: float, degree: int = 1,
-               basis: PhiBasis = PhiBasis.ORTHOGONAL) -> UnimodalMap:
+    def member(self, c: float, degree: int = 1) -> UnimodalMap:
         """Exact coefficients of phi(u) = 1 - c u, zero-padded to degree."""
         if not (self.c_min < c <= self.c_max):
             raise DomainError(f"family parameter c = {c} outside ({self.c_min}, {self.c_max}]")
         if degree < 1:
             raise DomainError("degree must be at least 1")
-        return UnimodalMap(self._coeffs(np.array([c]), degree, basis)[0], basis)
+        return UnimodalMap(self._coeffs(np.array([c]), degree)[0])
 
     def members(self, cs) -> tuple[np.ndarray, MapStack]:
         """(inside, stack): the mask of cs inside (c_min, c_max] and the
         degree-1 members at those parameters as one stack, rows in order."""
         cs = np.asarray(cs, dtype=float)
         inside = (self.c_min < cs) & (cs <= self.c_max)
-        basis = PhiBasis.ORTHOGONAL
-        return inside, MapStack(self._coeffs(cs[inside], 1, basis), basis)
+        return inside, MapStack(self._coeffs(cs[inside], 1),
+                                PhiBasis.ORTHOGONAL)
 
     @staticmethod
-    def _coeffs(cs: np.ndarray, degree: int, basis: PhiBasis) -> np.ndarray:
+    def _coeffs(cs: np.ndarray, degree: int) -> np.ndarray:
+        # 1 - c u = (1 - c/2) - (c/2) T_1(2u - 1)
         coeffs = np.zeros((cs.size, degree + 1))
-        if basis is PhiBasis.ORTHOGONAL:
-            # 1 - c u = (1 - c/2) - (c/2) T_1(2u - 1)
-            coeffs[:, 0] = 1.0 - cs / 2.0
-            coeffs[:, 1] = -cs / 2.0
-        else:
-            coeffs[:, 0] = 1.0
-            coeffs[:, 1] = -cs
+        coeffs[:, 0] = 1.0 - cs / 2.0
+        coeffs[:, 1] = -cs / 2.0
         return coeffs
 
     def critical_value_map(self, c, q: int):

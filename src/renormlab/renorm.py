@@ -277,7 +277,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
               degree: int) -> tuple[np.ndarray, float]:
     """(coeffs, residual) of phi_{Tf}(u) = f^{p-1}(phi(lam^2 u)) / lam.
 
-    Least-squares projection on oversampled Chebyshev nodes; the constant
+    Least-squares projection by basis.project_function; the constant
     term is left as fitted, so Tf(0) = 1 holds only to roundoff.  For a
     MapStack, step.lam is the column (n, 1) of scalings and every row is
     projected by one solve."""
@@ -290,22 +290,21 @@ def project_T(f: UnimodalMap, step: RenormStep,
 
 
 def renormalize(f: UnimodalMap, step: RenormStep | None = None,
-                degree: int | None = None,
-                residual_cap: float = PROJECTION_CAP) -> Renormalized:
+                degree: int | None = None) -> Renormalized:
     """Rf projected back onto the coefficient space of phi.
 
-    phi_{Rf}(u) = f^{p-1}(phi(lam^2 u)) / lam, sampled on oversampled
-    Chebyshev nodes and least-squares fitted.  The fit residual must stay
-    under residual_cap or TruncationLoss is raised; the constant coefficient
-    is then shifted so Rf(0) = 1 holds exactly rather than to roundoff.
+    phi_{Rf}(u) = f^{p-1}(phi(lam^2 u)) / lam, projected by project_T.  The
+    fit residual must stay under PROJECTION_CAP or TruncationLoss is raised;
+    the constant coefficient is then shifted so Rf(0) = 1 holds to within one
+    rounding.
     """
     if step is None:
         step = detect(f)
     target = degree if degree is not None else max(f.degree, DEFAULT_DEGREE)
     coeffs, residual = project_T(f, step, target)
-    if residual >= residual_cap:
+    if residual >= PROJECTION_CAP:
         raise TruncationLoss(
-            f"projection residual {residual:.3e} exceeds {residual_cap:.1e} "
+            f"projection residual {residual:.3e} exceeds {PROJECTION_CAP:.1e} "
             f"at degree {target}", residual=residual)
     coeffs = _basis.normalized_constant(coeffs, f.basis)
     return Renormalized(UnimodalMap(coeffs, f.basis), step, residual)

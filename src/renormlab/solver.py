@@ -31,7 +31,6 @@ from .maps import QuadraticFamily, UnimodalMap
 from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
                      project_T, renormalize, renormalize_with, slopes)
 
-COLUMN_RESIDUAL_CAP = 1e-8
 UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
 
 # classical starting guess for the period-doubling fixed point
@@ -53,52 +52,41 @@ def _suffix_products(fps: np.ndarray) -> np.ndarray:
 
 
 def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
-                      degree: int | None = None,
-                      residual_cap: float | None = None) -> np.ndarray:
+                      degree: int | None = None) -> np.ndarray:
     """Matrix of DT(f) on the coefficient space, shape (D+1, D+1).
 
     Column n is the projection of DT(f) applied to the n-th basis element,
-    using the same oversampled least-squares projection renormalize uses, so
-    this matrix is exactly the derivative of the discretized operator (what
-    Newton and finite-difference checks need).  Images of high-order basis
-    elements genuinely exceed degree D, so their fit residual at the nodes is
-    not small and is informational; pass residual_cap to turn it into a hard
-    TruncationLoss bound.
+    through the same basis.project_function renormalize uses, so this matrix
+    is exactly the derivative of the discretized operator (what Newton and
+    finite-difference checks need).  Images of high-order basis elements
+    genuinely exceed degree D, so their fit residual is not small; it is
+    informational and dropped here.
     """
     if step is None:
         step = detect(f)
     p, lam = step.p, step.lam
     dim = (degree if degree is not None else f.degree) + 1
-    u_nodes = _basis.collocation_nodes(2 * dim)
-    x = np.sqrt(u_nodes)
-
-    zs = orbit_stack(f, lam * x, p)
-    # suffix products: amp[j] = Df^j evaluated at z_{p-j}
-    amp = _suffix_products(slopes(f, zs[:p]))
-    # basis values at the arguments of v: rows j = 0..p-1 use z_{p-j-1}
-    args = zs[p - 1::-1]
-    design = _basis.design_matrix(args.ravel() ** 2, dim - 1, f.basis)
-    design = design.reshape(p, x.size, dim)
-    principal = np.einsum("jt,jtn->tn", amp[:p], design) / lam
 
     # scaling sensitivity along the critical orbit
     zc = orbit_stack(f, 0.0, p)
     campl = _suffix_products(slopes(f, zc[:p]))
     crit_design = _basis.design_matrix(zc[p - 1::-1] ** 2, dim - 1, f.basis)
     sens = campl[:p] @ crit_design
-    tf_vals = zs[p] / lam
-    tail_weight = (x * amp[p] - tf_vals) / lam
-    image = principal + np.outer(tail_weight, sens)
 
-    gram = _basis.design_matrix(u_nodes, dim - 1, f.basis)
-    mat, *_ = np.linalg.lstsq(gram, image, rcond=None)
-    if residual_cap is not None:
-        fit_err = float(np.max(np.abs(gram @ mat - image)))
-        if fit_err >= residual_cap:
-            raise TruncationLoss(
-                f"derivative column residual {fit_err:.3e} exceeds "
-                f"{residual_cap:.1e}", residual=fit_err)
-    return mat
+    def images(u):
+        """Row n: DT(f) applied to the n-th basis element, at the nodes u."""
+        x = np.sqrt(u)
+        zs = orbit_stack(f, lam * x, p)
+        # suffix products: amp[j] = Df^j evaluated at z_{p-j}
+        amp = _suffix_products(slopes(f, zs[:p]))
+        # basis values at the arguments of v: rows j = 0..p-1 use z_{p-j-1}
+        design = _basis.design_matrix(zs[p - 1::-1].ravel() ** 2, dim - 1,
+                                      f.basis).reshape(p, x.size, dim)
+        principal = np.einsum("jt,jtn->tn", amp[:p], design) / lam
+        tail_weight = (x * amp[p] - zs[p] / lam) / lam
+        return (principal + np.outer(tail_weight, sens)).T
+
+    return _basis.project_function(images, dim - 1, f.basis)[0].T
 
 
 def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6,
@@ -147,14 +135,10 @@ def _realified(vec: np.ndarray) -> np.ndarray:
     return np.real(rotated)
 
 
-def _increasing_c_direction(dim: int, basis: PhiBasis) -> np.ndarray:
-    """Tangent of c -> (1 - c u) in coefficient space."""
+def _increasing_c_direction(dim: int) -> np.ndarray:
+    """Tangent of c -> (1 - c u) in coefficient space: -(T_0 + T_1) / 2."""
     out = np.zeros(dim)
-    if basis is PhiBasis.ORTHOGONAL:
-        out[0] = -0.5
-        out[1] = -0.5
-    else:
-        out[1] = -1.0
+    out[:2] = -0.5
     return out
 
 
@@ -178,7 +162,7 @@ def spectral_report(mat: np.ndarray, basis: PhiBasis,
     pairing = float(sigma @ u_vec)
     sigma = sigma / pairing
 
-    direction = _increasing_c_direction(dim, basis)
+    direction = _increasing_c_direction(dim)
     if float(sigma @ direction) < 0.0:
         u_vec = -u_vec
         sigma = -sigma

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,18 +71,40 @@ def test_diagnostics_fields_on_good_map():
     assert diag.curvature_at_zero < 0
 
 
-def test_monomial_basis_roundtrip():
-    f = QuadraticFamily().member(1.2, basis=PhiBasis.MONOMIAL)
-    assert f(0.5) == pytest.approx(1.0 - 1.2 * 0.25, abs=1e-14)
-    with pytest.raises(InvalidMap):
-        UnimodalMap(np.zeros(22), PhiBasis.MONOMIAL)
-
-
 def test_json_roundtrip_is_bit_exact():
     f = quadratic_map(1.3737, degree=8)
     g = UnimodalMap.from_json(f.to_json())
     assert g.basis == f.basis
     assert np.array_equal(g.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("edit", [
+    {"basis": "monomial-u"},
+    {"basis": "chebyshev"},
+    {"basis": None},
+    {"coeffs": "abc"},
+    {"degree": 4.5},
+])
+def test_from_json_rejects_unknown_values(edit):
+    payload = json.loads(quadratic_map(1.3, degree=4).to_json())
+    payload.update(edit)
+    with pytest.raises(InvalidMap):
+        UnimodalMap.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key", ["basis", "degree", "coeffs"])
+def test_from_json_rejects_missing_keys(key):
+    payload = json.loads(quadratic_map(1.3, degree=4).to_json())
+    del payload[key]
+    with pytest.raises(InvalidMap, match=key):
+        UnimodalMap.from_json(json.dumps(payload))
+
+
+def test_from_json_rejects_malformed_text():
+    with pytest.raises(InvalidMap):
+        UnimodalMap.from_json("[1.0, -0.5]")
+    with pytest.raises(InvalidMap):
+        UnimodalMap.from_json("{")
 
 
 def test_orbit_stays_inside_interval():
@@ -128,10 +152,9 @@ def test_evaluation_never_escapes_closure(c, x):
 
 
 @given(degree=st.integers(min_value=1, max_value=12),
-       c=st.floats(min_value=0.1, max_value=1.99),
-       basis=st.sampled_from(list(PhiBasis)))
+       c=st.floats(min_value=0.1, max_value=1.99))
 @settings(max_examples=40, deadline=None)
-def test_json_roundtrip_property(degree, c, basis):
-    f = QuadraticFamily().member(c, degree=degree, basis=basis)
+def test_json_roundtrip_property(degree, c):
+    f = QuadraticFamily().member(c, degree=degree)
     g = UnimodalMap.from_json(f.to_json())
     assert np.array_equal(g.coeffs, f.coeffs) and g.basis is f.basis
