@@ -27,10 +27,6 @@ from .renorm import tower, tower_header, tower_rows
 from .reporting import write_csv, write_json
 from .solver import convergence_experiment, solve_fixed_point, spectrum
 
-SUBCOMMANDS = ("feigenbaum", "spectrum", "orbit", "tower", "geometry",
-               "sums", "dimension", "cascade", "windows", "converge")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     degree: int = 24
@@ -123,21 +119,15 @@ def build_parser() -> _Parser:
     for name, helptext in (
             ("tower", "nested renormalization intervals"),
             ("geometry", "bounded-geometry ratios of the tower"),
-            ("dimension", "Hausdorff dimension of the tower limit set")):
+            ("dimension", "Hausdorff dimension of the tower limit set"),
+            ("sums", "interval decay sums and operator norm growth")):
         p = sub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("--family", choices=["quadratic"], default="quadratic")
         p.add_argument("--c", type=float)
         p.add_argument("--fixed-point", action="store_true",
                        help="use the solved fixed point instead of --c")
         p.add_argument("--depth", type=int,
                        help="tower depth (default: config tower_depth)")
-
-    p = sub.add_parser("sums", parents=[common],
-                       help="interval decay sums and operator norm growth")
-    p.add_argument("--family", choices=["quadratic"], default="quadratic")
-    p.add_argument("--c", type=float)
-    p.add_argument("--fixed-point", action="store_true")
-    p.add_argument("--depth", type=int)
+    p = sub.choices["sums"]
     p.add_argument("--t", type=float, default=3.0,
                    help="decay-sum exponent (> 1)")
     p.add_argument("--gamma", type=float, default=3.0,

@@ -1,10 +1,14 @@
 """One-parameter family analysis: windows, cascades, parameter Cantor sets.
 
-Everything in parameter space runs on bisection against robust predicates
-(sign of the critical-orbit value, or a combinatorial classification of the
+Everything in parameter space runs on robust predicates (the sign of the
+critical-orbit value, or a combinatorial classification of the
 renormalization type); the objectives oscillate far too wildly for Newton.
-Windows of a renormalization type are located by scanning a grid, taking the
-longest run where the classification holds, and bisecting both edges.
+Superstable parameters are bisected roots of f_c^q(0).  Windows of a
+renormalization type are located by classifying a whole parameter grid in
+one batched pass (classify_period for the first period, classify for an
+itinerary of types), taking the run where the classification holds, and
+refining each edge by _bisect_edge, which tests EDGE_POINTS parameters per
+round in one batched call.
 """
 
 from __future__ import annotations
@@ -13,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketNotFound, DomainError, RenormlabError,
-                     SingleItinerary, WindowNotFound)
+from .errors import (BracketNotFound, DomainError, SingleItinerary,
+                     WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
-from .maps import QuadraticFamily, validate
-from .renorm import IntervalTower, detect, renormalize, renormalize_type
+from .maps import QuadraticFamily
+from .renorm import IntervalTower, renormalize_type, scan_periods
 
 SCAN_GRID = 2000
 EDGE_TOL = 1e-8
+EDGE_POINTS = 16
 WINDOW_DEGREE = 16
 WINDOW_GRIDS = (129, 513, 2049)
 DEPTH_CAP = 10
@@ -152,7 +157,7 @@ class Window:
     """A half window: interval runs from about superstable_c, where
     lam = f^p(0) = 0, to the right edge, not from the saddle-node where the
     tuning window starts (p = 3: (1.7548776, 1.7903275) against the tuning
-    window from 1.75; doubling: (0.99999930, 1.5436890), superstable_c 1)."""
+    window from 1.75; doubling: (0.99999929, 1.5436890), superstable_c 1)."""
 
     p: int
     theta: tuple[int, ...]
@@ -160,85 +165,89 @@ class Window:
     superstable_c: float
 
 
-def _classify(fam: QuadraticFamily, c: float, p: int):
-    """(matches_p, theta_or_None); degenerate scaling counts as inside.
+def classify_period(fam: QuadraticFamily, cs,
+                    p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(marks, ranks) at every parameter of cs, in one batched pass:
+    marks[i] says the first renormalization of f_c has period p (a
+    degenerate scaling at p counts), ranks[i] holds the type where p is
+    admissible and -1 elsewhere.  Parameters outside the family's domain,
+    and members that fail validation, are unmarked."""
+    if p < 2:
+        raise DomainError(f"got p = {p}: renormalization periods start at 2")
+    cs = np.asarray(cs, dtype=float)
+    rows, g = fam.members(cs)
+    _, degenerate, live, trial = scan_periods(g, p, grid=32)
+    ok = trial.fail == 0
+    marks = np.zeros(cs.shape, dtype=bool)
+    marks[rows[degenerate]] = marks[rows[live[ok]]] = True
+    ranks = np.full(cs.shape + (p,), -1)
+    ranks[rows[live[ok]]] = trial.ranks[ok]
+    return marks, ranks
 
-    Periods above p are not scanned: they could only give False."""
-    try:
-        g = fam.member(c)
-        step = detect(g, p_max=p, grid=32)
-    except RenormlabError as err:
-        deg_p = getattr(err, "p", None)
-        if deg_p == p:
-            return True, None
-        return False, None
-    return step.p == p, step.perm
+
+def _classify(fam: QuadraticFamily, c: float, p: int):
+    """classify_period at one parameter: (matches_p, theta or None).  No
+    package code calls it; it stays because perfbench/layers.py wraps this
+    name, and `run.py --trace 1` raises if it is missing."""
+    (mark,), (rank,) = classify_period(fam, [c], p)
+    return bool(mark), tuple(rank.tolist()) if rank[0] >= 0 else None
 
 
 def find_windows(fam: QuadraticFamily, p: int,
                  c_range: tuple[float, float],
                  grid: int = SCAN_GRID) -> list[Window]:
     """Maximal parameter runs where the first renormalization has period p
-    and constant permutation, refined at both edges.
-
-    The superstable parameter inside each window is the root of f_c^p(0).
-    Left of it J = [-|lam|, |lam|] is not invariant, so each run is a half
-    window [about superstable_c, right edge]; see Window.
-    """
+    and constant type: the grid is classified by one classify_period call,
+    and both edges of each run are refined by _bisect_edge.  Each run is a
+    half window [about superstable_c, right edge], superstable_c the root of
+    f_c^p(0) inside it; see Window."""
     if grid < 100:
         raise DomainError(f"grid must be >= 100, got {grid}")
     cs = np.linspace(c_range[0], c_range[1], grid)
-    marks = []
-    thetas = []
-    for c in cs:
-        ok, theta = _classify(fam, float(c), p)
-        marks.append(ok)
-        thetas.append(theta)
-    windows = []
-    i = 0
+    marks, ranks = classify_period(fam, cs, p)
+    thetas = [tuple(r) if r[0] >= 0 else None for r in ranks.tolist()]
+    windows, i = [], 0
     while i < grid:
-        if not marks[i]:
-            i += 1
-            continue
-        j = i
-        theta = None
+        # the run from i: marked, and every measured type equal to the first
+        j, theta = i, None
         while j < grid and marks[j]:
-            if thetas[j] is not None:
-                if theta is None:
-                    theta = thetas[j]
-                elif thetas[j] != theta:
-                    break
+            if thetas[j] is not None and theta not in (None, thetas[j]):
+                break
+            theta = theta or thetas[j]
             j += 1
         if theta is not None:
             def inside(c, th=theta):
-                ok, got = _classify(fam, c, p)
-                return ok and (got is None or got == th)
-            lo = cs[i]
-            if i > 0:
-                lo = _bisect_edge(inside, cs[i - 1], cs[i])
-            hi = cs[j - 1]
-            if j < grid:
-                hi = _bisect_edge(inside, cs[j], cs[j - 1])
+                ok, got = classify_period(fam, c, p)
+                return ok & ((got[:, 0] < 0) | np.all(got == th, axis=-1))
+            lo = cs[i] if i == 0 else _bisect_edge(inside, cs[i - 1], cs[i])
+            hi = cs[j - 1] if j == grid else _bisect_edge(inside, cs[j],
+                                                          cs[j - 1])
             c_ss = _superstable_in(fam, p, lo, hi, 400)
             if c_ss is not None:
-                windows.append(Window(p=p, theta=tuple(theta),
+                windows.append(Window(p=p, theta=theta,
                                       interval=(float(lo), float(hi)),
                                       superstable_c=float(c_ss)))
-        i = j
+        i = max(j, i + 1)
     return windows
 
 
 def _bisect_edge(inside, c_out: float, c_in: float,
                  tol: float = EDGE_TOL) -> float:
+    """Window edge between c_out (outside) and c_in (inside), to within tol.
+
+    `inside` maps an array of parameters to booleans.  Each round tests
+    EDGE_POINTS parameters evenly spaced between the two in one call and
+    keeps the outside-to-inside transition nearest c_in, also when the
+    predicate is not monotone; the predicate holds at the result."""
     while abs(c_in - c_out) > tol:
-        mid = 0.5 * (c_in + c_out)
-        if mid == c_in or mid == c_out:
+        cs = np.linspace(c_out, c_in, EDGE_POINTS + 2)[1:-1]
+        cs = cs[(cs != c_out) & (cs != c_in)]
+        if not cs.size:
             break
-        if inside(mid):
-            c_in = mid
-        else:
-            c_out = mid
-    return c_in
+        ends = np.r_[c_out, cs, c_in]
+        k = np.nonzero(~np.r_[False, inside(cs), True])[0][-1]
+        c_out, c_in = ends[k], ends[k + 1]
+    return float(c_in)
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +255,15 @@ def _bisect_edge(inside, c_out: float, c_in: float,
 
 
 def _itinerary_ok(fam: QuadraticFamily, c: float, prefix) -> bool:
-    """Does f_c realize the first len(prefix) renormalization types?
-
-    Each level scans periods only up to len(theta): any other period fails."""
-    try:
-        g = fam.member(c)
-        for theta in prefix:
-            step = detect(g, p_max=len(theta), grid=32)
-            if step.p != len(theta) or step.perm != tuple(theta):
-                return False
-            g, _ = renormalize(g, step, degree=WINDOW_DEGREE)
-    except RenormlabError:
-        return False
-    return True
+    """classify at one parameter.  No package code calls it; it stays
+    because perfbench/layers.py wraps this name, and `run.py --trace 1`
+    raises if it is missing."""
+    return bool(classify(fam, [c], prefix)[0])
 
 
 def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
-    """_itinerary_ok at every parameter of cs, as one boolean array.
+    """Does f_c realize the first len(prefix) renormalization types?  One
+    boolean per parameter of cs.
 
     The members form one coefficient stack and each level renormalizes all
     surviving rows together (renorm.renormalize_type), so the cost is one
@@ -270,10 +271,7 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     domain, and members that fail validation, come out False.
     """
     cs = np.asarray(cs, dtype=float)
-    inside, g = fam.members(cs)
-    rows = np.nonzero(inside)[0]
-    valid = validate(g).ok
-    rows, g = rows[valid], g[valid]
+    rows, g = fam.members(cs)
     for theta in prefix:
         if not rows.size:
             break
@@ -293,14 +291,11 @@ def _window_for_prefix(fam: QuadraticFamily, prefix,
         ok = classify(fam, cs, prefix)
         if not ok.any():
             continue
-        padded = np.r_[False, ok, False]
-        starts = np.nonzero(padded[1:].astype(int)
-                            - padded[:-1].astype(int) == 1)[0]
-        ends = np.nonzero(padded[1:].astype(int)
-                          - padded[:-1].astype(int) == -1)[0]
+        edges = np.nonzero(np.diff(np.r_[0, ok, 0]))[0]
+        starts, ends = edges[::2], edges[1::2]
         best = int(np.argmax(ends - starts))
         i, j = starts[best], ends[best] - 1
-        inside = lambda c: _itinerary_ok(fam, c, prefix)
+        inside = lambda c: classify(fam, c, prefix)
         tol = min(EDGE_TOL, 1e-3 * (cs[j] - cs[i] + cs[1] - cs[0]))
         a = cs[i] if i == 0 else _bisect_edge(inside, cs[i - 1], cs[i], tol)
         b = cs[j] if j == grid - 1 else _bisect_edge(inside, cs[j + 1],

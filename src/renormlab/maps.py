@@ -239,12 +239,14 @@ class QuadraticFamily:
         return UnimodalMap(self._coeffs(np.array([c]), degree)[0])
 
     def members(self, cs) -> tuple[np.ndarray, MapStack]:
-        """(inside, stack): the mask of cs inside (c_min, c_max] and the
-        degree-1 members at those parameters as one stack, rows in order."""
+        """(rows, stack): the indices of the parameters in cs that member
+        accepts (inside (c_min, c_max] and structurally valid) and their
+        degree-1 members as one stack, rows in order."""
         cs = np.asarray(cs, dtype=float)
-        inside = (self.c_min < cs) & (cs <= self.c_max)
-        return inside, MapStack(self._coeffs(cs[inside], 1),
-                                PhiBasis.ORTHOGONAL)
+        rows = np.nonzero((self.c_min < cs) & (cs <= self.c_max))[0]
+        g = MapStack(self._coeffs(cs[rows], 1), PhiBasis.ORTHOGONAL)
+        valid = validate(g).ok
+        return rows[valid], g[valid]
 
     @staticmethod
     def _coeffs(cs: np.ndarray, degree: int) -> np.ndarray:

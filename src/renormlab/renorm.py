@@ -158,11 +158,11 @@ class _Trial:
 def _test_period(f: MapStack, lam: np.ndarray, p: int, grid: int) -> _Trial:
     """The admissibility tests of period p, on every row of f at once.
 
-    lam = f^p(0) per row, already checked nondegenerate (detect raises on
-    that, classify drops the row).  In order: |lam| not within LAMBDA_FLOOR
-    of 1; J = [-|lam|, |lam|] invariant under f^p; (f^p)' changes sign
-    exactly once on J; the pieces f^i(J), i < p, pairwise disjoint.  Each
-    test runs only on the rows that passed the ones before it.
+    lam = f^p(0) per row, already checked nondegenerate by the caller.  In
+    order: |lam| not within LAMBDA_FLOOR of 1; J = [-|lam|, |lam|] invariant
+    under f^p; (f^p)' changes sign exactly once on J; the pieces f^i(J),
+    i < p, pairwise disjoint.  Each test runs only on the rows that passed
+    the ones before it.
     """
     n = lam.size
     a = np.abs(lam)
@@ -226,6 +226,26 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
         f"no admissible period up to {p_max}", reasons=reasons)
 
 
+def scan_periods(f: MapStack, q: int, grid: int):
+    """What detect(p_max=q) finds at period q, for every row of f at once.
+
+    Returns (lam, degenerate, rows, trial): lam[i] = f_i^q(0); degenerate
+    and rows split the rows where no period p < q is degenerate or
+    admissible by whether lam vanishes at q (detect raises there), and
+    trial tests period q on rows.
+    """
+    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
+    degenerate = rows = np.arange(len(f) if q >= 2 else 0)
+    for p in range(2, q + 1):
+        small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
+        degenerate, rows = rows[small], rows[~small]
+        if p < q:
+            trial = _test_period(f[rows], lam_path[p, rows], p, grid)
+            rows = rows[trial.fail != 0]
+    return (lam_path[q], degenerate, rows,
+            _test_period(f[rows], lam_path[q, rows], q, grid))
+
+
 def renormalize_type(f: MapStack, theta: tuple[int, ...], degree: int,
                      grid: int) -> tuple[np.ndarray, MapStack]:
     """detect(p_max=len(theta)) and renormalize, insisting on type theta,
@@ -238,20 +258,13 @@ def renormalize_type(f: MapStack, theta: tuple[int, ...], degree: int,
     survivors): one least-squares solve fits all their projections.
     """
     q = len(theta)
-    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
-    rows = np.arange(len(f) if q >= 2 else 0)
-    for p in range(2, q + 1):
-        rows = rows[~(np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR)]
-        trial = _test_period(f[rows], lam_path[p, rows], p, grid)
-        if p < q:
-            rows = rows[trial.fail != 0]
-            continue
-        hit = (trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)
-        rows = rows[hit]
+    lam, _, rows, trial = scan_periods(f, q, grid)
+    hit = (trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)
+    rows = rows[hit]
     survived = np.zeros(len(f), dtype=bool)
     if not rows.size:
         return survived, MapStack(np.zeros((0, degree + 1)), f.basis)
-    step = RenormStep(p=q, lam=lam_path[q, rows, None], perm=theta,
+    step = RenormStep(p=q, lam=lam[rows, None], perm=theta,
                       intervals=trial.pieces[hit])
     coeffs, residual = project_T(f[rows], step, degree)
     kept = MapStack(_basis.normalized_constant(coeffs, f.basis), f.basis)

@@ -71,6 +71,14 @@ def test_windows_listing(tmp_path):
     assert rows[1].startswith("3,")
 
 
+@pytest.mark.parametrize("p", ["1", "0", "-3"])
+def test_windows_below_period_two_exits_two(tmp_path, capsys, p):
+    assert run(tmp_path, "windows", "--p", p, "--lo", "1.6",
+               "--hi", "1.9") == 2
+    assert load_report(tmp_path, "windows")["status"] == "DomainError"
+    assert "periods start at 2" in capsys.readouterr().err
+
+
 def test_dimension_pipeline(tmp_path):
     assert run(tmp_path, "dimension", "--c", "1.401155189", "--depth",
                "8", "--degree", "16") == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,19 +145,120 @@ def test_depth_limits(quadratic):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 11)
 
 
+def test_period_five_has_two_windows(quadratic):
+    wins = F.find_windows(quadratic, 5, (1.6, 2.0), grid=512)
+    assert [w.theta for w in wins] == [(1, 4, 0, 2, 3), (2, 4, 0, 1, 3)]
+    for w, c_ss in zip(wins, (1.6254137251, 1.8607825222)):
+        assert w.p == 5
+        assert w.superstable_c == pytest.approx(c_ss, abs=1e-9)
+        assert w.interval[0] <= w.superstable_c <= w.interval[1]
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_windows_periods_start_at_two(quadratic, p):
+    with pytest.raises(DomainError, match="periods start at 2"):
+        F.find_windows(quadratic, p, (0.8, 2.0), grid=200)
+
+
 def test_bisect_edge_stops_at_float_resolution():
-    # tol below the float spacing: the midpoint rounds onto an endpoint
+    # tol below the float spacing: every probe rounds onto an endpoint
     c_in = 1.7864402555636192
     c_out = float(np.nextafter(c_in, 0.0))
     calls = []
 
-    def inside(c):
-        calls.append(c)
+    def inside(cs):
+        calls.append(cs)
         if len(calls) > 200:
             raise RuntimeError("bisection does not terminate")
-        return True
+        return np.ones(np.shape(cs), dtype=bool)
 
     assert F._bisect_edge(inside, c_out, c_in, tol=1e-20) == c_in
+
+
+@pytest.mark.parametrize("c_out, c_in", [(1.0, 1.5), (1.5, 1.0)])
+def test_bisect_edge_finds_a_step(c_out, c_in):
+    edge_true = 1.2345678901234
+
+    def inside(cs):
+        cs = np.asarray(cs)
+        return cs >= edge_true if c_in > c_out else cs <= edge_true
+
+    tol = 1e-10
+    edge = F._bisect_edge(inside, c_out, c_in, tol=tol)
+    assert abs(edge - edge_true) <= tol
+    assert inside(np.array([edge]))[0]
+
+
+def test_bisect_edge_keeps_the_transition_nearest_the_inside_end():
+    # inside on [1.2, 1.26] and [1.3, 1.5]; halving from (1.0, 1.5) would
+    # probe 1.25 first and end at 1.2
+    def inside(cs):
+        cs = np.asarray(cs)
+        return ((1.2 <= cs) & (cs <= 1.26)) | (1.3 <= cs)
+
+    edge = F._bisect_edge(inside, 1.0, 1.5, tol=1e-10)
+    assert abs(edge - 1.3) <= 1e-10
+
+
+@pytest.mark.parametrize("width, tol", [(0.5, 1e-10), (1e-3, 1e-8),
+                                        (2e-4, 1e-9), (1e-6, 1e-8)])
+def test_bisect_edge_call_count(width, tol):
+    calls = []
+
+    def inside(cs):
+        calls.append(len(cs))
+        return np.asarray(cs) >= 1.0 + width / 3
+
+    F._bisect_edge(inside, 1.0, 1.0 + width, tol=tol)
+    bound = math.ceil(math.log(width / tol)
+                      / math.log(F.EDGE_POINTS + 1)) + 1
+    assert len(calls) <= bound
+    assert all(n <= F.EDGE_POINTS for n in calls)
+
+
+def reference_classify(fam, c, p):
+    """The scalar first-period classification: (matches_p, theta_or_None)
+    from detect up to period p; a degenerate scaling at p counts as
+    inside."""
+    try:
+        g = fam.member(c)
+        step = detect(g, p_max=p, grid=32)
+    except RenormlabError as err:
+        return getattr(err, "p", None) == p, None
+    return step.p == p, step.perm
+
+
+@st.composite
+def window_grids(draw):
+    """Uniform draws over the scan bracket plus sorted clusters at the
+    period-3 window's edges, one of them within reach of the degenerate
+    scaling at the superstable parameter."""
+    cs = draw(st.lists(st.floats(0.3, 2.0), max_size=12))
+    for centre, spread in ((1.7549, 2e-3), (1.7903, 2e-3),
+                           (analytic_period3_superstable(), 2e-8)):
+        offsets = draw(st.lists(st.floats(-spread, spread), max_size=6))
+        cs += sorted(centre + o for o in offsets)
+    return np.array(cs)
+
+
+@given(cs=window_grids(), p=st.sampled_from([2, 3, 4, 5]))
+@settings(max_examples=40, deadline=None)
+def test_classify_period_matches_the_scalar_classification(cs, p):
+    fam = QuadraticFamily()
+    marks, ranks = F.classify_period(fam, cs, p)
+    assert marks.dtype == bool and ranks.shape == cs.shape + (p,)
+    for c, mark, rank in zip(cs, marks, ranks):
+        want_mark, want_theta = reference_classify(fam, float(c), p)
+        assert mark == want_mark
+        got_theta = tuple(rank.tolist()) if rank[0] >= 0 else None
+        assert got_theta == (want_theta if want_mark else None)
+
+
+def test_degenerate_scaling_counts_as_inside(quadratic):
+    c = analytic_period3_superstable()
+    assert reference_classify(quadratic, c, 3) == (True, None)
+    marks, ranks = F.classify_period(quadratic, [c], 3)
+    assert marks.tolist() == [True] and ranks.tolist() == [[-1, -1, -1]]
 
 
 def reference_itinerary_ok(fam, c, prefix):
@@ -199,8 +302,15 @@ def test_classify_outside_the_domain_is_false(quadratic):
     cs = np.array([-1.0, 0.0, 1.2, 2.0 + 1e-9, 3.0])
     assert F.classify(quadratic, cs, [THETA_DOUBLING]).tolist() == [
         False, False, True, False, False]
+    marks, ranks = F.classify_period(quadratic, cs, 2)
+    assert marks.tolist() == [False, False, True, False, False]
+    assert ranks[marks].tolist() == [list(THETA_DOUBLING)]
+    assert np.all(ranks[~marks] == -1)
 
 
 def test_classify_empty_grid(quadratic):
     ok = F.classify(quadratic, np.array([]), [THETA_DOUBLING, THETA_TRIPLING])
     assert ok.shape == (0,) and ok.dtype == bool
+    marks, ranks = F.classify_period(quadratic, np.array([]), 3)
+    assert marks.shape == (0,) and marks.dtype == bool
+    assert ranks.shape == (0, 3)
