@@ -1,18 +1,31 @@
 """One-parameter family analysis: windows, cascades, parameter Cantor sets.
 
-Everything in parameter space runs on robust predicates (the sign of the
-critical-orbit value, or a combinatorial classification of the
-renormalization type); the objectives oscillate far too wildly for Newton.
-Superstable parameters are bisected roots of f_c^q(0).  Windows of a
-renormalization type are located by classifying a whole parameter grid in
-one batched pass (classify_period for the first period, classify for an
-itinerary of types), taking the run where the classification holds, and
-refining each edge by _bisect_edge, which tests EDGE_POINTS parameters per
-round in one batched call.
+Parameter space is searched in two stages.  A combinatorial classification
+of a whole parameter grid, in one batched pass, picks the run of parameters
+with the requested renormalization types: classify_period (is the first
+renormalization period p, and of which type) for find_windows, classify
+(an itinerary of types, one pass per level) for the nested-window chase.
+The edges of the run are then roots of scalar critical-orbit equations,
+solved in Python floats by one Brent routine, _brent, in the grid cell
+where the classification flips, or the nearest cell where the equation
+changes sign (_bisect_edge).  With P the product of the periods of the
+itinerary (P = p in find_windows) and lam = f_c^P(0):
+
+- the left edge is the superstable parameter, the root of f_c^P(0)
+  (Derrida-Gervois-Pomeau; by Milnor-Thurston monotonicity one root per
+  parent window);
+- the right edge is where J = [-|lam|, |lam|] stops being invariant, the
+  root of |f_c^P(0)| - |f_c^2P(0)|: with g^k(x) = f^(kP')(Lam x)/Lam on
+  the parent level, the deepest level's test |g^p(lam)| <= |lam| reads
+  |f^2P(0)| <= |f^P(0)| in the family.
+
+Superstable parameters and the doubling cascade are roots of f_c^q(0)
+solved by the same _brent.  The edges do not move with the scan grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +37,6 @@ from .maps import QuadraticFamily
 from .renorm import IntervalTower, renormalize_type, scan_periods
 
 SCAN_GRID = 2000
-EDGE_TOL = 1e-8
-EDGE_POINTS = 16
 WINDOW_DEGREE = 16
 WINDOW_GRIDS = (129, 513, 2049)
 DEPTH_CAP = 10
@@ -36,20 +47,78 @@ DEFAULT_BRACKET = (0.3, 2.0)
 # superstable parameters and cascades
 
 
-def _bisect_root(h, lo: float, hi: float, iters: int = 80) -> float:
-    flo = h(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
+def _brent(h, a: float, b: float) -> float:
+    """Root of h between a and b, where h changes sign, by Brent's method
+    (inverse quadratic interpolation guarded by bisection) in Python
+    floats.  It stops at float resolution: h vanishes at the result, or
+    the result and the other end of the final bracket are adjacent
+    floats."""
+    xpre, fpre, xcur, fcur = float(a), h(float(a)), float(b), h(float(b))
+    if fpre == 0.0:
+        return xpre
+    xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+    while True:
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = math.ulp(xcur)
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            # accept only a step that shrinks fast enough; else bisect
+            interpolate = 2.0 * abs(stry) < min(abs(spre),
+                                                3.0 * abs(sbis) - delta)
+        if interpolate:
+            spre, scur = scur, stry
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = h(xcur)
+
+
+def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
+    """Root of h nearest the cell (cs[k], cs[k+1]) of the increasing grid
+    cs: the edge of a window whose classification flips in that cell.
+
+    h maps a float to a float and an array to an array, rounding alike.
+    One array evaluation finds the cells of cs where h changes sign; the
+    one nearest cell k (the left one on a tie) is solved by _brent.  So an
+    edge that lies cells away from the flip, on either side, is still
+    found, but never one outside cs; with no sign change on cs,
+    WindowNotFound carrying depth."""
+    cs = np.asarray(cs, dtype=float)
+    sign = np.sign(h(cs))
+    cells = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
+    if not cells.size:
+        raise WindowNotFound(f"the edge equation does not change sign on "
+                             f"[{cs[0]:.17g}, {cs[-1]:.17g}]", depth=depth)
+    m = cells[np.argmin(np.abs(cells - k))]
+    return _brent(h, cs[m], cs[m + 1])
+
+
+def _edge_equations(fam: QuadraticFamily, P: int):
+    """(left, right) edge equations of a window of total period P (see the
+    module docstring); right is positive where J is invariant."""
+    def left(c):
+        return fam.critical_value_map(c, P)
+
+    def right(c):
+        return (abs(fam.critical_value_map(c, P))
+                - abs(fam.critical_value_map(c, 2 * P)))
+    return left, right
 
 
 def _proper_divisors(q: int) -> list[int]:
@@ -62,12 +131,10 @@ def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
     cs = np.linspace(lo, hi, grid)
     h = fam.critical_value_map(cs, q)
     flips = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[0]
-    scalar = lambda q_: (lambda c: float(fam.critical_value_map(
-        np.array([c]), q_)[0]))
     for i in flips:
-        c = _bisect_root(scalar(q), cs[i], cs[i + 1])
-        primitive = all(abs(scalar(d)(c)) > 1e-9 for d in _proper_divisors(q))
-        if primitive:
+        c = _brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
+        if all(abs(fam.critical_value_map(c, d)) > 1e-9
+               for d in _proper_divisors(q)):
             return c
     return None
 
@@ -154,10 +221,11 @@ def cascade(fam: QuadraticFamily, n_max: int) -> CascadeReport:
 
 @dataclass(frozen=True)
 class Window:
-    """A half window: interval runs from about superstable_c, where
-    lam = f^p(0) = 0, to the right edge, not from the saddle-node where the
-    tuning window starts (p = 3: (1.7548776, 1.7903275) against the tuning
-    window from 1.75; doubling: (0.99999929, 1.5436890), superstable_c 1)."""
+    """A half window: interval runs from superstable_c, where
+    lam = f^p(0) = 0, to the right edge, where J = [-|lam|, |lam|] stops
+    being invariant, not from the saddle-node where the tuning window
+    starts (p = 3: (1.7548777, 1.7903275) against the tuning window from
+    1.75; doubling: (1.0, 1.5436890127)).  superstable_c == interval[0]."""
 
     p: int
     theta: tuple[int, ...]
@@ -197,14 +265,18 @@ def find_windows(fam: QuadraticFamily, p: int,
                  c_range: tuple[float, float],
                  grid: int = SCAN_GRID) -> list[Window]:
     """Maximal parameter runs where the first renormalization has period p
-    and constant type: the grid is classified by one classify_period call,
-    and both edges of each run are refined by _bisect_edge.  Each run is a
-    half window [about superstable_c, right edge], superstable_c the root of
-    f_c^p(0) inside it; see Window."""
+    and constant type, as half windows (see Window).  One classify_period
+    call over the grid picks the runs; each edge is then the root of its
+    critical-orbit equation (see the module docstring), solved by
+    _bisect_edge from the cell where the classification flips and never
+    past c_range.  A run that starts at the first grid point has its
+    superstable parameter outside c_range and is left out; one that reaches
+    the last grid point is cut there."""
     if grid < 100:
         raise DomainError(f"grid must be >= 100, got {grid}")
     cs = np.linspace(c_range[0], c_range[1], grid)
     marks, ranks = classify_period(fam, cs, p)
+    left, right = _edge_equations(fam, p)
     thetas = [tuple(r) if r[0] >= 0 else None for r in ranks.tolist()]
     windows, i = [], 0
     while i < grid:
@@ -215,39 +287,13 @@ def find_windows(fam: QuadraticFamily, p: int,
                 break
             theta = theta or thetas[j]
             j += 1
-        if theta is not None:
-            def inside(c, th=theta):
-                ok, got = classify_period(fam, c, p)
-                return ok & ((got[:, 0] < 0) | np.all(got == th, axis=-1))
-            lo = cs[i] if i == 0 else _bisect_edge(inside, cs[i - 1], cs[i])
-            hi = cs[j - 1] if j == grid else _bisect_edge(inside, cs[j],
-                                                          cs[j - 1])
-            c_ss = _superstable_in(fam, p, lo, hi, 400)
-            if c_ss is not None:
-                windows.append(Window(p=p, theta=theta,
-                                      interval=(float(lo), float(hi)),
-                                      superstable_c=float(c_ss)))
+        if theta is not None and i > 0:
+            lo = _bisect_edge(left, cs, i - 1)
+            hi = float(cs[-1]) if j == grid else _bisect_edge(right, cs, j - 1)
+            windows.append(Window(p=p, theta=theta, interval=(lo, hi),
+                                  superstable_c=lo))
         i = max(j, i + 1)
     return windows
-
-
-def _bisect_edge(inside, c_out: float, c_in: float,
-                 tol: float = EDGE_TOL) -> float:
-    """Window edge between c_out (outside) and c_in (inside), to within tol.
-
-    `inside` maps an array of parameters to booleans.  Each round tests
-    EDGE_POINTS parameters evenly spaced between the two in one call and
-    keeps the outside-to-inside transition nearest c_in, also when the
-    predicate is not monotone; the predicate holds at the result."""
-    while abs(c_in - c_out) > tol:
-        cs = np.linspace(c_out, c_in, EDGE_POINTS + 2)[1:-1]
-        cs = cs[(cs != c_out) & (cs != c_in)]
-        if not cs.size:
-            break
-        ends = np.r_[c_out, cs, c_in]
-        k = np.nonzero(~np.r_[False, inside(cs), True])[0][-1]
-        c_out, c_in = ends[k], ends[k + 1]
-    return float(c_in)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +330,13 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
 
 def _window_for_prefix(fam: QuadraticFamily, prefix,
                        bracket: tuple[float, float]) -> tuple[float, float]:
-    """Longest parameter run in `bracket` realizing `prefix`, edges refined."""
+    """Longest parameter run in `bracket` realizing `prefix`, at the first
+    of WINDOW_GRIDS that has one; each edge is the root of its
+    critical-orbit equation, with P the product of the periods of prefix,
+    solved from the cell where the classification flips and never past
+    the bracket.  An edge at the bracket end stays there."""
     lo, hi = bracket
+    left, right = _edge_equations(fam, math.prod(len(t) for t in prefix))
     for grid in WINDOW_GRIDS:
         cs = np.linspace(lo, hi, grid)
         ok = classify(fam, cs, prefix)
@@ -295,11 +346,9 @@ def _window_for_prefix(fam: QuadraticFamily, prefix,
         starts, ends = edges[::2], edges[1::2]
         best = int(np.argmax(ends - starts))
         i, j = starts[best], ends[best] - 1
-        inside = lambda c: classify(fam, c, prefix)
-        tol = min(EDGE_TOL, 1e-3 * (cs[j] - cs[i] + cs[1] - cs[0]))
-        a = cs[i] if i == 0 else _bisect_edge(inside, cs[i - 1], cs[i], tol)
-        b = cs[j] if j == grid - 1 else _bisect_edge(inside, cs[j + 1],
-                                                     cs[j], tol)
+        depth = len(prefix)
+        a = cs[i] if i == 0 else _bisect_edge(left, cs, i - 1, depth)
+        b = cs[j] if j == grid - 1 else _bisect_edge(right, cs, j, depth)
         return float(a), float(b)
     raise WindowNotFound(f"no window for a depth-{len(prefix)} itinerary "
                          f"inside ({lo:.8g}, {hi:.8g})", depth=len(prefix))

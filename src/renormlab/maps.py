@@ -257,9 +257,11 @@ class QuadraticFamily:
         return coeffs
 
     def critical_value_map(self, c, q: int):
-        """f_c^q(0) evaluated with plain floats, vectorized over c."""
-        c = np.asarray(c, dtype=float)
-        x = np.zeros_like(c)
+        """f_c^q(0): a Python float for a scalar c (the root finders call
+        it in a loop), an array for an array of parameters; both paths round
+        the same operations and agree bit for bit."""
+        c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
+        x = 0.0 * c
         for _ in range(q):
             x = 1.0 - c * x * x
-        return x if x.ndim else float(x)
+        return x

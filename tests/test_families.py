@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,8 +65,8 @@ def test_doubling_window(quadratic):
     assert len(wins) == 1
     w = wins[0]
     assert w.p == 2 and w.theta == THETA_DOUBLING
-    assert w.interval[0] == pytest.approx(1.0, abs=1e-5)
-    assert w.interval[1] == pytest.approx(1.5437, abs=1e-3)
+    assert w.interval[0] == pytest.approx(1.0, abs=1e-15)
+    assert w.interval[1] == pytest.approx(1.5436890127, abs=1e-10)
     assert w.superstable_c == pytest.approx(1.0, abs=1e-9)
 
 
@@ -154,66 +156,132 @@ def test_period_five_has_two_windows(quadratic):
         assert w.interval[0] <= w.superstable_c <= w.interval[1]
 
 
+def test_period_five_window_near_the_end_of_the_family(quadratic):
+    # its superstable parameter lies a few 1e-9 left of where the
+    # classification starts, in the same grid cell
+    wins = F.find_windows(quadratic, 5, (1.985, 1.986), grid=2000)
+    assert [w.theta for w in wins] == [(3, 4, 0, 1, 2)]
+    assert wins[0].superstable_c == pytest.approx(1.98542425305, abs=1e-10)
+
+
+def test_period_seven_has_four_windows(quadratic):
+    wins = F.find_windows(quadratic, 7, (1.6, 2.0), grid=2000)
+    assert [w.superstable_c for w in wins] == pytest.approx(
+        [1.67406609147, 1.83231520275, 1.92714770936, 1.97717958701],
+        abs=1e-10)
+    for w in wins:
+        assert w.p == 7 and w.interval[0] < w.interval[1]
+
+
 @pytest.mark.parametrize("p", [1, 0, -3])
 def test_windows_periods_start_at_two(quadratic, p):
     with pytest.raises(DomainError, match="periods start at 2"):
         F.find_windows(quadratic, p, (0.8, 2.0), grid=200)
 
 
-def test_bisect_edge_stops_at_float_resolution():
-    # tol below the float spacing: every probe rounds onto an endpoint
-    c_in = 1.7864402555636192
-    c_out = float(np.nextafter(c_in, 0.0))
+def test_edge_root_of_a_continuous_function_to_a_few_ulps():
+    root = F._bisect_edge(np.cos, [1.0, 2.0], 0)
+    assert abs(root - math.pi / 2) <= 4 * math.ulp(math.pi / 2)
     calls = []
 
-    def inside(cs):
-        calls.append(cs)
-        if len(calls) > 200:
-            raise RuntimeError("bisection does not terminate")
-        return np.ones(np.shape(cs), dtype=bool)
+    def cubic(c):
+        calls.append(np.ndim(c) == 0)
+        return c**3 - 2 * c**2 + c - 1
 
-    assert F._bisect_edge(inside, c_out, c_in, tol=1e-20) == c_in
-
-
-@pytest.mark.parametrize("c_out, c_in", [(1.0, 1.5), (1.5, 1.0)])
-def test_bisect_edge_finds_a_step(c_out, c_in):
-    edge_true = 1.2345678901234
-
-    def inside(cs):
-        cs = np.asarray(cs)
-        return cs >= edge_true if c_in > c_out else cs <= edge_true
-
-    tol = 1e-10
-    edge = F._bisect_edge(inside, c_out, c_in, tol=tol)
-    assert abs(edge - edge_true) <= tol
-    assert inside(np.array([edge]))[0]
+    c3 = float(mp.findroot(cubic, mp.mpf(1.75)))
+    calls.clear()
+    assert abs(F._bisect_edge(cubic, [1.6, 1.9], 0) - c3) <= 4 * math.ulp(c3)
+    # interpolation, not bisection, which needs about 50 halvings of 0.3
+    assert sum(calls) <= 15
 
 
-def test_bisect_edge_keeps_the_transition_nearest_the_inside_end():
-    # inside on [1.2, 1.26] and [1.3, 1.5]; halving from (1.0, 1.5) would
-    # probe 1.25 first and end at 1.2
-    def inside(cs):
-        cs = np.asarray(cs)
-        return ((1.2 <= cs) & (cs <= 1.26)) | (1.3 <= cs)
-
-    edge = F._bisect_edge(inside, 1.0, 1.5, tol=1e-10)
-    assert abs(edge - 1.3) <= 1e-10
-
-
-@pytest.mark.parametrize("width, tol", [(0.5, 1e-10), (1e-3, 1e-8),
-                                        (2e-4, 1e-9), (1e-6, 1e-8)])
-def test_bisect_edge_call_count(width, tol):
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, 2.0),
+    (1.7864402555636192, math.nextafter(1.7864402555636192, 2.0))])
+def test_edge_root_stops_at_float_resolution(lo, hi):
+    # the sign flips between two adjacent floats, so no float is a root
+    step = 1.7864402555636192
     calls = []
 
-    def inside(cs):
-        calls.append(len(cs))
-        return np.asarray(cs) >= 1.0 + width / 3
+    def h(c):
+        calls.append(c)
+        if len(calls) > 300:
+            raise RuntimeError("root search does not terminate")
+        out = np.where(np.asarray(c) > step, 1.0, -1.0)
+        return out if out.ndim else float(out)
 
-    F._bisect_edge(inside, 1.0, 1.0 + width, tol=tol)
-    bound = math.ceil(math.log(width / tol)
-                      / math.log(F.EDGE_POINTS + 1)) + 1
-    assert len(calls) <= bound
-    assert all(n <= F.EDGE_POINTS for n in calls)
+    root = F._bisect_edge(h, [lo, hi], 0)
+    assert root in (step, math.nextafter(step, 2.0))
+
+
+@pytest.mark.parametrize("k, root", [(0, 1.25), (2, 1.25), (4, 1.25),
+                                     (5, 1.75), (7, 1.75), (9, 1.75)])
+def test_edge_root_widens_to_the_nearest_sign_change(k, root):
+    # sign changes in cells 2 and 7 only; cell k is widened on both sides
+    # until it meets one
+    cs = np.linspace(1.0, 2.0, 11)
+    h = lambda c: (c - 1.25) * (c - 1.75)
+    assert abs(F._bisect_edge(h, cs, k) - root) <= 4 * math.ulp(root)
+
+
+def test_edge_root_without_sign_change_raises_with_depth():
+    # the only root, 2.5, lies outside the grid, which is the limit
+    cs = np.linspace(1.0, 2.0, 11)
+    with pytest.raises(WindowNotFound) as err:
+        F._bisect_edge(lambda c: c - 2.5, cs, 9, depth=3)
+    assert err.value.depth == 3
+
+
+def _mp_orbit(c, q):
+    x = mp.mpf(0)
+    for _ in range(q):
+        x = 1 - c * x * x
+    return x
+
+
+def _mp_root_offset(h, edge: float, reach: float = 1e-9) -> float:
+    """|root - edge| for the root of h (40 digits) within reach of the
+    float edge, by bisection; fails if h keeps its sign across the reach."""
+    with mp.workdps(40):
+        a, b = mp.mpf(edge) - reach, mp.mpf(edge) + reach
+        ha = h(a)
+        assert ha * h(b) < 0, f"no root within {reach} of {edge!r}"
+        for _ in range(80):
+            mid = (a + b) / 2
+            hm = h(mid)
+            if (hm < 0) == (ha < 0):
+                a, ha = mid, hm
+            else:
+                b = mid
+        return float(abs((a + b) / 2 - mp.mpf(edge)))
+
+
+def _assert_edges_are_roots(interval, P):
+    left, right = interval
+    assert _mp_root_offset(lambda c: _mp_orbit(c, P), left) < 1e-12
+    assert _mp_root_offset(lambda c: abs(_mp_orbit(c, P))
+                           - abs(_mp_orbit(c, 2 * P)), right) < 1e-12
+
+
+def test_chase_edges_match_mpmath_roots(quadratic):
+    brackets = {(): F.DEFAULT_BRACKET}
+    for depth in (1, 2, 3):
+        for prefix in itertools.product([THETA_DOUBLING, THETA_TRIPLING],
+                                        repeat=depth):
+            win = F._window_for_prefix(quadratic, list(prefix),
+                                       brackets[prefix[:-1]])
+            brackets[prefix] = win
+            _assert_edges_are_roots(win, math.prod(len(t) for t in prefix))
+
+
+@pytest.mark.parametrize("p, c_range, grid", [
+    (2, (0.8, 1.6), 400), (3, (1.6, 1.9), 400), (5, (1.6, 2.0), 512)])
+def test_find_windows_edges_match_mpmath_roots(quadratic, p, c_range, grid):
+    wins = F.find_windows(quadratic, p, c_range, grid=grid)
+    assert wins
+    for w in wins:
+        assert w.superstable_c == w.interval[0]
+        _assert_edges_are_roots(w.interval, p)
 
 
 def reference_classify(fam, c, p):

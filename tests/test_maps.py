@@ -136,6 +136,17 @@ def test_critical_value_map_matches_iteration():
         assert v == pytest.approx(x, abs=1e-13)
 
 
+@given(c=st.floats(min_value=0.0, max_value=2.0),
+       q=st.sampled_from([1, 2, 3, 5, 27, 81, 1024]))
+@settings(max_examples=60, deadline=None)
+def test_critical_value_map_scalar_path_is_the_vector_path_bit_for_bit(c, q):
+    fam = QuadraticFamily()
+    scalar = fam.critical_value_map(c, q)
+    vector = fam.critical_value_map(np.array([c, c]), q)
+    assert type(scalar) is float
+    assert np.array([scalar]).view(np.uint64)[0] == vector.view(np.uint64)[1]
+
+
 @given(c=st.floats(min_value=0.05, max_value=1.99))
 @settings(max_examples=60, deadline=None)
 def test_family_members_always_validate(c):
