@@ -385,11 +385,15 @@ def _check_level_disjoint(intervals: np.ndarray, k: int) -> None:
 
 def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int,
                    tol: float = 1e-10) -> None:
-    for left, right in child:
-        inside = (parent[:, 0] - tol <= left) & (right <= parent[:, 1] + tol)
-        if not bool(np.any(inside)):
-            raise OverlapError(
-                f"level {k} piece [{left}, {right}] escapes level {k - 1}")
+    """Every child piece lies inside some parent piece, up to tol; else
+    OverlapError names the first escaping child in time order."""
+    inside = ((parent[:, 0] - tol <= child[:, None, 0])
+              & (child[:, None, 1] <= parent[:, 1] + tol))
+    escaped = np.flatnonzero(~np.any(inside, axis=1))
+    if escaped.size:
+        left, right = child[escaped[0]]
+        raise OverlapError(
+            f"level {k} piece [{left}, {right}] escapes level {k - 1}")
 
 
 def tower(f: UnimodalMap, depth: int, grid: int = 64) -> IntervalTower:

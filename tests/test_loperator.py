@@ -168,3 +168,61 @@ def test_term_cap_trips(fixed_point_24):
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(TermBlowup):
         lop.compose_power(L, 5, cap=8)
+
+
+AFFINE_ROWS = {
+    "affine2": [(1.3, 0.4, 0.1), (-0.7, -0.3, 0.2)],
+    "affine3": [(1.3, 0.4, 0.1), (-0.7, -0.3, 0.2), (0.9, 0.25, -0.6)],
+}
+
+
+@pytest.mark.parametrize("gamma", [3.0, 1.9])
+@pytest.mark.parametrize("which", ["fixed_point_24", "affine2", "affine3"])
+def test_norm_growth_is_gamma_norm_of_composed_powers_bit_for_bit(
+        which, gamma, fixed_point_24):
+    L = (lop.renorm_derivative_as_loperator(fixed_point_24.map)
+         if which == "fixed_point_24" else
+         lop.LOperator(terms=_affine_terms(AFFINE_ROWS[which])))
+    want = [lop.gamma_norm(lop.associated(lop.compose_power(L, m), gamma))
+            for m in range(1, 5)]
+    assert lop.norm_growth(L, gamma, 4).tolist() == want
+
+
+def test_norm_growth_of_the_zero_operator():
+    zero = lop.LOperator(terms=())
+    assert lop.gamma_norm(lop.associated(zero, 3.0)) == 0.0
+    assert lop.norm_growth(zero, 3.0, 2).tolist() == [0.0, 0.0]
+
+
+def test_norm_growth_term_cap_trips_like_compose_power(fixed_point_24):
+    L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
+    with pytest.raises(TermBlowup) as composed:
+        lop.compose_power(L, 4, cap=8)
+    with pytest.raises(TermBlowup) as grown:
+        lop.norm_growth(L, 3.0, 4, cap=8)
+    assert str(grown.value) == str(composed.value)
+    assert lop.norm_growth(L, 3.0, 3, cap=8).size == 3
+
+
+def test_norm_growth_rejects_escaping_words_like_compose():
+    # one step stays within CONTAINMENT_TOL, two steps exceed it
+    one = const_weight(1.0)
+    L = lop.LOperator(terms=((one, lop.affine_map(1.0, 6e-11)),))
+    with pytest.raises(OperatorDomainError) as composed:
+        lop.compose(L, L)
+    with pytest.raises(OperatorDomainError) as grown:
+        lop.norm_growth(L, 3.0, 2)
+    assert str(grown.value) == str(composed.value)
+    assert str(grown.value).startswith(
+        "term 0: psi image leaves [-1,1] by 1.2")
+    assert lop.norm_growth(L, 3.0, 1).tolist() == [1.0]
+
+    # only the word (1, 1) escapes; compose names it as term 1*2 + 1
+    L2 = lop.LOperator(terms=((one, lop.affine_map(0.5, 0.0)),
+                              (one, lop.affine_map(1.0, 6e-11))))
+    with pytest.raises(OperatorDomainError) as composed:
+        lop.compose(L2, L2)
+    with pytest.raises(OperatorDomainError) as grown:
+        lop.norm_growth(L2, 3.0, 2)
+    assert str(grown.value) == str(composed.value)
+    assert str(grown.value).startswith("term 3:")

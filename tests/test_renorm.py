@@ -7,7 +7,7 @@ from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
                               RenormlabError)
 from renormlab.maps import QuadraticFamily, UnimodalMap
-from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING,
+from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, _check_nesting,
                               central_dominance, detect, renormalize,
                               renormalize_with, spatial_permutation, tower,
                               tower_header, tower_rows)
@@ -157,3 +157,43 @@ def test_doubling_window_has_uniform_combinatorics(c):
     assert step.p == 2
     assert step.perm == THETA_DOUBLING
     assert -1.0 < step.lam < 0.0
+
+
+def test_check_nesting_names_the_first_escaping_piece_in_time_order():
+    parent = np.array([[-1.0, -0.5], [0.2, 0.6]])
+    # pieces 1 and 3 escape; piece 2 overhangs parent 1 by less than tol
+    child = np.array([[-0.9, -0.8], [0.0, 0.1], [0.3, 0.6 + 5e-11],
+                      [0.55, 0.7]])
+    with pytest.raises(OverlapError) as exc:
+        _check_nesting(child, parent, 3)
+    assert str(exc.value) == "level 3 piece [0.0, 0.1] escapes level 2"
+    with pytest.raises(OverlapError) as exc:
+        _check_nesting(child[[0, 3, 1]], parent, 3)
+    assert str(exc.value) == "level 3 piece [0.55, 0.7] escapes level 2"
+    _check_nesting(child[[0, 2]], parent, 3)
+
+
+def _check_nesting_loop(child, parent, k, tol=1e-10):
+    for left, right in child:
+        inside = (parent[:, 0] - tol <= left) & (right <= parent[:, 1] + tol)
+        if not bool(np.any(inside)):
+            raise OverlapError(
+                f"level {k} piece [{left}, {right}] escapes level {k - 1}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 0.5)),
+                min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 0.2)),
+                min_size=1, max_size=12))
+def test_check_nesting_matches_the_piecewise_loop(parents, children):
+    parent = np.array([(a, a + w) for a, w in parents])
+    child = np.array([(a, a + w) for a, w in children])
+    messages = []
+    for check in (_check_nesting, _check_nesting_loop):
+        try:
+            check(child, parent, 4)
+            messages.append(None)
+        except OverlapError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
