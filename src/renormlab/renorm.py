@@ -210,9 +210,10 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
             raise InvalidMap("detect requires a structurally valid map")
     row = f.stack()
     reasons: dict[int, str] = {}
-    lam_path = orbit_stack(f, 0.0, p_max)
+    z = f.phi(0.0)
     for p in range(2, p_max + 1):
-        lam = float(lam_path[p])
+        z = f.phi(z * z)
+        lam = float(z)
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
@@ -396,13 +397,16 @@ def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int,
             f"level {k} piece [{left}, {right}] escapes level {k - 1}")
 
 
-def tower(f: UnimodalMap, depth: int, grid: int = 64) -> IntervalTower:
+def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     """Iterate detect/renormalize, tracking Delta_{i,k} = f^i([-|lam_k|, |lam_k|]).
 
-    lam_k and p_k multiply up over the levels; the hulls are followed with a
-    symmetric sample of the central interval (tips and endpoints included, so
-    the hulls are exact for these dynamics up to roundoff).  On failure at
-    some level the tower built so far is returned with a truncation marker.
+    lam_k and p_k multiply up over the levels.  Delta_{0,k} = [-a_k, a_k],
+    a_k = |lam_k|; for i >= 1, Delta_{i,k} is the hull of f^i(0) (one tip
+    orbit, extended as p_k grows) and f^i(a_k): about 2 p_depth scalar
+    steps.  The level's disjointness check certifies the hulls: a piece
+    disjoint from Delta_{0,k} misses the critical point, so by induction f^i
+    is monotone on each half of [-a_k, a_k].  On failure at some level the
+    tower built so far is returned with a truncation marker.
     """
     if depth < 1:
         raise InvalidMap("tower depth must be >= 1")
@@ -412,6 +416,7 @@ def tower(f: UnimodalMap, depth: int, grid: int = 64) -> IntervalTower:
     g = f
     p_cum, lam_cum = 1, 1.0
     truncated_at, note = None, None
+    tip = orbit_stack(f, 0.0, 0)
     for k in range(1, depth + 1):
         try:
             ren = renormalize(g)
@@ -422,7 +427,10 @@ def tower(f: UnimodalMap, depth: int, grid: int = 64) -> IntervalTower:
         p_cum *= ren.step.p
         lam_cum *= ren.step.lam
         a = abs(lam_cum)
-        pieces = _hulls(orbit_stack(f, _sample_symmetric(a, grid), p_cum - 1))
+        tip = np.concatenate(
+            [tip, orbit_stack(f, tip[-1], p_cum - tip.size)[1:]])
+        pieces = _hulls(np.stack([tip, orbit_stack(f, a, p_cum - 1)], -1))
+        pieces[0] = -a, a
         _check_level_disjoint(pieces, k)
         if levels:
             _check_nesting(pieces, levels[-1], k)

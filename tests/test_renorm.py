@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
-                              RenormlabError)
+                              RenormlabError, TruncationLoss)
 from renormlab.maps import QuadraticFamily, UnimodalMap
-from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, _check_nesting,
-                              central_dominance, detect, renormalize,
-                              renormalize_with, spatial_permutation, tower,
-                              tower_header, tower_rows)
+from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, LAMBDA_FLOOR,
+                              IntervalTower, RenormStep, _check_level_disjoint,
+                              _check_nesting, _hulls, _sample_symmetric,
+                              _test_period, central_dominance, detect,
+                              orbit_stack, renormalize, renormalize_with,
+                              spatial_permutation, tower, tower_header,
+                              tower_rows)
+from renormlab.solver import solve_fixed_point
 
 fam = QuadraticFamily()
 
@@ -118,9 +122,9 @@ def test_tower_levels_nest_and_stay_disjoint(tower_8):
 
 def test_tower_center_tracks_scaling(tower_8):
     tw = tower_8
-    for k in range(1, 7):
-        width = tw.lengths(k)[0]
-        assert width / (2 * abs(tw.scalings[k - 1])) == pytest.approx(1.0, abs=1e-6)
+    for k in range(1, 9):
+        a = abs(tw.scalings[k - 1])
+        assert tw.level(k)[0].tolist() == [-a, a]
 
 
 def test_central_interval_dominates(tower_8):
@@ -197,3 +201,112 @@ def test_check_nesting_matches_the_piecewise_loop(parents, children):
         except OverlapError as exc:
             messages.append(str(exc))
     assert messages[0] == messages[1]
+
+
+def _detect_upfront(f, p_max=16, grid=64):
+    """detect on a checked map, with f^p(0) computed to p_max before the
+    period loop."""
+    row = f.stack()
+    reasons = {}
+    lam_path = orbit_stack(f, 0.0, p_max)
+    for p in range(2, p_max + 1):
+        lam = float(lam_path[p])
+        if abs(lam) <= LAMBDA_FLOOR:
+            raise DegenerateScaling(
+                f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
+        trial = _test_period(row, np.array([lam]), p, grid)
+        if trial.fail[0]:
+            reasons[p] = trial.reason(0)
+            continue
+        return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
+                          intervals=trial.pieces[0])
+    raise NotRenormalizable(
+        f"no admissible period up to {p_max}", reasons=reasons)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RenormlabError as exc:
+        return exc
+
+
+# c = 1.0 degenerates at p = 2; from about 1.79 on most members are not
+# renormalizable
+@pytest.mark.parametrize(
+    "c", [*np.linspace(1.0, 2.0, 41), 1.40115518909203, 1.75488, 1.76])
+def test_detect_matches_the_upfront_orbit(c):
+    f = fam.member(c, degree=24)
+    lazy, ref = _outcome(detect, f), _outcome(_detect_upfront, f)
+    assert type(lazy) is type(ref)
+    if isinstance(ref, RenormlabError):
+        assert str(lazy) == str(ref)
+        assert getattr(lazy, "p", None) == getattr(ref, "p", None)
+        assert getattr(lazy, "reasons", None) == getattr(ref, "reasons", None)
+        return
+    assert (lazy.p, lazy.lam, lazy.perm) == (ref.p, ref.lam, ref.perm)
+    assert np.array_equal(lazy.intervals, ref.intervals)
+
+
+def _tower_sampled(f, depth, grid=64):
+    """tower with each level's hulls taken over a symmetric grid sample of
+    the central interval pushed through p_k - 1 steps."""
+    levels, periods, scalings = [], [], []
+    g, p_cum, lam_cum = f, 1, 1.0
+    truncated_at, note = None, None
+    for k in range(1, depth + 1):
+        try:
+            ren = renormalize(g)
+        except (NotRenormalizable, DegenerateScaling, TruncationLoss,
+                InvalidMap) as exc:
+            truncated_at, note = k, f"{type(exc).__name__}: {exc}"
+            break
+        p_cum *= ren.step.p
+        lam_cum *= ren.step.lam
+        a = abs(lam_cum)
+        pieces = _hulls(orbit_stack(f, _sample_symmetric(a, grid), p_cum - 1))
+        _check_level_disjoint(pieces, k)
+        if levels:
+            _check_nesting(pieces, levels[-1], k)
+        levels.append(pieces)
+        periods.append(p_cum)
+        scalings.append(lam_cum)
+        g = ren.map
+    return IntervalTower(levels=tuple(levels), periods=tuple(periods),
+                         scalings=tuple(scalings), truncated_at=truncated_at,
+                         note=note, kind="map")
+
+
+def _assert_same_tower(f, depth):
+    new, ref = _outcome(tower, f, depth), _outcome(_tower_sampled, f, depth)
+    assert type(new) is type(ref)
+    if isinstance(ref, RenormlabError):
+        assert str(new) == str(ref)
+        return
+    assert new.depth == ref.depth
+    assert all(np.array_equal(a, b) for a, b in zip(new.levels, ref.levels))
+    assert (new.periods, new.scalings, new.truncated_at, new.note) == (
+        ref.periods, ref.scalings, ref.truncated_at, ref.note)
+
+
+@pytest.mark.parametrize("degree", [16, 24, 32, 48])
+def test_tower_matches_the_sampled_hulls_at_the_fixed_point(degree):
+    g = solve_fixed_point(degree=degree).map
+    _assert_same_tower(g, 9)
+
+
+def test_tower_matches_the_sampled_hulls_at_the_tripling_fixed_point(
+        tripling_fixed_point):
+    _assert_same_tower(tripling_fixed_point.map, 5)
+
+
+@pytest.mark.parametrize(
+    "c", [1.40115518909203, 1.40115, 1.3, 1.75, 1.75488, 1.9])
+def test_tower_matches_the_sampled_hulls_on_quadratic_members(c):
+    _assert_same_tower(fam.member(c, degree=24), 9)
+
+
+@given(c=st.floats(min_value=1.0, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_tower_matches_the_sampled_hulls_across_the_family(c):
+    _assert_same_tower(fam.member(c, degree=24), 4)
