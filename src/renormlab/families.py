@@ -244,7 +244,7 @@ def classify_period(fam: QuadraticFamily, cs,
         raise DomainError(f"got p = {p}: renormalization periods start at 2")
     cs = np.asarray(cs, dtype=float)
     rows, g = fam.members(cs)
-    _, degenerate, live, trial = scan_periods(g, p, grid=32)
+    _, degenerate, live, trial = scan_periods(g, p)
     ok = trial.fail == 0
     marks = np.zeros(cs.shape, dtype=bool)
     marks[rows[degenerate]] = marks[rows[live[ok]]] = True
@@ -321,7 +321,7 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     for theta in prefix:
         if not rows.size:
             break
-        hit, g = renormalize_type(g, tuple(theta), WINDOW_DEGREE, grid=32)
+        hit, g = renormalize_type(g, tuple(theta), WINDOW_DEGREE)
         rows = rows[hit]
     ok = np.zeros(cs.shape, dtype=bool)
     ok[rows] = True

@@ -1,11 +1,20 @@
 """Period-p renormalization of unimodal maps and the interval towers it builds.
 
 Rf(x) = f^p(lam x) / lam with lam = f^p(0), taken at the smallest p >= 2 for
-which the central interval J = [-|lam|, |lam|] is invariant under f^p, f^p is
-unimodal on J, and the first-return pieces Delta_i = f^i(J), i = 0..p-1, are
-pairwise disjoint.  The spatial order of those pieces is the combinatorial
-type theta.  Iterating the construction produces a nested tower of interval
-families whose geometry carries the fine structure of the attractor.
+which the central interval J = [-|lam|, |lam|] is invariant under f^p and the
+first-return pieces Delta_i = f^i(J), i = 0..p-1, are pairwise disjoint.  The
+spatial order of those pieces is the combinatorial type theta.  Iterating the
+construction produces a nested tower of interval families whose geometry
+carries the fine structure of the attractor.
+
+Both tests read two orbits, of the tip 0 and of the endpoint a = |lam| (f is
+even, so -a follows a after one step).  f is monotone on each side of 0
+(validate requires phi' < 0), so a piece Delta_i, i >= 1, that is disjoint
+from Delta_0 = J misses the critical point; by induction f^i is monotone on
+each half of J and Delta_i is exactly the span of f^i(0) and f^i(a).  The
+disjointness check, which includes Delta_0, therefore certifies the two-orbit
+pieces, and with them that f^p is unimodal on J and that its reach on J is
+max(|f^p(0)|, |f^p(a)|) (Milnor-Thurston monotonicity on laps).
 """
 
 from __future__ import annotations
@@ -42,15 +51,6 @@ class RenormStep:
         arr.setflags(write=False)
         object.__setattr__(self, "intervals", arr)
         object.__setattr__(self, "perm", tuple(int(r) for r in self.perm))
-
-
-def _sample_symmetric(a, grid: int) -> np.ndarray:
-    """Points of [-a, a] for each entry of a: the grid with both endpoints,
-    then the tip 0 appended last (no test below depends on point order
-    beyond the grid's own)."""
-    a = np.asarray(a, dtype=float)
-    xs = np.linspace(-a, a, grid, axis=-1)
-    return np.concatenate([xs, np.zeros(a.shape + (1,))], axis=-1)
 
 
 def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
@@ -111,19 +111,8 @@ def _hulls(zs: np.ndarray) -> np.ndarray:
     return np.stack([zs.min(axis=-1), zs.max(axis=-1)], axis=-1)
 
 
-def _sign_changes(s: np.ndarray) -> np.ndarray:
-    """Sign changes along the last axis between consecutive nonzero
-    entries (zeros skipped), per row."""
-    pos = np.arange(s.shape[-1])
-    last = np.maximum.accumulate(np.where(s != 0.0, pos, 0), axis=-1)
-    prev = np.take_along_axis(s, last[..., :-1], axis=-1)
-    nxt = s[..., 1:]
-    return np.count_nonzero((nxt != 0.0) & (prev != 0.0) & (nxt != prev),
-                            axis=-1)
-
-
 # first test a candidate period fails, in the order they run
-_NEAR_ONE, _NOT_INVARIANT, _NOT_UNIMODAL, _OVERLAP = 1, 2, 3, 4
+_NEAR_ONE, _NOT_INVARIANT, _OVERLAP = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -133,8 +122,7 @@ class _Trial:
     p: int
     lam: np.ndarray       # (n,) f^p(0)
     fail: np.ndarray      # (n,) 0 for an admissible row, else the test code
-    reach: np.ndarray     # (n,) max |f^p| on J
-    flips: np.ndarray     # (n,) sign changes of (f^p)' on J
+    reach: np.ndarray     # (n,) max(|f^p(0)|, |f^p(a)|), a = |lam|
     pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
     ranks: np.ndarray     # (n, p) spatial rank of each piece
 
@@ -146,59 +134,59 @@ class _Trial:
         if code == _NOT_INVARIANT:
             return (f"J not invariant: |f^{p}| reaches "
                     f"{self.reach[i]:.6e} > {a:.6e}")
-        if code == _NOT_UNIMODAL:
-            return (f"f^{p} not unimodal on J: {self.flips[i]} derivative "
-                    "sign changes")
         try:
             spatial_permutation(self.pieces[i])
         except OverlapError as exc:
             return f"pieces overlap: {exc}"
 
 
-def _test_period(f: MapStack, lam: np.ndarray, p: int, grid: int) -> _Trial:
+def _test_period(f: MapStack, tip: np.ndarray, p: int) -> _Trial:
     """The admissibility tests of period p, on every row of f at once.
 
-    lam = f^p(0) per row, already checked nondegenerate by the caller.  In
-    order: |lam| not within LAMBDA_FLOOR of 1; J = [-|lam|, |lam|] invariant
-    under f^p; (f^p)' changes sign exactly once on J; the pieces f^i(J),
-    i < p, pairwise disjoint.  Each test runs only on the rows that passed
-    the ones before it.
+    tip is the tip orbit, tip[i] = f^i(0) per row for i = 0..p, and
+    lam = tip[p] is already checked nondegenerate by the caller.  In order:
+    |lam| not within LAMBDA_FLOOR of 1; J = [-a, a], a = |lam|, invariant
+    under f^p, read from the reach max(|f^p(0)|, |f^p(a)|); the pieces
+    pairwise disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull
+    of f^i(0) and f^i(a).  Each test runs only on the rows that passed the
+    ones before it.  The last test certifies the first two: disjointness
+    from Delta_0 makes f^i monotone on each half of J (module docstring),
+    so the two-orbit hulls and reach are exact and f^p is unimodal on J.
     """
+    lam = tip[p]
     n = lam.size
     a = np.abs(lam)
     t = _Trial(p=p, lam=lam,
                fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
-               reach=np.zeros(n), flips=np.zeros(n, dtype=int),
-               pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
+               reach=np.zeros(n), pieces=np.zeros((n, p, 2)),
+               ranks=np.zeros((n, p), dtype=int))
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
-        zs = orbit_stack(f[rows], _sample_symmetric(a[rows], grid), p)
-        t.reach[rows] = np.max(np.abs(zs[p]), axis=-1)
+        ends = orbit_stack(f[rows], a[rows, None], p)[..., 0]
+        t.reach[rows] = np.maximum(a[rows], np.abs(ends[p]))
         bad = t.reach[rows] > a[rows] + INVARIANCE_TOL
         t.fail[rows[bad]] = _NOT_INVARIANT
-        rows, zs = rows[~bad], zs[:, ~bad]
+        rows, ends = rows[~bad], ends[:, ~bad]
     if rows.size:
-        t.flips[rows] = _sign_changes(
-            np.sign(np.prod(slopes(f[rows], zs[:p]), axis=0)))
-        bad = t.flips[rows] != 1
-        t.fail[rows[bad]] = _NOT_UNIMODAL
-        rows, zs = rows[~bad], zs[:, ~bad]
-    if rows.size:
-        t.pieces[rows] = np.swapaxes(_hulls(zs[:p]), 0, 1)
+        pieces = _hulls(np.stack([tip[:p, rows], ends[:p]], axis=-1))
+        pieces[0] = np.stack([-a[rows], a[rows]], axis=-1)
+        t.pieces[rows] = np.swapaxes(pieces, 0, 1)
         order, gaps = _left_to_right(t.pieces[rows])
         t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
         t.ranks[rows] = np.argsort(order, axis=-1)
     return t
 
 
-def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
+def detect(f: UnimodalMap, p_max: int = 16,
            validate_input: bool = True) -> RenormStep:
     """Smallest admissible renormalization period and its combinatorics.
 
     Scans p = 2..p_max.  For each candidate the scaling lam = f^p(0) must be
-    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, f^p unimodal on J,
-    and the pieces f^i(J) pairwise disjoint.  The first reason each candidate
-    fails is kept and reported on NotRenormalizable.
+    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, and the pieces
+    f^i(J) pairwise disjoint, all read from the orbits of the tip and of
+    |lam| (_test_period; disjointness certifies that f^p is unimodal on J).
+    The first reason each candidate fails is kept and reported on
+    NotRenormalizable.
 
     A map built with check=True was validated on construction, so only
     unchecked maps get the structural pre-check, and validate_input=False
@@ -210,14 +198,15 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
             raise InvalidMap("detect requires a structurally valid map")
     row = f.stack()
     reasons: dict[int, str] = {}
-    z = f.phi(0.0)
+    tip = [0.0, float(f.phi(0.0))]
     for p in range(2, p_max + 1):
-        z = f.phi(z * z)
-        lam = float(z)
+        z = tip[-1]
+        tip.append(float(f.phi(z * z)))
+        lam = tip[p]
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        trial = _test_period(row, np.array([lam]), p, grid)
+        trial = _test_period(row, np.array(tip)[:, None], p)
         if trial.fail[0]:
             reasons[p] = trial.reason(0)
             continue
@@ -227,13 +216,14 @@ def detect(f: UnimodalMap, p_max: int = 16, grid: int = 64,
         f"no admissible period up to {p_max}", reasons=reasons)
 
 
-def scan_periods(f: MapStack, q: int, grid: int):
+def scan_periods(f: MapStack, q: int):
     """What detect(p_max=q) finds at period q, for every row of f at once.
 
     Returns (lam, degenerate, rows, trial): lam[i] = f_i^q(0); degenerate
     and rows split the rows where no period p < q is degenerate or
     admissible by whether lam vanishes at q (detect raises there), and
-    trial tests period q on rows.
+    trial tests period q on rows.  One tip orbit to step q serves every
+    candidate; each _test_period adds only the endpoint orbit.
     """
     lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
@@ -241,25 +231,26 @@ def scan_periods(f: MapStack, q: int, grid: int):
         small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
         if p < q:
-            trial = _test_period(f[rows], lam_path[p, rows], p, grid)
+            trial = _test_period(f[rows], lam_path[:p + 1, rows], p)
             rows = rows[trial.fail != 0]
     return (lam_path[q], degenerate, rows,
-            _test_period(f[rows], lam_path[q, rows], q, grid))
+            _test_period(f[rows], lam_path[:, rows], q))
 
 
-def renormalize_type(f: MapStack, theta: tuple[int, ...], degree: int,
-                     grid: int) -> tuple[np.ndarray, MapStack]:
+def renormalize_type(f: MapStack, theta: tuple[int, ...],
+                     degree: int) -> tuple[np.ndarray, MapStack]:
     """detect(p_max=len(theta)) and renormalize, insisting on type theta,
     for every row of f at once.
 
     Row i survives when no period p < q = len(theta) is degenerate or
-    admissible, p = q is nondegenerate and admissible with spatial ranks
-    exactly theta, the projection residual stays under PROJECTION_CAP and
-    the renormalized map is structurally valid.  Returns (survived, R of the
-    survivors): one least-squares solve fits all their projections.
+    admissible, p = q is nondegenerate and admissible (by the two-orbit
+    test of _test_period) with spatial ranks exactly theta, the projection
+    residual stays under PROJECTION_CAP and the renormalized map is
+    structurally valid.  Returns (survived, R of the survivors): one
+    least-squares solve fits all their projections.
     """
     q = len(theta)
-    lam, _, rows, trial = scan_periods(f, q, grid)
+    lam, _, rows, trial = scan_periods(f, q)
     hit = (trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)
     rows = rows[hit]
     survived = np.zeros(len(f), dtype=bool)

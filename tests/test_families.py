@@ -290,7 +290,7 @@ def reference_classify(fam, c, p):
     inside."""
     try:
         g = fam.member(c)
-        step = detect(g, p_max=p, grid=32)
+        step = detect(g, p_max=p)
     except RenormlabError as err:
         return getattr(err, "p", None) == p, None
     return step.p == p, step.perm
@@ -334,7 +334,7 @@ def reference_itinerary_ok(fam, c, prefix):
     try:
         g = fam.member(c)
         for theta in prefix:
-            step = detect(g, grid=32)
+            step = detect(g)
             if step.p != len(theta) or step.perm != tuple(theta):
                 return False
             g = renormalize(g, step, degree=F.WINDOW_DEGREE).map

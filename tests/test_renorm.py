@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
                               RenormlabError, TruncationLoss)
+from renormlab import families as F
 from renormlab.maps import QuadraticFamily, UnimodalMap
-from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, LAMBDA_FLOOR,
-                              IntervalTower, RenormStep, _check_level_disjoint,
-                              _check_nesting, _hulls, _sample_symmetric,
-                              _test_period, central_dominance, detect,
-                              orbit_stack, renormalize, renormalize_with,
-                              spatial_permutation, tower, tower_header,
+from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
+                              LAMBDA_FLOOR, IntervalTower, RenormStep,
+                              _check_level_disjoint, _check_nesting, _hulls,
+                              _left_to_right, _test_period, central_dominance,
+                              detect, orbit_stack, renormalize,
+                              renormalize_type, renormalize_with, scan_periods,
+                              slopes, spatial_permutation, tower, tower_header,
                               tower_rows)
 from renormlab.solver import solve_fixed_point
 
@@ -147,11 +149,24 @@ def test_tower_header_and_rows_are_consistent(tower_8):
 
 
 def test_detection_is_stable_under_grid_refinement():
+    # the two-orbit detect is what the sampled test finds at every grid
     for c in (1.2, 1.35, 1.76):
-        coarse = detect(fam.member(c), grid=64)
-        fine = detect(fam.member(c), grid=256)
-        assert (coarse.p, coarse.perm) == (fine.p, fine.perm)
-        assert coarse.lam == pytest.approx(fine.lam, abs=1e-14)
+        f = fam.member(c)
+        step = detect(f)
+        for grid in (64, 256):
+            ref = _detect_sampled(f, grid=grid)
+            assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
+            assert np.array_equal(step.intervals, ref.intervals)
+
+
+def test_rejected_candidates_fail_as_overlaps_not_as_unimodality():
+    with pytest.raises(NotRenormalizable) as err:
+        detect(fam.member(1.545, degree=24))
+    assert err.value.reasons[14].startswith("pieces overlap")
+    for c in np.linspace(1.0, 2.0, 201):
+        out = _outcome(detect, fam.member(float(c), degree=24))
+        for reason in getattr(out, "reasons", {}).values():
+            assert "unimodal" not in reason
 
 
 @given(c=st.floats(min_value=1.02, max_value=1.39))
@@ -203,7 +218,7 @@ def test_check_nesting_matches_the_piecewise_loop(parents, children):
     assert messages[0] == messages[1]
 
 
-def _detect_upfront(f, p_max=16, grid=64):
+def _detect_upfront(f, p_max=16):
     """detect on a checked map, with f^p(0) computed to p_max before the
     period loop."""
     row = f.stack()
@@ -214,7 +229,7 @@ def _detect_upfront(f, p_max=16, grid=64):
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        trial = _test_period(row, np.array([lam]), p, grid)
+        trial = _test_period(row, lam_path[:p + 1, None], p)
         if trial.fail[0]:
             reasons[p] = trial.reason(0)
             continue
@@ -310,3 +325,146 @@ def test_tower_matches_the_sampled_hulls_on_quadratic_members(c):
 @settings(max_examples=60, deadline=None)
 def test_tower_matches_the_sampled_hulls_across_the_family(c):
     _assert_same_tower(fam.member(c, degree=24), 4)
+
+
+# ---------------------------------------------------------------------------
+# the sampled period test, kept as the reference for the two-orbit one
+
+
+def _sample_symmetric(a, grid):
+    """Points of [-a, a] for each entry of a: the grid with both endpoints,
+    then the tip 0 appended last."""
+    a = np.asarray(a, dtype=float)
+    xs = np.linspace(-a, a, grid, axis=-1)
+    return np.concatenate([xs, np.zeros(a.shape + (1,))], axis=-1)
+
+
+def _sign_changes(s):
+    """Sign changes along the last axis between consecutive nonzero
+    entries (zeros skipped), per row."""
+    pos = np.arange(s.shape[-1])
+    last = np.maximum.accumulate(np.where(s != 0.0, pos, 0), axis=-1)
+    prev = np.take_along_axis(s, last[..., :-1], axis=-1)
+    nxt = s[..., 1:]
+    return np.count_nonzero((nxt != 0.0) & (prev != 0.0) & (nxt != prev),
+                            axis=-1)
+
+
+def _test_period_sampled(f, lam, p, grid=64):
+    """Period p tested on a grid sample of J = [-|lam|, |lam|] plus the tip:
+    |lam| away from 1, J invariant under f^p on the sample, one sign change
+    of (f^p)' on the sample, sampled hulls pairwise disjoint.  fail is 0 on
+    admissible rows and nonzero elsewhere."""
+    n = lam.size
+    a = np.abs(lam)
+    fail = np.where(a >= 1.0 - LAMBDA_FLOOR, 1, 0)
+    pieces, ranks = np.zeros((n, p, 2)), np.zeros((n, p), dtype=int)
+    rows = np.nonzero(fail == 0)[0]
+    if rows.size:
+        zs = orbit_stack(f[rows], _sample_symmetric(a[rows], grid), p)
+        bad = np.max(np.abs(zs[p]), axis=-1) > a[rows] + INVARIANCE_TOL
+        fail[rows[bad]] = 2
+        rows, zs = rows[~bad], zs[:, ~bad]
+    if rows.size:
+        flips = _sign_changes(
+            np.sign(np.prod(slopes(f[rows], zs[:p]), axis=0)))
+        bad = flips != 1
+        fail[rows[bad]] = 3
+        rows, zs = rows[~bad], zs[:, ~bad]
+    if rows.size:
+        pieces[rows] = np.swapaxes(_hulls(zs[:p]), 0, 1)
+        order, gaps = _left_to_right(pieces[rows])
+        fail[rows[np.any(gaps <= 0.0, axis=-1)]] = 4
+        ranks[rows] = np.argsort(order, axis=-1)
+    return fail, pieces, ranks
+
+
+def _scan_periods_sampled(f, q, grid=64):
+    """scan_periods with the sampled period test: (lam, degenerate, rows,
+    (fail, pieces, ranks) at q)."""
+    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
+    degenerate = rows = np.arange(len(f) if q >= 2 else 0)
+    for p in range(2, q + 1):
+        small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
+        degenerate, rows = rows[small], rows[~small]
+        if p < q:
+            fail, _, _ = _test_period_sampled(f[rows], lam_path[p, rows], p,
+                                              grid)
+            rows = rows[fail != 0]
+    return (lam_path[q], degenerate, rows,
+            _test_period_sampled(f[rows], lam_path[q, rows], q, grid))
+
+
+def _detect_sampled(f, p_max=16, grid=64):
+    """detect with the sampled period test (reasons are not kept)."""
+    row = f.stack()
+    lam_path = orbit_stack(f, 0.0, p_max)
+    for p in range(2, p_max + 1):
+        lam = float(lam_path[p])
+        if abs(lam) <= LAMBDA_FLOOR:
+            raise DegenerateScaling(f"f^{p}(0) = {lam:.3e}", p=p)
+        fail, pieces, ranks = _test_period_sampled(row, np.array([lam]), p,
+                                                   grid)
+        if not fail[0]:
+            return RenormStep(p=p, lam=lam, perm=ranks[0],
+                              intervals=pieces[0])
+    raise NotRenormalizable(f"no admissible period up to {p_max}")
+
+
+def _assert_scan_matches_sampled(g, q, grid=64):
+    """scan_periods(g, q) against the sampled scan: the same lam, the same
+    degenerate rows and live rows, the same admissible rows at q, and on
+    them bit-identical pieces and ranks."""
+    lam, degenerate, rows, trial = scan_periods(g, q)
+    ref_lam, ref_degenerate, ref_rows, (fail, pieces, ranks) = (
+        _scan_periods_sampled(g, q, grid))
+    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert np.array_equal(rows, ref_rows)
+    ok = trial.fail == 0
+    assert np.array_equal(ok, fail == 0)
+    assert np.array_equal(trial.pieces[ok], pieces[ok])
+    assert np.array_equal(trial.ranks[ok], ranks[ok])
+    return int(ok.sum())
+
+
+@given(cs=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1,
+                   max_size=64),
+       q=st.integers(min_value=2, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_scan_periods_matches_the_sampled_test_on_quadratic_members(cs, q):
+    _, g = fam.members(np.array(cs))
+    _assert_scan_matches_sampled(g, q)
+
+
+def test_scan_periods_matches_the_sampled_test_on_a_dense_sweep():
+    _, g = fam.members(np.linspace(0.5, 2.0, 3001))
+    admitted = [_assert_scan_matches_sampled(g, q) for q in range(2, 9)]
+    assert min(admitted[:4]) > 0
+
+
+def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
+    # the degree-16 members classify renormalizes, level by level, in the
+    # brackets the (doubling, tripling) chase scans down to depth 4
+    prefix = [THETA_DOUBLING, THETA_TRIPLING] * 2
+    bracket, admitted = F.DEFAULT_BRACKET, []
+    for depth in range(1, 5):
+        _, g = fam.members(np.linspace(*bracket, 513))
+        for theta in prefix[:depth]:
+            admitted += [_assert_scan_matches_sampled(g, q)
+                         for q in range(2, 5)]
+            _, g = renormalize_type(g, theta, F.WINDOW_DEGREE)
+        assert len(g) and g.degree == F.WINDOW_DEGREE
+        bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
+    assert sum(admitted) > 0
+
+
+def test_period_test_matches_the_sampled_test_at_the_fixed_points(
+        fixed_point_24, tripling_fixed_point):
+    for fp in (fixed_point_24, tripling_fixed_point):
+        g = fp.map
+        for q in range(2, 9):
+            _assert_scan_matches_sampled(g.stack(), q)
+        step, ref = detect(g), _detect_sampled(g)
+        assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
+        assert np.array_equal(step.intervals, ref.intervals)
