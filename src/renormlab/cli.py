@@ -320,15 +320,19 @@ def _run_cascade(cfg, args, out):
 def _run_windows(cfg, args, out):
     if args.hi <= args.lo:
         raise UsageError(f"empty range ({args.lo}, {args.hi})")
+    grid = max(cfg.grid, 100)
+    diag = []
+    if grid != cfg.grid:
+        diag.append(f"grid {cfg.grid} raised to {grid}, the fewest points "
+                    "find_windows scans")
     wins = _families.find_windows(QuadraticFamily(), args.p,
-                                  (args.lo, args.hi),
-                                  grid=max(cfg.grid, 100))
+                                  (args.lo, args.hi), grid=grid)
     write_csv(out / "windows.csv", ["p", "c_lo", "c_hi", "superstable_c"],
               [(w.p, w.interval[0], w.interval[1], w.superstable_c)
                for w in wins])
     results = {"p": args.p, "range": (args.lo, args.hi),
                "count": len(wins), "windows": wins}
-    return results, f"p={args.p} windows={len(wins)}", []
+    return results, f"p={args.p} windows={len(wins)}", diag
 
 
 def _run_converge(cfg, args, out):

@@ -71,6 +71,18 @@ def test_windows_listing(tmp_path):
     assert rows[1].startswith("3,")
 
 
+def test_windows_reports_a_raised_grid(tmp_path):
+    assert run(tmp_path, "windows", "--p", "3", "--lo", "1.6",
+               "--hi", "1.9", "--grid", "50") == 0
+    rep = load_report(tmp_path, "windows")
+    assert rep["config"]["grid"] == 50
+    assert rep["diagnostics"] == [
+        "grid 50 raised to 100, the fewest points find_windows scans"]
+    assert run(tmp_path, "windows", "--p", "3", "--lo", "1.6",
+               "--hi", "1.9") == 0
+    assert load_report(tmp_path, "windows")["diagnostics"] == []
+
+
 @pytest.mark.parametrize("p", ["1", "0", "-3"])
 def test_windows_below_period_two_exits_two(tmp_path, capsys, p):
     assert run(tmp_path, "windows", "--p", p, "--lo", "1.6",
