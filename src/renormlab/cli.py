@@ -291,7 +291,6 @@ def _run_dimension(cfg, args, out):
         "map": label,
         "s_estimate": rep.s_estimate,
         "eta": rep.eta,
-        "bracket": rep.bracket,
         "stability": rep.stability,
         "fit_levels": rep.fit_levels,
     }

@@ -6,9 +6,9 @@ with the requested renormalization types: classify_period (is the first
 renormalization period p, and of which type) for find_windows, classify
 (an itinerary of types, one pass per level) for the nested-window chase.
 The edges of the run are then roots of scalar critical-orbit equations,
-solved in Python floats by one Brent routine, _brent, in the grid cell
-where the classification flips, or the nearest cell where the equation
-changes sign (_bisect_edge).  With P the product of the periods of the
+solved in Python floats by roots.brent in the grid cell where the
+classification flips, or the nearest cell where the equation changes sign
+(_bisect_edge).  With P the product of the periods of the
 itinerary (P = p in find_windows) and lam = f_c^P(0):
 
 - the left edge is the superstable parameter, the root of f_c^P(0)
@@ -20,7 +20,7 @@ itinerary (P = p in find_windows) and lam = f_c^P(0):
   |f^2P(0)| <= |f^P(0)| in the family.
 
 Superstable parameters and the doubling cascade are roots of f_c^q(0)
-solved by the same _brent.  The edges do not move with the scan grid.
+solved by the same brent.  The edges do not move with the scan grid.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (BracketNotFound, DomainError, SingleItinerary,
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
 from .renorm import IntervalTower, renormalize_type, scan_periods
+from .roots import brent
 
 SCAN_GRID = 2000
 WINDOW_DEGREE = 16
@@ -47,55 +48,13 @@ DEFAULT_BRACKET = (0.3, 2.0)
 # superstable parameters and cascades
 
 
-def _brent(h, a: float, b: float) -> float:
-    """Root of h between a and b, where h changes sign, by Brent's method
-    (inverse quadratic interpolation guarded by bisection) in Python
-    floats.  It stops at float resolution: h vanishes at the result, or
-    the result and the other end of the final bracket are adjacent
-    floats."""
-    xpre, fpre, xcur, fcur = float(a), h(float(a)), float(b), h(float(b))
-    if fpre == 0.0:
-        return xpre
-    xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-    while True:
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = math.ulp(xcur)
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
-        if interpolate:
-            if xpre == xblk:   # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:              # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            # accept only a step that shrinks fast enough; else bisect
-            interpolate = 2.0 * abs(stry) < min(abs(spre),
-                                                3.0 * abs(sbis) - delta)
-        if interpolate:
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = h(xcur)
-
-
 def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
     """Root of h nearest the cell (cs[k], cs[k+1]) of the increasing grid
     cs: the edge of a window whose classification flips in that cell.
 
     h maps a float to a float and an array to an array, rounding alike.
     One array evaluation finds the cells of cs where h changes sign; the
-    one nearest cell k (the left one on a tie) is solved by _brent.  So an
+    one nearest cell k (the left one on a tie) is solved by brent.  So an
     edge that lies cells away from the flip, on either side, is still
     found, but never one outside cs; with no sign change on cs,
     WindowNotFound carrying depth."""
@@ -106,7 +65,7 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
         raise WindowNotFound(f"the edge equation does not change sign on "
                              f"[{cs[0]:.17g}, {cs[-1]:.17g}]", depth=depth)
     m = cells[np.argmin(np.abs(cells - k))]
-    return _brent(h, cs[m], cs[m + 1])
+    return brent(h, cs[m], cs[m + 1])
 
 
 def _edge_equations(fam: QuadraticFamily, P: int):
@@ -132,7 +91,7 @@ def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
     h = fam.critical_value_map(cs, q)
     flips = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[0]
     for i in flips:
-        c = _brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
+        c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
         if all(abs(fam.critical_value_map(c, d)) > 1e-9
                for d in _proper_divisors(q)):
             return c

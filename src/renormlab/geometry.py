@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyLevel, NoBracket
 from .renorm import IntervalTower, _check_level_disjoint, _check_nesting
+from .roots import brent
 
 LENGTH_FLOOR = 1e-13
 # gap components shorter than this fraction of the parent are endpoint
@@ -194,7 +195,6 @@ class DimensionReport:
     s_estimate: float
     sums: np.ndarray
     eta: float
-    bracket: tuple[float, float]
     stability: float
     fit_levels: tuple[int, int]
 
@@ -215,39 +215,30 @@ def _mean_log_ratio(loglens: list[np.ndarray], s: float,
     return float(np.mean(np.diff(logs[lo - 1:hi])))
 
 
-def _bisect_exponent(loglens, lo_k, hi_k, bracket, tol):
+def _root_exponent(loglens, lo_k: int, hi_k: int, bracket) -> float:
+    """Zero in s of _mean_log_ratio over levels lo_k..hi_k, by brent to
+    float resolution; NoBracket if the ratio keeps its sign on bracket."""
+    def ratio(s):
+        return _mean_log_ratio(loglens, s, lo_k, hi_k)
+
     a, b = bracket
-    ra = _mean_log_ratio(loglens, a, lo_k, hi_k)
-    rb = _mean_log_ratio(loglens, b, lo_k, hi_k)
-    if ra == 0.0:
-        return a, (a, a)
-    if rb == 0.0:
-        return b, (b, b)
-    if np.sign(ra) == np.sign(rb):
+    ra, rb = ratio(a), ratio(b)
+    if ra * rb > 0.0:
         raise NoBracket(f"partition-sum ratio does not change sign on "
                         f"({a}, {b}): r({a}) = {ra:.3g}, r({b}) = {rb:.3g}")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        rm = _mean_log_ratio(loglens, m, lo_k, hi_k)
-        if rm == 0.0:
-            return m, (m, m)
-        if np.sign(rm) == np.sign(ra):
-            a, ra = m, rm
-        else:
-            b = m
-    return 0.5 * (a + b), (a, b)
+    return brent(ratio, a, b)
 
 
 def hausdorff_dimension(tower: IntervalTower,
                         bracket: tuple[float, float] = (0.01, 0.99),
-                        tol: float = 1e-3,
                         kmin: int | None = None) -> DimensionReport:
-    """Critical exponent of the per-level covering sums, by bisection.
+    """Critical exponent of the per-level covering sums.
 
     The fitted quantity is the mean log-ratio of consecutive partition sums
-    over levels kmin..K; its zero is the dimension estimate.  Stability is
-    the difference between the estimates on windows [kmin..K-1] and
-    [kmin+1..K].
+    over levels kmin..K, smooth and decreasing in the exponent s; its zero
+    in bracket, found by roots.brent to float resolution, is the dimension
+    estimate.  Stability is the difference between the estimates on
+    windows [kmin..K-1] and [kmin+1..K].
     """
     kmax = usable_depth(tower)
     if kmin is None:
@@ -260,16 +251,15 @@ def hausdorff_dimension(tower: IntervalTower,
     if kmin < 1 or kmin > kmax - 2:
         raise DomainError(f"kmin = {kmin} leaves no fit window in 1..{kmax}")
     loglens = _log_length_levels(tower, kmax)
-    s_est, brk = _bisect_exponent(loglens, kmin, kmax, bracket, tol)
-    s_lo, _ = _bisect_exponent(loglens, kmin, kmax - 1, bracket, tol)
-    s_hi, _ = _bisect_exponent(loglens, kmin + 1, kmax, bracket, tol)
+    s_est = _root_exponent(loglens, kmin, kmax, bracket)
+    s_lo = _root_exponent(loglens, kmin, kmax - 1, bracket)
+    s_hi = _root_exponent(loglens, kmin + 1, kmax, bracket)
     sums = partition_sum(tower, s_est)
     eta = float(np.exp(_mean_log_ratio(loglens, s_est, kmin, kmax)))
     return DimensionReport(
         s_estimate=float(s_est),
         sums=sums,
         eta=eta,
-        bracket=(float(brk[0]), float(brk[1])),
         stability=float(abs(s_hi - s_lo)),
         fit_levels=(kmin, kmax),
     )

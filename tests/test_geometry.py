@@ -22,7 +22,7 @@ def test_middle_thirds_geometry():
 
 def test_middle_thirds_dimension():
     tw = G.middle_thirds_tower(10)
-    dim = G.hausdorff_dimension(tw, tol=1e-8)
+    dim = G.hausdorff_dimension(tw)
     assert abs(dim.s_estimate - LOG2_LOG3) < 1e-6
     assert abs(dim.eta - 1.0) < 1e-6
     assert dim.stability < 1e-9
@@ -30,8 +30,16 @@ def test_middle_thirds_dimension():
 
 def test_self_similar_partition_exponent():
     tw = G.self_similar_tower(3, 0.2, 8)
-    dim = G.hausdorff_dimension(tw, tol=1e-9)
+    dim = G.hausdorff_dimension(tw)
     assert abs(dim.s_estimate - np.log(3) / np.log(5)) < 1e-6
+
+
+def test_dimension_resolves_to_float_precision():
+    # the root is solved to float resolution, not to a bisection tolerance
+    mt = G.hausdorff_dimension(G.middle_thirds_tower(10))
+    assert abs(mt.s_estimate - LOG2_LOG3) < 1e-12
+    ss = G.hausdorff_dimension(G.self_similar_tower(3, 0.2, 8))
+    assert abs(ss.s_estimate - np.log(3) / np.log(5)) < 1e-12
 
 
 def test_self_similar_sum_ratio_closed_form():
