@@ -40,35 +40,27 @@ def design_matrix(u, degree: int, basis: PhiBasis) -> np.ndarray:
 
 
 def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
-    """phi(u) via Clenshaw.
-
-    A coefficient stack of shape (n, D+1) evaluates row i at u[i], all rows
-    in one pass; u broadcasts against (n, 1)."""
+    """phi(u) via Clenshaw, elementwise over u."""
     u = np.asarray(u, dtype=float)
-    tensor = np.ndim(coeffs) == 1
-    if not tensor:
-        coeffs = np.asarray(coeffs).T[..., None]
-    return _cheb.chebval(2.0 * u - 1.0, coeffs, tensor=tensor)
+    return _cheb.chebval(2.0 * u - 1.0, coeffs)
 
 
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
-    """Coefficients of d^order phi / du^order in the same basis (per row of
-    a stack)."""
+    """Coefficients of d^order phi / du^order in the same basis."""
     # t = 2u - 1, so each u-derivative picks up a factor 2
-    return _cheb.chebder(coeffs, order, axis=-1) * (2.0 ** order)
+    return _cheb.chebder(coeffs, order) * (2.0 ** order)
 
 
-def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis):
-    """phi(0), one value per row of a stack."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return _cheb.chebval(-1.0, coeffs.T)
+def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
+    """phi(0)."""
+    return _cheb.chebval(-1.0, np.asarray(coeffs, dtype=float))
 
 
 def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
-    """Shift the constant coefficient so phi(0) = 1 to within one rounding,
-    every row (the shifted sum is rounded, so not exactly)."""
+    """Shift the constant coefficient so phi(0) = 1 to within one rounding
+    (the shifted sum is rounded, so not exactly)."""
     out = np.array(coeffs, dtype=float)
-    out[..., 0] += 1.0 - phi_at_zero(out, basis)
+    out[0] += 1.0 - phi_at_zero(out, basis)
     return out
 
 

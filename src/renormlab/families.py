@@ -5,6 +5,10 @@ of a whole parameter grid, in one batched pass, picks the run of parameters
 with the requested renormalization types: classify_period (is the first
 renormalization period p, and of which type) for find_windows, classify
 (an itinerary of types, one pass per level) for the nested-window chase.
+Both test the exact renormalizations of the family (FamilyLevel): the
+level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
+P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), so no level is
+projected onto a basis and no degree is involved.
 The edges of the run are then roots of scalar critical-orbit equations,
 solved in Python floats by roots.brent in the grid cell where the
 classification flips, or the nearest cell where the equation changes sign
@@ -26,7 +30,7 @@ solved by the same brent.  The edges do not move with the scan grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +38,10 @@ from .errors import (BracketNotFound, DomainError, SingleItinerary,
                      WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
-from .renorm import IntervalTower, renormalize_type, scan_periods
+from .renorm import IntervalTower, scan_periods
 from .roots import brent
 
 SCAN_GRID = 2000
-WINDOW_DEGREE = 16
 WINDOW_GRIDS = (129, 513, 2049)
 DEPTH_CAP = 10
 DEFAULT_BRACKET = (0.3, 2.0)
@@ -192,17 +195,61 @@ class Window:
     superstable_c: float
 
 
+@dataclass(frozen=True)
+class FamilyLevel:
+    """Rows of one exact renormalization level of 1 - c x^2: row i is
+    g(x) = f_c^P(lam x)/lam with c = c[i], lam = lam[i] = f_c^P(0), as the
+    row view renorm.scan_periods runs on.  Level 0 is P = 1, lam = 1, the
+    members f_c themselves."""
+
+    c: np.ndarray
+    P: int
+    lam: np.ndarray
+
+    def __len__(self) -> int:
+        return self.c.size
+
+    def __getitem__(self, rows) -> "FamilyLevel":
+        return replace(self, c=self.c[rows], lam=self.lam[rows])
+
+    def phi(self, u):
+        """g(x) = phi(x^2): phi(u) = f_c^(P-1)(1 - c lam^2 u)/lam, row i
+        at u[i], u broadcasting against (n, 1)."""
+        c, lam = self.c[:, None], self.lam[:, None]
+        x = 1.0 - c * (lam * lam) * u
+        for _ in range(self.P - 1):
+            x = 1.0 - c * x * x
+        return x / lam
+
+    def renormalize(self, theta) -> tuple[np.ndarray, "FamilyLevel"]:
+        """(hit, level): hit indexes the rows whose first renormalization
+        has type theta (what detect(p_max=len(theta)) finds, with spatial
+        ranks exactly theta), and level holds those rows renormalized once
+        more: P times p = len(theta), lam times their g^p(0)."""
+        lam, _, live, trial = scan_periods(self, len(theta))
+        hit = live[(trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)]
+        return hit, replace(self, c=self.c[hit], P=self.P * len(theta),
+                            lam=self.lam[hit] * lam[hit])
+
+
+def _level_zero(fam: QuadraticFamily, cs: np.ndarray):
+    """(rows, level 0): the indices of the parameters of cs inside the
+    family's domain, in order, and their members as a FamilyLevel."""
+    rows = np.nonzero((fam.c_min < cs) & (cs <= fam.c_max))[0]
+    return rows, FamilyLevel(c=cs[rows], P=1, lam=np.ones(rows.size))
+
+
 def classify_period(fam: QuadraticFamily, cs,
                     p: int) -> tuple[np.ndarray, np.ndarray]:
     """(marks, ranks) at every parameter of cs, in one batched pass:
     marks[i] says the first renormalization of f_c has period p (a
     degenerate scaling at p counts), ranks[i] holds the type where p is
-    admissible and -1 elsewhere.  Parameters outside the family's domain,
-    and members that fail validation, are unmarked."""
+    admissible and -1 elsewhere.  Parameters outside the family's domain
+    are unmarked."""
     if p < 2:
         raise DomainError(f"got p = {p}: renormalization periods start at 2")
     cs = np.asarray(cs, dtype=float)
-    rows, g = fam.members(cs)
+    rows, g = _level_zero(fam, cs)
     _, degenerate, live, trial = scan_periods(g, p)
     ok = trial.fail == 0
     marks = np.zeros(cs.shape, dtype=bool)
@@ -270,17 +317,17 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     """Does f_c realize the first len(prefix) renormalization types?  One
     boolean per parameter of cs.
 
-    The members form one coefficient stack and each level renormalizes all
-    surviving rows together (renorm.renormalize_type), so the cost is one
-    pass per level, not one per parameter.  Parameters outside the family's
-    domain, and members that fail validation, come out False.
+    Each level tests all surviving parameters together on the exact
+    renormalization of the family (FamilyLevel.renormalize), so the cost is
+    one pass per level, not one per parameter, and no level past the prefix
+    is built.  Parameters outside the family's domain come out False.
     """
     cs = np.asarray(cs, dtype=float)
-    rows, g = fam.members(cs)
+    rows, g = _level_zero(fam, cs)
     for theta in prefix:
         if not rows.size:
             break
-        hit, g = renormalize_type(g, tuple(theta), WINDOW_DEGREE)
+        hit, g = g.renormalize(tuple(theta))
         rows = rows[hit]
     ok = np.zeros(cs.shape, dtype=bool)
     ok[rows] = True

@@ -39,42 +39,15 @@ class MapDiagnostics:
     curvature_at_zero: float     # f''(0) = 2 phi'(0)
 
     @property
-    def ok(self):
-        """True for a valid map; for a MapStack, one flag per row."""
-        return ((self.normalization_residual <= NORMALIZATION_TOL)
-                & (self.monotonicity_margin > 0.0)
-                & (self.range_min >= -1.0 - RANGE_TOL)
-                & (self.range_max <= 1.0 + RANGE_TOL))
-
-
-class _Phi:
-    """phi and its derivatives from `coeffs` and `basis`, shared by single
-    maps and stacks; derivative coefficients are cached per order."""
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[-1] - 1
-
-    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
-        cache = self.__dict__.get("_dcache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dcache", cache)
-        dc = cache.get(order)
-        if dc is None:
-            dc = _basis.deriv_coeffs(self.coeffs, self.basis, order)
-            cache[order] = dc
-        return dc
-
-    def phi(self, u):
-        return _basis.eval_phi(self.coeffs, self.basis, u)
-
-    def phi_deriv(self, u, order: int = 1):
-        return _basis.eval_phi(self.deriv_coeffs(order), self.basis, u)
+    def ok(self) -> bool:
+        return bool(self.normalization_residual <= NORMALIZATION_TOL
+                    and self.monotonicity_margin > 0.0
+                    and self.range_min >= -1.0 - RANGE_TOL
+                    and self.range_max <= 1.0 + RANGE_TOL)
 
 
 @dataclass(frozen=True)
-class UnimodalMap(_Phi):
+class UnimodalMap:
     """f(x) = phi(x^2), phi polynomial on [0, 1], f(0) = 1.
 
     Construction validates the structure and raises InvalidMap on violation;
@@ -102,11 +75,27 @@ class UnimodalMap(_Phi):
                     f"monotonicity margin {diag.monotonicity_margin:.3e}, "
                     f"range [{diag.range_min:.6f}, {diag.range_max:.6f}]")
 
-    def stack(self) -> "MapStack":
-        """This map as a one-row MapStack, sharing its cached phi'."""
-        row = MapStack(self.coeffs[None], self.basis)
-        object.__setattr__(row, "_dcache", {1: self.deriv_coeffs(1)[None]})
-        return row
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
+
+    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
+        """Coefficients of d^order phi / du^order, cached per order."""
+        cache = self.__dict__.get("_dcache")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_dcache", cache)
+        dc = cache.get(order)
+        if dc is None:
+            dc = _basis.deriv_coeffs(self.coeffs, self.basis, order)
+            cache[order] = dc
+        return dc
+
+    def phi(self, u):
+        return _basis.eval_phi(self.coeffs, self.basis, u)
+
+    def phi_deriv(self, u, order: int = 1):
+        return _basis.eval_phi(self.deriv_coeffs(order), self.basis, u)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -157,39 +146,16 @@ class UnimodalMap(_Phi):
         return UnimodalMap(coeffs, basis)
 
 
-@dataclass(frozen=True)
-class MapStack(_Phi):
-    """n maps of one degree and basis as a coefficient stack (n, D+1).
-
-    phi(u) evaluates row i at u[i] in one pass, so the orbit kernel in renorm
-    runs on a stack unchanged.  Rows are not validated on construction; use
-    validate(stack).ok.  stack[rows] selects rows.
-    """
-
-    coeffs: np.ndarray
-    basis: PhiBasis
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-    def __getitem__(self, rows) -> "MapStack":
-        out = MapStack(self.coeffs[rows], self.basis)
-        cache = {k: dc[rows] for k, dc in self.__dict__.get("_dcache", {}).items()}
-        object.__setattr__(out, "_dcache", cache)
-        return out
-
-
-def validate(f: UnimodalMap | MapStack) -> MapDiagnostics:
-    """Structural diagnostics; never raises.  On a MapStack every field
-    holds one value per row."""
+def validate(f: UnimodalMap) -> MapDiagnostics:
+    """Structural diagnostics; never raises."""
     grid = _check_grid(f.degree)
     vals = f.phi(grid)
     return MapDiagnostics(
-        normalization_residual=np.abs(_basis.phi_at_zero(f.coeffs, f.basis)
-                                      - 1.0),
-        monotonicity_margin=np.min(-f.phi_deriv(grid, 1), axis=-1),
-        range_min=np.min(vals, axis=-1),
-        range_max=np.max(vals, axis=-1),
+        normalization_residual=abs(_basis.phi_at_zero(f.coeffs, f.basis)
+                                   - 1.0),
+        monotonicity_margin=np.min(-f.phi_deriv(grid, 1)),
+        range_min=np.min(vals),
+        range_max=np.max(vals),
         curvature_at_zero=2.0 * _basis.phi_at_zero(f.deriv_coeffs(1), f.basis),
     )
 
@@ -236,25 +202,11 @@ class QuadraticFamily:
             raise DomainError(f"family parameter c = {c} outside ({self.c_min}, {self.c_max}]")
         if degree < 1:
             raise DomainError("degree must be at least 1")
-        return UnimodalMap(self._coeffs(np.array([c]), degree)[0])
-
-    def members(self, cs) -> tuple[np.ndarray, MapStack]:
-        """(rows, stack): the indices of the parameters in cs that member
-        accepts (inside (c_min, c_max] and structurally valid) and their
-        degree-1 members as one stack, rows in order."""
-        cs = np.asarray(cs, dtype=float)
-        rows = np.nonzero((self.c_min < cs) & (cs <= self.c_max))[0]
-        g = MapStack(self._coeffs(cs[rows], 1), PhiBasis.ORTHOGONAL)
-        valid = validate(g).ok
-        return rows[valid], g[valid]
-
-    @staticmethod
-    def _coeffs(cs: np.ndarray, degree: int) -> np.ndarray:
         # 1 - c u = (1 - c/2) - (c/2) T_1(2u - 1)
-        coeffs = np.zeros((cs.size, degree + 1))
-        coeffs[:, 0] = 1.0 - cs / 2.0
-        coeffs[:, 1] = -cs / 2.0
-        return coeffs
+        coeffs = np.zeros(degree + 1)
+        coeffs[0] = 1.0 - c / 2.0
+        coeffs[1] = -c / 2.0
+        return UnimodalMap(coeffs)
 
     def critical_value_map(self, c, q: int):
         """f_c^q(0): a Python float for a scalar c (the root finders call

@@ -26,7 +26,7 @@ import numpy as np
 from . import basis as _basis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, InvalidMap,
                      NotRenormalizable, OverlapError, TruncationLoss)
-from .maps import MapStack, UnimodalMap, validate
+from .maps import UnimodalMap, validate
 
 LAMBDA_FLOOR = 1e-8
 INVARIANCE_TOL = 1e-12
@@ -117,7 +117,7 @@ _NEAR_ONE, _NOT_INVARIANT, _OVERLAP = 1, 2, 3
 
 @dataclass(frozen=True)
 class _Trial:
-    """Candidate period p tested on every row of a map stack."""
+    """Candidate period p tested on every row of a pair of orbit stacks."""
 
     p: int
     lam: np.ndarray       # (n,) f^p(0)
@@ -140,35 +140,32 @@ class _Trial:
             return f"pieces overlap: {exc}"
 
 
-def _test_period(f: MapStack, tip: np.ndarray, p: int) -> _Trial:
-    """The admissibility tests of period p, on every row of f at once.
+def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
+    """The admissibility tests of period p, on every row at once.
 
-    tip is the tip orbit, tip[i] = f^i(0) per row for i = 0..p, and
+    tip and ends are the orbits of the tip and of the endpoint, per row for
+    i = 0..p: tip[i] = f^i(0) and ends[i] = f^i(a), a = |lam|, where
     lam = tip[p] is already checked nondegenerate by the caller.  In order:
-    |lam| not within LAMBDA_FLOOR of 1; J = [-a, a], a = |lam|, invariant
-    under f^p, read from the reach max(|f^p(0)|, |f^p(a)|); the pieces
-    pairwise disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull
-    of f^i(0) and f^i(a).  Each test runs only on the rows that passed the
-    ones before it.  The last test certifies the first two: disjointness
-    from Delta_0 makes f^i monotone on each half of J (module docstring),
-    so the two-orbit hulls and reach are exact and f^p is unimodal on J.
+    |lam| not within LAMBDA_FLOOR of 1; J = [-a, a] invariant under f^p,
+    read from the reach max(|f^p(0)|, |f^p(a)|); the pieces pairwise
+    disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull of f^i(0)
+    and f^i(a).  A row fails at the first test it does not pass; only rows
+    that pass the first two get pieces.  The last test certifies the first
+    two: disjointness from Delta_0 makes f^i monotone on each half of J
+    (module docstring), so the two-orbit hulls and reach are exact and f^p
+    is unimodal on J.
     """
     lam = tip[p]
     n = lam.size
     a = np.abs(lam)
     t = _Trial(p=p, lam=lam,
                fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
-               reach=np.zeros(n), pieces=np.zeros((n, p, 2)),
-               ranks=np.zeros((n, p), dtype=int))
+               reach=np.maximum(a, np.abs(ends[p])),
+               pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
+    t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
-        ends = orbit_stack(f[rows], a[rows, None], p)[..., 0]
-        t.reach[rows] = np.maximum(a[rows], np.abs(ends[p]))
-        bad = t.reach[rows] > a[rows] + INVARIANCE_TOL
-        t.fail[rows[bad]] = _NOT_INVARIANT
-        rows, ends = rows[~bad], ends[:, ~bad]
-    if rows.size:
-        pieces = _hulls(np.stack([tip[:p, rows], ends[:p]], axis=-1))
+        pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
         pieces[0] = np.stack([-a[rows], a[rows]], axis=-1)
         t.pieces[rows] = np.swapaxes(pieces, 0, 1)
         order, gaps = _left_to_right(t.pieces[rows])
@@ -196,7 +193,6 @@ def detect(f: UnimodalMap, p_max: int = 16,
     if validate_input and not f.check:
         if not validate(f).ok:
             raise InvalidMap("detect requires a structurally valid map")
-    row = f.stack()
     reasons: dict[int, str] = {}
     tip = [0.0, float(f.phi(0.0))]
     for p in range(2, p_max + 1):
@@ -206,7 +202,8 @@ def detect(f: UnimodalMap, p_max: int = 16,
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        trial = _test_period(row, np.array(tip)[:, None], p)
+        ends = orbit_stack(f, abs(lam), p)
+        trial = _test_period(np.array(tip)[:, None], ends[:, None], p)
         if trial.fail[0]:
             reasons[p] = trial.reason(0)
             continue
@@ -216,53 +213,31 @@ def detect(f: UnimodalMap, p_max: int = 16,
         f"no admissible period up to {p_max}", reasons=reasons)
 
 
-def scan_periods(f: MapStack, q: int):
+def scan_periods(f, q: int):
     """What detect(p_max=q) finds at period q, for every row of f at once.
 
-    Returns (lam, degenerate, rows, trial): lam[i] = f_i^q(0); degenerate
-    and rows split the rows where no period p < q is degenerate or
-    admissible by whether lam vanishes at q (detect raises there), and
-    trial tests period q on rows.  One tip orbit to step q serves every
-    candidate; each _test_period adds only the endpoint orbit.
+    f is a row view: len(f) rows, f[rows] selects some, and f.phi(u)
+    evaluates row i at u[i] with u broadcasting against (n, 1), so the
+    orbits run on it unchanged (families.FamilyLevel).  Returns (lam,
+    degenerate, rows, trial): lam[i] = f_i^q(0); degenerate and rows split
+    the rows where no period p < q is degenerate or admissible by whether
+    lam vanishes at q (detect raises there), and trial tests period q on
+    rows.  One tip orbit to step q serves every candidate; each candidate
+    adds only the endpoint orbit.
     """
     lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
+
+    def trial(p):
+        ends = orbit_stack(f[rows], np.abs(lam_path[p, rows, None]), p)
+        return _test_period(lam_path[:p + 1, rows], ends[..., 0], p)
+
     for p in range(2, q + 1):
         small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
         if p < q:
-            trial = _test_period(f[rows], lam_path[:p + 1, rows], p)
-            rows = rows[trial.fail != 0]
-    return (lam_path[q], degenerate, rows,
-            _test_period(f[rows], lam_path[:, rows], q))
-
-
-def renormalize_type(f: MapStack, theta: tuple[int, ...],
-                     degree: int) -> tuple[np.ndarray, MapStack]:
-    """detect(p_max=len(theta)) and renormalize, insisting on type theta,
-    for every row of f at once.
-
-    Row i survives when no period p < q = len(theta) is degenerate or
-    admissible, p = q is nondegenerate and admissible (by the two-orbit
-    test of _test_period) with spatial ranks exactly theta, the projection
-    residual stays under PROJECTION_CAP and the renormalized map is
-    structurally valid.  Returns (survived, R of the survivors): one
-    least-squares solve fits all their projections.
-    """
-    q = len(theta)
-    lam, _, rows, trial = scan_periods(f, q)
-    hit = (trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)
-    rows = rows[hit]
-    survived = np.zeros(len(f), dtype=bool)
-    if not rows.size:
-        return survived, MapStack(np.zeros((0, degree + 1)), f.basis)
-    step = RenormStep(p=q, lam=lam[rows, None], perm=theta,
-                      intervals=trial.pieces[hit])
-    coeffs, residual = project_T(f[rows], step, degree)
-    kept = MapStack(_basis.normalized_constant(coeffs, f.basis), f.basis)
-    ok = ~(residual >= PROJECTION_CAP) & validate(kept).ok
-    survived[rows[ok]] = True
-    return survived, kept[ok]
+            rows = rows[trial(p).fail != 0]
+    return lam_path[q], degenerate, rows, trial(q)
 
 
 @dataclass(frozen=True)
@@ -283,9 +258,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
     """(coeffs, residual) of phi_{Tf}(u) = f^{p-1}(phi(lam^2 u)) / lam.
 
     Least-squares projection by basis.project_function; the constant
-    term is left as fitted, so Tf(0) = 1 holds only to roundoff.  For a
-    MapStack, step.lam is the column (n, 1) of scalings and every row is
-    projected by one solve."""
+    term is left as fitted, so Tf(0) = 1 holds only to roundoff."""
     lam, p = step.lam, step.p
 
     def phi_tf(u):

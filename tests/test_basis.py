@@ -45,33 +45,16 @@ def test_stacked_fit_agrees_with_row_fits(degree):
         assert abs(residual[i] - row_res) < 1e-14
 
 
-def test_stacked_eval_is_bit_identical_to_row_evals():
-    rng = np.random.default_rng(3)
-    coeffs = random_coeffs(rng, 24, 5)
-    u = rng.uniform(0.0, 1.0, (5, 17))
-    stacked = eval_phi(coeffs, BASIS, u)
-    assert stacked.shape == (5, 17)
-    for i in range(5):
-        assert np.array_equal(stacked[i], eval_phi(coeffs[i], BASIS, u[i]))
-    # one point per row broadcasts as a column
-    column = eval_phi(coeffs, BASIS, u[:, :1])
-    assert np.array_equal(column[:, 0], stacked[:, 0])
-
-
 @pytest.mark.parametrize("order", [1, 2])
 def test_deriv_coeffs_match_central_differences(order):
     rng = np.random.default_rng(11)
-    coeffs = random_coeffs(rng, 8, 3)
-    lower = coeffs if order == 1 else deriv_coeffs(coeffs, BASIS, order - 1)
     u = np.linspace(0.05, 0.95, 13)
     h = 1e-5
-    for i in range(3):
-        diff = (eval_phi(lower[i], BASIS, u + h)
-                - eval_phi(lower[i], BASIS, u - h)) / (2.0 * h)
-        exact = eval_phi(deriv_coeffs(coeffs[i], BASIS, order), BASIS, u)
+    for coeffs in random_coeffs(rng, 8, 3):
+        lower = (coeffs if order == 1
+                 else deriv_coeffs(coeffs, BASIS, order - 1))
+        diff = (eval_phi(lower, BASIS, u + h)
+                - eval_phi(lower, BASIS, u - h)) / (2.0 * h)
+        exact = eval_phi(deriv_coeffs(coeffs, BASIS, order), BASIS, u)
         # truncation h^2 phi^(order+2) / 6 is about 1e-8 of the scale here
         assert np.max(np.abs(exact - diff)) < 1e-7 * np.max(np.abs(exact))
-    # the stack derivative is the row derivative, row by row
-    stack = deriv_coeffs(coeffs, BASIS, order)
-    for i in range(3):
-        assert np.array_equal(stack[i], deriv_coeffs(coeffs[i], BASIS, order))

@@ -330,17 +330,32 @@ def test_degenerate_scaling_counts_as_inside(quadratic):
 
 
 def reference_itinerary_ok(fam, c, prefix):
-    """The per-point predicate with the full period scan p = 2..16."""
+    """The per-point predicate with the full period scan p = 2..16, on
+    degree-16 projections; a level is projected only when the prefix asks
+    about the next one."""
     try:
         g = fam.member(c)
-        for theta in prefix:
+        for k, theta in enumerate(prefix):
+            if k:
+                g = renormalize(g, step, degree=16).map
             step = detect(g)
             if step.p != len(theta) or step.perm != tuple(theta):
                 return False
-            g = renormalize(g, step, degree=F.WINDOW_DEGREE).map
     except RenormlabError:
         return False
     return True
+
+
+def test_classify_does_not_project_past_the_prefix(quadratic):
+    # c lies 3.6e-7 inside the (doubling, tripling) window, but the degree-16
+    # projection of its second level loses 1.2e-10 > PROJECTION_CAP; a
+    # depth-2 prefix never asks about that level
+    c, prefix = 1.476015, [THETA_DOUBLING, THETA_TRIPLING]
+    lo, hi = F._window_for_prefix(quadratic, prefix,
+                                  (1.0, 1.5436890126920764))
+    assert lo < c < hi
+    assert F.classify(quadratic, [c], prefix).tolist() == [True]
+    assert reference_itinerary_ok(quadratic, c, prefix)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _test_period, central_dominance,
                               detect, orbit_stack, renormalize,
-                              renormalize_type, renormalize_with, scan_periods,
+                              renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
                               tower_rows)
 from renormlab.solver import solve_fixed_point
@@ -221,7 +223,6 @@ def test_check_nesting_matches_the_piecewise_loop(parents, children):
 def _detect_upfront(f, p_max=16):
     """detect on a checked map, with f^p(0) computed to p_max before the
     period loop."""
-    row = f.stack()
     reasons = {}
     lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
@@ -229,7 +230,8 @@ def _detect_upfront(f, p_max=16):
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        trial = _test_period(row, lam_path[:p + 1, None], p)
+        ends = orbit_stack(f, abs(lam), p)
+        trial = _test_period(lam_path[:p + 1, None], ends[:, None], p)
         if trial.fail[0]:
             reasons[p] = trial.reason(0)
             continue
@@ -331,6 +333,39 @@ def test_tower_matches_the_sampled_hulls_across_the_family(c):
 # the sampled period test, kept as the reference for the two-orbit one
 
 
+@dataclass(frozen=True)
+class _LevelRows(F.FamilyLevel):
+    """FamilyLevel rows with the phi' the sampled test reads, by the chain
+    rule over the P - 1 steps: phi'(u) = -c lam prod_j f_c'(x_j) with
+    x_0 = 1 - c lam^2 u, x_(j+1) = f_c(x_j)."""
+
+    def phi_deriv(self, u, order=1):
+        c, lam = self.c[:, None], self.lam[:, None]
+        x = 1.0 - c * (lam * lam) * u
+        d = -c * lam
+        for _ in range(self.P - 1):
+            d = d * (-2.0 * c * x)
+            x = 1.0 - c * x * x
+        return d
+
+
+def _members(cs):
+    """The quadratic members at cs as level-0 rows."""
+    cs = np.asarray(cs, dtype=float)
+    return _LevelRows(c=cs, P=1, lam=np.ones(cs.size))
+
+
+class _OneRow(UnimodalMap):
+    """One map as a one-row view: phi and phi' act elementwise, so every
+    selection of its rows is the map itself."""
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, rows):
+        return self
+
+
 def _sample_symmetric(a, grid):
     """Points of [-a, a] for each entry of a: the grid with both endpoints,
     then the tip 0 appended last."""
@@ -397,7 +432,7 @@ def _scan_periods_sampled(f, q, grid=64):
 
 def _detect_sampled(f, p_max=16, grid=64):
     """detect with the sampled period test (reasons are not kept)."""
-    row = f.stack()
+    row = _OneRow(f.coeffs, f.basis)
     lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
         lam = float(lam_path[p])
@@ -433,28 +468,27 @@ def _assert_scan_matches_sampled(g, q, grid=64):
        q=st.integers(min_value=2, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_scan_periods_matches_the_sampled_test_on_quadratic_members(cs, q):
-    _, g = fam.members(np.array(cs))
-    _assert_scan_matches_sampled(g, q)
+    _assert_scan_matches_sampled(_members(cs), q)
 
 
 def test_scan_periods_matches_the_sampled_test_on_a_dense_sweep():
-    _, g = fam.members(np.linspace(0.5, 2.0, 3001))
+    g = _members(np.linspace(0.5, 2.0, 3001))
     admitted = [_assert_scan_matches_sampled(g, q) for q in range(2, 9)]
     assert min(admitted[:4]) > 0
 
 
 def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
-    # the degree-16 members classify renormalizes, level by level, in the
-    # brackets the (doubling, tripling) chase scans down to depth 4
+    # the exact family levels classify renormalizes, level by level, in
+    # the brackets the (doubling, tripling) chase scans down to depth 4
     prefix = [THETA_DOUBLING, THETA_TRIPLING] * 2
     bracket, admitted = F.DEFAULT_BRACKET, []
     for depth in range(1, 5):
-        _, g = fam.members(np.linspace(*bracket, 513))
+        g = _members(np.linspace(*bracket, 513))
         for theta in prefix[:depth]:
             admitted += [_assert_scan_matches_sampled(g, q)
                          for q in range(2, 5)]
-            _, g = renormalize_type(g, theta, F.WINDOW_DEGREE)
-        assert len(g) and g.degree == F.WINDOW_DEGREE
+            _, g = g.renormalize(theta)
+        assert len(g) and g.P == 2 ** ((depth + 1) // 2) * 3 ** (depth // 2)
         bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
     assert sum(admitted) > 0
 
@@ -464,7 +498,7 @@ def test_period_test_matches_the_sampled_test_at_the_fixed_points(
     for fp in (fixed_point_24, tripling_fixed_point):
         g = fp.map
         for q in range(2, 9):
-            _assert_scan_matches_sampled(g.stack(), q)
+            _assert_scan_matches_sampled(_OneRow(g.coeffs, g.basis), q)
         step, ref = detect(g), _detect_sampled(g)
         assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
         assert np.array_equal(step.intervals, ref.intervals)
