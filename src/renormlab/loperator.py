@@ -113,13 +113,11 @@ class LOperator:
     """terms: (phi_i, psi_i) pairs; tails: additive rank-one parts.
 
     Every psi_i must map [-1,1] into itself (checked on a uniform grid at
-    construction).  gamma_range is a recorded annotation of the exponent
-    budget for the associated positive operator; nothing enforces it.
+    construction).
     """
 
     terms: tuple[tuple[Callable, SmoothMap1D], ...]
     tails: tuple[RankOneTail, ...] = ()
-    gamma_range: tuple[float, float] | None = None
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -259,8 +257,7 @@ def compose(L1: LOperator, L2: LOperator, cap: int = COMPOSE_CAP) -> LOperator:
             tails.append(RankOneTail(_scaled_weight(t1.weight, c),
                                      t2.nodes, t2.coeffs))
     label = f"({L1.label})({L2.label})" if L1.label or L2.label else ""
-    return LOperator(terms=tuple(terms), tails=tuple(tails),
-                     gamma_range=L1.gamma_range, label=label)
+    return LOperator(terms=tuple(terms), tails=tuple(tails), label=label)
 
 
 def compose_power(L: LOperator, m: int, cap: int = COMPOSE_CAP) -> LOperator:

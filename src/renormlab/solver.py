@@ -16,7 +16,7 @@ point is the expansion constant delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +32,9 @@ from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
                      project_T, renormalize, renormalize_with, slopes)
 
 UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
+MAX_HALVINGS = 8         # damping halvings per Newton step
+RESIDUAL_GRID = 200      # points of [-1, 1] for the Newton residual sup
+SUP_GRID = 512           # points of [0, 1] for the eigenvector sup norm
 
 # classical starting guess for the period-doubling fixed point
 DOUBLING_SEED_C = 1.5276
@@ -39,10 +42,7 @@ DOUBLING_SEED_C = 1.5276
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    tol: float = 1e-10
     max_iters: int = 50
-    max_halvings: int = 8
-    residual_grid: int = 200
 
 
 def _suffix_products(fps: np.ndarray) -> np.ndarray:
@@ -142,8 +142,7 @@ def _increasing_c_direction(dim: int) -> np.ndarray:
     return out
 
 
-def spectral_report(mat: np.ndarray, basis: PhiBasis,
-                    sup_grid: int = 512) -> SpectralReport:
+def spectral_report(mat: np.ndarray, basis: PhiBasis) -> SpectralReport:
     vals, vecs = _sorted_eigensystem(mat)
     dim = mat.shape[0]
     outside = np.abs(vals) > 1.0 + UNSTABLE_CUTOFF
@@ -152,7 +151,7 @@ def spectral_report(mat: np.ndarray, basis: PhiBasis,
     gap = float(np.abs(vals[1]))
 
     u_vec = _realified(vecs[:, 0])
-    grid = np.linspace(0.0, 1.0, sup_grid)
+    grid = np.linspace(0.0, 1.0, SUP_GRID)
     sup = float(np.max(np.abs(_basis.eval_phi(u_vec, basis, grid))))
     u_vec = u_vec / sup
 
@@ -201,12 +200,14 @@ _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,
 
 
 def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
-                   settings: NewtonSettings,
+                   tol: float, settings: NewtonSettings,
                    start_cycle: tuple[UnimodalMap, ...] | None = None):
-    """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m}.
+    """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m}, until
+    the sup residual is under tol.
 
-    Returns (cycle, steps, residual, history).  m = 1 is the fixed-point
-    equation; the block Jacobian couples consecutive cycle positions.
+    Returns (cycle, steps, residual, history, iterations).  m = 1 is the
+    fixed-point equation; the block Jacobian couples consecutive cycle
+    positions.
     """
     m = len(thetas)
     dim = g.coeffs.size
@@ -222,7 +223,7 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
         res = 0.0
         for i in range(m):
             res = max(res, _sup_distance(rens[i].map, cycle[(i + 1) % m],
-                                         settings.residual_grid))
+                                         RESIDUAL_GRID))
         return tuple(cycle), tuple(rens), res
 
     if start_cycle is None:
@@ -233,7 +234,7 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
     history = [res]
 
     for it in range(1, settings.max_iters + 1):
-        if res < settings.tol:
+        if res < tol:
             return cycle, rens, res, tuple(history), it - 1
         jac = np.zeros((m * dim, m * dim))
         rhs = np.zeros(m * dim)
@@ -251,7 +252,7 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
         delta = scipy.linalg.solve(jac, rhs).reshape(m, dim)
 
         scale = 1.0
-        for _ in range(settings.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 trial = np.stack([
                     _basis.normalized_constant(c_stack[i] + scale * delta[i],
@@ -284,12 +285,11 @@ def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
     are seeded by chasing the nested parameter windows of the quadratic
     family and renormalizing a parameter from deep inside.
     """
-    settings = replace(settings or NewtonSettings(), tol=tol)
     theta = tuple(theta)
     if seed is None:
         seed = _seed_cycle((theta,), degree)[0]
     cycle, rens, res, history, iters = _newton_polish(
-        seed, (theta,), settings)
+        seed, (theta,), tol, settings or NewtonSettings())
     g = cycle[0]
     return FixedPointResult(map=g, theta=theta, lambda_star=rens[0].step.lam,
                             residual=res, newton_iters=iters, history=history)
@@ -313,11 +313,11 @@ def solve_periodic_orbit(thetas, degree: int = 24, tol: float = 1e-10,
     thetas = tuple(tuple(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one combinatorial type")
-    settings = replace(settings or NewtonSettings(), tol=tol)
     if seeds is None:
         seeds = _seed_cycle(thetas, degree)
     cycle, rens, res, history, iters = _newton_polish(
-        seeds[0], thetas, settings, start_cycle=seeds)
+        seeds[0], thetas, tol, settings or NewtonSettings(),
+        start_cycle=seeds)
     product = np.eye(degree + 1)
     for i in range(len(thetas)):
         product = derivative_matrix(cycle[i], rens[i].step) @ product
