@@ -23,7 +23,6 @@ class PhiBasis(str, Enum):
     ORTHOGONAL = "orthogonal-u"  # Chebyshev T_n(2u - 1)
 
 
-DEGREE_MIN = 1
 DEGREE_MAX = 64
 
 

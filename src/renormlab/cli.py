@@ -49,11 +49,12 @@ class RunConfig:
         return self
 
 
+# each config key, cast to the type of its default
+_CASTS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+
+
 def load_config_file(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
-    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    casts = {"degree": int, "tol": float, "tower_depth": int, "grid": int,
-             "seed": int, "output_dir": str}
     out = {}
     text = Path(path).read_text()
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -63,10 +64,10 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in field_types:
+        if key not in _CASTS:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
         try:
-            out[key] = casts[key](value)
+            out[key] = _CASTS[key](value)
         except ValueError as err:
             raise UsageError(f"{path}:{ln}: bad value for {key}: {err}")
     return out
@@ -76,8 +77,7 @@ def resolve_config(args) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for name in ("degree", "tol", "tower_depth", "grid", "seed",
-                 "output_dir"):
+    for name in _CASTS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -88,6 +88,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; usage errors must be exit 1
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low; anything else is a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -114,7 +126,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("orbit", parents=[common],
                        help="critical orbit of a family member")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_int_at_least(0), default=64)
 
     for name, helptext in (
             ("tower", "nested renormalization intervals"),
@@ -125,14 +137,14 @@ def build_parser() -> _Parser:
         p.add_argument("--c", type=float)
         p.add_argument("--fixed-point", action="store_true",
                        help="use the solved fixed point instead of --c")
-        p.add_argument("--depth", type=int,
-                       help="tower depth (default: config tower_depth)")
+        p.add_argument("--depth", type=_int_at_least(1),
+                       help="tower depth (overrides config tower_depth)")
     p = sub.choices["sums"]
     p.add_argument("--t", type=float, default=3.0,
                    help="decay-sum exponent (> 1)")
     p.add_argument("--gamma", type=float, default=3.0,
                    help="positive-operator exponent")
-    p.add_argument("--m-max", dest="m_max", type=int, default=5,
+    p.add_argument("--m-max", dest="m_max", type=_int_at_least(1), default=5,
                    help="operator powers for norm growth")
 
     p = sub.add_parser("cascade", parents=[common],
@@ -150,7 +162,7 @@ def build_parser() -> _Parser:
                             "fixed point")
     p.add_argument("--c", type=float,
                    help="family parameter (default: cascade accumulation)")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_int_at_least(1), default=8)
 
     return parser
 
@@ -167,7 +179,7 @@ def _select_map(cfg: RunConfig, args):
 
 def _tower_for(cfg: RunConfig, args):
     f, label = _select_map(cfg, args)
-    depth = getattr(args, "depth", None) or cfg.tower_depth
+    depth = cfg.tower_depth if args.depth is None else args.depth
     return tower(f, depth), label, depth, f
 
 

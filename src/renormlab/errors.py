@@ -20,10 +20,6 @@ class DomainError(RenormlabError, ValueError):
     """Argument outside the documented domain (e.g. family parameter)."""
 
 
-class UnsupportedOrder(RenormlabError, ValueError):
-    """Derivative order other than 1 or 2 requested."""
-
-
 class NotRenormalizable(RenormlabError):
     """No admissible period produced a restrictive interval for the map."""
 

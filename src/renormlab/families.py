@@ -102,8 +102,8 @@ def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
 
 
 def superstable_parameters(fam: QuadraticFamily, periods,
-                           c_range: tuple[float, float] = (0.4, 2.0),
-                           grid: int = SCAN_GRID) -> np.ndarray:
+                           c_range: tuple[float, float] = (0.4, 2.0)
+                           ) -> np.ndarray:
     """Parameters where the critical orbit is periodic with the given periods,
     taken left to right along the family.
 
@@ -125,7 +125,7 @@ def superstable_parameters(fam: QuadraticFamily, periods,
                                 min(cursor + 2.5 * prev_gap, c_range[1]), 200)
         if c is None:
             eps = 1e-9 * max(1.0, abs(cursor))
-            c = _superstable_in(fam, q, cursor + eps, c_range[1], grid)
+            c = _superstable_in(fam, q, cursor + eps, c_range[1], SCAN_GRID)
         if c is None:
             raise BracketNotFound(f"no primitive period-{q} critical orbit "
                                   f"in ({cursor:.6g}, {c_range[1]})")

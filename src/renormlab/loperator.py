@@ -10,7 +10,8 @@ weight is multiplicative, (L1 L2)_gamma = (L1)_gamma (L2)_gamma, so
 norm_growth evaluates L_gamma^m 1 one level at a time: each word of L^m is
 a row of grid values (points, phi-product, Dpsi-product), and level m costs
 one call of each term's phi, psi and Dpsi on the p^(m-1) rows of level
-m - 1.  The rank-one tails stay outside these estimates.
+m - 1, and gives gamma_norm(compose_power(L, m), gamma) bit for bit.  The
+rank-one tails stay outside these estimates.
 
 All inner maps carry analytic derivatives (chain rule over the stored
 composition); nothing here differentiates numerically.
@@ -18,7 +19,7 @@ composition); nothing here differentiates numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,6 @@ class SmoothMap1D:
 
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -50,13 +50,11 @@ class SmoothMap1D:
 
 
 def identity_map() -> SmoothMap1D:
-    return SmoothMap1D(lambda x: x, np.ones_like, "id")
+    return SmoothMap1D(lambda x: x, np.ones_like)
 
 
 def affine_map(a: float, b: float) -> SmoothMap1D:
-    return SmoothMap1D(lambda x: a * x + b,
-                       lambda x: np.full_like(x, a),
-                       f"{a}*x+{b}")
+    return SmoothMap1D(lambda x: a * x + b, lambda x: np.full_like(x, a))
 
 
 def compose_smooth(outer: SmoothMap1D, inner: SmoothMap1D) -> SmoothMap1D:
@@ -66,10 +64,10 @@ def compose_smooth(outer: SmoothMap1D, inner: SmoothMap1D) -> SmoothMap1D:
     def dfn(x):
         return outer.dfn(inner.fn(x)) * inner.dfn(x)
 
-    return SmoothMap1D(fn, dfn, f"{outer.label}({inner.label})")
+    return SmoothMap1D(fn, dfn)
 
 
-def map_iterate(f: UnimodalMap, k: int, scale: float = 1.0) -> SmoothMap1D:
+def map_iterate(f: UnimodalMap, k: int, scale: float) -> SmoothMap1D:
     """x -> f^k(scale*x) with derivative scale*Df^k(scale*x)."""
 
     def fn(x):
@@ -80,7 +78,7 @@ def map_iterate(f: UnimodalMap, k: int, scale: float = 1.0) -> SmoothMap1D:
         _, dv = iterate_derivative(f, scale * np.asarray(x, float), k)
         return scale * dv
 
-    return SmoothMap1D(fn, dfn, f"f^{k}({scale:.6g}x)")
+    return SmoothMap1D(fn, dfn)
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ class LOperator:
 
     terms: tuple[tuple[Callable, SmoothMap1D], ...]
     tails: tuple[RankOneTail, ...] = ()
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -142,11 +139,10 @@ class LOperator:
 
 
 def identity_operator() -> LOperator:
-    return LOperator(terms=((lambda x: np.ones_like(x), identity_map()),),
-                     label="identity")
+    return LOperator(terms=((lambda x: np.ones_like(x), identity_map()),))
 
 
-def apply(L: LOperator, v, grid, include_tails: bool = True) -> np.ndarray:
+def apply(L: LOperator, v, grid) -> np.ndarray:
     """Pointwise Lv on grid points in [-1,1]."""
     x = np.asarray(grid, dtype=float)
     if x.size and float(np.max(np.abs(x))) > 1.0 + CONTAINMENT_TOL:
@@ -154,44 +150,36 @@ def apply(L: LOperator, v, grid, include_tails: bool = True) -> np.ndarray:
     out = np.zeros_like(x)
     for phi, psi in L.terms:
         out = out + phi(x) * v(psi(x))
-    if include_tails:
-        for t in L.tails:
-            out = out + t.apply(v, x)
+    for t in L.tails:
+        out = out + t.apply(v, x)
     return out
 
 
-@dataclass(frozen=True)
-class PositiveOperator:
-    source: LOperator
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise OperatorDomainError(f"gamma must be positive, "
-                                      f"got {self.gamma}")
+def _positive_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not gamma > 0.0:
+        raise OperatorDomainError(f"gamma must be positive, got {gamma}")
+    return gamma
 
 
-def associated(L: LOperator, gamma: float) -> PositiveOperator:
-    return PositiveOperator(source=L, gamma=float(gamma))
-
-
-def apply_positive(P: PositiveOperator, v, grid) -> np.ndarray:
+def apply_positive(L: LOperator, gamma: float, v, grid) -> np.ndarray:
     """L_gamma v(x) = sum_i |phi_i(x)| |Dpsi_i(x)|^gamma v(psi_i(x)).
 
     Acts on the principal terms only; the rank-one tails are not of
     substitution form and stay outside the positive-operator estimates.
     """
+    gamma = _positive_gamma(gamma)
     x = np.asarray(grid, dtype=float)
     out = np.zeros_like(x)
-    for phi, psi in P.source.terms:
-        out = out + (np.abs(phi(x)) * np.abs(psi.d(x))**P.gamma) * v(psi(x))
+    for phi, psi in L.terms:
+        out = out + (np.abs(phi(x)) * np.abs(psi.d(x))**gamma) * v(psi(x))
     return out
 
 
-def gamma_norm(P: PositiveOperator) -> float:
+def gamma_norm(L: LOperator, gamma: float) -> float:
     """Sup-norm of L_gamma on C[-1,1]; attained at v = 1 by positivity."""
     grid = chebpts1(NORM_GRID)
-    vals = apply_positive(P, lambda y: np.ones_like(y), grid)
+    vals = apply_positive(L, gamma, lambda y: np.ones_like(y), grid)
     return float(np.max(vals))
 
 
@@ -216,17 +204,17 @@ def _scaled_weight(w, c: float):
     return weight
 
 
-def compose(L1: LOperator, L2: LOperator, cap: int = COMPOSE_CAP) -> LOperator:
+def compose(L1: LOperator, L2: LOperator) -> LOperator:
     """L1 after L2: (L1 L2)v(x) = sum_ij phi1_i(x) phi2_j(psi1_i(x)) v(psi2_j(psi1_i(x))).
 
     Rank-one parts propagate: L1's principal terms pull L2's tails back
     through psi1; L1's tails evaluate all of L2 at their nodes, which stays
-    rank-one.  TermBlowup guards the product growth.
+    rank-one.  TermBlowup guards the product growth past COMPOSE_CAP.
     """
     n_terms = L1.n_terms * L2.n_terms
-    if n_terms > cap:
+    if n_terms > COMPOSE_CAP:
         raise TermBlowup(f"composition would carry {n_terms} terms "
-                         f"(cap {cap})")
+                         f"(cap {COMPOSE_CAP})")
     terms = []
     for phi1, psi1 in L1.terms:
         for phi2, psi2 in L2.terms:
@@ -247,25 +235,24 @@ def compose(L1: LOperator, L2: LOperator, cap: int = COMPOSE_CAP) -> LOperator:
             coeffs.append(t1.coeffs * phi2(t1.nodes))
         if nodes:
             merged = np.concatenate(nodes)
-            if merged.size > cap:
+            if merged.size > COMPOSE_CAP:
                 raise TermBlowup(f"composed tail would carry {merged.size} "
-                                 f"nodes (cap {cap})")
+                                 f"nodes (cap {COMPOSE_CAP})")
             tails.append(RankOneTail(t1.weight, merged,
                                      np.concatenate(coeffs)))
         for t2 in L2.tails:
             c = float(np.dot(t1.coeffs, t2.weight(t1.nodes)))
             tails.append(RankOneTail(_scaled_weight(t1.weight, c),
                                      t2.nodes, t2.coeffs))
-    label = f"({L1.label})({L2.label})" if L1.label or L2.label else ""
-    return LOperator(terms=tuple(terms), tails=tuple(tails), label=label)
+    return LOperator(terms=tuple(terms), tails=tuple(tails))
 
 
-def compose_power(L: LOperator, m: int, cap: int = COMPOSE_CAP) -> LOperator:
+def compose_power(L: LOperator, m: int) -> LOperator:
     if m < 1:
         raise OperatorDomainError(f"power must be >= 1, got {m}")
     out = L
     for _ in range(m - 1):
-        out = compose(out, L, cap=cap)
+        out = compose(out, L)
     return out
 
 
@@ -306,12 +293,10 @@ def renorm_derivative_as_loperator(f: UnimodalMap,
         return (x * dp - zp / lam) / lam
 
     tail = RankOneTail(tail_weight, nodes, coeffs)
-    return LOperator(terms=tuple(terms), tails=(tail,),
-                     label=f"DR[p={p}]")
+    return LOperator(terms=tuple(terms), tails=(tail,))
 
 
-def norm_growth(L: LOperator, gamma: float, m_max: int,
-                cap: int = COMPOSE_CAP) -> np.ndarray:
+def norm_growth(L: LOperator, gamma: float, m_max: int) -> np.ndarray:
     """gamma_norm of L, L^2, ..., L^m_max (principal parts), by expanding
     the words of L level by level on the grid.
 
@@ -324,16 +309,16 @@ def norm_growth(L: LOperator, gamma: float, m_max: int,
     O(m p^m) calls through nested closures.  Words are stacked in
     compose's order (word i then term j at row i p + j) and summed in
     apply_positive's order, so every norm equals
-    gamma_norm(associated(compose_power(L, m, cap), gamma)) bit for bit.
+    gamma_norm(compose_power(L, m), gamma) bit for bit.
 
-    compose's term checks are kept: TermBlowup when p^m > cap, and
+    compose's term checks are kept: TermBlowup when p^m > COMPOSE_CAP, and
     OperatorDomainError, with compose's message, when a word's psi leaves
     [-1,1] on the CONTAINMENT_GRID points.  The tails do not enter the
     principal-part norm and are neither composed nor checked; for
     renorm_derivative_as_loperator their node count equals the term count,
     so compose's term cap fires first there too.
     """
-    gamma = associated(L, gamma).gamma
+    gamma = _positive_gamma(gamma)
     if not L.terms:
         return np.zeros(m_max)
     out = np.empty(m_max)
@@ -346,9 +331,9 @@ def norm_growth(L: LOperator, gamma: float, m_max: int,
     dpsis = np.ones((1, NORM_GRID))
     for m in range(1, m_max + 1):
         n_terms = ys.shape[0] * p
-        if m > 1 and n_terms > cap:
+        if m > 1 and n_terms > COMPOSE_CAP:
             raise TermBlowup(f"composition would carry {n_terms} terms "
-                             f"(cap {cap})")
+                             f"(cap {COMPOSE_CAP})")
         at = ys[:, :NORM_GRID]
         level = [(psi(ys), phis * phi(at), psi.d(at) * dpsis)
                  for phi, psi in L.terms]

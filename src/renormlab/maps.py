@@ -16,7 +16,7 @@ import numpy as np
 
 from . import basis as _basis
 from .basis import PhiBasis
-from .errors import DomainError, InvalidMap, UnsupportedOrder
+from .errors import DomainError, InvalidMap
 
 NORMALIZATION_TOL = 1e-12
 RANGE_TOL = 1e-12
@@ -36,7 +36,6 @@ class MapDiagnostics:
     monotonicity_margin: float   # min over grid of -phi'(u); positive is good
     range_min: float
     range_max: float
-    curvature_at_zero: float     # f''(0) = 2 phi'(0)
 
     @property
     def ok(self) -> bool:
@@ -79,23 +78,19 @@ class UnimodalMap:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
-        """Coefficients of d^order phi / du^order, cached per order."""
-        cache = self.__dict__.get("_dcache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dcache", cache)
-        dc = cache.get(order)
+    def deriv_coeffs(self) -> np.ndarray:
+        """Coefficients of dphi/du, cached."""
+        dc = self.__dict__.get("_dcoeffs")
         if dc is None:
-            dc = _basis.deriv_coeffs(self.coeffs, self.basis, order)
-            cache[order] = dc
+            dc = _basis.deriv_coeffs(self.coeffs, self.basis)
+            object.__setattr__(self, "_dcoeffs", dc)
         return dc
 
     def phi(self, u):
         return _basis.eval_phi(self.coeffs, self.basis, u)
 
-    def phi_deriv(self, u, order: int = 1):
-        return _basis.eval_phi(self.deriv_coeffs(order), self.basis, u)
+    def phi_deriv(self, u):
+        return _basis.eval_phi(self.deriv_coeffs(), self.basis, u)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,22 +99,6 @@ class UnimodalMap:
             raise DomainError(f"evaluation point |x| = {worst} outside [-1, 1]")
         u = np.clip(x, -1.0, 1.0) ** 2
         out = self.phi(u)
-        return out if out.ndim else float(out)
-
-    def deriv(self, x, order: int = 1):
-        """f'(x) = 2x phi'(x^2); f''(x) = 2 phi'(x^2) + 4x^2 phi''(x^2)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > 1.0 + EVAL_SLACK):
-            worst = float(np.max(np.abs(x)))
-            raise DomainError(f"evaluation point |x| = {worst} outside [-1, 1]")
-        xc = np.clip(x, -1.0, 1.0)
-        u = xc ** 2
-        if order == 1:
-            out = 2.0 * xc * self.phi_deriv(u, 1)
-        elif order == 2:
-            out = 2.0 * self.phi_deriv(u, 1) + 4.0 * u * self.phi_deriv(u, 2)
-        else:
-            raise UnsupportedOrder(f"derivative order {order} not available")
         return out if out.ndim else float(out)
 
     def to_json(self) -> str:
@@ -153,10 +132,9 @@ def validate(f: UnimodalMap) -> MapDiagnostics:
     return MapDiagnostics(
         normalization_residual=abs(_basis.phi_at_zero(f.coeffs, f.basis)
                                    - 1.0),
-        monotonicity_margin=np.min(-f.phi_deriv(grid, 1)),
+        monotonicity_margin=np.min(-f.phi_deriv(grid)),
         range_min=np.min(vals),
         range_max=np.max(vals),
-        curvature_at_zero=2.0 * _basis.phi_at_zero(f.deriv_coeffs(1), f.basis),
     )
 
 

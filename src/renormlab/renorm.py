@@ -30,6 +30,7 @@ from .maps import UnimodalMap, validate
 
 LAMBDA_FLOOR = 1e-8
 INVARIANCE_TOL = 1e-12
+NESTING_TOL = 1e-10
 PROJECTION_CAP = 1e-10
 DEFAULT_DEGREE = 24
 
@@ -69,7 +70,7 @@ def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
 def slopes(f: UnimodalMap, z) -> np.ndarray:
     """f'(z) = 2 z phi'(z^2), unclamped like orbit_stack."""
     z = np.asarray(z, dtype=float)
-    return 2.0 * z * f.phi_deriv(z * z, 1)
+    return 2.0 * z * f.phi_deriv(z * z)
 
 
 def iterate_derivative(f: UnimodalMap, z0, k: int):
@@ -348,12 +349,11 @@ def _check_level_disjoint(intervals: np.ndarray, k: int) -> None:
         raise OverlapError(f"level {k} {exc}") from None
 
 
-def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int,
-                   tol: float = 1e-10) -> None:
-    """Every child piece lies inside some parent piece, up to tol; else
-    OverlapError names the first escaping child in time order."""
-    inside = ((parent[:, 0] - tol <= child[:, None, 0])
-              & (child[:, None, 1] <= parent[:, 1] + tol))
+def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int) -> None:
+    """Every child piece lies inside some parent piece, up to NESTING_TOL;
+    else OverlapError names the first escaping child in time order."""
+    inside = ((parent[:, 0] - NESTING_TOL <= child[:, None, 0])
+              & (child[:, None, 1] <= parent[:, 1] + NESTING_TOL))
     escaped = np.flatnonzero(~np.any(inside, axis=1))
     if escaped.size:
         left, right = child[escaped[0]]

@@ -35,14 +35,10 @@ UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
 MAX_HALVINGS = 8         # damping halvings per Newton step
 RESIDUAL_GRID = 200      # points of [-1, 1] for the Newton residual sup
 SUP_GRID = 512           # points of [0, 1] for the eigenvector sup norm
+MAX_NEWTON_ITERS = 50    # Newton steps before NoConvergence
 
 # classical starting guess for the period-doubling fixed point
 DOUBLING_SEED_C = 1.5276
-
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    max_iters: int = 50
 
 
 def _suffix_products(fps: np.ndarray) -> np.ndarray:
@@ -51,8 +47,8 @@ def _suffix_products(fps: np.ndarray) -> np.ndarray:
                            np.cumprod(fps[::-1], axis=0)])
 
 
-def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
-                      degree: int | None = None) -> np.ndarray:
+def derivative_matrix(f: UnimodalMap,
+                      step: RenormStep | None = None) -> np.ndarray:
     """Matrix of DT(f) on the coefficient space, shape (D+1, D+1).
 
     Column n is the projection of DT(f) applied to the n-th basis element,
@@ -65,7 +61,7 @@ def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
     if step is None:
         step = detect(f)
     p, lam = step.p, step.lam
-    dim = (degree if degree is not None else f.degree) + 1
+    dim = f.degree + 1
 
     # scaling sensitivity along the critical orbit
     zc = orbit_stack(f, 0.0, p)
@@ -89,20 +85,17 @@ def derivative_matrix(f: UnimodalMap, step: RenormStep | None = None,
     return _basis.project_function(images, dim - 1, f.basis)[0].T
 
 
-def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6,
-                             degree: int | None = None) -> np.ndarray:
+def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6) -> np.ndarray:
     """Central-difference check of derivative_matrix via raw coefficient
     perturbations (the perturbed maps are built unchecked on purpose: the
     operator itself never assumes f(0) = 1)."""
-    target = degree if degree is not None else f.degree
-    dim = target + 1
-    base = np.zeros(dim)
-    base[: f.coeffs.size] = f.coeffs
+    dim = f.degree + 1
+    base = np.array(f.coeffs)
     cols = np.empty((dim, dim))
 
     def coeffs_of_T(c):
         g = UnimodalMap(c, f.basis, check=False)
-        return project_T(g, detect(g, validate_input=False), target)[0]
+        return project_T(g, detect(g, validate_input=False), f.degree)[0]
 
     for n in range(dim):
         plus, minus = base.copy(), base.copy()
@@ -170,9 +163,9 @@ def spectral_report(mat: np.ndarray, basis: PhiBasis) -> SpectralReport:
                           unstable_vector=u_vec, stable_functional=sigma)
 
 
-def spectrum(f: UnimodalMap, step: RenormStep | None = None) -> SpectralReport:
+def spectrum(f: UnimodalMap) -> SpectralReport:
     """Eigendata of DT at f (usually a solved fixed point)."""
-    mat = derivative_matrix(f, step)
+    mat = derivative_matrix(f)
     return spectral_report(mat, f.basis)
 
 
@@ -190,8 +183,8 @@ class FixedPointResult:
         return self.map
 
 
-def _sup_distance(f: UnimodalMap, g: UnimodalMap, grid: int) -> float:
-    xs = np.linspace(-1.0, 1.0, grid)
+def _sup_distance(f: UnimodalMap, g: UnimodalMap) -> float:
+    xs = np.linspace(-1.0, 1.0, RESIDUAL_GRID)
     return float(np.max(np.abs(f(xs) - g(xs))))
 
 
@@ -200,7 +193,7 @@ _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,
 
 
 def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
-                   tol: float, settings: NewtonSettings,
+                   tol: float,
                    start_cycle: tuple[UnimodalMap, ...] | None = None):
     """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m}, until
     the sup residual is under tol.
@@ -222,8 +215,7 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
             rens.append(renormalize_with(cycle[i], thetas[i], degree=dim - 1))
         res = 0.0
         for i in range(m):
-            res = max(res, _sup_distance(rens[i].map, cycle[(i + 1) % m],
-                                         RESIDUAL_GRID))
+            res = max(res, _sup_distance(rens[i].map, cycle[(i + 1) % m]))
         return tuple(cycle), tuple(rens), res
 
     if start_cycle is None:
@@ -233,13 +225,13 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
     cycle, rens, res = build_cycle(c_stack)
     history = [res]
 
-    for it in range(1, settings.max_iters + 1):
+    for it in range(1, MAX_NEWTON_ITERS + 1):
         if res < tol:
             return cycle, rens, res, tuple(history), it - 1
         jac = np.zeros((m * dim, m * dim))
         rhs = np.zeros(m * dim)
         for i in range(m):
-            mat = derivative_matrix(cycle[i], rens[i].step, degree=dim - 1)
+            mat = derivative_matrix(cycle[i], rens[i].step)
             rows = slice(i * dim, (i + 1) * dim)
             jac[rows, rows] = mat
             nxt = (i + 1) % m
@@ -271,13 +263,12 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
                 f"Newton stalled at residual {res:.3e} after {it} steps",
                 history=tuple(history))
     raise NoConvergence(
-        f"residual {res:.3e} after {settings.max_iters} iterations",
+        f"residual {res:.3e} after {MAX_NEWTON_ITERS} iterations",
         history=tuple(history))
 
 
 def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
                       degree: int = 24, tol: float = 1e-10,
-                      settings: NewtonSettings | None = None,
                       seed: UnimodalMap | None = None) -> FixedPointResult:
     """Fixed point of R with combinatorial type theta.
 
@@ -288,8 +279,7 @@ def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
     theta = tuple(theta)
     if seed is None:
         seed = _seed_cycle((theta,), degree)[0]
-    cycle, rens, res, history, iters = _newton_polish(
-        seed, (theta,), tol, settings or NewtonSettings())
+    cycle, rens, res, history, iters = _newton_polish(seed, (theta,), tol)
     g = cycle[0]
     return FixedPointResult(map=g, theta=theta, lambda_star=rens[0].step.lam,
                             residual=res, newton_iters=iters, history=history)
@@ -305,19 +295,15 @@ class PeriodicOrbitResult:
     history: tuple[float, ...]
 
 
-def solve_periodic_orbit(thetas, degree: int = 24, tol: float = 1e-10,
-                         settings: NewtonSettings | None = None,
-                         seeds: tuple[UnimodalMap, ...] | None = None
-                         ) -> PeriodicOrbitResult:
+def solve_periodic_orbit(thetas, degree: int = 24,
+                         tol: float = 1e-10) -> PeriodicOrbitResult:
     """Cycle g_0 -> g_1 -> ... -> g_0 of R with prescribed per-step types."""
     thetas = tuple(tuple(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one combinatorial type")
-    if seeds is None:
-        seeds = _seed_cycle(thetas, degree)
+    seeds = _seed_cycle(thetas, degree)
     cycle, rens, res, history, iters = _newton_polish(
-        seeds[0], thetas, tol, settings or NewtonSettings(),
-        start_cycle=seeds)
+        seeds[0], thetas, tol, start_cycle=seeds)
     product = np.eye(degree + 1)
     for i in range(len(thetas)):
         product = derivative_matrix(cycle[i], rens[i].step) @ product
@@ -372,8 +358,8 @@ class ConvergenceReport:
     r_squared: float
 
 
-def convergence_experiment(f: UnimodalMap, g: UnimodalMap, n_max: int,
-                           grid: int = 200) -> ConvergenceReport:
+def convergence_experiment(f: UnimodalMap, g: UnimodalMap,
+                           n_max: int) -> ConvergenceReport:
     """Track sup-distance of renormalization orbits of two maps.
 
     Both maps must make the same combinatorial choices level by level;
@@ -382,7 +368,7 @@ def convergence_experiment(f: UnimodalMap, g: UnimodalMap, n_max: int,
     ds = []
     cur_f, cur_g = f, g
     for n in range(n_max + 1):
-        ds.append(_sup_distance(cur_f, cur_g, grid))
+        ds.append(_sup_distance(cur_f, cur_g))
         if n == n_max:
             break
         step_f = detect(cur_f)

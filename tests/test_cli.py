@@ -116,6 +116,13 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("degree = sixteen\n")
+    assert run(tmp_path, "feigenbaum", "--config", str(conf)) == 1
+    assert "bad value for degree" in capsys.readouterr().err
+
+
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys):
     assert run(tmp_path, "feigenbaum", "--degree", "5") == 1
     assert "usage error" in capsys.readouterr().err
@@ -162,3 +169,18 @@ def test_sums_fixed_point_solves_once(tmp_path, monkeypatch):
     assert run(tmp_path, "sums", "--fixed-point", "--degree", "16",
                "--depth", "4", "--m-max", "2") == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "--c", "1.401155189", "--m-max", "-1"),
+    ("orbit", "--c", "1.3", "--n", "-1"),
+    ("converge", "--c", "1.401155189", "--n", "0"),
+    ("tower", "--c", "1.401155189", "--depth", "0"),
+    ("geometry", "--c", "1.401155189", "--depth", "-2"),
+], ids=["sums-m-max", "orbit-n", "converge-n", "tower-depth",
+        "geometry-depth"])
+def test_integer_arguments_outside_their_domain_are_usage_errors(
+        tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,11 +36,10 @@ def test_symmetrizer_kills_odd_functions():
 
 def test_positive_operator_weights_by_derivative_power():
     L = lop.LOperator(terms=((const_weight(1.0), lop.affine_map(0.5, 0.0)),))
-    P = lop.associated(L, 2.0)
     v = lambda x: 1.0 + x**2
     want = 0.25 * v(0.5 * GRID)
-    assert np.max(np.abs(lop.apply_positive(P, v, GRID) - want)) < 1e-14
-    assert lop.gamma_norm(P) == pytest.approx(0.25)
+    assert np.max(np.abs(lop.apply_positive(L, 2.0, v, GRID) - want)) < 1e-14
+    assert lop.gamma_norm(L, 2.0) == pytest.approx(0.25)
 
 
 def _affine_terms(rows):
@@ -121,15 +122,14 @@ def test_composed_square_matches_two_step_operator(fixed_point_24):
 
 def test_norm_bound_dominates_random_sections(fixed_point_24):
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
-    P = lop.associated(L, 3.0)
-    bound = lop.gamma_norm(P)
+    bound = lop.gamma_norm(L, 3.0)
     xs = np.linspace(-1.0, 1.0, 80)
     rng = np.random.default_rng(11)
     for _ in range(50):
         c = rng.uniform(0.0, 1.0, size=4)
         v = lambda x: np.polyval(c, np.asarray(x) ** 2)
         sup_v = np.max(np.abs(v(np.linspace(-1, 1, 400))))
-        out = lop.apply_positive(P, v, xs)
+        out = lop.apply_positive(L, 3.0, v, xs)
         assert np.max(np.abs(out)) <= bound * sup_v + 1e-12
 
 
@@ -148,8 +148,7 @@ def test_norm_growth_rates(fixed_point_24):
 def test_gamma_monotone_for_contractive_branches():
     L = lop.LOperator(terms=((const_weight(1.0), lop.affine_map(0.4, 0.1)),
                              (const_weight(0.7), lop.affine_map(-0.3, 0.2))))
-    norms = [lop.gamma_norm(lop.associated(L, gam))
-             for gam in (1.0, 2.0, 3.0)]
+    norms = [lop.gamma_norm(L, gam) for gam in (1.0, 2.0, 3.0)]
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -164,10 +163,11 @@ def test_apply_checks_the_grid(fixed_point_24):
         lop.apply(L, lambda x: x, np.array([0.0, 1.2]))
 
 
-def test_term_cap_trips(fixed_point_24):
+def test_term_cap_trips(fixed_point_24, monkeypatch):
+    monkeypatch.setattr(lop, "COMPOSE_CAP", 8)
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(TermBlowup):
-        lop.compose_power(L, 5, cap=8)
+        lop.compose_power(L, 5)
 
 
 AFFINE_ROWS = {
@@ -183,25 +183,27 @@ def test_norm_growth_is_gamma_norm_of_composed_powers_bit_for_bit(
     L = (lop.renorm_derivative_as_loperator(fixed_point_24.map)
          if which == "fixed_point_24" else
          lop.LOperator(terms=_affine_terms(AFFINE_ROWS[which])))
-    want = [lop.gamma_norm(lop.associated(lop.compose_power(L, m), gamma))
+    want = [lop.gamma_norm(lop.compose_power(L, m), gamma)
             for m in range(1, 5)]
     assert lop.norm_growth(L, gamma, 4).tolist() == want
 
 
 def test_norm_growth_of_the_zero_operator():
     zero = lop.LOperator(terms=())
-    assert lop.gamma_norm(lop.associated(zero, 3.0)) == 0.0
+    assert lop.gamma_norm(zero, 3.0) == 0.0
     assert lop.norm_growth(zero, 3.0, 2).tolist() == [0.0, 0.0]
 
 
-def test_norm_growth_term_cap_trips_like_compose_power(fixed_point_24):
+def test_norm_growth_term_cap_trips_like_compose_power(fixed_point_24,
+                                                       monkeypatch):
+    monkeypatch.setattr(lop, "COMPOSE_CAP", 8)
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(TermBlowup) as composed:
-        lop.compose_power(L, 4, cap=8)
+        lop.compose_power(L, 4)
     with pytest.raises(TermBlowup) as grown:
-        lop.norm_growth(L, 3.0, 4, cap=8)
+        lop.norm_growth(L, 3.0, 4)
     assert str(grown.value) == str(composed.value)
-    assert lop.norm_growth(L, 3.0, 3, cap=8).size == 3
+    assert lop.norm_growth(L, 3.0, 3).size == 3
 
 
 def test_norm_growth_rejects_escaping_words_like_compose():
@@ -226,3 +228,19 @@ def test_norm_growth_rejects_escaping_words_like_compose():
         lop.norm_growth(L2, 3.0, 2)
     assert str(grown.value) == str(composed.value)
     assert str(grown.value).startswith("term 3:")
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("entry", ["gamma_norm", "apply_positive",
+                                   "norm_growth"])
+def test_nonpositive_gamma_is_rejected(entry, gamma):
+    L = lop.LOperator(terms=_affine_terms(AFFINE_ROWS["affine2"]))
+    calls = {
+        "gamma_norm": lambda: lop.gamma_norm(L, gamma),
+        "apply_positive": lambda: lop.apply_positive(
+            L, gamma, lambda x: np.ones_like(x), GRID),
+        "norm_growth": lambda: lop.norm_growth(L, gamma, 2),
+    }
+    with pytest.raises(OperatorDomainError,
+                       match=re.escape(f"gamma must be positive, got {gamma}")):
+        calls[entry]()

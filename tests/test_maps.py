@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renormlab.basis import PhiBasis
-from renormlab.errors import DomainError, InvalidMap, UnsupportedOrder
+from renormlab.errors import DomainError, InvalidMap
 from renormlab.maps import (QuadraticFamily, UnimodalMap, orbit, validate)
 
 
@@ -26,15 +26,6 @@ def test_evaluation_matches_closed_form():
     want = 1.0 - 1.3 * xs**2
     got = np.array([f(x) for x in xs])
     assert np.max(np.abs(got - want)) < 1e-14
-
-
-def test_derivatives_match_closed_form():
-    f = quadratic_map(0.9)
-    for x in (-0.7, -0.2, 0.0, 0.4, 1.0):
-        assert f.deriv(x, 1) == pytest.approx(-1.8 * x, abs=1e-14)
-        assert f.deriv(x, 2) == pytest.approx(-1.8, abs=1e-14)
-    with pytest.raises(UnsupportedOrder):
-        f.deriv(0.3, 3)
 
 
 def test_domain_is_clamped_with_slack():
@@ -68,7 +59,6 @@ def test_diagnostics_fields_on_good_map():
     assert diag.normalization_residual < 1e-12
     assert diag.monotonicity_margin > 0
     assert -1.0 <= diag.range_min and diag.range_max <= 1.0
-    assert diag.curvature_at_zero < 0
 
 
 def test_json_roundtrip_is_bit_exact():

@@ -339,7 +339,7 @@ class _LevelRows(F.FamilyLevel):
     rule over the P - 1 steps: phi'(u) = -c lam prod_j f_c'(x_j) with
     x_0 = 1 - c lam^2 u, x_(j+1) = f_c(x_j)."""
 
-    def phi_deriv(self, u, order=1):
+    def phi_deriv(self, u):
         c, lam = self.c[:, None], self.lam[:, None]
         x = 1.0 - c * (lam * lam) * u
         d = -c * lam

@@ -7,10 +7,10 @@ from renormlab.errors import CombinatoricsMismatch, DomainError, NoConvergence
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
-from renormlab.solver import (NewtonSettings, convergence_experiment,
-                              derivative_matrix, finite_difference_matrix,
-                              solve_fixed_point, solve_periodic_orbit,
-                              spectrum)
+from renormlab import solver
+from renormlab.solver import (convergence_experiment, derivative_matrix,
+                              finite_difference_matrix, solve_fixed_point,
+                              solve_periodic_orbit, spectrum)
 from conftest import C_INF
 
 fam = QuadraticFamily()
@@ -59,11 +59,10 @@ def test_resolve_from_perturbed_seed(fixed_point_24):
     assert abs(fp.lambda_star - fixed_point_24.lambda_star) < 1e-11
 
 
-def test_newton_budget_exhaustion_raises():
-    settings = NewtonSettings(max_iters=2)
+def test_newton_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
     with pytest.raises(NoConvergence) as err:
-        solve_fixed_point(degree=24, settings=settings,
-                          seed=fam.member(1.2, degree=24))
+        solve_fixed_point(degree=24, seed=fam.member(1.2, degree=24))
     assert len(err.value.history) >= 1
 
 
