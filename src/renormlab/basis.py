@@ -5,11 +5,21 @@ polynomial on [0, 1], written in Chebyshev polynomials shifted to [0, 1],
 T_n(2u - 1).  Every projection onto the basis goes through one least-squares
 fit on 2(D+1) first-kind Chebyshev nodes with the sup residual at the nodes
 reported, so truncation loss is observable rather than silent.
+
+Every evaluation goes through one kernel, clenshaw(c, t): the Clenshaw
+recurrence in the operation order of numpy.polynomial.chebyshev's series
+evaluator.  From (c0, c1) = (c[-2], c[-1]), each step k = D-2, ..., 0 is
+c0, c1 = c[k] - c1, c0 + c1*2t, and the value is c0 + c1*t.  It rounds the
+same operations as numpy, so its values are numpy's bit for bit, and it
+is generic over the number type: Python floats (the scalar orbits),
+float64 arrays and coefficient stacks, and equally np.longdouble arrays or
+mpmath numbers.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -38,10 +48,28 @@ def design_matrix(u, degree: int, basis: PhiBasis) -> np.ndarray:
     return _cheb.chebvander(2.0 * u - 1.0, degree)
 
 
+def clenshaw(c, t):
+    """sum_k c[k] T_k(t), in numpy's operation order (module docstring).
+
+    c is indexed along its first axis: a sequence of numbers, or an array
+    whose rows c[k] broadcast against t, so a (D+1, n, 1) stack evaluates
+    n series on every t at once."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        t2 = 2 * t
+        c0, c1 = c[-2], c[-1]
+        for k in range(len(c) - 3, -1, -1):
+            c0, c1 = c[k] - c1, c0 + c1 * t2
+    return c0 + c1 * t
+
+
 def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
-    """phi(u) via Clenshaw, elementwise over u."""
+    """phi(u) for one coefficient vector, elementwise over u."""
     u = np.asarray(u, dtype=float)
-    return _cheb.chebval(2.0 * u - 1.0, coeffs)
+    return clenshaw(np.asarray(coeffs, dtype=float), 2.0 * u - 1.0)
 
 
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
@@ -52,7 +80,7 @@ def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndar
 
 def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
     """phi(0)."""
-    return _cheb.chebval(-1.0, np.asarray(coeffs, dtype=float))
+    return clenshaw(np.asarray(coeffs, dtype=float), -1.0)
 
 
 def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
@@ -61,6 +89,17 @@ def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
     out = np.array(coeffs, dtype=float)
     out[0] += 1.0 - phi_at_zero(out, basis)
     return out
+
+
+@cache
+def _collocation(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """project_function's 2(D+1) nodes and their design matrix, read-only,
+    built once per degree."""
+    u = collocation_nodes(2 * (degree + 1))
+    mat = design_matrix(u, degree, PhiBasis.ORTHOGONAL)
+    u.setflags(write=False)
+    mat.setflags(write=False)
+    return u, mat
 
 
 def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
@@ -72,7 +111,9 @@ def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
     (n, nodes) are n functions fitted by one solve: coefficients (n, D+1)
     and one residual per row.
     """
-    mat = design_matrix(u_nodes, degree, basis)
+    nodes, mat = _collocation(degree)
+    if u_nodes is not nodes:  # project_function's nodes reuse their matrix
+        mat = design_matrix(u_nodes, degree, basis)
     values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(mat, values.T, rcond=None)
     residual = np.max(np.abs(mat @ coeffs - values.T), axis=0)
@@ -83,7 +124,8 @@ def project_function(fn, degree: int,
                      basis: PhiBasis) -> tuple[np.ndarray, float]:
     """Project a callable of u onto the basis; returns (coeffs, residual).
 
-    fn is sampled on the 2(D+1) collocation nodes; it may return one row of
-    values or a stack (n, nodes) of n functions, fitted by one solve."""
-    u = collocation_nodes(2 * (degree + 1))
+    fn is sampled on the 2(D+1) collocation nodes (read-only); it may return
+    one row of values or a stack (n, nodes) of n functions, fitted by one
+    solve."""
+    u, _ = _collocation(degree)
     return fit_phi(u, np.asarray(fn(u), dtype=float), degree, basis)

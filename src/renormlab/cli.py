@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cascade", parents=[common],
                        help="superstable doubling cascade")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_at_least(4), default=10)
 
     p = sub.add_parser("windows", parents=[common],
                        help="renormalization windows in parameter space")
@@ -273,10 +273,11 @@ def _run_geometry(cfg, args, out):
 def _run_sums(cfg, args, out):
     tw, label, _, f = _tower_for(cfg, args)
     fit = _geometry.spectral_sum(tw, args.t)
-    write_csv(out / "spectral_sums.csv", ["k", "S_k"],
-              enumerate(fit.sums, 1))
     L = _loperator.renorm_derivative_as_loperator(f)
     norms = _loperator.norm_growth(L, args.gamma, args.m_max)
+    # both CSVs only once both computations succeeded
+    write_csv(out / "spectral_sums.csv", ["k", "S_k"],
+              enumerate(fit.sums, 1))
     write_csv(out / "norm_growth.csv", ["m", "norm"],
               enumerate(norms, 1))
     results = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -23,9 +24,15 @@ RANGE_TOL = 1e-12
 EVAL_SLACK = 1e-9
 
 
+@cache
 def _check_grid(degree: int) -> np.ndarray:
-    # endpoints included: the extremes of a monotone phi live there
-    return np.linspace(0.0, 1.0, max(4 * degree + 1, 17))
+    """validate's grid as t = 2u - 1, read-only, built once per degree.
+
+    u runs over [0, 1] with both endpoints, where the extremes of a monotone
+    phi live; t[0] = -1 is u = 0."""
+    t = 2.0 * np.linspace(0.0, 1.0, max(4 * degree + 1, 17)) - 1.0
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,18 @@ class UnimodalMap:
 
 
 def validate(f: UnimodalMap) -> MapDiagnostics:
-    """Structural diagnostics; never raises."""
-    grid = _check_grid(f.degree)
-    vals = f.phi(grid)
+    """Structural diagnostics; never raises.
+
+    phi and phi' are one Clenshaw pass over a (D+1, 2, 1) coefficient stack;
+    phi' is padded with a trailing zero, which leaves its values as they are
+    up to the sign of a zero."""
+    stack = np.zeros((f.coeffs.size, 2, 1))
+    stack[:, 0, 0] = f.coeffs
+    stack[:-1, 1, 0] = f.deriv_coeffs()
+    vals, derivs = _basis.clenshaw(stack, _check_grid(f.degree))
     return MapDiagnostics(
-        normalization_residual=abs(_basis.phi_at_zero(f.coeffs, f.basis)
-                                   - 1.0),
-        monotonicity_margin=np.min(-f.phi_deriv(grid)),
+        normalization_residual=abs(vals[0] - 1.0),
+        monotonicity_margin=np.min(-derivs),
         range_min=np.min(vals),
         range_max=np.max(vals),
     )

@@ -54,11 +54,26 @@ class RenormStep:
         object.__setattr__(self, "perm", tuple(int(r) for r in self.perm))
 
 
+def _step(c: list, z: float) -> float:
+    """phi(z^2) for a Python float z and the coefficient list c: the
+    operations of f.phi on one point."""
+    return _basis.clenshaw(c, 2.0 * (z * z) - 1.0)
+
+
 def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
     """Z[i] = f^i(z0) for i = 0..n, stacked along a new first axis.
 
     Works on phi directly so orbits of slightly denormalized maps (derivative
-    probes) extrapolate smoothly instead of hitting the eval clamp."""
+    probes) extrapolate smoothly instead of hitting the eval clamp.  A
+    scalar z0 steps on Python floats (_step), an array z0 through f.phi;
+    both round the same operations."""
+    if np.ndim(z0) == 0:
+        c, z = f.coeffs.tolist(), float(z0)
+        zs = [z]
+        for _ in range(n):
+            z = _step(c, z)
+            zs.append(z)
+        return np.array(zs)
     z = np.asarray(z0, dtype=float)
     zs = [z]
     for _ in range(n):
@@ -195,10 +210,10 @@ def detect(f: UnimodalMap, p_max: int = 16,
         if not validate(f).ok:
             raise InvalidMap("detect requires a structurally valid map")
     reasons: dict[int, str] = {}
-    tip = [0.0, float(f.phi(0.0))]
+    c = f.coeffs.tolist()
+    tip = [0.0, _step(c, 0.0)]
     for p in range(2, p_max + 1):
-        z = tip[-1]
-        tip.append(float(f.phi(z * z)))
+        tip.append(_step(c, tip[-1]))
         lam = tip[p]
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(

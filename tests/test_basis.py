@@ -1,11 +1,19 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from renormlab.basis import (PhiBasis, collocation_nodes, deriv_coeffs,
-                             eval_phi, fit_phi, project_function)
+from renormlab.basis import (PhiBasis, clenshaw, collocation_nodes,
+                             deriv_coeffs, eval_phi, fit_phi, phi_at_zero,
+                             project_function)
 
 BASIS = PhiBasis.ORTHOGONAL
+
+degrees = st.integers(min_value=0, max_value=64)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+args = st.floats(min_value=-1.1, max_value=1.1)
 
 
 def random_coeffs(rng, degree, rows=None):
@@ -58,3 +66,66 @@ def test_deriv_coeffs_match_central_differences(order):
         exact = eval_phi(deriv_coeffs(coeffs, BASIS, order), BASIS, u)
         # truncation h^2 phi^(order+2) / 6 is about 1e-8 of the scale here
         assert np.max(np.abs(exact - diff)) < 1e-7 * np.max(np.abs(exact))
+
+
+# clenshaw is numpy's chebval, operation for operation: the tests compare
+# with == (np.array_equal), never with a tolerance.
+
+@settings(max_examples=300, deadline=None)
+@given(degree=degrees, seed=seeds, t=args)
+def test_clenshaw_is_chebval_on_python_floats(degree, seed, t):
+    c = random_coeffs(np.random.default_rng(seed), degree)
+    got = clenshaw(c.tolist(), t)
+    assert type(got) is float
+    assert got == cheb.chebval(t, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=degrees, seed=seeds,
+       ts=st.lists(args, min_size=1, max_size=40))
+def test_clenshaw_is_chebval_on_arrays(degree, seed, ts):
+    c = random_coeffs(np.random.default_rng(seed), degree)
+    t = np.array(ts)
+    assert np.array_equal(clenshaw(c, t), cheb.chebval(t, c))
+    u = (t + 1.0) / 2.0
+    assert np.array_equal(eval_phi(c, BASIS, u),
+                          cheb.chebval(2.0 * u - 1.0, c))
+    assert phi_at_zero(c, BASIS) == cheb.chebval(-1.0, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=degrees, seed=seeds,
+       ts=st.lists(args, min_size=1, max_size=40))
+def test_clenshaw_stack_of_phi_and_padded_derivative(degree, seed, ts):
+    """The (D+1, 2, 1) stack maps.validate evaluates: phi, and phi' padded
+    with a trailing zero, which changes at most the sign of a zero."""
+    c = random_coeffs(np.random.default_rng(seed), degree)
+    dc = deriv_coeffs(c, BASIS)
+    stack = np.zeros((degree + 1, 2, 1))
+    stack[:, 0, 0] = c
+    stack[:dc.size, 1, 0] = dc
+    t = np.array(ts)
+    vals, derivs = clenshaw(stack, t)
+    assert np.array_equal(vals, cheb.chebval(t, c))
+    assert np.array_equal(derivs, cheb.chebval(t, dc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=degrees, seed=seeds,
+       ts=st.lists(args, min_size=1, max_size=8))
+def test_clenshaw_runs_unchanged_on_other_number_types(degree, seed, ts):
+    """The same kernel on mpmath numbers at 40 digits and on np.longdouble
+    arrays: both agree with the double result to within the rounding of
+    double Clenshaw, 1e-15 per degree of the scale sum_k |c_k| |T_k(t)|."""
+    c = random_coeffs(np.random.default_rng(seed), degree)
+    t = np.array(ts)
+    double = clenshaw(c, t)
+    scale = clenshaw(np.abs(c), np.maximum(np.abs(t), 1.0))
+    tol = 1e-15 * (degree + 1) * scale
+    with mpmath.workdps(40):
+        mp = [clenshaw([mpmath.mpf(x) for x in c], mpmath.mpf(x)) for x in ts]
+    assert all(isinstance(v, mpmath.mpf) for v in mp)
+    assert np.all(np.abs(np.array(mp, dtype=float) - double) <= tol)
+    long = clenshaw(c.astype(np.longdouble), t.astype(np.longdouble))
+    assert long.dtype == np.longdouble
+    assert np.all(np.abs(long.astype(float) - double) <= tol)

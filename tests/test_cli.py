@@ -177,10 +177,19 @@ def test_sums_fixed_point_solves_once(tmp_path, monkeypatch):
     ("converge", "--c", "1.401155189", "--n", "0"),
     ("tower", "--c", "1.401155189", "--depth", "0"),
     ("geometry", "--c", "1.401155189", "--depth", "-2"),
+    ("cascade", "--n", "3"),
 ], ids=["sums-m-max", "orbit-n", "converge-n", "tower-depth",
-        "geometry-depth"])
+        "geometry-depth", "cascade-n"])
 def test_integer_arguments_outside_their_domain_are_usage_errors(
         tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_sums_with_bad_gamma_writes_the_report_and_no_csv(tmp_path, capsys):
+    assert run(tmp_path, "sums", "--c", "1.401155189", "--gamma", "0") == 2
+    rep = load_report(tmp_path, "sums")
+    assert rep["status"] == "OperatorDomainError"
+    assert "OperatorDomainError" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from renormlab.basis import PhiBasis
 from renormlab.errors import DomainError, InvalidMap
@@ -159,3 +160,28 @@ def test_json_roundtrip_property(degree, c):
     f = QuadraticFamily().member(c, degree=degree)
     g = UnimodalMap.from_json(f.to_json())
     assert np.array_equal(g.coeffs, f.coeffs) and g.basis is f.basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(min_value=1, max_value=64),
+       c=st.floats(min_value=0.05, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       size=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
+def test_validate_fields_are_the_two_pass_values(degree, c, seed, size):
+    """validate's one stacked pass gives the fields of separate phi and phi'
+    passes through numpy, compared with ==; the maps are family members
+    with perturbations from none to O(1), so both verdicts occur."""
+    coeffs = np.array(quadratic_map(c, degree).coeffs)
+    coeffs += size * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, degree + 1) / (1.0 + np.arange(degree + 1))
+    f = UnimodalMap(coeffs, check=False)
+    t = 2.0 * np.linspace(0.0, 1.0, max(4 * degree + 1, 17)) - 1.0
+    vals = cheb.chebval(t, coeffs)
+    derivs = cheb.chebval(t, cheb.chebder(coeffs) * 2.0)
+    diag = validate(f)
+    assert diag.normalization_residual == abs(cheb.chebval(-1.0, coeffs)
+                                              - 1.0)
+    assert diag.monotonicity_margin == np.min(-derivs)
+    assert diag.range_min == np.min(vals)
+    assert diag.range_max == np.max(vals)
+

@@ -220,6 +220,28 @@ def test_check_nesting_matches_the_piecewise_loop(parents, children):
     assert messages[0] == messages[1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(min_value=1, max_value=64),
+       c=st.floats(min_value=0.05, max_value=1.6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       z=st.floats(min_value=-1.1, max_value=1.1),
+       n=st.integers(min_value=0, max_value=64))
+def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
+    """The Python-float orbit rounds exactly what the array orbit rounds.
+
+    The maps are family members plus a perturbation of every coefficient,
+    small enough (1e-3 * 2.5^-k) that orbits from [-1.1, 1.1] stay
+    bounded."""
+    coeffs = np.array(fam.member(c, degree).coeffs)
+    rng = np.random.default_rng(seed)
+    coeffs += 1e-3 * rng.uniform(-1.0, 1.0, degree + 1) / 2.5 ** np.arange(
+        degree + 1)
+    f = UnimodalMap(coeffs, check=False)
+    scalar = orbit_stack(f, z, n)
+    assert scalar.shape == (n + 1,) and scalar.dtype == np.float64
+    assert np.array_equal(scalar, orbit_stack(f, np.array([z]), n)[:, 0])
+
+
 def _detect_upfront(f, p_max=16):
     """detect on a checked map, with f^p(0) computed to p_max before the
     period loop."""
