@@ -78,6 +78,11 @@ def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndar
     return _cheb.chebder(coeffs, order) * (2.0 ** order)
 
 
+def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """The same phi at a higher degree: zeros appended up to degree."""
+    return np.pad(coeffs, (0, degree + 1 - len(coeffs)))
+
+
 def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
     """phi(0)."""
     return clenshaw(np.asarray(coeffs, dtype=float), -1.0)

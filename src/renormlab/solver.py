@@ -36,6 +36,7 @@ MAX_HALVINGS = 8         # damping halvings per Newton step
 RESIDUAL_GRID = 200      # points of [-1, 1] for the Newton residual sup
 SUP_GRID = 512           # points of [0, 1] for the eigenvector sup norm
 MAX_NEWTON_ITERS = 50    # Newton steps before NoConvergence
+COARSE_DEGREE = 12       # the unseeded doubling solve runs its Newton here
 
 # classical starting guess for the period-doubling fixed point
 DOUBLING_SEED_C = 1.5276
@@ -272,17 +273,46 @@ def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
                       seed: UnimodalMap | None = None) -> FixedPointResult:
     """Fixed point of R with combinatorial type theta.
 
-    The doubling type starts from the classical quadratic guess; other types
-    are seeded by chasing the nested parameter windows of the quadratic
-    family and renormalizing a parameter from deep inside.
+    Which path runs:
+    - a seed: Newton at `degree` from the seed, zero-padded if its degree is
+      lower (a higher degree raises DomainError: truncating it would drop
+      terms);
+    - the doubling type with no seed and degree > COARSE_DEGREE: Newton at
+      COARSE_DEGREE from the classical quadratic guess, then Newton at
+      `degree` from the converged map, zero-padded.  Degree 12 already
+      resolves lambda to rounding, and the Newton matrix amplifies rounding
+      more the higher the degree, so the padded map usually meets tol at
+      `degree` in zero steps; the fine stage certifies it there either way;
+    - otherwise: Newton at `degree` from the classical guess (doubling) or,
+      for other types, from a map seeded by chasing the nested parameter
+      windows of the quadratic family and renormalizing a parameter from
+      deep inside.
+
+    `residual` is the fine stage's, at `degree`; `newton_iters` and
+    `history` cover both stages, in order.
     """
     theta = tuple(theta)
-    if seed is None:
+    iters, history = 0, ()
+    if seed is not None:
+        if seed.degree > degree:
+            raise DomainError(f"seed of degree {seed.degree} above the "
+                              f"requested degree {degree}")
+    elif theta == THETA_DOUBLING and degree > COARSE_DEGREE:
+        coarse = _seed_cycle((theta,), COARSE_DEGREE)[0]
+        cycle, _, _, history, iters = _newton_polish(coarse, (theta,), tol)
+        seed = cycle[0]
+    else:
         seed = _seed_cycle((theta,), degree)[0]
-    cycle, rens, res, history, iters = _newton_polish(seed, (theta,), tol)
-    g = cycle[0]
-    return FixedPointResult(map=g, theta=theta, lambda_star=rens[0].step.lam,
-                            residual=res, newton_iters=iters, history=history)
+    if seed.degree < degree:
+        # unchecked: Newton's first build validates it at `degree`
+        seed = UnimodalMap(_basis.padded(seed.coeffs, degree), seed.basis,
+                           check=False)
+    cycle, rens, res, fine_history, fine_iters = _newton_polish(
+        seed, (theta,), tol)
+    return FixedPointResult(map=cycle[0], theta=theta,
+                            lambda_star=rens[0].step.lam, residual=res,
+                            newton_iters=iters + fine_iters,
+                            history=history + fine_history)
 
 
 @dataclass(frozen=True)

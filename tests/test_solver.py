@@ -1,16 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
 from renormlab import families
-from renormlab.basis import design_matrix
+from renormlab.basis import design_matrix, padded
 from renormlab.errors import CombinatoricsMismatch, DomainError, NoConvergence
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
 from renormlab import solver
-from renormlab.solver import (convergence_experiment, derivative_matrix,
-                              finite_difference_matrix, solve_fixed_point,
-                              solve_periodic_orbit, spectrum)
+from renormlab.solver import (DOUBLING_SEED_C, convergence_experiment,
+                              derivative_matrix, finite_difference_matrix,
+                              solve_fixed_point, solve_periodic_orbit,
+                              spectrum)
 from conftest import C_INF
 
 fam = QuadraticFamily()
@@ -20,6 +23,9 @@ fam = QuadraticFamily()
 # digits under degree 16..32
 LAMBDA_STAR = -0.399535280523
 DELTA = 4.6692016091
+# Briggs, Math. Comp. 57 (1991) 435-439, to 30 digits; lambda* = -1/alpha
+LAMBDA_BRIGGS = -0.399535280523134489857580468634
+DELTA_BRIGGS = 4.66920160910299067185320382047
 LEADING_EIGS = [4.669202, 0.159628, -0.123653, -0.057307, 0.025481, -0.010146]
 TRIPLING_LAMBDA = -0.107789504
 # 30-digit mpmath power-series solve of the tripling fixed-point equation
@@ -57,6 +63,80 @@ def test_resolve_from_perturbed_seed(fixed_point_24):
     seed = renormalize(renormalize(fam.member(C_INF)).map).map
     fp = solve_fixed_point(degree=24, seed=seed)
     assert abs(fp.lambda_star - fixed_point_24.lambda_star) < 1e-11
+
+
+@functools.cache
+def _doubling(degree, cold=False):
+    """The doubling fixed point and its delta; cold starts Newton at degree
+    from the classical guess instead of the coarse solve."""
+    seed = fam.member(DOUBLING_SEED_C, degree=degree) if cold else None
+    fp = solve_fixed_point(degree=degree, seed=seed)
+    return fp, spectrum(fp.map).delta
+
+
+@pytest.mark.parametrize("degree", [16, 24, 32, 48])
+def test_doubling_constants_at_full_precision(degree):
+    fp, delta = _doubling(degree)
+    assert abs(fp.lambda_star - LAMBDA_BRIGGS) <= 5e-15
+    assert abs(delta - DELTA_BRIGGS) <= 2e-13
+
+
+@pytest.mark.parametrize("degree", [24, 32, 48])
+def test_cold_route_agrees_with_the_default_route(degree):
+    # the cold route's own errors reach 9.6e-13 (lambda), 1.6e-11 (delta)
+    fp, delta = _doubling(degree)
+    cold, cold_delta = _doubling(degree, cold=True)
+    assert cold.residual < 1e-10
+    assert abs(fp.lambda_star - cold.lambda_star) <= 5e-12
+    assert abs(delta - cold_delta) <= 1e-10
+
+
+@pytest.mark.parametrize("degree", [10, 12])
+def test_default_route_is_the_cold_route_up_to_the_coarse_degree(degree):
+    fp = solve_fixed_point(degree=degree)
+    cold = solve_fixed_point(degree=degree,
+                             seed=fam.member(DOUBLING_SEED_C, degree=degree))
+    assert np.array_equal(fp.map.coeffs, cold.map.coeffs)
+    assert fp.lambda_star == cold.lambda_star
+    assert fp.residual == cold.residual
+    assert fp.history == cold.history
+    assert fp.newton_iters == cold.newton_iters
+
+
+def test_coarse_solve_leads_the_history(fixed_point_24):
+    coarse = solve_fixed_point(degree=solver.COARSE_DEGREE)
+    assert fixed_point_24.history[:len(coarse.history)] == coarse.history
+    assert fixed_point_24.newton_iters == coarse.newton_iters
+    assert fixed_point_24.map.degree == 24
+
+
+def test_fine_stage_continues_when_the_padded_map_misses_tol(
+        monkeypatch, fixed_point_24):
+    # truncating g at degree 8 leaves a degree-24 residual near 3e-13
+    monkeypatch.setattr(solver, "COARSE_DEGREE", 8)
+    fp = solve_fixed_point(degree=24, tol=1e-13)
+    coarse = solve_fixed_point(degree=8, tol=1e-13)
+    assert fp.history[:len(coarse.history)] == coarse.history
+    assert fp.newton_iters > coarse.newton_iters
+    assert fp.residual < 1e-13
+    assert abs(fp.lambda_star - fixed_point_24.lambda_star) < 5e-12
+
+
+def test_lower_degree_seed_is_zero_padded(fixed_point_32):
+    seed = fam.member(DOUBLING_SEED_C, degree=16)
+    fp = solve_fixed_point(degree=32, seed=seed)
+    pre_padded = UnimodalMap(padded(seed.coeffs, 32), seed.basis)
+    same = solve_fixed_point(degree=32, seed=pre_padded)
+    assert fp.map.degree == 32
+    assert np.array_equal(fp.map.coeffs, same.map.coeffs)
+    assert fp.residual < 1e-10
+    assert abs(fp.lambda_star - fixed_point_32.lambda_star) < 5e-12
+
+
+def test_higher_degree_seed_raises():
+    with pytest.raises(DomainError, match="degree 32"):
+        solve_fixed_point(degree=16,
+                          seed=fam.member(DOUBLING_SEED_C, degree=32))
 
 
 def test_newton_budget_exhaustion_raises(monkeypatch):
