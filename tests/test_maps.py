@@ -47,6 +47,30 @@ def test_unnormalized_map_is_rejected():
         UnimodalMap(np.array([0.7, -0.4]), PhiBasis.ORTHOGONAL)
 
 
+@pytest.mark.parametrize("offset", [1e-9, -1e-9])
+def test_normalization_off_by_1e_9_is_rejected(offset):
+    # T_0 = 1 shifts phi(0) by offset; at -1e-9 the range stays inside
+    # [-1, 1], so only the normalization guard can refuse the map
+    coeffs = quadratic_map(1.4, degree=4).coeffs + offset * np.eye(5)[0]
+    diag = validate(UnimodalMap(coeffs, PhiBasis.ORTHOGONAL, check=False))
+    assert diag.normalization_residual == pytest.approx(1e-9, rel=1e-6)
+    with pytest.raises(InvalidMap):
+        UnimodalMap(coeffs, PhiBasis.ORTHOGONAL)
+
+
+def test_range_just_below_minus_one_is_rejected():
+    # phi(u) = 1 - c u with c = 2 + 1e-9: normalized and decreasing, but
+    # phi(1) = -1 - 1e-9, so only the range guard can refuse the map
+    c = 2.0 + 1e-9
+    coeffs = np.array([1.0 - c / 2, -c / 2])
+    diag = validate(UnimodalMap(coeffs, PhiBasis.ORTHOGONAL, check=False))
+    assert diag.normalization_residual <= 1e-15
+    assert diag.monotonicity_margin > 0
+    assert diag.range_min == pytest.approx(-1.0 - 1e-9, abs=1e-15)
+    with pytest.raises(InvalidMap):
+        UnimodalMap(coeffs, PhiBasis.ORTHOGONAL)
+
+
 def test_check_false_defers_validation():
     f = UnimodalMap(np.array([0.7, -0.4]), PhiBasis.ORTHOGONAL, check=False)
     diag = validate(f)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from renormlab import families
-from renormlab.basis import design_matrix, padded
-from renormlab.errors import CombinatoricsMismatch, DomainError, NoConvergence
+from renormlab.basis import PhiBasis, design_matrix
+from renormlab.errors import (CombinatoricsMismatch, DomainError, InvalidMap,
+                              NoConvergence)
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
 from renormlab import solver
-from renormlab.solver import (DOUBLING_SEED_C, convergence_experiment,
-                              derivative_matrix, finite_difference_matrix,
-                              solve_fixed_point, solve_periodic_orbit,
-                              spectrum)
-from conftest import C_INF
+from renormlab.solver import (convergence_experiment, derivative_matrix,
+                              finite_difference_matrix, solve_fixed_point,
+                              solve_periodic_orbit, spectral_report, spectrum)
+from conftest import C_INF, cold_doubling
 
 fam = QuadraticFamily()
 
@@ -61,46 +61,87 @@ def test_scaling_constant_stable_in_degree(fixed_point_24, fixed_point_32):
 
 def test_resolve_from_perturbed_seed(fixed_point_24):
     seed = renormalize(renormalize(fam.member(C_INF)).map).map
-    fp = solve_fixed_point(degree=24, seed=seed)
-    assert abs(fp.lambda_star - fixed_point_24.lambda_star) < 1e-11
+    _, rens, res, _, _ = solver._newton_polish((seed,), (THETA_DOUBLING,),
+                                               1e-10)
+    assert seed.degree == 24 and res < 1e-10
+    assert abs(rens[0].step.lam - fixed_point_24.lambda_star) < 1e-11
 
 
 @functools.cache
 def _doubling(degree, cold=False):
-    """The doubling fixed point and its delta; cold starts Newton at degree
-    from the classical guess instead of the coarse solve."""
-    seed = fam.member(DOUBLING_SEED_C, degree=degree) if cold else None
-    fp = solve_fixed_point(degree=degree, seed=seed)
-    return fp, spectrum(fp.map).delta
+    """The doubling fixed point, its lambda and its delta; cold runs Newton
+    at degree only, from the classical guess, instead of coarse to fine."""
+    if cold:
+        cycle, rens, res, _, _ = cold_doubling(degree)
+        g, lam = cycle[0], rens[0].step.lam
+        assert res < 1e-10
+    else:
+        fp = solve_fixed_point(degree=degree)
+        g, lam = fp.map, fp.lambda_star
+    return g, lam, spectrum(g).delta
 
 
 @pytest.mark.parametrize("degree", [16, 24, 32, 48])
 def test_doubling_constants_at_full_precision(degree):
-    fp, delta = _doubling(degree)
-    assert abs(fp.lambda_star - LAMBDA_BRIGGS) <= 5e-15
+    _, lam, delta = _doubling(degree)
+    assert abs(lam - LAMBDA_BRIGGS) <= 5e-15
     assert abs(delta - DELTA_BRIGGS) <= 2e-13
+
+
+@pytest.mark.parametrize("degree", [16, 24, 32, 48])
+def test_tripling_lambda_at_full_precision(degree):
+    # Newton at the degree itself missed by 4.5e-14 to 2.9e-13 here
+    fp = solve_fixed_point(theta=THETA_TRIPLING, degree=degree)
+    assert abs(fp.lambda_star - TRIPLING_LAMBDA_REF) <= 1e-14
 
 
 @pytest.mark.parametrize("degree", [24, 32, 48])
 def test_cold_route_agrees_with_the_default_route(degree):
     # the cold route's own errors reach 9.6e-13 (lambda), 1.6e-11 (delta)
-    fp, delta = _doubling(degree)
-    cold, cold_delta = _doubling(degree, cold=True)
-    assert cold.residual < 1e-10
-    assert abs(fp.lambda_star - cold.lambda_star) <= 5e-12
+    _, lam, delta = _doubling(degree)
+    _, cold_lam, cold_delta = _doubling(degree, cold=True)
+    assert abs(lam - cold_lam) <= 5e-12
     assert abs(delta - cold_delta) <= 1e-10
+
+
+@pytest.mark.parametrize("degree", [24, 48])
+@pytest.mark.parametrize("thetas", [(THETA_TRIPLING,),
+                                    (THETA_DOUBLING, THETA_TRIPLING)],
+                         ids=["T", "DT"])
+def test_cold_route_agrees_with_the_default_route_beyond_doubling(thetas,
+                                                                  degree):
+    default = solve_periodic_orbit(thetas, degree=degree)
+    cold, _, res, _, _ = solver._newton_polish(
+        solver._seed_cycle(thetas, degree), thetas, 1e-10)
+    assert res < 1e-10
+    for g, h in zip(default.cycle, cold):
+        assert g.degree == h.degree == degree
+        assert sup_distance(g, h) <= 5e-12
+
+
+@pytest.mark.parametrize("thetas", [
+    (THETA_TRIPLING,), (THETA_DOUBLING, THETA_TRIPLING),
+    (THETA_TRIPLING, THETA_DOUBLING),
+    (THETA_DOUBLING, THETA_DOUBLING, THETA_TRIPLING)],
+    ids=["T", "DT", "TD", "DDT"])
+def test_every_cycle_seeds_at_the_coarse_degree(thetas):
+    # a TruncationLoss in the seeding would raise here
+    seeds = solver._seed_cycle(thetas, solver.COARSE_DEGREE)
+    assert [g.degree for g in seeds] == [solver.COARSE_DEGREE] * len(thetas)
+    orbit = solve_periodic_orbit(thetas, degree=24)
+    assert orbit.residual < 1e-10
+    assert orbit.combinatorics == thetas
 
 
 @pytest.mark.parametrize("degree", [10, 12])
 def test_default_route_is_the_cold_route_up_to_the_coarse_degree(degree):
     fp = solve_fixed_point(degree=degree)
-    cold = solve_fixed_point(degree=degree,
-                             seed=fam.member(DOUBLING_SEED_C, degree=degree))
-    assert np.array_equal(fp.map.coeffs, cold.map.coeffs)
-    assert fp.lambda_star == cold.lambda_star
-    assert fp.residual == cold.residual
-    assert fp.history == cold.history
-    assert fp.newton_iters == cold.newton_iters
+    cycle, rens, res, history, iters = cold_doubling(degree)
+    assert np.array_equal(fp.map.coeffs, cycle[0].coeffs)
+    assert fp.lambda_star == rens[0].step.lam
+    assert fp.residual == res
+    assert fp.history == history
+    assert fp.newton_iters == iters
 
 
 def test_coarse_solve_leads_the_history(fixed_point_24):
@@ -122,28 +163,37 @@ def test_fine_stage_continues_when_the_padded_map_misses_tol(
     assert abs(fp.lambda_star - fixed_point_24.lambda_star) < 5e-12
 
 
-def test_lower_degree_seed_is_zero_padded(fixed_point_32):
-    seed = fam.member(DOUBLING_SEED_C, degree=16)
-    fp = solve_fixed_point(degree=32, seed=seed)
-    pre_padded = UnimodalMap(padded(seed.coeffs, 32), seed.basis)
-    same = solve_fixed_point(degree=32, seed=pre_padded)
-    assert fp.map.degree == 32
-    assert np.array_equal(fp.map.coeffs, same.map.coeffs)
-    assert fp.residual < 1e-10
-    assert abs(fp.lambda_star - fixed_point_32.lambda_star) < 5e-12
+@pytest.mark.parametrize("solve", [
+    lambda: solve_fixed_point(degree=65),
+    lambda: solve_periodic_orbit([THETA_DOUBLING, THETA_TRIPLING],
+                                 degree=65)], ids=["fixed_point", "cycle"])
+def test_degree_above_the_maximum_is_refused_before_newton(monkeypatch,
+                                                           solve):
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran")
 
-
-def test_higher_degree_seed_raises():
-    with pytest.raises(DomainError, match="degree 32"):
-        solve_fixed_point(degree=16,
-                          seed=fam.member(DOUBLING_SEED_C, degree=32))
+    monkeypatch.setattr(solver, "_newton_polish", no_newton)
+    with pytest.raises(InvalidMap, match="degree above 64 unsupported"):
+        solve()
 
 
 def test_newton_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
     with pytest.raises(NoConvergence) as err:
-        solve_fixed_point(degree=24, seed=fam.member(1.2, degree=24))
+        cold_doubling(24, c=1.2)
     assert len(err.value.history) >= 1
+
+
+def test_an_eigenvalue_just_outside_the_disk_is_not_hyperbolic():
+    # one unstable eigenvalue 1e-4 beyond the unit circle is one too many;
+    # the same spectrum with it 1e-4 inside is hyperbolic
+    tail = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
+    outside = spectral_report(np.diag([4.67, 1 + 1e-4] + tail),
+                              PhiBasis.ORTHOGONAL)
+    inside = spectral_report(np.diag([4.67, 1 - 1e-4] + tail),
+                             PhiBasis.ORTHOGONAL)
+    assert not outside.hyperbolic
+    assert inside.hyperbolic
 
 
 def test_spectrum_constants(spectrum_24, fixed_point_24):
@@ -252,8 +302,10 @@ def test_long_cycle_hits_the_seeding_depth_cap(monkeypatch):
 
 
 def test_period_one_cycle_is_the_fixed_point(fixed_point_24):
+    # one route: the one-member cycle is the fixed point, bit for bit
     orbit = solve_periodic_orbit([THETA_DOUBLING], degree=24)
-    assert sup_distance(orbit.cycle[0], fixed_point_24.map) < 1e-9
+    assert np.array_equal(orbit.cycle[0].coeffs, fixed_point_24.map.coeffs)
+    assert orbit.history == fixed_point_24.history
 
 
 def test_cascade_accumulation_converges_to_fixed_point(fixed_point_24):
