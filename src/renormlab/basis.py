@@ -73,9 +73,26 @@ def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
 
 
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
-    """Coefficients of d^order phi / du^order in the same basis."""
+    """Coefficients of d^order phi / du^order in the same basis.
+
+    The first derivative runs numpy's chebder recurrence on Python floats,
+    the same operations in the same order, so it is chebder's bit for bit
+    without numpy's per-element cost; other orders call chebder."""
     # t = 2u - 1, so each u-derivative picks up a factor 2
-    return _cheb.chebder(coeffs, order) * (2.0 ** order)
+    if order != 1:
+        return _cheb.chebder(coeffs, order) * (2.0 ** order)
+    c = np.asarray(coeffs, dtype=float).tolist()
+    n = len(c) - 1
+    if n == 0:
+        return np.array([c[0] * 0 * 2.0])
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return np.array([d * 2.0 for d in der])
 
 
 def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:
@@ -84,8 +101,8 @@ def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:
 
 
 def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
-    """phi(0)."""
-    return clenshaw(np.asarray(coeffs, dtype=float), -1.0)
+    """phi(0), on Python floats."""
+    return clenshaw(np.asarray(coeffs, dtype=float).tolist(), -1.0)
 
 
 def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:

@@ -9,6 +9,7 @@ the usable depth and are excluded from every fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,27 +51,47 @@ class GeometryReport:
         return self.tau > 0.0
 
 
-def _children_of(parent: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Rows of `level` whose midpoint lies in `parent`, clipped to it."""
+def _level_ratios(parents: np.ndarray, level: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(child_ratios, gap_ratios) of level k + 1 inside level k.
+
+    A child belongs to each parent that holds its midpoint and is clipped
+    to it.  One mask assigns the children of the whole level; sorted by
+    (parent, left end), they are walked once, parent by parent in time
+    order, for the components of each parent minus its children.  A gap
+    component shorter than GAP_ARTIFACT_REL of the parent is dropped.
+    Raises EmptyLevel for the first parent, in time order, that is
+    degenerate or has no child."""
+    plen = parents[:, 1] - parents[:, 0]
     mids = 0.5 * (level[:, 0] + level[:, 1])
-    inside = (mids >= parent[0]) & (mids <= parent[1])
-    kids = level[inside].copy()
-    kids[:, 0] = np.maximum(kids[:, 0], parent[0])
-    kids[:, 1] = np.minimum(kids[:, 1], parent[1])
-    return kids[np.argsort(kids[:, 0])]
-
-
-def _gap_components(parent: np.ndarray, kids: np.ndarray) -> np.ndarray:
-    """Lengths of the connected components of parent minus its children."""
+    inside = (mids >= parents[:, :1]) & (mids <= parents[:, 1:])
+    bad = (plen < LENGTH_FLOOR) | ~np.any(inside, axis=1)
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        if plen[first] < LENGTH_FLOOR:
+            raise EmptyLevel(f"level {k} has a degenerate interval")
+        raise EmptyLevel(f"no level-{k + 1} children inside a "
+                         f"level-{k} interval")
+    owner, kid = np.nonzero(inside)
+    left = np.maximum(level[kid, 0], parents[owner, 0])
+    right = np.minimum(level[kid, 1], parents[owner, 1])
+    order = np.lexsort((left, owner))
+    left, right = left[order], right[order]
+    child_ratios = (right - left) / plen[owner[order]]
+    kids = zip(left.tolist(), right.tolist())
     gaps = []
-    cursor = parent[0]
-    for a, b in kids:
-        if a > cursor:
-            gaps.append(a - cursor)
-        cursor = max(cursor, b)
-    if parent[1] > cursor:
-        gaps.append(parent[1] - cursor)
-    return np.asarray(gaps, dtype=float)
+    for (lo, hi), count, length in zip(parents.tolist(),
+                                       np.sum(inside, axis=1).tolist(),
+                                       plen.tolist()):
+        comps, cursor = [], lo
+        for a, b in islice(kids, count):
+            if a > cursor:
+                comps.append(a - cursor)
+            cursor = max(cursor, b)
+        if hi > cursor:
+            comps.append(hi - cursor)
+        gaps += [g / length for g in comps if g > GAP_ARTIFACT_REL * length]
+    return child_ratios, np.asarray(gaps, dtype=float)
 
 
 def bounded_geometry(tower: IntervalTower) -> GeometryReport:
@@ -87,24 +108,7 @@ def bounded_geometry(tower: IntervalTower) -> GeometryReport:
     gap_ratios = []
     tau = 0.5
     for k in range(1, kmax):
-        parents = tower.level(k)
-        kids_level = tower.level(k + 1)
-        cr = []
-        gr = []
-        for parent in parents:
-            plen = parent[1] - parent[0]
-            if plen < LENGTH_FLOOR:
-                raise EmptyLevel(f"level {k} has a degenerate interval")
-            kids = _children_of(parent, kids_level)
-            if len(kids) == 0:
-                raise EmptyLevel(f"no level-{k + 1} children inside a "
-                                 f"level-{k} interval")
-            cr.extend((kids[:, 1] - kids[:, 0]) / plen)
-            gaps = _gap_components(parent, kids)
-            gaps = gaps[gaps > GAP_ARTIFACT_REL * plen]
-            gr.extend(gaps / plen)
-        cr = np.asarray(cr)
-        gr = np.asarray(gr)
+        cr, gr = _level_ratios(tower.level(k), tower.level(k + 1), k)
         child_ratios.append(cr)
         gap_ratios.append(gr)
         for arr in (cr, gr):

@@ -71,8 +71,7 @@ def map_iterate(f: UnimodalMap, k: int, scale: float) -> SmoothMap1D:
     """x -> f^k(scale*x) with derivative scale*Df^k(scale*x)."""
 
     def fn(x):
-        val, _ = iterate_derivative(f, scale * np.asarray(x, float), k)
-        return val
+        return orbit_stack(f, scale * np.asarray(x, float), k)[-1]
 
     def dfn(x):
         _, dv = iterate_derivative(f, scale * np.asarray(x, float), k)
@@ -258,7 +257,7 @@ def compose_power(L: LOperator, m: int) -> LOperator:
 
 def _renorm_phi(f: UnimodalMap, lam: float, p: int, j: int):
     def phi(x):
-        y, _ = iterate_derivative(f, lam * np.asarray(x, float), p - j)
+        y = orbit_stack(f, lam * np.asarray(x, float), p - j)[-1]
         _, dj = iterate_derivative(f, y, j)
         return dj / lam
 

@@ -15,10 +15,17 @@ each half of J and Delta_i is exactly the span of f^i(0) and f^i(a).  The
 disjointness check, which includes Delta_0, therefore certifies the two-orbit
 pieces, and with them that f^p is unimodal on J and that its reach on J is
 max(|f^p(0)|, |f^p(a)|) (Milnor-Thurston monotonicity on laps).
+
+The period test is written twice, with the same operations in the same
+order: _test_period runs it on every row of an orbit stack at once, for
+scan_periods over parameter grids, and _test_one runs it on the Python-float
+orbits of one map, for detect, where numpy's per-call cost on one-row arrays
+would be most of the work.  They agree bit for bit, reasons included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,20 +67,24 @@ def _step(c: list, z: float) -> float:
     return _basis.clenshaw(c, 2.0 * (z * z) - 1.0)
 
 
+def _orbit(c: list, z: float, n: int) -> list:
+    """[z, f(z), ..., f^n(z)] on Python floats (_step)."""
+    zs = [z]
+    for _ in range(n):
+        z = _step(c, z)
+        zs.append(z)
+    return zs
+
+
 def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
     """Z[i] = f^i(z0) for i = 0..n, stacked along a new first axis.
 
     Works on phi directly so orbits of slightly denormalized maps (derivative
     probes) extrapolate smoothly instead of hitting the eval clamp.  A
-    scalar z0 steps on Python floats (_step), an array z0 through f.phi;
+    scalar z0 steps on Python floats (_orbit), an array z0 through f.phi;
     both round the same operations."""
     if np.ndim(z0) == 0:
-        c, z = f.coeffs.tolist(), float(z0)
-        zs = [z]
-        for _ in range(n):
-            z = _step(c, z)
-            zs.append(z)
-        return np.array(zs)
+        return np.array(_orbit(f.coeffs.tolist(), float(z0), n))
     z = np.asarray(z0, dtype=float)
     zs = [z]
     for _ in range(n):
@@ -142,19 +153,6 @@ class _Trial:
     pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
     ranks: np.ndarray     # (n, p) spatial rank of each piece
 
-    def reason(self, i: int) -> str:
-        """Why row i (a failed one) failed, in detect's words."""
-        code, p, a = self.fail[i], self.p, abs(self.lam[i])
-        if code == _NEAR_ONE:
-            return f"|lam| = {a:.6f} too close to 1"
-        if code == _NOT_INVARIANT:
-            return (f"J not invariant: |f^{p}| reaches "
-                    f"{self.reach[i]:.6e} > {a:.6e}")
-        try:
-            spatial_permutation(self.pieces[i])
-        except OverlapError as exc:
-            return f"pieces overlap: {exc}"
-
 
 def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
     """The admissibility tests of period p, on every row at once.
@@ -190,6 +188,43 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
     return t
 
 
+def _test_one(tip: list, ends: list, p: int):
+    """_test_period on the Python-float orbits of one map: (reason, pieces,
+    ranks), reason None when p is admissible, else why it failed.
+
+    The tests, their order and the rounded operations are _test_period's;
+    a hull end is np.minimum's or np.maximum's, which keep the second
+    operand on a tie.  Pieces holding inf or nan, which Python orders
+    differently from numpy's sort, go through _test_period itself."""
+    lam = tip[p]
+    a = abs(lam)
+    if a >= 1.0 - LAMBDA_FLOOR:
+        return f"|lam| = {a:.6f} too close to 1", None, None
+    reach = max(a, abs(ends[p]))
+    if reach > a + INVARIANCE_TOL:
+        return (f"J not invariant: |f^{p}| reaches {reach:.6e} > {a:.6e}",
+                None, None)
+    if not math.isfinite(a + sum(tip[1:p]) + sum(ends[1:p])):
+        trial = _test_period(np.array(tip)[:, None], np.array(ends)[:, None],
+                             p)
+        ok, pieces, ranks = not trial.fail[0], trial.pieces[0], trial.ranks[0]
+    else:
+        pieces = [(-a, a)] + [(t if t < e else e, t if t > e else e)
+                              for t, e in zip(tip[1:p], ends[1:p])]
+        order = sorted(range(p), key=lambda i: pieces[i][0])
+        ok = all(pieces[j][0] - pieces[i][1] > 0.0
+                 for i, j in zip(order, order[1:]))
+        ranks = [0] * p
+        for rank, i in enumerate(order):
+            ranks[i] = rank
+    if not ok:
+        try:
+            spatial_permutation(pieces)
+        except OverlapError as exc:
+            return f"pieces overlap: {exc}", None, None
+    return None, pieces, ranks
+
+
 def detect(f: UnimodalMap, p_max: int = 16,
            validate_input: bool = True) -> RenormStep:
     """Smallest admissible renormalization period and its combinatorics.
@@ -197,9 +232,10 @@ def detect(f: UnimodalMap, p_max: int = 16,
     Scans p = 2..p_max.  For each candidate the scaling lam = f^p(0) must be
     nondegenerate, J = [-|lam|, |lam|] invariant under f^p, and the pieces
     f^i(J) pairwise disjoint, all read from the orbits of the tip and of
-    |lam| (_test_period; disjointness certifies that f^p is unimodal on J).
-    The first reason each candidate fails is kept and reported on
-    NotRenormalizable.
+    |lam| (disjointness certifies that f^p is unimodal on J).  The orbits
+    and the tests run on Python floats (_test_one), bit for bit what the
+    batched _test_period finds on a one-row stack.  The first reason each
+    candidate fails is kept and reported on NotRenormalizable.
 
     A map built with check=True was validated on construction, so only
     unchecked maps get the structural pre-check, and validate_input=False
@@ -218,13 +254,11 @@ def detect(f: UnimodalMap, p_max: int = 16,
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        ends = orbit_stack(f, abs(lam), p)
-        trial = _test_period(np.array(tip)[:, None], ends[:, None], p)
-        if trial.fail[0]:
-            reasons[p] = trial.reason(0)
+        reason, pieces, ranks = _test_one(tip, _orbit(c, abs(lam), p), p)
+        if reason is not None:
+            reasons[p] = reason
             continue
-        return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
-                          intervals=trial.pieces[0])
+        return RenormStep(p=p, lam=lam, perm=ranks, intervals=pieces)
     raise NotRenormalizable(
         f"no admissible period up to {p_max}", reasons=reasons)
 

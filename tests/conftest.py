@@ -1,3 +1,6 @@
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,15 @@ from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab import solver
 from renormlab.solver import (DOUBLING_SEED_C, solve_fixed_point,
                               solve_periodic_orbit, spectrum)
+
+# Hypothesis imports libcst when it reports a failing example, and libcst
+# raises a mypy_extensions DeprecationWarning on import.  The suite turns
+# DeprecationWarning into an error, which would end the report in an
+# INTERNALERROR with no falsifying example, so the module is imported here
+# once, with that warning ignored.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # accumulation of the superstable doubling cascade, frozen from the
 # bisection + geometric-tail extrapolation route (stable to 1e-13)

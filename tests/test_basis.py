@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
@@ -91,6 +91,20 @@ def test_clenshaw_is_chebval_on_arrays(degree, seed, ts):
     assert np.array_equal(eval_phi(c, BASIS, u),
                           cheb.chebval(2.0 * u - 1.0, c))
     assert phi_at_zero(c, BASIS) == cheb.chebval(-1.0, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e250, max_value=1e250), min_size=1,
+                max_size=65))
+@example([-2.0])  # degree 0: chebder returns c[:1] * 0, here -0.0
+def test_first_derivative_is_chebder_bit_for_bit(c):
+    """The Python-float recurrence of deriv_coeffs against numpy's chebder
+    at every degree 0 to 64, compared as bytes, so the sign of a zero
+    counts.  The bound on |c| keeps the recurrence finite."""
+    c = np.array(c)
+    got, want = deriv_coeffs(c, BASIS), cheb.chebder(c) * 2.0
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

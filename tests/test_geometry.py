@@ -147,3 +147,117 @@ def test_single_level_tower_rejected():
 def test_bracket_must_straddle_the_root(tower_9):
     with pytest.raises(NoBracket):
         G.hausdorff_dimension(tower_9, bracket=(0.8, 0.95))
+
+
+# --- the per-parent loop as an oracle -----------------------------------
+
+def _children_of(parent, level):
+    """Rows of `level` whose midpoint lies in `parent`, clipped to it."""
+    mids = 0.5 * (level[:, 0] + level[:, 1])
+    inside = (mids >= parent[0]) & (mids <= parent[1])
+    kids = level[inside].copy()
+    kids[:, 0] = np.maximum(kids[:, 0], parent[0])
+    kids[:, 1] = np.minimum(kids[:, 1], parent[1])
+    return kids[np.argsort(kids[:, 0])]
+
+
+def _gap_components(parent, kids):
+    """Lengths of the connected components of parent minus its children."""
+    gaps = []
+    cursor = parent[0]
+    for a, b in kids:
+        if a > cursor:
+            gaps.append(a - cursor)
+        cursor = max(cursor, b)
+    if parent[1] > cursor:
+        gaps.append(parent[1] - cursor)
+    return np.asarray(gaps, dtype=float)
+
+
+def _bounded_geometry_loop(tower):
+    """bounded_geometry one parent at a time: (tau, child_ratios,
+    gap_ratios)."""
+    kmax = G.usable_depth(tower)
+    if kmax < 2:
+        raise EmptyLevel(f"need two usable levels, have {kmax}")
+    child_ratios, gap_ratios, tau = [], [], 0.5
+    for k in range(1, kmax):
+        cr, gr = [], []
+        for parent in tower.level(k):
+            plen = parent[1] - parent[0]
+            if plen < G.LENGTH_FLOOR:
+                raise EmptyLevel(f"level {k} has a degenerate interval")
+            kids = _children_of(parent, tower.level(k + 1))
+            if len(kids) == 0:
+                raise EmptyLevel(f"no level-{k + 1} children inside a "
+                                 f"level-{k} interval")
+            cr.extend((kids[:, 1] - kids[:, 0]) / plen)
+            gaps = _gap_components(parent, kids)
+            gaps = gaps[gaps > G.GAP_ARTIFACT_REL * plen]
+            gr.extend(gaps / plen)
+        child_ratios.append(np.asarray(cr))
+        gap_ratios.append(np.asarray(gr))
+        for arr in (child_ratios[-1], gap_ratios[-1]):
+            if arr.size:
+                tau = min(tau, np.min(np.minimum(arr, 1.0 - arr)))
+    return max(0.0, float(tau)), child_ratios, gap_ratios
+
+
+def _assert_geometry_matches_the_loop(tower):
+    """bounded_geometry against the loop: the same EmptyLevel message, or
+    the same tau and ratio arrays bit for bit."""
+    try:
+        ref = _bounded_geometry_loop(tower)
+    except EmptyLevel as exc:
+        with pytest.raises(EmptyLevel) as got:
+            G.bounded_geometry(tower)
+        assert str(got.value) == str(exc)
+        return None
+    rep = G.bounded_geometry(tower)
+    tau, child_ratios, gap_ratios = ref
+    assert rep.tau == tau
+    for got, want in [*zip(rep.child_ratios, child_ratios),
+                      *zip(rep.gap_ratios, gap_ratios)]:
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert len(rep.child_ratios) == len(child_ratios)
+    assert len(rep.gap_ratios) == len(gap_ratios)
+    return rep
+
+
+def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9):
+    for tw in (tower_8, tower_9):
+        assert _assert_geometry_matches_the_loop(tw).levels_checked >= 8
+    for tw in (G.middle_thirds_tower(10), G.self_similar_tower(3, 0.2, 6),
+               G.self_similar_tower(2, 0.01, 8)):
+        _assert_geometry_matches_the_loop(tw)
+
+
+def _spread(draw, count):
+    """count disjoint intervals across [-1, 1] in a shuffled time order:
+    widths and gaps drawn, then scaled to fill [-1, 1]."""
+    widths = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=count,
+                                    max_size=count)))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=count,
+                                  max_size=count)))
+    scale = 2.0 / (widths.sum() + gaps.sum())
+    lefts = -1.0 + scale * (np.cumsum(gaps) + np.cumsum(widths) - widths)
+    rows = np.stack([lefts, lefts + scale * widths], axis=-1)
+    return rows[draw(st.permutations(range(count)))]
+
+
+@st.composite
+def _two_level_towers(draw):
+    parents = _spread(draw, draw(st.integers(1, 4)))
+    kids = _spread(draw, draw(st.integers(1, 24)))
+    return IntervalTower(levels=(parents, kids),
+                         periods=(len(parents), len(kids)), scalings=None,
+                         kind="synthetic")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_level_towers())
+def test_bounded_geometry_matches_the_loop_on_disjoint_levels(tower):
+    """Children straddling a parent's end are clipped, children outside
+    every parent dropped, and a parent with no child names the level."""
+    _assert_geometry_matches_the_loop(tower)

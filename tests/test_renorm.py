@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
@@ -11,9 +11,11 @@ from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
 from renormlab import families as F
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
-                              LAMBDA_FLOOR, IntervalTower, RenormStep,
+                              LAMBDA_FLOOR, _NEAR_ONE, _NOT_INVARIANT,
+                              IntervalTower, RenormStep,
                               _check_level_disjoint, _check_nesting, _hulls,
-                              _left_to_right, _test_period, central_dominance,
+                              _left_to_right, _test_one, _test_period,
+                              central_dominance,
                               detect, orbit_stack, renormalize,
                               renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
@@ -242,9 +244,25 @@ def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
     assert np.array_equal(scalar, orbit_stack(f, np.array([z]), n)[:, 0])
 
 
+def _trial_reason(trial, i):
+    """Why row i (a failed one) of a _test_period trial failed, in detect's
+    words."""
+    code, p, a = trial.fail[i], trial.p, abs(trial.lam[i])
+    if code == _NEAR_ONE:
+        return f"|lam| = {a:.6f} too close to 1"
+    if code == _NOT_INVARIANT:
+        return (f"J not invariant: |f^{p}| reaches "
+                f"{trial.reach[i]:.6e} > {a:.6e}")
+    try:
+        spatial_permutation(trial.pieces[i])
+    except OverlapError as exc:
+        return f"pieces overlap: {exc}"
+
+
 def _detect_upfront(f, p_max=16):
-    """detect on a checked map, with f^p(0) computed to p_max before the
-    period loop."""
+    """detect with f^p(0) computed to p_max before the period loop and each
+    candidate tested by the batched _test_period on a one-row stack (no
+    structural pre-check)."""
     reasons = {}
     lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
@@ -255,7 +273,7 @@ def _detect_upfront(f, p_max=16):
         ends = orbit_stack(f, abs(lam), p)
         trial = _test_period(lam_path[:p + 1, None], ends[:, None], p)
         if trial.fail[0]:
-            reasons[p] = trial.reason(0)
+            reasons[p] = _trial_reason(trial, 0)
             continue
         return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
                           intervals=trial.pieces[0])
@@ -270,21 +288,110 @@ def _outcome(fn, *args):
         return exc
 
 
-# c = 1.0 degenerates at p = 2; from about 1.79 on most members are not
-# renormalizable
-@pytest.mark.parametrize(
-    "c", [*np.linspace(1.0, 2.0, 41), 1.40115518909203, 1.75488, 1.76])
-def test_detect_matches_the_upfront_orbit(c):
-    f = fam.member(c, degree=24)
-    lazy, ref = _outcome(detect, f), _outcome(_detect_upfront, f)
+@st.composite
+def _candidate_orbits(draw):
+    """(tip, ends, p) for a candidate period p: tip[i] = f^i(0) and
+    ends[i] = f^i(a), a = |tip[p]|, i = 0..p.  The points are first laid
+    out admissibly, each piece i >= 1 spanned by tip[i] and ends[i] and
+    all of them apart from each other and from J = [-a, a]; then up to
+    four points are replaced by a repeat of another point, a signed zero,
+    inf or nan, which ties hull ends and left ends, tests which operand a
+    tie keeps, and leaves the finite floats."""
+    p = draw(st.integers(min_value=2, max_value=16))
+    a = draw(st.floats(0.01, 0.5))
+    cuts = sorted(draw(st.lists(st.floats(a, 1.5, exclude_min=True),
+                                min_size=2 * p - 2, max_size=2 * p - 2,
+                                unique=True)))
+    pieces = [(lo, hi) if draw(st.booleans()) else (-hi, -lo)
+              for lo, hi in zip(cuts[::2], cuts[1::2])]
+    pieces = [pieces[i] for i in draw(st.permutations(range(p - 1)))]
+    tip, ends = [0.0], [a]
+    for piece in pieces:
+        first = draw(st.booleans())
+        tip.append(piece[not first])
+        ends.append(piece[first])
+    tip.append(a if draw(st.booleans()) else -a)
+    ends.append(draw(st.floats(-a, a)))
+    for _ in range(draw(st.integers(0, 4))):
+        orbit = draw(st.sampled_from([tip, ends]))
+        orbit[draw(st.integers(1, p))] = draw(
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, *tip[1:],
+                             *ends[1:]]))
+    ends[0] = abs(tip[p])
+    return tip, ends, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_orbits())
+@example(([0.0, 0.0, -0.3], [0.3, -0.0, 0.1], 2))  # a hull of two zeros
+@example(([0.0, -0.0, -0.3], [0.3, 0.0, 0.1], 2))
+def test_one_map_period_test_is_the_batched_one(orbits):
+    """_test_one against _test_period on a one-row stack: the reasons agree
+    byte for byte, and an admissible p has the same pieces, as bytes, and
+    the same ranks."""
+    tip, ends, p = orbits
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = _test_period(np.array(tip)[:, None], np.array(ends)[:, None], p)
+        reason, pieces, ranks = _test_one(tip, ends, p)
+        assert reason == (_trial_reason(ref, 0) if ref.fail[0] else None)
+    if reason is not None:
+        return
+    assert np.array(pieces, dtype=float).tobytes() == ref.pieces[0].tobytes()
+    assert tuple(ranks) == tuple(ref.ranks[0])
+
+
+def _assert_same_outcome(lazy, ref):
+    """The same exception with the same reasons, or the same step bit for
+    bit (nan equal to nan: an escaping orbit can pass with nan pieces)."""
     assert type(lazy) is type(ref)
     if isinstance(ref, RenormlabError):
         assert str(lazy) == str(ref)
         assert getattr(lazy, "p", None) == getattr(ref, "p", None)
         assert getattr(lazy, "reasons", None) == getattr(ref, "reasons", None)
         return
-    assert (lazy.p, lazy.lam, lazy.perm) == (ref.p, ref.lam, ref.perm)
-    assert np.array_equal(lazy.intervals, ref.intervals)
+    assert (lazy.p, lazy.perm) == (ref.p, ref.perm)
+    assert np.array_equal(lazy.lam, ref.lam, equal_nan=True)
+    assert np.array_equal(lazy.intervals, ref.intervals, equal_nan=True)
+
+
+# c = 1.0 degenerates at p = 2; from about 1.79 on most members are not
+# renormalizable
+@pytest.mark.parametrize(
+    "c", [*np.linspace(1.0, 2.0, 41), 1.40115518909203, 1.75488, 1.76])
+def test_detect_matches_the_upfront_orbit(c):
+    f = fam.member(c, degree=24)
+    _assert_same_outcome(_outcome(detect, f), _outcome(_detect_upfront, f))
+
+
+def test_detect_matches_the_upfront_orbit_on_perturbed_maps():
+    """Unchecked degree-24 maps, built as in
+    test_scalar_orbit_is_the_one_row_array_orbit, across the whole family:
+    every reason a candidate period can fail for occurs, and near c = 2
+    some orbits leave the finite floats."""
+    seen, escaped = set(), 0
+    for c in np.linspace(0.05, 2.0, 40):
+        for seed in range(4):
+            coeffs = np.array(fam.member(c, 24).coeffs)
+            rng = np.random.default_rng(seed)
+            coeffs += 1e-3 * rng.uniform(-1.0, 1.0, 25) / 2.5 ** np.arange(25)
+            f = UnimodalMap(coeffs, check=False)
+            ref = _outcome(_detect_upfront, f)
+            _assert_same_outcome(
+                _outcome(lambda g: detect(g, validate_input=False), f), ref)
+            seen |= {r.split(" ")[0]
+                     for r in (getattr(ref, "reasons", None) or {}).values()}
+            escaped += not np.all(np.isfinite(orbit_stack(f, 0.0, 16)))
+    assert seen == {"|lam|", "J", "pieces"}
+    assert escaped
+
+
+def test_detect_matches_the_upfront_orbit_down_the_fixed_point_tower(
+        fixed_point_24):
+    g = fixed_point_24.map
+    for _ in range(9):
+        step = detect(g)
+        _assert_same_outcome(step, _detect_upfront(g))
+        g = renormalize(g, step).map
 
 
 def _tower_sampled(f, depth, grid=64):
