@@ -24,6 +24,8 @@ from functools import cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from .errors import DomainError
+
 
 class PhiBasis(str, Enum):
     """Tag of the coefficient basis, recorded in the JSON map format and the
@@ -75,24 +77,29 @@ def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
 def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
     """Coefficients of d^order phi / du^order in the same basis.
 
-    The first derivative runs numpy's chebder recurrence on Python floats,
-    the same operations in the same order, so it is chebder's bit for bit
-    without numpy's per-element cost; other orders call chebder."""
-    # t = 2u - 1, so each u-derivative picks up a factor 2
-    if order != 1:
-        return _cheb.chebder(coeffs, order) * (2.0 ** order)
+    Each derivative runs numpy's chebder recurrence on Python floats, the
+    same operations in the same order, and doubles the result, so the first
+    derivative is chebder(coeffs) * 2 bit for bit without numpy's
+    per-element cost.  Doubling is exact and commutes with the recurrence,
+    so order m is chebder(coeffs, m) * 2**m as long as no step overflows or
+    rounds a subnormal."""
+    if order < 0:
+        raise DomainError(f"derivative order must be >= 0, got {order}")
     c = np.asarray(coeffs, dtype=float).tolist()
-    n = len(c) - 1
-    if n == 0:
+    if order >= len(c):  # as chebder: c[:1] * 0, keeping c[0]'s zero sign
         return np.array([c[0] * 0 * 2.0])
-    der = [0.0] * n
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
-    return np.array([d * 2.0 for d in der])
+    for _ in range(order):
+        n = len(c) - 1
+        der = [0.0] * n
+        for j in range(n, 2, -1):
+            der[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        if n > 1:
+            der[1] = 4 * c[2]
+        der[0] = c[1]
+        # t = 2u - 1, so each u-derivative picks up a factor 2
+        c = [d * 2.0 for d in der]
+    return np.array(c)
 
 
 def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:

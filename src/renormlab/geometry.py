@@ -23,6 +23,9 @@ LENGTH_FLOOR = 1e-13
 # points, and hull rounding can leave a sliver where the touch is exact)
 GAP_ARTIFACT_REL = 1e-9
 NEAR_DEGENERATE_TAU = 1e-3
+# bounded_geometry assigns children to parents in masks of at most this many
+# cells, so its memory stays O(this + children) on wide synthetic levels
+MASK_CELLS = 1 << 20
 
 
 def usable_depth(tower: IntervalTower) -> int:
@@ -56,23 +59,30 @@ def _level_ratios(parents: np.ndarray, level: np.ndarray,
     """(child_ratios, gap_ratios) of level k + 1 inside level k.
 
     A child belongs to each parent that holds its midpoint and is clipped
-    to it.  One mask assigns the children of the whole level; sorted by
-    (parent, left end), they are walked once, parent by parent in time
-    order, for the components of each parent minus its children.  A gap
-    component shorter than GAP_ARTIFACT_REL of the parent is dropped.
-    Raises EmptyLevel for the first parent, in time order, that is
-    degenerate or has no child."""
+    to it.  Parent-by-child masks, MASK_CELLS cells at most, assign the
+    children of the whole level; sorted by (parent, left end), they are
+    walked once, parent by parent in time order, for the components of each
+    parent minus its children.  A gap component shorter than
+    GAP_ARTIFACT_REL of the parent is dropped.  Raises EmptyLevel for the
+    first parent, in time order, that is degenerate or has no child."""
     plen = parents[:, 1] - parents[:, 0]
     mids = 0.5 * (level[:, 0] + level[:, 1])
-    inside = (mids >= parents[:, :1]) & (mids <= parents[:, 1:])
-    bad = (plen < LENGTH_FLOOR) | ~np.any(inside, axis=1)
+    owner, kid = [], []
+    block = max(1, MASK_CELLS // len(level))
+    for start in range(0, len(parents), block):
+        rows = parents[start:start + block]
+        o, c = np.nonzero((mids >= rows[:, :1]) & (mids <= rows[:, 1:]))
+        owner.append(o + start)
+        kid.append(c)
+    owner, kid = np.concatenate(owner), np.concatenate(kid)
+    counts = np.bincount(owner, minlength=len(parents))
+    bad = (plen < LENGTH_FLOOR) | (counts == 0)
     if np.any(bad):
         first = int(np.argmax(bad))
         if plen[first] < LENGTH_FLOOR:
             raise EmptyLevel(f"level {k} has a degenerate interval")
         raise EmptyLevel(f"no level-{k + 1} children inside a "
                          f"level-{k} interval")
-    owner, kid = np.nonzero(inside)
     left = np.maximum(level[kid, 0], parents[owner, 0])
     right = np.minimum(level[kid, 1], parents[owner, 1])
     order = np.lexsort((left, owner))
@@ -80,8 +90,7 @@ def _level_ratios(parents: np.ndarray, level: np.ndarray,
     child_ratios = (right - left) / plen[owner[order]]
     kids = zip(left.tolist(), right.tolist())
     gaps = []
-    for (lo, hi), count, length in zip(parents.tolist(),
-                                       np.sum(inside, axis=1).tolist(),
+    for (lo, hi), count, length in zip(parents.tolist(), counts.tolist(),
                                        plen.tolist()):
         comps, cursor = [], lo
         for a, b in islice(kids, count):

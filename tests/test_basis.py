@@ -8,6 +8,7 @@ from numpy.polynomial import chebyshev as cheb
 from renormlab.basis import (PhiBasis, clenshaw, collocation_nodes,
                              deriv_coeffs, eval_phi, fit_phi, phi_at_zero,
                              project_function)
+from renormlab.errors import DomainError
 
 BASIS = PhiBasis.ORTHOGONAL
 
@@ -105,6 +106,31 @@ def test_first_derivative_is_chebder_bit_for_bit(c):
     got, want = deriv_coeffs(c, BASIS), cheb.chebder(c) * 2.0
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+_normal_sized = st.one_of(st.just(0.0), st.floats(1e-100, 1e200),
+                          st.floats(-1e200, -1e-100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_normal_sized, min_size=1, max_size=65),
+       st.integers(min_value=0, max_value=4))
+@example([-2.0, 1.0], 3)  # order past the degree: chebder's c[:1] * 0
+def test_every_derivative_order_is_chebder_bit_for_bit(c, order):
+    """Order m is the first derivative taken m times, which is
+    chebder(c, m) * 2**m as bytes: doubling is exact and commutes with the
+    recurrence.  Coefficients are 0 or at least 1e-100 in size, so no step
+    rounds a subnormal, and at most 1e200, so none overflows."""
+    c = np.array(c)
+    got = deriv_coeffs(c, BASIS, order)
+    want = cheb.chebder(c, order) * 2.0 ** order
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_negative_derivative_order_is_rejected():
+    with pytest.raises(DomainError):
+        deriv_coeffs(np.ones(3), BASIS, -1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,7 +227,12 @@ def _assert_geometry_matches_the_loop(tower):
     return rep
 
 
-def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9):
+@pytest.mark.parametrize("cells", [1, 300, G.MASK_CELLS])
+def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9,
+                                                         cells, monkeypatch):
+    """At the default mask size, and with masks of one parent (cells = 1)
+    or a few parents a block."""
+    monkeypatch.setattr(G, "MASK_CELLS", cells)
     for tw in (tower_8, tower_9):
         assert _assert_geometry_matches_the_loop(tw).levels_checked >= 8
     for tw in (G.middle_thirds_tower(10), G.self_similar_tower(3, 0.2, 6),
@@ -256,8 +263,30 @@ def _two_level_towers(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_two_level_towers())
-def test_bounded_geometry_matches_the_loop_on_disjoint_levels(tower):
+@given(_two_level_towers(), st.sampled_from([1, 7, G.MASK_CELLS]))
+def test_bounded_geometry_matches_the_loop_on_disjoint_levels(tower, cells):
     """Children straddling a parent's end are clipped, children outside
-    every parent dropped, and a parent with no child names the level."""
-    _assert_geometry_matches_the_loop(tower)
+    every parent dropped, and a parent with no child names the level, in
+    masks of any size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(G, "MASK_CELLS", cells)
+        _assert_geometry_matches_the_loop(tower)
+
+
+def test_bounded_geometry_memory_is_not_parents_times_children():
+    """4096 parents with two children each: one parent-by-child mask would
+    take 33.5 MB and its comparisons as much again; the masks stay within
+    MASK_CELLS cells, so the peak stays under 8 MB."""
+    lo = np.arange(4096.0)
+    parents = np.stack([lo, lo + 0.5], axis=-1)
+    kids = np.stack([lo, lo + 0.1, lo + 0.4, lo + 0.5], axis=-1).reshape(-1, 2)
+    tw = IntervalTower(levels=(parents, kids), periods=(4096, 8192),
+                       scalings=None, kind="synthetic")
+    tracemalloc.start()
+    try:
+        G.bounded_geometry(tw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    _assert_geometry_matches_the_loop(tw)
