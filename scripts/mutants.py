@@ -1,0 +1,96 @@
+"""Mutation probe: does the test suite notice when a guard is loosened?
+
+Each mutant copies src/ to a temporary directory, loosens one module
+tolerance there by one exact text replacement (which must occur exactly
+once), and runs the test suite against the copy, stopping at the first
+failure.  A mutant is killed when the suite fails, and the first failing
+test is printed; it survives when the suite passes.  The unmutated copy
+runs first as a control and must pass.  Exits non-zero if the control
+fails or any mutant survives.  Standard library only; run on demand (about
+30 s per suite run, 3 min in all on 2 cores):
+
+    python3 scripts/mutants.py
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (module file, constant, value, loosened value)
+MUTANTS = [
+    ("renorm.py", "INVARIANCE_TOL", "1e-12", "1e-3"),
+    ("renorm.py", "PROJECTION_CAP", "1e-10", "1e-2"),
+    ("maps.py", "NORMALIZATION_TOL", "1e-12", "1e-6"),
+    ("maps.py", "RANGE_TOL", "1e-12", "1e-3"),
+    ("solver.py", "UNSTABLE_CUTOFF", "1e-6", "1e-2"),
+    ("renorm.py", "NESTING_TOL", "1e-10", "1e-3"),
+    ("renorm.py", "LAMBDA_FLOOR", "1e-8", "1e-3"),
+    ("loperator.py", "CONTAINMENT_TOL", "1e-10", "1e-3"),
+]
+
+
+def run_suite(src: Path, workdir: Path):
+    """None when the suite passes with the package imported from src, else
+    the first failing test as pytest names it.  Hypothesis keeps its
+    example database under workdir, not in the repository."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               HYPOTHESIS_STORAGE_DIRECTORY=str(workdir / ".hypothesis"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rf",
+           "-p", "no:cacheprovider", "tests"]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                          text=True)
+    if done.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit {done.returncode}"
+
+
+def mutated_copy(tmp: Path, mutant=None) -> Path:
+    """src/ copied under tmp, with the mutant's replacement applied."""
+    src = tmp / (mutant[1] if mutant else "control") / "src"
+    shutil.copytree(ROOT / "src", src)
+    if mutant:
+        module, name, value, loosened = mutant
+        path = src / "renormlab" / module
+        text = path.read_text()
+        old = f"{name} = {value}"
+        if text.count(old) != 1:
+            raise SystemExit(f"{old!r} occurs {text.count(old)} times in "
+                             f"{module}, not once")
+        path.write_text(text.replace(old, f"{name} = {loosened}"))
+    return src
+
+
+def main():
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        start = time.perf_counter()
+        failed = run_suite(mutated_copy(tmp), tmp)
+        if failed is not None:
+            print(f"control: the suite fails on the unmutated copy: {failed}")
+            return 2
+        print(f"control: passes ({time.perf_counter() - start:.0f} s)",
+              flush=True)
+        for mutant in MUTANTS:
+            module, name, value, loosened = mutant
+            start = time.perf_counter()
+            failed = run_suite(mutated_copy(tmp, mutant), tmp)
+            verdict = "SURVIVED" if failed is None else f"killed by {failed}"
+            print(f"{module} {name} {value} -> {loosened}: {verdict} "
+                  f"({time.perf_counter() - start:.0f} s)", flush=True)
+            if failed is None:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; "
+          f"survivors: {', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

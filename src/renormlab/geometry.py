@@ -23,9 +23,6 @@ LENGTH_FLOOR = 1e-13
 # points, and hull rounding can leave a sliver where the touch is exact)
 GAP_ARTIFACT_REL = 1e-9
 NEAR_DEGENERATE_TAU = 1e-3
-# bounded_geometry assigns children to parents in masks of at most this many
-# cells, so its memory stays O(this + children) on wide synthetic levels
-MASK_CELLS = 1 << 20
 
 
 def usable_depth(tower: IntervalTower) -> int:
@@ -59,23 +56,23 @@ def _level_ratios(parents: np.ndarray, level: np.ndarray,
     """(child_ratios, gap_ratios) of level k + 1 inside level k.
 
     A child belongs to each parent that holds its midpoint and is clipped
-    to it.  Parent-by-child masks, MASK_CELLS cells at most, assign the
-    children of the whole level; sorted by (parent, left end), they are
-    walked once, parent by parent in time order, for the components of each
-    parent minus its children.  A gap component shorter than
-    GAP_ARTIFACT_REL of the parent is dropped.  Raises EmptyLevel for the
-    first parent, in time order, that is degenerate or has no child."""
+    to it.  A parent's children are a run of the midpoints sorted once,
+    found by binary search on its two ends (none when right < left or an
+    end is nan), so memory is linear in the levels and the (parent, child)
+    pairs.  The pairs, sorted by (parent, left end, child), are walked once,
+    parent by parent in time order, for the components of each parent minus
+    its children.  A gap component shorter than GAP_ARTIFACT_REL of the
+    parent is dropped.  Raises EmptyLevel for the first parent, in time
+    order, that is degenerate or has no child."""
     plen = parents[:, 1] - parents[:, 0]
     mids = 0.5 * (level[:, 0] + level[:, 1])
-    owner, kid = [], []
-    block = max(1, MASK_CELLS // len(level))
-    for start in range(0, len(parents), block):
-        rows = parents[start:start + block]
-        o, c = np.nonzero((mids >= rows[:, :1]) & (mids <= rows[:, 1:]))
-        owner.append(o + start)
-        kid.append(c)
-    owner, kid = np.concatenate(owner), np.concatenate(kid)
-    counts = np.bincount(owner, minlength=len(parents))
+    by_mid = np.argsort(mids)
+    start = np.searchsorted(mids[by_mid], parents[:, 0], side="left")
+    stop = np.searchsorted(mids[by_mid], parents[:, 1], side="right")
+    counts = np.where(parents[:, 1] >= parents[:, 0], stop - start, 0)
+    owner = np.repeat(np.arange(len(parents)), counts)
+    kid = by_mid[np.arange(owner.size)
+                 + np.repeat(start - np.cumsum(counts) + counts, counts)]
     bad = (plen < LENGTH_FLOOR) | (counts == 0)
     if np.any(bad):
         first = int(np.argmax(bad))
@@ -85,7 +82,7 @@ def _level_ratios(parents: np.ndarray, level: np.ndarray,
                          f"level-{k} interval")
     left = np.maximum(level[kid, 0], parents[owner, 0])
     right = np.minimum(level[kid, 1], parents[owner, 1])
-    order = np.lexsort((left, owner))
+    order = np.lexsort((kid, left, owner))
     left, right = left[order], right[order]
     child_ratios = (right - left) / plen[owner[order]]
     kids = zip(left.tolist(), right.tolist())
@@ -282,15 +279,14 @@ def hausdorff_dimension(tower: IntervalTower,
 # synthetic towers (test oracles and surrogates)
 
 
-def self_similar_tower(branching: int, ratio: float, depth: int,
-                       length0: float = 1.0) -> IntervalTower:
-    """Exactly self-similar tower on [0, length0].
+def self_similar_tower(branching: int, ratio: float,
+                       depth: int) -> IntervalTower:
+    """Exactly self-similar tower on [0, 1].
 
     Each interval spawns `branching` children of `ratio` times its length,
     flush with its endpoints and separated by equal gaps.  Closed forms:
-    spectral_sum's S_k = branching^k * (length0 * ratio^k)^(t-1) so the
-    fitted mu is branching * ratio^(t-1); the dimension is
-    log(branching) / log(1/ratio).
+    spectral_sum's S_k = branching^k * ratio^(k(t-1)), so the fitted mu is
+    branching * ratio^(t-1); the dimension is log(branching) / log(1/ratio).
     """
     if branching < 2:
         raise DomainError(f"branching must be >= 2, got {branching}")
@@ -300,7 +296,7 @@ def self_similar_tower(branching: int, ratio: float, depth: int,
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     levels = []
-    current = np.array([[0.0, length0]])
+    current = np.array([[0.0, 1.0]])
     for _ in range(depth):
         nxt = []
         for a, b in current:

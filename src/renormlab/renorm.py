@@ -139,7 +139,7 @@ def _hulls(zs: np.ndarray) -> np.ndarray:
 
 
 # first test a candidate period fails, in the order they run
-_NEAR_ONE, _NOT_INVARIANT, _OVERLAP = 1, 2, 3
+_NEAR_ONE, _NOT_INVARIANT, _NOT_FINITE, _OVERLAP = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,13 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
     i = 0..p: tip[i] = f^i(0) and ends[i] = f^i(a), a = |lam|, where
     lam = tip[p] is already checked nondegenerate by the caller.  In order:
     |lam| not within LAMBDA_FLOOR of 1; J = [-a, a] invariant under f^p,
-    read from the reach max(|f^p(0)|, |f^p(a)|); the pieces pairwise
-    disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull of f^i(0)
-    and f^i(a).  A row fails at the first test it does not pass; only rows
-    that pass the first two get pieces.  The last test certifies the first
-    two: disjointness from Delta_0 makes f^i monotone on each half of J
-    (module docstring), so the two-orbit hulls and reach are exact and f^p
-    is unimodal on J.
+    read from the reach max(|f^p(0)|, |f^p(a)|); both orbits finite from
+    step 1 to step p; the pieces pairwise disjoint, with Delta_0 = J and
+    Delta_i, 1 <= i < p, the hull of f^i(0) and f^i(a).  A row fails at the
+    first test it does not pass; only rows that pass the first three get
+    pieces.  The last test certifies the first two: disjointness from
+    Delta_0 makes f^i monotone on each half of J (module docstring), so the
+    two-orbit hulls and reach are exact and f^p is unimodal on J.
     """
     lam = tip[p]
     n = lam.size
@@ -177,6 +177,8 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
                reach=np.maximum(a, np.abs(ends[p])),
                pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
     t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
+    finite = np.isfinite(tip[1:p + 1]) & np.isfinite(ends[1:p + 1])
+    t.fail[(t.fail == 0) & ~np.all(finite, axis=0)] = _NOT_FINITE
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
         pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
@@ -194,8 +196,8 @@ def _test_one(tip: list, ends: list, p: int):
 
     The tests, their order and the rounded operations are _test_period's;
     a hull end is np.minimum's or np.maximum's, which keep the second
-    operand on a tie.  Pieces holding inf or nan, which Python orders
-    differently from numpy's sort, go through _test_period itself."""
+    operand on a tie.  The finiteness test runs before any piece is built,
+    so the pieces are finite floats, which Python orders as numpy does."""
     lam = tip[p]
     a = abs(lam)
     if a >= 1.0 - LAMBDA_FLOOR:
@@ -204,19 +206,16 @@ def _test_one(tip: list, ends: list, p: int):
     if reach > a + INVARIANCE_TOL:
         return (f"J not invariant: |f^{p}| reaches {reach:.6e} > {a:.6e}",
                 None, None)
-    if not math.isfinite(a + sum(tip[1:p]) + sum(ends[1:p])):
-        trial = _test_period(np.array(tip)[:, None], np.array(ends)[:, None],
-                             p)
-        ok, pieces, ranks = not trial.fail[0], trial.pieces[0], trial.ranks[0]
-    else:
-        pieces = [(-a, a)] + [(t if t < e else e, t if t > e else e)
-                              for t, e in zip(tip[1:p], ends[1:p])]
-        order = sorted(range(p), key=lambda i: pieces[i][0])
-        ok = all(pieces[j][0] - pieces[i][1] > 0.0
-                 for i, j in zip(order, order[1:]))
-        ranks = [0] * p
-        for rank, i in enumerate(order):
-            ranks[i] = rank
+    if not all(map(math.isfinite, tip[1:p + 1] + ends[1:p + 1])):
+        return f"orbit not finite up to f^{p}", None, None
+    pieces = [(-a, a)] + [(t if t < e else e, t if t > e else e)
+                          for t, e in zip(tip[1:p], ends[1:p])]
+    order = sorted(range(p), key=lambda i: pieces[i][0])
+    ok = all(pieces[j][0] - pieces[i][1] > 0.0
+             for i, j in zip(order, order[1:]))
+    ranks = [0] * p
+    for rank, i in enumerate(order):
+        ranks[i] = rank
     if not ok:
         try:
             spatial_permutation(pieces)
@@ -230,12 +229,13 @@ def detect(f: UnimodalMap, p_max: int = 16,
     """Smallest admissible renormalization period and its combinatorics.
 
     Scans p = 2..p_max.  For each candidate the scaling lam = f^p(0) must be
-    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, and the pieces
-    f^i(J) pairwise disjoint, all read from the orbits of the tip and of
-    |lam| (disjointness certifies that f^p is unimodal on J).  The orbits
-    and the tests run on Python floats (_test_one), bit for bit what the
-    batched _test_period finds on a one-row stack.  The first reason each
-    candidate fails is kept and reported on NotRenormalizable.
+    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, both orbits
+    finite to step p, and the pieces f^i(J) pairwise disjoint, all read
+    from the orbits of the tip and of |lam| (disjointness certifies that
+    f^p is unimodal on J).  The orbits and the tests run on Python floats
+    (_test_one), bit for bit what the batched _test_period finds on a
+    one-row stack.  The first reason each candidate fails is kept and
+    reported on NotRenormalizable.
 
     A map built with check=True was validated on construction, so only
     unchecked maps get the structural pre-check, and validate_input=False
@@ -400,10 +400,18 @@ def _check_level_disjoint(intervals: np.ndarray, k: int) -> None:
 
 def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int) -> None:
     """Every child piece lies inside some parent piece, up to NESTING_TOL;
-    else OverlapError names the first escaping child in time order."""
-    inside = ((parent[:, 0] - NESTING_TOL <= child[:, None, 0])
-              & (child[:, None, 1] <= parent[:, 1] + NESTING_TOL))
-    escaped = np.flatnonzero(~np.any(inside, axis=1))
+    else OverlapError names the first escaping child in time order.
+
+    Per child, a binary search finds the parents that pass the left test, a
+    prefix of them sorted by left end; the child passes the right test
+    against one of them iff against their running max right end (x + tol
+    rounds monotonically).  Memory is linear; nan ends hold nothing."""
+    by_left = np.argsort(parent[:, 0])
+    lefts = parent[by_left, 0] - NESTING_TOL
+    last = np.searchsorted(lefts, child[:, 0], side="right") - 1
+    reach = np.fmax.accumulate(parent[by_left, 1])[last] + NESTING_TOL
+    escaped = np.flatnonzero(~((lefts[last] <= child[:, 0])
+                               & (child[:, 1] <= reach)))
     if escaped.size:
         left, right = child[escaped[0]]
         raise OverlapError(

@@ -179,10 +179,6 @@ class FixedPointResult:
     newton_iters: int
     history: tuple[float, ...]      # residual per accepted iterate
 
-    @property
-    def g(self) -> UnimodalMap:
-        return self.map
-
 
 def _sup_distance(f: UnimodalMap, g: UnimodalMap) -> float:
     xs = np.linspace(-1.0, 1.0, RESIDUAL_GRID)

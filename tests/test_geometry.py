@@ -160,7 +160,7 @@ def _children_of(parent, level):
     kids = level[inside].copy()
     kids[:, 0] = np.maximum(kids[:, 0], parent[0])
     kids[:, 1] = np.minimum(kids[:, 1], parent[1])
-    return kids[np.argsort(kids[:, 0])]
+    return kids[np.argsort(kids[:, 0], kind="stable")]
 
 
 def _gap_components(parent, kids):
@@ -227,12 +227,7 @@ def _assert_geometry_matches_the_loop(tower):
     return rep
 
 
-@pytest.mark.parametrize("cells", [1, 300, G.MASK_CELLS])
-def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9,
-                                                         cells, monkeypatch):
-    """At the default mask size, and with masks of one parent (cells = 1)
-    or a few parents a block."""
-    monkeypatch.setattr(G, "MASK_CELLS", cells)
+def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9):
     for tw in (tower_8, tower_9):
         assert _assert_geometry_matches_the_loop(tw).levels_checked >= 8
     for tw in (G.middle_thirds_tower(10), G.self_similar_tower(3, 0.2, 6),
@@ -254,29 +249,43 @@ def _spread(draw, count):
 
 
 @st.composite
-def _two_level_towers(draw):
+def _two_level_towers(draw, overlapping=False):
+    """Parents and children each spread across [-1, 1]; when overlapping,
+    the parents are two spreads together and some children repeat, in a
+    shuffled time order."""
     parents = _spread(draw, draw(st.integers(1, 4)))
     kids = _spread(draw, draw(st.integers(1, 24)))
+    if overlapping:
+        parents = np.concatenate([parents,
+                                  _spread(draw, draw(st.integers(1, 4)))])
+        kids = np.concatenate([kids, kids[draw(st.lists(
+            st.integers(0, len(kids) - 1), min_size=1, max_size=8))]])
+        kids = kids[draw(st.permutations(range(len(kids))))]
     return IntervalTower(levels=(parents, kids),
                          periods=(len(parents), len(kids)), scalings=None,
                          kind="synthetic")
 
 
 @settings(max_examples=200, deadline=None)
-@given(_two_level_towers(), st.sampled_from([1, 7, G.MASK_CELLS]))
-def test_bounded_geometry_matches_the_loop_on_disjoint_levels(tower, cells):
+@given(_two_level_towers())
+def test_bounded_geometry_matches_the_loop_on_disjoint_levels(tower):
     """Children straddling a parent's end are clipped, children outside
-    every parent dropped, and a parent with no child names the level, in
-    masks of any size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(G, "MASK_CELLS", cells)
-        _assert_geometry_matches_the_loop(tower)
+    every parent dropped, and a parent with no child names the level."""
+    _assert_geometry_matches_the_loop(tower)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_level_towers(overlapping=True))
+def test_bounded_geometry_matches_the_loop_on_overlapping_levels(tower):
+    """A child counts in every parent that holds its midpoint, and a
+    repeated child once per copy, in time order among equal left ends."""
+    _assert_geometry_matches_the_loop(tower)
 
 
 def test_bounded_geometry_memory_is_not_parents_times_children():
     """4096 parents with two children each: one parent-by-child mask would
-    take 33.5 MB and its comparisons as much again; the masks stay within
-    MASK_CELLS cells, so the peak stays under 8 MB."""
+    take 33.5 MB and its comparisons as much again; the binary search keeps
+    the peak linear in the two levels, under 8 MB."""
     lo = np.arange(4096.0)
     parents = np.stack([lo, lo + 0.5], axis=-1)
     kids = np.stack([lo, lo + 0.1, lo + 0.4, lo + 0.5], axis=-1).reshape(-1, 2)
@@ -290,3 +299,17 @@ def test_bounded_geometry_memory_is_not_parents_times_children():
         tracemalloc.stop()
     assert peak < 8e6
     _assert_geometry_matches_the_loop(tw)
+
+
+def test_self_similar_tower_memory_is_not_parents_times_children():
+    """Level 13 of the middle-thirds tower nests 8192 children in 4096
+    parents, where one parent-by-child mask would take 33.5 MB; the
+    nesting check's binary search keeps the whole build under 8 MB."""
+    tracemalloc.start()
+    try:
+        tw = G.self_similar_tower(2, 1.0 / 3.0, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tw.depth == 13 and len(tw.level(13)) == 8192
+    assert peak < 8e6
