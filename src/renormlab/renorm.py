@@ -178,7 +178,7 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
                pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
     t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
     finite = np.isfinite(tip[1:p + 1]) & np.isfinite(ends[1:p + 1])
-    t.fail[(t.fail == 0) & ~np.all(finite, axis=0)] = _NOT_FINITE
+    t.fail[(t.fail == 0) & ~finite.all(axis=0)] = _NOT_FINITE
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
         pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
