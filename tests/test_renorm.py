@@ -248,7 +248,7 @@ _END = st.one_of(st.floats(-1, 1), st.sampled_from([0.0, -0.0, np.inf,
 def test_check_nesting_matches_the_loop_on_any_ends(parents, children):
     """Ends drawn in any order, signed zeros, infinities and nan included:
     the binary search keeps the pairwise predicate, under which a nan end
-    holds nothing and an inverted parent holds only what it reaches."""
+    holds nothing."""
     parent, child = np.array(parents), np.array(children)
     messages = []
     for check in (_check_nesting, _check_nesting_loop):
