@@ -1,13 +1,15 @@
-"""Mutation probe: does the test suite notice when a guard is loosened?
+"""Mutation probe: does the test suite notice when a guard is loosened or
+a solver step is taken out?
 
-Each mutant copies src/ to a temporary directory, loosens one module
-tolerance there by one exact text replacement (which must occur exactly
-once), and runs the test suite against the copy, stopping at the first
-failure.  A mutant is killed when the suite fails, and the first failing
-test is printed; it survives when the suite passes.  The unmutated copy
-runs first as a control and must pass.  Exits non-zero if the control
-fails or any mutant survives.  Standard library only; run on demand (about
-30 s per suite run, 3 min in all on 2 cores):
+Each mutant copies src/ to a temporary directory and changes the code
+there by exact text replacements, each of which must occur exactly once:
+a module tolerance loosened, or a step of the Newton solver taken out.
+It runs the test suite against the copy, stopping at the first failure.
+A mutant is killed when the suite fails, and the first failing test is
+printed; it survives when the suite passes.  The unmutated copy runs
+first as a control and must pass.  Exits non-zero if the control fails or
+any mutant survives.  Standard library only; run on demand (about 30 s
+per suite run, 5 min in all on 2 cores):
 
     python3 scripts/mutants.py
 """
@@ -21,16 +23,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (module file, constant, value, loosened value)
+
+def loosened(module, name, value, to):
+    """The mutant that sets the module constant `name` from value to `to`."""
+    return (module, f"{name} {value} -> {to}",
+            ((f"{name} = {value}", f"{name} = {to}"),))
+
+
+# (module file, label, ((text, replacement), ...))
 MUTANTS = [
-    ("renorm.py", "INVARIANCE_TOL", "1e-12", "1e-3"),
-    ("renorm.py", "PROJECTION_CAP", "1e-10", "1e-2"),
-    ("maps.py", "NORMALIZATION_TOL", "1e-12", "1e-6"),
-    ("maps.py", "RANGE_TOL", "1e-12", "1e-3"),
-    ("solver.py", "UNSTABLE_CUTOFF", "1e-6", "1e-2"),
-    ("renorm.py", "NESTING_TOL", "1e-10", "1e-3"),
-    ("renorm.py", "LAMBDA_FLOOR", "1e-8", "1e-3"),
-    ("loperator.py", "CONTAINMENT_TOL", "1e-10", "1e-3"),
+    loosened("renorm.py", "INVARIANCE_TOL", "1e-12", "1e-3"),
+    loosened("renorm.py", "PROJECTION_CAP", "1e-10", "1e-2"),
+    loosened("maps.py", "NORMALIZATION_TOL", "1e-12", "1e-6"),
+    loosened("maps.py", "RANGE_TOL", "1e-12", "1e-3"),
+    loosened("solver.py", "UNSTABLE_CUTOFF", "1e-6", "1e-2"),
+    loosened("renorm.py", "NESTING_TOL", "1e-10", "1e-3"),
+    loosened("renorm.py", "LAMBDA_FLOOR", "1e-8", "1e-3"),
+    loosened("loperator.py", "CONTAINMENT_TOL", "1e-10", "1e-3"),
+    ("solver.py", "chord step removed",
+     (("trial = step_to(chord.reshape(m, dim), 1.0)", "trial = None"),)),
+    ("solver.py", "normalization pin dropped in _newton_polish",
+     (("            jac[i * dim, :] = 0.0\n"
+       "            jac[i * dim, rows] = norm_row\n", ""),
+      ("        rhs[pinned] = 0.0\n", ""))),
 ]
 
 
@@ -51,19 +66,20 @@ def run_suite(src: Path, workdir: Path):
     return failed[0] if failed else f"pytest exit {done.returncode}"
 
 
-def mutated_copy(tmp: Path, mutant=None) -> Path:
-    """src/ copied under tmp, with the mutant's replacement applied."""
-    src = tmp / (mutant[1] if mutant else "control") / "src"
+def mutated_copy(tmp: Path, name: str, mutant=None) -> Path:
+    """src/ copied to tmp/name, with the mutant's replacements applied."""
+    src = tmp / name / "src"
     shutil.copytree(ROOT / "src", src)
     if mutant:
-        module, name, value, loosened = mutant
+        module, _, replacements = mutant
         path = src / "renormlab" / module
         text = path.read_text()
-        old = f"{name} = {value}"
-        if text.count(old) != 1:
-            raise SystemExit(f"{old!r} occurs {text.count(old)} times in "
-                             f"{module}, not once")
-        path.write_text(text.replace(old, f"{name} = {loosened}"))
+        for old, new in replacements:
+            if text.count(old) != 1:
+                raise SystemExit(f"{old!r} occurs {text.count(old)} times "
+                                 f"in {module}, not once")
+            text = text.replace(old, new)
+        path.write_text(text)
     return src
 
 
@@ -72,21 +88,21 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         start = time.perf_counter()
-        failed = run_suite(mutated_copy(tmp), tmp)
+        failed = run_suite(mutated_copy(tmp, "control"), tmp)
         if failed is not None:
             print(f"control: the suite fails on the unmutated copy: {failed}")
             return 2
         print(f"control: passes ({time.perf_counter() - start:.0f} s)",
               flush=True)
-        for mutant in MUTANTS:
-            module, name, value, loosened = mutant
+        for i, mutant in enumerate(MUTANTS):
+            module, label, _ = mutant
             start = time.perf_counter()
-            failed = run_suite(mutated_copy(tmp, mutant), tmp)
+            failed = run_suite(mutated_copy(tmp, f"mutant{i}", mutant), tmp)
             verdict = "SURVIVED" if failed is None else f"killed by {failed}"
-            print(f"{module} {name} {value} -> {loosened}: {verdict} "
+            print(f"{module} {label}: {verdict} "
                   f"({time.perf_counter() - start:.0f} s)", flush=True)
             if failed is None:
-                survivors.append(name)
+                survivors.append(f"{module} {label}")
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; "
           f"survivors: {', '.join(survivors) or 'none'}")
     return 1 if survivors else 0

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import Polynomial
+from numpy.polynomial import chebyshev as _cheb
 
 from . import basis as _basis
 from . import families as _families
@@ -38,8 +41,10 @@ SUP_GRID = 512           # points of [0, 1] for the eigenvector sup norm
 MAX_NEWTON_ITERS = 50    # Newton steps before NoConvergence
 COARSE_DEGREE = 12       # every solve runs its first Newton stage here
 
-# classical starting guess for the period-doubling fixed point
-DOUBLING_SEED_C = 1.5276
+# Feigenbaum's expansion of the period-doubling fixed point in u = x^2,
+# phi(u) = sum_k a_k u^k (J. Stat. Phys. 21 (1979) 669-706)
+FEIGENBAUM_PHI = (1.0, -1.5276330, 0.1048152, 0.0267057, -0.0035274,
+                  0.0000816, 0.0000254, -0.0000027)
 
 
 def _suffix_products(fps: np.ndarray) -> np.ndarray:
@@ -192,17 +197,22 @@ _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,
 def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
                    thetas: tuple[tuple[int, ...], ...], tol: float):
     """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m} from
-    start_cycle (one map per type, at the degree Newton keeps), until the
-    sup residual is under tol.
+    start_cycle (one map per type, at the degree Newton keeps).
 
-    Returns (cycle, steps, residual, history, iterations).  m = 1 is the
-    fixed-point equation; the block Jacobian couples consecutive cycle
-    positions.
+    A start under tol takes no step.  Otherwise Newton runs until a step
+    lands under tol; then one chord step follows, with that step's
+    Jacobian (no new derivative matrix), kept only if it lowers the
+    residual, so the run ends at its rounding floor, not at the first
+    iterate under tol.  Returns (cycle, steps, residual, history,
+    iterations), where history holds the residual of every kept iterate
+    and iterations = len(history) - 1.  m = 1 is the fixed-point
+    equation; the block Jacobian couples consecutive cycle positions.
     """
     m = len(thetas)
     dim = start_cycle[0].coeffs.size
     basis = start_cycle[0].basis
     norm_row = _basis.design_matrix(np.zeros(1), dim - 1, basis)[0]
+    pinned = np.arange(m) * dim   # row of each g_i's constant equation
 
     def build_cycle(c_stack: np.ndarray):
         cycle = tuple(UnimodalMap(c, basis) for c in c_stack)
@@ -212,47 +222,62 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
                   for i in range(m))
         return cycle, rens, res
 
+    def jacobian(cycle, rens):
+        jac = np.zeros((m * dim, m * dim))
+        for i in range(m):
+            rows = slice(i * dim, (i + 1) * dim)
+            jac[rows, rows] = derivative_matrix(cycle[i], rens[i].step)
+            nxt = (i + 1) % m
+            jac[rows, nxt * dim:(nxt + 1) * dim] -= np.eye(dim)
+            # pin the normalization of g_i in place of its constant equation
+            jac[i * dim, :] = 0.0
+            jac[i * dim, rows] = norm_row
+        return jac
+
+    def minus_residual(cycle, rens):
+        rhs = -np.concatenate([rens[i].map.coeffs - cycle[(i + 1) % m].coeffs
+                               for i in range(m)])
+        rhs[pinned] = 0.0
+        return rhs
+
+    def step_to(delta, scale):
+        """(c_stack, cycle, rens, res) after the step, or None if Newton
+        cannot use the maps it reaches."""
+        try:
+            trial = np.stack([
+                _basis.normalized_constant(c_stack[i] + scale * delta[i],
+                                           basis) for i in range(m)])
+            return (trial,) + build_cycle(trial)
+        except _NEWTON_RECOVERABLE:
+            return None
+
     c_stack = np.stack([h.coeffs for h in start_cycle])
     cycle, rens, res = build_cycle(c_stack)
     history = [res]
+    if res < tol:
+        return cycle, rens, res, tuple(history), 0
 
     for it in range(1, MAX_NEWTON_ITERS + 1):
-        if res < tol:
-            return cycle, rens, res, tuple(history), it - 1
-        jac = np.zeros((m * dim, m * dim))
-        rhs = np.zeros(m * dim)
-        for i in range(m):
-            mat = derivative_matrix(cycle[i], rens[i].step)
-            rows = slice(i * dim, (i + 1) * dim)
-            jac[rows, rows] = mat
-            nxt = (i + 1) % m
-            jac[rows, nxt * dim:(nxt + 1) * dim] -= np.eye(dim)
-            rhs[rows] = -(rens[i].map.coeffs - cycle[nxt].coeffs)
-            # pin the normalization of g_i in place of its constant equation
-            jac[i * dim, :] = 0.0
-            jac[i * dim, i * dim:(i + 1) * dim] = norm_row
-            rhs[i * dim] = 0.0
-        delta = scipy.linalg.solve(jac, rhs).reshape(m, dim)
-
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            try:
-                trial = np.stack([
-                    _basis.normalized_constant(c_stack[i] + scale * delta[i],
-                                               basis) for i in range(m)])
-                cyc_t, rens_t, res_t = build_cycle(trial)
-            except _NEWTON_RECOVERABLE:
-                scale /= 2.0
-                continue
-            if res_t < res:
-                c_stack, cycle, rens, res = trial, cyc_t, rens_t, res_t
+        jac = jacobian(cycle, rens)
+        delta = scipy.linalg.solve(jac, minus_residual(cycle, rens))
+        delta = delta.reshape(m, dim)
+        for halvings in range(MAX_HALVINGS + 1):
+            trial = step_to(delta, 0.5 ** halvings)
+            if trial is not None and trial[3] < res:
+                c_stack, cycle, rens, res = trial
                 history.append(res)
                 break
-            scale /= 2.0
         else:
             raise NoConvergence(
                 f"Newton stalled at residual {res:.3e} after {it} steps",
                 history=tuple(history))
+        if res < tol:
+            chord = scipy.linalg.solve(jac, minus_residual(cycle, rens))
+            trial = step_to(chord.reshape(m, dim), 1.0)
+            if trial is not None and trial[3] < res:
+                c_stack, cycle, rens, res = trial
+                history.append(res)
+            return cycle, rens, res, tuple(history), len(history) - 1
     raise NoConvergence(
         f"residual {res:.3e} after {MAX_NEWTON_ITERS} iterations",
         history=tuple(history))
@@ -262,10 +287,13 @@ def _solve_cycle(thetas: tuple[tuple[int, ...], ...], degree: int,
                  tol: float):
     """The one Newton route, for every type and cycle: Newton at
     min(degree, COARSE_DEGREE) from _seed_cycle, then at `degree` from the
-    zero-padded cycle.  The Newton matrix amplifies rounding more the higher
-    the degree, so the padded cycle usually meets tol in zero steps; the
-    fine stage certifies it either way.  Returns _newton_polish's tuple,
-    with the history and step count of both stages, in order."""
+    zero-padded cycle.  Each stage ends with _newton_polish's chord step,
+    so the coarse cycle reaches its rounding floor (the doubling fixed
+    point in one Newton and one chord step); the Newton matrix amplifies
+    rounding more the higher the degree, so the padded cycle usually meets
+    tol in zero steps, and the fine stage certifies it either way.  Returns
+    _newton_polish's tuple, with the history and step count of both
+    stages, in order."""
     if degree > _basis.DEGREE_MAX:
         raise InvalidMap(f"degree above {_basis.DEGREE_MAX} unsupported")
     coarse = min(degree, COARSE_DEGREE)
@@ -335,13 +363,27 @@ def _itinerary_ok(c: float, prefix) -> bool:
     return _families._itinerary_ok(_SEED_FAMILY, float(c), prefix)
 
 
+@cache
+def _doubling_seed(degree: int) -> np.ndarray:
+    """FEIGENBAUM_PHI in the basis at `degree`, read-only, built once per
+    degree: the power series in u rewritten in t = 2u - 1, cut below
+    degree 7 or zero-padded above it, then normalized."""
+    in_t = Polynomial(FEIGENBAUM_PHI)(Polynomial([0.5, 0.5]))
+    coeffs = _cheb.poly2cheb(in_t.coef)[:degree + 1]
+    coeffs = _basis.normalized_constant(_basis.padded(coeffs, degree),
+                                        PhiBasis.ORTHOGONAL)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
                 degree: int) -> tuple[UnimodalMap, ...]:
-    """Newton's start: the classical guess for the doubling fixed point,
-    else a parameter deep inside the nested windows, renormalized."""
+    """Newton's start: Feigenbaum's polynomial for the doubling fixed point
+    (residual about 3e-7 at degree 12, where the quadratic member's is
+    0.4), else a parameter deep inside the nested windows, renormalized."""
     m = len(thetas)
     if m == 1 and thetas[0] == THETA_DOUBLING:
-        return (_SEED_FAMILY.member(DOUBLING_SEED_C, degree=degree),)
+        return (UnimodalMap(_doubling_seed(degree)),)
     burn = m * max(1, math.ceil(2 / m))
     c = _families.infinitely_renormalizable_parameter(
         _SEED_FAMILY, thetas, burn + 3).c

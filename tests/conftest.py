@@ -7,8 +7,7 @@ import pytest
 from renormlab.maps import QuadraticFamily
 from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab import solver
-from renormlab.solver import (DOUBLING_SEED_C, solve_fixed_point,
-                              solve_periodic_orbit, spectrum)
+from renormlab.solver import solve_fixed_point, solve_periodic_orbit, spectrum
 
 # Hypothesis imports libcst when it reports a failing example, and libcst
 # raises a mypy_extensions DeprecationWarning on import.  The suite turns
@@ -23,6 +22,9 @@ with warnings.catch_warnings(), suppress(ImportError):
 # bisection + geometric-tail extrapolation route (stable to 1e-13)
 C_INF = 1.4011551890920328
 
+# the classical quadratic guess for the doubling fixed point, 1 - c x^2
+QUADRATIC_SEED_C = 1.5276
+
 ACCEPT_LINES: list[str] = []
 
 
@@ -30,10 +32,11 @@ def record_accept(line: str) -> None:
     ACCEPT_LINES.append(line)
 
 
-def cold_doubling(degree, c=DOUBLING_SEED_C, tol=1e-10):
+def cold_doubling(degree, c=QUADRATIC_SEED_C, tol=1e-10):
     """The cold route to the doubling fixed point, an independent check of
     the default coarse-to-fine one: Newton at `degree` only, from the
-    quadratic member at c.  Returns solver._newton_polish's tuple."""
+    quadratic member at c, not from solver's seed.  Returns
+    solver._newton_polish's tuple."""
     start = (QuadraticFamily().member(c, degree=degree),)
     return solver._newton_polish(start, (THETA_DOUBLING,), tol)
 

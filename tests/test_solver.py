@@ -6,7 +6,7 @@ import pytest
 from renormlab import families
 from renormlab.basis import PhiBasis, design_matrix
 from renormlab.errors import (CombinatoricsMismatch, DomainError, InvalidMap,
-                              NoConvergence)
+                              NoConvergence, RenormlabError)
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
@@ -47,9 +47,12 @@ def test_fixed_point_constants(fixed_point_24):
     assert fp.theta == THETA_DOUBLING
 
 
-def test_fixed_point_newton_tail_is_quadratic(fixed_point_24):
-    hist = np.asarray(fixed_point_24.history)
+def test_fixed_point_newton_tail_is_quadratic():
+    # from the quadratic start, where Newton has a tail to show; the
+    # default start is one Newton step from tol
+    hist = np.asarray(cold_doubling(24)[3])
     tail = hist[(hist > 1e-13) & (hist < 1e-2)]
+    assert tail.size >= 3
     for a, b in zip(tail, tail[1:]):
         assert b < 1e3 * a * a
 
@@ -135,8 +138,11 @@ def test_every_cycle_seeds_at_the_coarse_degree(thetas):
 
 @pytest.mark.parametrize("degree", [10, 12])
 def test_default_route_is_the_cold_route_up_to_the_coarse_degree(degree):
+    # Newton at the degree only, from the same seed as the default route
     fp = solve_fixed_point(degree=degree)
-    cycle, rens, res, history, iters = cold_doubling(degree)
+    cycle, rens, res, history, iters = solver._newton_polish(
+        solver._seed_cycle((THETA_DOUBLING,), degree), (THETA_DOUBLING,),
+        1e-10)
     assert np.array_equal(fp.map.coeffs, cycle[0].coeffs)
     assert fp.lambda_star == rens[0].step.lam
     assert fp.residual == res
@@ -175,6 +181,71 @@ def test_degree_above_the_maximum_is_refused_before_newton(monkeypatch,
     monkeypatch.setattr(solver, "_newton_polish", no_newton)
     with pytest.raises(InvalidMap, match="degree above 64 unsupported"):
         solve()
+
+
+CYCLES = {"DT": (THETA_DOUBLING, THETA_TRIPLING),
+          "TD": (THETA_TRIPLING, THETA_DOUBLING),
+          "TT": (THETA_TRIPLING, THETA_TRIPLING),
+          "DDT": (THETA_DOUBLING, THETA_DOUBLING, THETA_TRIPLING)}
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_cycles_end_at_the_rounding_floor(name):
+    # Newton's first iterate under tol can sit far above rounding; the
+    # chord step after it takes the cycle down
+    assert solve_periodic_orbit(CYCLES[name], degree=24).residual < 1e-13
+
+
+@pytest.mark.parametrize("name", ["D", "T"] + list(CYCLES))
+def test_each_stage_counts_its_kept_steps(monkeypatch, name):
+    # (T, D) rejects its chord step, which must count as no step
+    thetas = CYCLES.get(name, ((THETA_DOUBLING,) if name == "D"
+                               else (THETA_TRIPLING,)))
+    stages = []
+    polish = solver._newton_polish
+
+    def recorded(*args):
+        out = polish(*args)
+        stages.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "_newton_polish", recorded)
+    orbit = solve_periodic_orbit(thetas, degree=24)
+    assert len(stages) == 2
+    for _, _, _, history, iters in stages:
+        assert iters == len(history) - 1
+    assert orbit.newton_iters == sum(stage[4] for stage in stages)
+    assert orbit.history == stages[0][3] + stages[1][3]
+
+
+@pytest.mark.parametrize("degree", [12, 16, 24, 32, 48, 64])
+def test_doubling_solve_takes_one_newton_and_one_chord_step(monkeypatch,
+                                                            degree):
+    calls = []
+    build = solver.derivative_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "derivative_matrix", counted)
+    fp = solve_fixed_point(degree=degree)
+    assert fp.newton_iters <= 2
+    assert len(calls) == 1
+    assert fp.residual < 1e-13
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_doubling_solve_below_the_seed_degree_fails_typed(degree):
+    # the seed is cut to the degree; the projection cannot hold T(g) there
+    with pytest.raises(RenormlabError):
+        solve_fixed_point(degree=degree)
+
+
+def test_doubling_solve_at_the_seed_degree_converges():
+    fp = solve_fixed_point(degree=7)
+    assert fp.residual < 1e-13
+    assert abs(fp.lambda_star - LAMBDA_BRIGGS) < 1e-10
 
 
 def test_newton_budget_exhaustion_raises(monkeypatch):
