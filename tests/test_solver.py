@@ -199,8 +199,7 @@ def test_cycles_end_at_the_rounding_floor(name):
 @pytest.mark.parametrize("name", ["D", "T"] + list(CYCLES))
 def test_each_stage_counts_its_kept_steps(monkeypatch, name):
     # (T, D) rejects its chord step, which must count as no step
-    thetas = CYCLES.get(name, ((THETA_DOUBLING,) if name == "D"
-                               else (THETA_TRIPLING,)))
+    thetas = {"D": (THETA_DOUBLING,), "T": (THETA_TRIPLING,), **CYCLES}[name]
     stages = []
     polish = solver._newton_polish
 
