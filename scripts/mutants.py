@@ -3,13 +3,16 @@ a solver step is taken out?
 
 Each mutant copies src/ to a temporary directory and changes the code
 there by exact text replacements, each of which must occur exactly once:
-a module tolerance loosened, or a step of the Newton solver taken out.
-It runs the test suite against the copy, stopping at the first failure.
-A mutant is killed when the suite fails, and the first failing test is
-printed; it survives when the suite passes.  The unmutated copy runs
-first as a control and must pass.  Exits non-zero if the control fails or
-any mutant survives.  Standard library only; run on demand (about 30 s
-per suite run, 5 min in all on 2 cores):
+a module constant changed, a step of the Newton solver taken out, a sign
+flipped, or a shortcut taken without its check.  It runs the test suite
+against the copy, the deterministic tests first and the Hypothesis tests
+only if those all pass, stopping at the first failure.  A mutant is
+killed when the suite fails, and the first failing test is printed, so a
+kill names a deterministic test whenever one fails; it survives when the
+suite passes.  The unmutated copy runs first as a control and must pass.
+Exits non-zero if the control fails or any mutant survives.  Standard
+library only; run on demand (about 30 s per suite run, 7 min in all on 2
+cores):
 
     python3 scripts/mutants.py
 """
@@ -46,24 +49,34 @@ MUTANTS = [
      (("            jac[i * dim, :] = 0.0\n"
        "            jac[i * dim, rows] = norm_row\n", ""),
       ("        rhs[pinned] = 0.0\n", ""))),
+    ("families.py", "flip-cell bracket check dropped in _bisect_edge",
+     (("    if ha <= 0.0 <= hb or hb <= 0.0 <= ha:\n", "    if True:\n"),)),
+    ("solver.py", "rank-one term's sign flipped in derivative_matrix",
+     (("(principal + np.outer(tail_weight, sens))",
+       "(principal - np.outer(tail_weight, sens))"),)),
+    loosened("solver.py", "COARSE_DEGREE", "12", "8"),
 ]
 
 
 def run_suite(src: Path, workdir: Path):
     """None when the suite passes with the package imported from src, else
-    the first failing test as pytest names it.  Hypothesis keeps its
-    example database under workdir, not in the repository."""
+    the first failing test as pytest names it: the first deterministic one
+    in file order, or the first Hypothesis test when every deterministic
+    test passes (a Hypothesis test draws its own examples, so which of
+    them fails first can vary between runs).  Hypothesis keeps its example
+    database under workdir, not in the repository."""
     env = dict(os.environ, PYTHONPATH=str(src),
                HYPOTHESIS_STORAGE_DIRECTORY=str(workdir / ".hypothesis"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rf",
-           "-p", "no:cacheprovider", "tests"]
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
-                          text=True)
-    if done.returncode == 0:
-        return None
-    failed = [line.split()[1] for line in done.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    return failed[0] if failed else f"pytest exit {done.returncode}"
+    for marks in ("not hypothesis", "hypothesis"):
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+               "-p", "no:cacheprovider", "-m", marks, "tests"]
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              text=True)
+        if done.returncode != 0:
+            failed = [line.split()[1] for line in done.stdout.splitlines()
+                      if line.startswith(("FAILED ", "ERROR "))]
+            return failed[0] if failed else f"pytest exit {done.returncode}"
+    return None
 
 
 def mutated_copy(tmp: Path, name: str, mutant=None) -> Path:

@@ -10,9 +10,11 @@ level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
 P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), so no level is
 projected onto a basis and no degree is involved.
 The edges of the run are then roots of scalar critical-orbit equations,
-solved in Python floats by roots.brent in the grid cell where the
-classification flips, or the nearest cell where the equation changes sign
-(_bisect_edge).  With P the product of the periods of the
+solved in Python floats by roots.brent (_bisect_edge).  The grid cell where
+the classification flips comes first: where the equation brackets a root
+across it, brent solves that cell.  Only otherwise is the equation
+evaluated on the whole grid, as a fallback, and the nearest cell where it
+changes sign solved.  With P the product of the periods of the
 itinerary (P = p in find_windows) and lam = f_c^P(0):
 
 - the left edge is the superstable parameter, the root of f_c^P(0)
@@ -21,7 +23,8 @@ itinerary (P = p in find_windows) and lam = f_c^P(0):
 - the right edge is where J = [-|lam|, |lam|] stops being invariant, the
   root of |f_c^P(0)| - |f_c^2P(0)|: with g^k(x) = f^(kP')(Lam x)/Lam on
   the parent level, the deepest level's test |g^p(lam)| <= |lam| reads
-  |f^2P(0)| <= |f^P(0)| in the family.
+  |f^2P(0)| <= |f^P(0)| in the family; one critical orbit to step 2P
+  gives both terms.
 
 Superstable parameters and the doubling cascade are roots of f_c^q(0)
 solved by the same brent.  The edges do not move with the scan grid.
@@ -56,11 +59,19 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
     cs: the edge of a window whose classification flips in that cell.
 
     h maps a float to a float and an array to an array, rounding alike.
-    One array evaluation finds the cells of cs where h changes sign; the
-    one nearest cell k (the left one on a tie) is solved by brent.  So an
-    edge that lies cells away from the flip, on either side, is still
-    found, but never one outside cs; with no sign change on cs,
-    WindowNotFound carrying depth."""
+    The flip cell comes first: h at its two ends, in Python floats, and
+    where they bracket a root (a zero end counts) brent solves that cell.
+    Only otherwise does one array evaluation find the cells of cs where h
+    changes sign; the one nearest cell k (the left one on a tie) is solved
+    by brent.  The flip cell is the nearest cell when it brackets a root,
+    so both ways pick the same cell and return the same float.  An edge
+    that lies cells away from the flip, on either side, is still found,
+    but never one outside cs; with no sign change on cs, WindowNotFound
+    carrying depth."""
+    a, b = float(cs[k]), float(cs[k + 1])
+    ha, hb = h(a), h(b)
+    if ha <= 0.0 <= hb or hb <= 0.0 <= ha:
+        return brent(h, a, b)
     cs = np.asarray(cs, dtype=float)
     sign = np.sign(h(cs))
     cells = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
@@ -73,13 +84,19 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
 
 def _edge_equations(fam: QuadraticFamily, P: int):
     """(left, right) edge equations of a window of total period P (see the
-    module docstring); right is positive where J is invariant."""
+    module docstring); right is positive where J is invariant.  right runs
+    one critical orbit to step 2P, reading f_c^P(0) on the way: the
+    rounded operations of two orbits from 0, at 2P steps where they take
+    3P."""
     def left(c):
         return fam.critical_value_map(c, P)
 
     def right(c):
-        return (abs(fam.critical_value_map(c, P))
-                - abs(fam.critical_value_map(c, 2 * P)))
+        c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
+        x = lam = fam.critical_value_map(c, P)
+        for _ in range(P):
+            x = 1.0 - c * x * x
+        return abs(lam) - abs(x)
     return left, right
 
 
@@ -89,10 +106,12 @@ def _proper_divisors(q: int) -> list[int]:
 
 def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
                     grid: int) -> float | None:
-    """Leftmost primitive root of f_c^q(0) in (lo, hi), or None."""
+    """Leftmost primitive root of f_c^q(0) in [lo, hi], or None.  A cell
+    of the grid is solved where f_c^q(0) changes sign across it or vanishes
+    at one of its ends, so a root on a grid point is found too."""
     cs = np.linspace(lo, hi, grid)
     h = fam.critical_value_map(cs, q)
-    flips = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[0]
+    flips = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) <= 0)[0]
     for i in flips:
         c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
         if all(abs(fam.critical_value_map(c, d)) > 1e-9

@@ -181,10 +181,19 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
     t.fail[(t.fail == 0) & ~finite.all(axis=0)] = _NOT_FINITE
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
-        pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
-        pieces[0] = np.stack([-a[rows], a[rows]], axis=-1)
-        t.pieces[rows] = np.swapaxes(pieces, 0, 1)
-        order, gaps = _left_to_right(t.pieces[rows])
+        # the surviving rows' left and right piece ends, (rows, p) each
+        lo, hi = np.empty((2, rows.size, p))
+        hi[:, 0] = a[rows]
+        lo[:, 0] = -hi[:, 0]
+        tip_i, ends_i = tip[1:p, rows].T, ends[1:p, rows].T
+        np.minimum(tip_i, ends_i, out=lo[:, 1:])
+        np.maximum(tip_i, ends_i, out=hi[:, 1:])
+        t.pieces[rows, :, 0] = lo
+        t.pieces[rows, :, 1] = hi
+        order = np.argsort(lo, axis=-1)
+        # flat indices of each row's pieces, left to right
+        flat = order + p * np.arange(rows.size)[:, None]
+        gaps = lo.ravel()[flat[:, 1:]] - hi.ravel()[flat[:, :-1]]
         t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
         t.ranks[rows] = np.argsort(order, axis=-1)
     return t

@@ -13,6 +13,7 @@ from renormlab.errors import (BracketNotFound, DomainError, RenormlabError,
 from renormlab.maps import QuadraticFamily
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               renormalize)
+from renormlab.roots import brent
 from conftest import C_INF
 
 DELTA = 4.6692016091
@@ -43,6 +44,13 @@ def test_superstable_orbit_really_closes(quadratic):
         for _ in range(q):
             x = f(x)
         assert abs(x) < 1e-8
+
+
+def test_superstable_root_on_a_grid_point_is_found(quadratic):
+    # f_c^2(0) = 1 - c vanishes at c = 1, the middle point of 3 grid points,
+    # and inside a cell of 4
+    assert F._superstable_in(quadratic, 2, 0.5, 1.5, 3) == 1.0
+    assert F._superstable_in(quadratic, 2, 0.5, 1.5, 4) == 1.0
 
 
 def test_missing_period_raises(quadratic):
@@ -214,6 +222,19 @@ def test_edge_root_stops_at_float_resolution(lo, hi):
     assert root in (step, math.nextafter(step, 2.0))
 
 
+def _bisect_edge_scanned(h, cs, k, depth=0):
+    """_bisect_edge without the flip-cell shortcut: one array evaluation of
+    h on cs, then brent on the cell with a sign change nearest cell k (the
+    left one on a tie)."""
+    cs = np.asarray(cs, dtype=float)
+    sign = np.sign(h(cs))
+    cells = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
+    if not cells.size:
+        raise WindowNotFound("no sign change", depth=depth)
+    m = cells[np.argmin(np.abs(cells - k))]
+    return brent(h, cs[m], cs[m + 1])
+
+
 @pytest.mark.parametrize("k, root", [(0, 1.25), (2, 1.25), (4, 1.25),
                                      (5, 1.75), (7, 1.75), (9, 1.75)])
 def test_edge_root_widens_to_the_nearest_sign_change(k, root):
@@ -221,7 +242,9 @@ def test_edge_root_widens_to_the_nearest_sign_change(k, root):
     # until it meets one
     cs = np.linspace(1.0, 2.0, 11)
     h = lambda c: (c - 1.25) * (c - 1.75)
-    assert abs(F._bisect_edge(h, cs, k) - root) <= 4 * math.ulp(root)
+    edge = F._bisect_edge(h, cs, k)
+    assert abs(edge - root) <= 4 * math.ulp(root)
+    assert edge.hex() == _bisect_edge_scanned(h, cs, k).hex()
 
 
 def test_edge_root_without_sign_change_raises_with_depth():
@@ -230,6 +253,72 @@ def test_edge_root_without_sign_change_raises_with_depth():
     with pytest.raises(WindowNotFound) as err:
         F._bisect_edge(lambda c: c - 2.5, cs, 9, depth=3)
     assert err.value.depth == 3
+
+
+def test_window_edges_are_the_scanned_roots(quadratic, monkeypatch):
+    """Every edge of the depth-3 parameter tower and of three find_windows
+    scans, solved with and without the flip-cell shortcut: the same
+    float."""
+    shortcut, edges = F._bisect_edge, []
+
+    def both(h, cs, k, depth=0):
+        edge = shortcut(h, cs, k, depth)
+        assert edge.hex() == _bisect_edge_scanned(h, cs, k, depth).hex()
+        edges.append(edge)
+        return edge
+
+    monkeypatch.setattr(F, "_bisect_edge", both)
+    F.parameter_window_tower(quadratic, [THETA_DOUBLING, THETA_TRIPLING], 3)
+    for p, c_range in [(2, (0.8, 1.6)), (3, (1.6, 1.9)), (5, (1.6, 2.0))]:
+        F.find_windows(quadratic, p, c_range, grid=512)
+    assert len(edges) == 2 * (2 + 4 + 8) + 2 * (1 + 1 + 2)
+
+
+def _two_roots(c):
+    return (c - 1.25) * (c - 1.75)
+
+
+def _root_on_a_grid_point(c):
+    return c - 1.5
+
+
+@pytest.mark.parametrize("h, cs, k, arrays, root", [
+    (_two_roots, np.linspace(1.0, 2.0, 11), 2, 0, 1.25),
+    (_two_roots, np.linspace(1.0, 2.0, 11), 7, 0, 1.75),
+    (_two_roots, np.linspace(1.0, 2.0, 11), 0, 1, 1.25),
+    (_two_roots, np.linspace(1.0, 2.0, 11), 5, 1, 1.75),
+    # a zero at either end of the flip cell brackets the root
+    (_root_on_a_grid_point, [1.0, 1.5, 2.0], 0, 0, 1.5),
+    (_root_on_a_grid_point, [1.0, 1.5, 2.0], 1, 0, 1.5)],
+    ids=["flip-2", "flip-7", "off-0", "off-5", "zero-right", "zero-left"])
+def test_edge_root_scans_the_grid_only_off_the_flip_cell(h, cs, k, arrays,
+                                                         root):
+    calls = []
+
+    def counted(c):
+        calls.append(np.ndim(c) > 0)
+        return h(c)
+
+    assert abs(F._bisect_edge(counted, cs, k) - root) <= 4 * math.ulp(root)
+    assert sum(calls) == arrays
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.0, 2.0), P=st.integers(1, 60))
+def test_right_edge_equation_is_the_two_orbits_from_zero(c, P):
+    """The right edge equation continues one orbit from f_c^P(0); the
+    values are |f_c^P(0)| - |f_c^2P(0)| with both orbits run from 0, as
+    bytes, on a float and on an array."""
+    fam = QuadraticFamily()
+    _, right = F._edge_equations(fam, P)
+    got = right(c)
+    assert type(got) is float
+    assert got.hex() == (abs(fam.critical_value_map(c, P))
+                         - abs(fam.critical_value_map(c, 2 * P))).hex()
+    cs = np.array([c, 2.0 - c, 0.5 * c, 1.401155189, 1.7548776662466927])
+    want = (np.abs(fam.critical_value_map(cs, P))
+            - np.abs(fam.critical_value_map(cs, 2 * P)))
+    assert right(cs).tobytes() == want.tobytes()
 
 
 def _mp_orbit(c, q):

@@ -13,7 +13,8 @@ from renormlab import families as F
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               LAMBDA_FLOOR, _NEAR_ONE, _NOT_FINITE,
-                              _NOT_INVARIANT, IntervalTower, RenormStep,
+                              _NOT_INVARIANT, _OVERLAP, IntervalTower,
+                              RenormStep, _Trial,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _test_one, _test_period,
                               central_dominance,
@@ -329,15 +330,16 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _candidate_orbits(draw):
-    """(tip, ends, p) for a candidate period p: tip[i] = f^i(0) and
-    ends[i] = f^i(a), a = |tip[p]|, i = 0..p.  The points are first laid
-    out admissibly, each piece i >= 1 spanned by tip[i] and ends[i] and
-    all of them apart from each other and from J = [-a, a]; then up to
-    four points are replaced by a repeat of another point, a signed zero,
-    inf or nan, which ties hull ends and left ends, tests which operand a
-    tie keeps, and leaves the finite floats."""
-    p = draw(st.integers(min_value=2, max_value=16))
+def _candidate_orbits(draw, ps=st.integers(min_value=2, max_value=16)):
+    """(tip, ends, p) for a candidate period p drawn from ps:
+    tip[i] = f^i(0) and ends[i] = f^i(a), a = |tip[p]|, i = 0..p.  The
+    points are first laid out admissibly, each piece i >= 1 spanned by
+    tip[i] and ends[i] and all of them apart from each other and from
+    J = [-a, a]; then up to four points are replaced by a repeat of
+    another point, a signed zero, inf or nan, which ties hull ends and
+    left ends, tests which operand a tie keeps, and leaves the finite
+    floats."""
+    p = draw(ps)
     a = draw(st.floats(0.01, 0.5))
     cuts = sorted(draw(st.lists(st.floats(a, 1.5, exclude_min=True),
                                 min_size=2 * p - 2, max_size=2 * p - 2,
@@ -378,6 +380,68 @@ def test_one_map_period_test_is_the_batched_one(orbits):
         return
     assert np.array(pieces, dtype=float).tobytes() == ref.pieces[0].tobytes()
     assert tuple(ranks) == tuple(ref.ranks[0])
+
+
+def _test_period_reference(tip, ends, p):
+    """_test_period as it was written before it built the hull ends as two
+    planes: the hulls of a 3-D stack of both orbits, piece 0 set after,
+    and the pieces gathered again to sort them."""
+    lam = tip[p]
+    n = lam.size
+    a = np.abs(lam)
+    t = _Trial(p=p, lam=lam,
+               fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
+               reach=np.maximum(a, np.abs(ends[p])),
+               pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
+    t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
+    finite = np.isfinite(tip[1:p + 1]) & np.isfinite(ends[1:p + 1])
+    t.fail[(t.fail == 0) & ~finite.all(axis=0)] = _NOT_FINITE
+    rows = np.nonzero(t.fail == 0)[0]
+    if rows.size:
+        pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
+        pieces[0] = np.stack([-a[rows], a[rows]], axis=-1)
+        t.pieces[rows] = np.swapaxes(pieces, 0, 1)
+        order, gaps = _left_to_right(t.pieces[rows])
+        t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
+        t.ranks[rows] = np.argsort(order, axis=-1)
+    return t
+
+
+@st.composite
+def _orbit_stacks(draw):
+    """(tip, ends, p): up to 12 rows of candidate orbits for one p in 2..6,
+    as stacks of shape (p + 1, rows).  Most rows are _candidate_orbits
+    (ties, signed zeros, inf and nan); the others are points drawn from a
+    few values, so hull ends and left ends tie across pieces, and lam may
+    lie near 1."""
+    p = draw(st.integers(2, 6))
+    values = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0 - 1e-9,
+                              -1.0, np.inf, np.nan])
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            tip, ends, _ = draw(_candidate_orbits(ps=st.just(p)))
+        else:
+            tip = [0.0] + draw(st.lists(values, min_size=p, max_size=p))
+            ends = [abs(tip[p])] + draw(st.lists(values, min_size=p,
+                                                 max_size=p))
+        rows.append((tip, ends))
+    tip = np.array([row[0] for row in rows]).T
+    ends = np.array([row[1] for row in rows]).T
+    return tip, ends, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orbit_stacks())
+def test_period_test_is_the_reference_as_bytes(stacks):
+    """_test_period against the stack-and-gather reference on many rows at
+    once: fail, reach, pieces and ranks as bytes."""
+    tip, ends, p = stacks
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _test_period(tip, ends, p)
+        want = _test_period_reference(tip, ends, p)
+    for name in ("fail", "reach", "pieces", "ranks"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_an_orbit_1e_9_outside_J_fails_as_not_invariant():
