@@ -10,12 +10,11 @@ level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
 P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), so no level is
 projected onto a basis and no degree is involved.
 The edges of the run are then roots of scalar critical-orbit equations,
-solved in Python floats by roots.brent (_bisect_edge).  The grid cell where
-the classification flips comes first: where the equation brackets a root
-across it, brent solves that cell.  Only otherwise is the equation
-evaluated on the whole grid, as a fallback, and the nearest cell where it
-changes sign solved.  With P the product of the periods of the
-itinerary (P = p in find_windows) and lam = f_c^P(0):
+solved in Python floats by roots.brent (_bisect_edge).  brent tries the
+grid cell where the classification flips and refuses it if the equation
+does not bracket a root there; only then is the equation evaluated on the
+whole grid and the nearest bracketing cell solved.  With P the product of
+the periods of the itinerary (P = p in find_windows) and lam = f_c^P(0):
 
 - the left edge is the superstable parameter, the root of f_c^P(0)
   (Derrida-Gervois-Pomeau; by Milnor-Thurston monotonicity one root per
@@ -37,12 +36,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BracketNotFound, DomainError, SingleItinerary,
-                     WindowNotFound)
+from .errors import (BracketNotFound, DomainError, NoBracket,
+                     SingleItinerary, WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
 from .renorm import IntervalTower, scan_periods
-from .roots import brent
+from .roots import brent, sign_changes
 
 SCAN_GRID = 2000
 WINDOW_GRIDS = (129, 513, 2049)
@@ -59,22 +58,18 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
     cs: the edge of a window whose classification flips in that cell.
 
     h maps a float to a float and an array to an array, rounding alike.
-    The flip cell comes first: h at its two ends, in Python floats, and
-    where they bracket a root (a zero end counts) brent solves that cell.
-    Only otherwise does one array evaluation find the cells of cs where h
-    changes sign; the one nearest cell k (the left one on a tie) is solved
-    by brent.  The flip cell is the nearest cell when it brackets a root,
-    so both ways pick the same cell and return the same float.  An edge
-    that lies cells away from the flip, on either side, is still found,
-    but never one outside cs; with no sign change on cs, WindowNotFound
-    carrying depth."""
-    a, b = float(cs[k]), float(cs[k + 1])
-    ha, hb = h(a), h(b)
-    if ha <= 0.0 <= hb or hb <= 0.0 <= ha:
-        return brent(h, a, b)
-    cs = np.asarray(cs, dtype=float)
-    sign = np.sign(h(cs))
-    cells = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
+    brent tries the flip cell first and refuses it (NoBracket) unless h
+    brackets a root there.  Only then does one array evaluation find the
+    cells of cs that bracket a root (roots.sign_changes); the one nearest
+    cell k (the left one on a tie) is solved by brent.  The flip cell is
+    the nearest cell when it brackets a root, so both ways pick the same
+    cell and return the same float.  An edge that lies cells away from the
+    flip, on either side, is still found, but never one outside cs; with no
+    sign change on cs, WindowNotFound carrying depth."""
+    try:
+        return brent(h, cs[k], cs[k + 1])
+    except NoBracket:
+        cells = sign_changes(h(np.asarray(cs, dtype=float)))
     if not cells.size:
         raise WindowNotFound(f"the edge equation does not change sign on "
                              f"[{cs[0]:.17g}, {cs[-1]:.17g}]", depth=depth)
@@ -110,9 +105,7 @@ def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
     of the grid is solved where f_c^q(0) changes sign across it or vanishes
     at one of its ends, so a root on a grid point is found too."""
     cs = np.linspace(lo, hi, grid)
-    h = fam.critical_value_map(cs, q)
-    flips = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) <= 0)[0]
-    for i in flips:
+    for i in sign_changes(fam.critical_value_map(cs, q)):
         c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
         if all(abs(fam.critical_value_map(c, d)) > 1e-9
                for d in _proper_divisors(q)):

@@ -2,18 +2,19 @@
 
 Everything here consumes an IntervalTower and is agnostic to where it came
 from (a map, a parameter sweep, or a synthetic construction).  Lengths below
-LENGTH_FLOOR are treated as lost to rounding: levels containing one terminate
-the usable depth and are excluded from every fit.
+LENGTH_FLOOR, and nan lengths, count as lost to rounding: levels containing
+one terminate the usable depth and are excluded from every fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError, EmptyLevel, NoBracket
+from .errors import DomainError, EmptyLevel
 from .renorm import IntervalTower, _check_level_disjoint, _check_nesting
 from .roots import brent
 
@@ -26,10 +27,10 @@ NEAR_DEGENERATE_TAU = 1e-3
 
 
 def usable_depth(tower: IntervalTower) -> int:
-    """Deepest level whose shortest interval still resolves in floating point."""
+    """Deepest k with every length on levels 1..k >= LENGTH_FLOOR (no nan)."""
     k = 0
     for lv in range(1, tower.depth + 1):
-        if tower.lengths(lv).min() < LENGTH_FLOOR:
+        if not tower.lengths(lv).min() >= LENGTH_FLOOR:
             break
         k = lv
     return k
@@ -225,20 +226,6 @@ def _mean_log_ratio(loglens: list[np.ndarray], s: float,
     return float(np.mean(np.diff(logs[lo - 1:hi])))
 
 
-def _root_exponent(loglens, lo_k: int, hi_k: int, bracket) -> float:
-    """Zero in s of _mean_log_ratio over levels lo_k..hi_k, by brent to
-    float resolution; NoBracket if the ratio keeps its sign on bracket."""
-    def ratio(s):
-        return _mean_log_ratio(loglens, s, lo_k, hi_k)
-
-    a, b = bracket
-    ra, rb = ratio(a), ratio(b)
-    if ra * rb > 0.0:
-        raise NoBracket(f"partition-sum ratio does not change sign on "
-                        f"({a}, {b}): r({a}) = {ra:.3g}, r({b}) = {rb:.3g}")
-    return brent(ratio, a, b)
-
-
 def hausdorff_dimension(tower: IntervalTower,
                         bracket: tuple[float, float] = (0.01, 0.99),
                         kmin: int | None = None) -> DimensionReport:
@@ -246,9 +233,9 @@ def hausdorff_dimension(tower: IntervalTower,
 
     The fitted quantity is the mean log-ratio of consecutive partition sums
     over levels kmin..K, smooth and decreasing in the exponent s; its zero
-    in bracket, found by roots.brent to float resolution, is the dimension
-    estimate.  Stability is the difference between the estimates on
-    windows [kmin..K-1] and [kmin+1..K].
+    in bracket, found by roots.brent to float resolution (NoBracket where
+    bracket holds none), is the dimension estimate.  Stability is the
+    difference between the estimates on windows [kmin..K-1] and [kmin+1..K].
     """
     kmax = usable_depth(tower)
     if kmin is None:
@@ -261,9 +248,9 @@ def hausdorff_dimension(tower: IntervalTower,
     if kmin < 1 or kmin > kmax - 2:
         raise DomainError(f"kmin = {kmin} leaves no fit window in 1..{kmax}")
     loglens = _log_length_levels(tower, kmax)
-    s_est = _root_exponent(loglens, kmin, kmax, bracket)
-    s_lo = _root_exponent(loglens, kmin, kmax - 1, bracket)
-    s_hi = _root_exponent(loglens, kmin + 1, kmax, bracket)
+    s_est, s_lo, s_hi = (
+        brent(partial(_mean_log_ratio, loglens, lo=lo, hi=hi), *bracket)
+        for lo, hi in ((kmin, kmax), (kmin, kmax - 1), (kmin + 1, kmax)))
     sums = partition_sum(tower, s_est)
     eta = float(np.exp(_mean_log_ratio(loglens, s_est, kmin, kmax)))
     return DimensionReport(

@@ -1,23 +1,42 @@
-"""The one root routine of the package.
+"""The one root routine of the package, and its one bracket rule.
 
 brent solves a scalar equation h(x) = 0 in Python floats to float
 resolution.  families roots the critical-orbit equations of window edges and
 superstable parameters with it, geometry the covering-sum equation of the
-dimension estimate.
+dimension estimate.  brackets is the package's one test of a bracket.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .errors import NoBracket
+
+
+def brackets(fa, fb):
+    """Do h's values fa and fb bracket a root: is one <= 0 and the other
+    >= 0?  A zero counts, nan never does.  Elementwise on arrays."""
+    return (fa <= 0.0) & (fb >= 0.0) | (fb <= 0.0) & (fa >= 0.0)
+
+
+def sign_changes(values) -> np.ndarray:
+    """Indices i of the cells (i, i + 1) whose values bracket a root."""
+    return np.nonzero(brackets(values[:-1], values[1:]))[0]
+
 
 def brent(h, a: float, b: float) -> float:
-    """Root of h between a and b, where h changes sign, by Brent's method
-    (inverse quadratic interpolation guarded by bisection) in Python
-    floats.  It stops at float resolution: h vanishes at the result, or
-    the result and the other end of the final bracket are adjacent
-    floats."""
+    """Root of h between a and b by Brent's method (inverse quadratic
+    interpolation guarded by bisection) in Python floats.  h(a) and h(b)
+    are evaluated once each, first; unless they bracket a root (see
+    brackets), NoBracket names the interval and both values.  It stops at
+    float resolution: h vanishes at the result, or the result and the
+    other end of the final bracket are adjacent floats."""
     xpre, fpre, xcur, fcur = float(a), h(float(a)), float(b), h(float(b))
+    if not brackets(fpre, fcur):
+        raise NoBracket(f"h does not bracket a root on [{xpre!r}, {xcur!r}]: "
+                        f"h(a) = {fpre!r}, h(b) = {fcur!r}")
     if fpre == 0.0:
         return xpre
     xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre

@@ -193,14 +193,17 @@ def test_edge_root_of_a_continuous_function_to_a_few_ulps():
     calls = []
 
     def cubic(c):
-        calls.append(np.ndim(c) == 0)
+        calls.append(c)
         return c**3 - 2 * c**2 + c - 1
 
     c3 = float(mp.findroot(cubic, mp.mpf(1.75)))
     calls.clear()
     assert abs(F._bisect_edge(cubic, [1.6, 1.9], 0) - c3) <= 4 * math.ulp(c3)
-    # interpolation, not bisection, which needs about 50 halvings of 0.3
-    assert sum(calls) <= 15
+    # interpolation, not bisection, which needs about 50 halvings of 0.3;
+    # brent alone evaluates the flip cell's ends, once each, and no array
+    assert all(np.ndim(c) == 0 for c in calls)
+    assert calls[:2] == [1.6, 1.9] and len(calls) == 10
+    assert calls.count(1.6) == calls.count(1.9) == 1
 
 
 @pytest.mark.parametrize("lo, hi", [

@@ -75,6 +75,22 @@ def test_usable_depth_stops_at_length_floor():
     assert G.usable_depth(tw) == 6
 
 
+def test_a_nan_length_ends_the_usable_depth():
+    # one nan right end at level 5; nan < LENGTH_FLOOR is False, so a
+    # floor test written as `< LENGTH_FLOOR` counts the level as resolved
+    tw = G.self_similar_tower(2, 1.0 / 3.0, 7)
+    levels = [lv.copy() for lv in tw.levels]
+    levels[4][0, 1] = np.nan
+    tw = IntervalTower(levels=tuple(levels), periods=tw.periods,
+                       scalings=None, kind="synthetic")
+    assert G.usable_depth(tw) == 4
+    with pytest.raises(EmptyLevel, match="have 4"):
+        G.hausdorff_dimension(tw)
+    dim = G.hausdorff_dimension(tw, kmin=2)
+    assert dim.fit_levels == (2, 4)
+    assert abs(dim.s_estimate - LOG2_LOG3) < 1e-14
+
+
 # --- towers from the period-doubling fixed point ------------------------
 
 def test_fixed_point_tower_has_bounded_geometry(tower_8):
