@@ -11,9 +11,9 @@ killed when the suite fails, and the first failing test is printed, so a
 kill names a deterministic test whenever one fails; it survives when the
 suite passes.  The unmutated copy runs first as a control and must pass.
 Exits non-zero if the control fails or any mutant survives.  Standard
-library only; run on demand (about 25 s for the control, which runs the
-whole suite, and seconds for a mutant, which stops at its first failure;
-under 2 min in all on 2 cores):
+library only; run on demand and in CI (about 40 s for the control, which
+runs the whole suite, and seconds for a mutant, which stops at its first
+failure; about 3 min in all on 2 cores):
 
     python3 scripts/mutants.py
 """
@@ -62,6 +62,12 @@ MUTANTS = [
     ("geometry.py", "usable_depth's floor test reverted to < LENGTH_FLOOR",
      (("if not tower.lengths(lv).min() >= LENGTH_FLOOR:",
        "if tower.lengths(lv).min() < LENGTH_FLOOR:"),)),
+    ("solver.py", "_seed_cycle's chase depth cut back to burn + 3",
+     (("thetas, burn + max(3, m)).c", "thetas, burn + 3).c"),)),
+    ("roots.py", "nan check dropped in brent",
+     (("        if math.isnan(fcur):\n", "        if False:\n"),)),
+    ("families.py", "width check dropped in the nested-window chase",
+     (("if math.nextafter(lo, math.inf) >= hi:", "if False:"),)),
 ]
 
 

@@ -18,7 +18,6 @@ mpmath numbers.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cache
 
 import numpy as np
@@ -27,14 +26,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import DomainError
 
 
-class PhiBasis(str, Enum):
-    """Tag of the coefficient basis, recorded in the JSON map format and the
-    reports.  There is one basis; the `basis` arguments below carry the tag
-    and do not change the arithmetic."""
-
-    ORTHOGONAL = "orthogonal-u"  # Chebyshev T_n(2u - 1)
-
-
+TAG = "orthogonal-u"  # the one basis, named in the map JSON and reports
 DEGREE_MAX = 64
 
 
@@ -44,7 +36,7 @@ def collocation_nodes(count: int) -> np.ndarray:
     return np.sort((t + 1.0) / 2.0)
 
 
-def design_matrix(u, degree: int, basis: PhiBasis) -> np.ndarray:
+def design_matrix(u, degree: int) -> np.ndarray:
     """Rows evaluate the basis at u: shape (len(u), degree + 1)."""
     u = np.asarray(u, dtype=float)
     return _cheb.chebvander(2.0 * u - 1.0, degree)
@@ -68,13 +60,13 @@ def clenshaw(c, t):
     return c0 + c1 * t
 
 
-def eval_phi(coeffs: np.ndarray, basis: PhiBasis, u):
+def eval_phi(coeffs: np.ndarray, u):
     """phi(u) for one coefficient vector, elementwise over u."""
     u = np.asarray(u, dtype=float)
     return clenshaw(np.asarray(coeffs, dtype=float), 2.0 * u - 1.0)
 
 
-def deriv_coeffs(coeffs: np.ndarray, basis: PhiBasis, order: int = 1) -> np.ndarray:
+def deriv_coeffs(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
     """Coefficients of d^order phi / du^order in the same basis.
 
     Each derivative runs numpy's chebder recurrence on Python floats, the
@@ -107,16 +99,16 @@ def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return np.pad(coeffs, (0, degree + 1 - len(coeffs)))
 
 
-def phi_at_zero(coeffs: np.ndarray, basis: PhiBasis) -> float:
+def phi_at_zero(coeffs: np.ndarray) -> float:
     """phi(0), on Python floats."""
     return clenshaw(np.asarray(coeffs, dtype=float).tolist(), -1.0)
 
 
-def normalized_constant(coeffs: np.ndarray, basis: PhiBasis) -> np.ndarray:
+def normalized_constant(coeffs: np.ndarray) -> np.ndarray:
     """Shift the constant coefficient so phi(0) = 1 to within one rounding
     (the shifted sum is rounded, so not exactly)."""
     out = np.array(coeffs, dtype=float)
-    out[0] += 1.0 - phi_at_zero(out, basis)
+    out[0] += 1.0 - phi_at_zero(out)
     return out
 
 
@@ -125,14 +117,14 @@ def _collocation(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """project_function's 2(D+1) nodes and their design matrix, read-only,
     built once per degree."""
     u = collocation_nodes(2 * (degree + 1))
-    mat = design_matrix(u, degree, PhiBasis.ORTHOGONAL)
+    mat = design_matrix(u, degree)
     u.setflags(write=False)
     mat.setflags(write=False)
     return u, mat
 
 
-def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
-            basis: PhiBasis) -> tuple[np.ndarray, float]:
+def fit_phi(u_nodes: np.ndarray, values: np.ndarray,
+            degree: int) -> tuple[np.ndarray, float]:
     """Least-squares coefficients for phi on the nodes plus the sup residual.
 
     The residual is max |phi(u_t) - values_t| over the nodes; callers decide
@@ -142,19 +134,18 @@ def fit_phi(u_nodes: np.ndarray, values: np.ndarray, degree: int,
     """
     nodes, mat = _collocation(degree)
     if u_nodes is not nodes:  # project_function's nodes reuse their matrix
-        mat = design_matrix(u_nodes, degree, basis)
+        mat = design_matrix(u_nodes, degree)
     values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(mat, values.T, rcond=None)
     residual = np.max(np.abs(mat @ coeffs - values.T), axis=0)
     return coeffs.T, residual if residual.ndim else float(residual)
 
 
-def project_function(fn, degree: int,
-                     basis: PhiBasis) -> tuple[np.ndarray, float]:
+def project_function(fn, degree: int) -> tuple[np.ndarray, float]:
     """Project a callable of u onto the basis; returns (coeffs, residual).
 
     fn is sampled on the 2(D+1) collocation nodes (read-only); it may return
     one row of values or a stack (n, nodes) of n functions, fitted by one
     solve."""
     u, _ = _collocation(degree)
-    return fit_phi(u, np.asarray(fn(u), dtype=float), degree, basis)
+    return fit_phi(u, np.asarray(fn(u), dtype=float), degree)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import basis as _basis
 from . import families as _families
 from . import geometry as _geometry
 from . import loperator as _loperator
@@ -196,7 +197,7 @@ def _run_feigenbaum(cfg, args, out):
         "delta": rep.delta,
         "spectral_gap": rep.gap,
         "coefficients": fp.map.coeffs,
-        "basis": fp.map.basis,
+        "basis": _basis.TAG,
     }
     summary = (f"lambda={fp.lambda_star:.9f} delta={rep.delta:.7f} "
                f"residual={fp.residual:.2e}")

@@ -247,7 +247,7 @@ class FamilyLevel:
 def _level_zero(fam: QuadraticFamily, cs: np.ndarray):
     """(rows, level 0): the indices of the parameters of cs inside the
     family's domain, in order, and their members as a FamilyLevel."""
-    rows = np.nonzero((fam.c_min < cs) & (cs <= fam.c_max))[0]
+    rows = np.nonzero((fam.C_MIN < cs) & (cs <= fam.C_MAX))[0]
     return rows, FamilyLevel(c=cs[rows], P=1, lam=np.ones(rows.size))
 
 
@@ -388,7 +388,8 @@ def infinitely_renormalizable_parameter(fam: QuadraticFamily, thetas,
     follow `thetas` cyclically, to the given depth.
 
     Returns the final window midpoint with its bracket; widths records the
-    window at every depth (they are strictly nested).
+    window at every depth (they are strictly nested).  A window with no
+    float inside it raises WindowNotFound carrying its depth.
     """
     thetas = [tuple(t) for t in thetas]
     if not thetas:
@@ -400,6 +401,9 @@ def infinitely_renormalizable_parameter(fam: QuadraticFamily, thetas,
     widths = []
     for d in range(1, depth + 1):
         lo, hi = _window_for_prefix(fam, prefix[:d], (lo, hi))
+        if math.nextafter(lo, math.inf) >= hi:
+            raise WindowNotFound(f"the depth-{d} window [{lo!r}, {hi!r}] "
+                                 f"holds no float inside it", depth=d)
         widths.append(hi - lo)
     return ParameterBracket(c=0.5 * (lo + hi), bracket=(float(lo), float(hi)),
                             widths=tuple(widths), depth=depth)

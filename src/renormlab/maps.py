@@ -16,7 +16,6 @@ from functools import cache
 import numpy as np
 
 from . import basis as _basis
-from .basis import PhiBasis
 from .errors import DomainError, InvalidMap
 
 NORMALIZATION_TOL = 1e-12
@@ -61,7 +60,6 @@ class UnimodalMap:
     """
 
     coeffs: np.ndarray
-    basis: PhiBasis = PhiBasis.ORTHOGONAL
     check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,15 +87,16 @@ class UnimodalMap:
         """Coefficients of dphi/du, cached."""
         dc = self.__dict__.get("_dcoeffs")
         if dc is None:
-            dc = _basis.deriv_coeffs(self.coeffs, self.basis)
+            dc = _basis.deriv_coeffs(self.coeffs)
             object.__setattr__(self, "_dcoeffs", dc)
         return dc
 
+    # u by keyword: perfbench/layers.py reads a traced call's kwargs["u"]
     def phi(self, u):
-        return _basis.eval_phi(self.coeffs, self.basis, u)
+        return _basis.eval_phi(self.coeffs, u=u)
 
     def phi_deriv(self, u):
-        return _basis.eval_phi(self.deriv_coeffs(), self.basis, u)
+        return _basis.eval_phi(self.deriv_coeffs(), u=u)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -109,27 +108,28 @@ class UnimodalMap:
         return out if out.ndim else float(out)
 
     def to_json(self) -> str:
-        payload = {"basis": self.basis.value,
+        payload = {"basis": _basis.TAG,
                    "degree": self.degree,
                    "coeffs": [float(c) for c in self.coeffs]}
         return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "UnimodalMap":
-        """Inverse of to_json; malformed JSON, a missing key or an unknown
-        basis tag raises InvalidMap."""
+        """Inverse of to_json; malformed JSON, a missing key or a basis tag
+        other than basis.TAG raises InvalidMap."""
         try:
             payload = json.loads(text)
             coeffs = np.asarray(payload["coeffs"], dtype=float)
             degree = payload["degree"]
-            basis = PhiBasis(payload["basis"])
+            if payload["basis"] != _basis.TAG:
+                raise ValueError(f"unknown basis tag {payload['basis']!r}")
         except KeyError as err:
             raise InvalidMap(f"map JSON lacks the key {err}") from None
         except (TypeError, ValueError) as err:
             raise InvalidMap(f"map JSON: {err}") from None
         if degree != coeffs.size - 1:
             raise InvalidMap("degree field inconsistent with coefficient count")
-        return UnimodalMap(coeffs, basis)
+        return UnimodalMap(coeffs)
 
 
 def validate(f: UnimodalMap) -> MapDiagnostics:
@@ -181,15 +181,15 @@ def orbit(f: UnimodalMap, x0: float, n: int) -> Orbit:
 
 @dataclass(frozen=True)
 class QuadraticFamily:
-    """f_c(x) = 1 - c x^2 for c in (0, 2]."""
+    """f_c(x) = 1 - c x^2 for c in (C_MIN, C_MAX] = (0, 2]."""
 
-    c_min: float = 0.0
-    c_max: float = 2.0
+    C_MIN = 0.0
+    C_MAX = 2.0
 
     def member(self, c: float, degree: int = 1) -> UnimodalMap:
         """Exact coefficients of phi(u) = 1 - c u, zero-padded to degree."""
-        if not (self.c_min < c <= self.c_max):
-            raise DomainError(f"family parameter c = {c} outside ({self.c_min}, {self.c_max}]")
+        if not (self.C_MIN < c <= self.C_MAX):
+            raise DomainError(f"family parameter c = {c} outside ({self.C_MIN}, {self.C_MAX}]")
         if degree < 1:
             raise DomainError("degree must be at least 1")
         # 1 - c u = (1 - c/2) - (c/2) T_1(2u - 1)

@@ -323,7 +323,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
     def phi_tf(u):
         return orbit_stack(f, f.phi((lam * lam) * u), p - 1)[-1] / lam
 
-    return _basis.project_function(phi_tf, degree, f.basis)
+    return _basis.project_function(phi_tf, degree)
 
 
 def renormalize(f: UnimodalMap, step: RenormStep | None = None,
@@ -343,8 +343,8 @@ def renormalize(f: UnimodalMap, step: RenormStep | None = None,
         raise TruncationLoss(
             f"projection residual {residual:.3e} exceeds {PROJECTION_CAP:.1e} "
             f"at degree {target}", residual=residual)
-    coeffs = _basis.normalized_constant(coeffs, f.basis)
-    return Renormalized(UnimodalMap(coeffs, f.basis), step, residual)
+    coeffs = _basis.normalized_constant(coeffs)
+    return Renormalized(UnimodalMap(coeffs), step, residual)
 
 
 def renormalize_with(f: UnimodalMap, theta: tuple[int, ...],

@@ -7,7 +7,6 @@ significant digits, so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 from pathlib import Path
 
@@ -40,8 +39,6 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

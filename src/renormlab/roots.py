@@ -30,8 +30,9 @@ def brent(h, a: float, b: float) -> float:
     """Root of h between a and b by Brent's method (inverse quadratic
     interpolation guarded by bisection) in Python floats.  h(a) and h(b)
     are evaluated once each, first; unless they bracket a root (see
-    brackets), NoBracket names the interval and both values.  It stops at
-    float resolution: h vanishes at the result, or the result and the
+    brackets), NoBracket names the interval and both values.  A nan
+    value at a later iterate raises NoBracket naming that point.  It stops
+    at float resolution: h vanishes at the result, or the result and the
     other end of the final bracket are adjacent floats."""
     xpre, fpre, xcur, fcur = float(a), h(float(a)), float(b), h(float(b))
     if not brackets(fpre, fcur):
@@ -70,3 +71,5 @@ def brent(h, a: float, b: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = h(xcur)
+        if math.isnan(fcur):
+            raise NoBracket(f"h is nan at {xcur!r}, inside the bracket")

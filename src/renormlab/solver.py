@@ -26,7 +26,6 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import basis as _basis
 from . import families as _families
-from .basis import PhiBasis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
                      TruncationLoss)
@@ -72,7 +71,7 @@ def derivative_matrix(f: UnimodalMap,
     # scaling sensitivity along the critical orbit
     zc = orbit_stack(f, 0.0, p)
     campl = _suffix_products(slopes(f, zc[:p]))
-    crit_design = _basis.design_matrix(zc[p - 1::-1] ** 2, dim - 1, f.basis)
+    crit_design = _basis.design_matrix(zc[p - 1::-1] ** 2, dim - 1)
     sens = campl[:p] @ crit_design
 
     def images(u):
@@ -82,13 +81,13 @@ def derivative_matrix(f: UnimodalMap,
         # suffix products: amp[j] = Df^j evaluated at z_{p-j}
         amp = _suffix_products(slopes(f, zs[:p]))
         # basis values at the arguments of v: rows j = 0..p-1 use z_{p-j-1}
-        design = _basis.design_matrix(zs[p - 1::-1].ravel() ** 2, dim - 1,
-                                      f.basis).reshape(p, x.size, dim)
+        design = _basis.design_matrix(zs[p - 1::-1].ravel() ** 2,
+                                      dim - 1).reshape(p, x.size, dim)
         principal = np.einsum("jt,jtn->tn", amp[:p], design) / lam
         tail_weight = (x * amp[p] - zs[p] / lam) / lam
         return (principal + np.outer(tail_weight, sens)).T
 
-    return _basis.project_function(images, dim - 1, f.basis)[0].T
+    return _basis.project_function(images, dim - 1)[0].T
 
 
 def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6) -> np.ndarray:
@@ -100,7 +99,7 @@ def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6) -> np.ndarray:
     cols = np.empty((dim, dim))
 
     def coeffs_of_T(c):
-        g = UnimodalMap(c, f.basis, check=False)
+        g = UnimodalMap(c, check=False)
         return project_T(g, detect(g, validate_input=False), f.degree)[0]
 
     for n in range(dim):
@@ -141,7 +140,7 @@ def _increasing_c_direction(dim: int) -> np.ndarray:
     return out
 
 
-def spectral_report(mat: np.ndarray, basis: PhiBasis) -> SpectralReport:
+def spectral_report(mat: np.ndarray) -> SpectralReport:
     vals, vecs = _sorted_eigensystem(mat)
     dim = mat.shape[0]
     outside = np.abs(vals) > 1.0 + UNSTABLE_CUTOFF
@@ -151,7 +150,8 @@ def spectral_report(mat: np.ndarray, basis: PhiBasis) -> SpectralReport:
 
     u_vec = _realified(vecs[:, 0])
     grid = np.linspace(0.0, 1.0, SUP_GRID)
-    sup = float(np.max(np.abs(_basis.eval_phi(u_vec, basis, grid))))
+    # u by keyword: perfbench/layers.py reads a traced call's kwargs["u"]
+    sup = float(np.max(np.abs(_basis.eval_phi(u_vec, u=grid))))
     u_vec = u_vec / sup
 
     lvals, lvecs = _sorted_eigensystem(mat.T)
@@ -172,7 +172,7 @@ def spectral_report(mat: np.ndarray, basis: PhiBasis) -> SpectralReport:
 def spectrum(f: UnimodalMap) -> SpectralReport:
     """Eigendata of DT at f (usually a solved fixed point)."""
     mat = derivative_matrix(f)
-    return spectral_report(mat, f.basis)
+    return spectral_report(mat)
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,11 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
     """
     m = len(thetas)
     dim = start_cycle[0].coeffs.size
-    basis = start_cycle[0].basis
-    norm_row = _basis.design_matrix(np.zeros(1), dim - 1, basis)[0]
+    norm_row = _basis.design_matrix(np.zeros(1), dim - 1)[0]
     pinned = np.arange(m) * dim   # row of each g_i's constant equation
 
     def build_cycle(c_stack: np.ndarray):
-        cycle = tuple(UnimodalMap(c, basis) for c in c_stack)
+        cycle = tuple(UnimodalMap(c) for c in c_stack)
         rens = tuple(renormalize_with(g, theta, degree=dim - 1)
                      for g, theta in zip(cycle, thetas))
         res = max(_sup_distance(rens[i].map, cycle[(i + 1) % m])
@@ -245,8 +244,8 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
         cannot use the maps it reaches."""
         try:
             trial = np.stack([
-                _basis.normalized_constant(c_stack[i] + scale * delta[i],
-                                           basis) for i in range(m)])
+                _basis.normalized_constant(c_stack[i] + scale * delta[i])
+                for i in range(m)])
             return (trial,) + build_cycle(trial)
         except _NEWTON_RECOVERABLE:
             return None
@@ -301,7 +300,7 @@ def _solve_cycle(thetas: tuple[tuple[int, ...], ...], degree: int,
         _seed_cycle(thetas, coarse), thetas, tol)
     if degree > coarse:
         # unchecked: Newton's first build validates them at `degree`
-        cycle = tuple(UnimodalMap(_basis.padded(g.coeffs, degree), g.basis,
+        cycle = tuple(UnimodalMap(_basis.padded(g.coeffs, degree),
                                   check=False) for g in cycle)
         cycle, rens, res, fine_history, fine_iters = _newton_polish(
             cycle, thetas, tol)
@@ -342,7 +341,7 @@ def solve_periodic_orbit(thetas, degree: int = 24,
     product = np.eye(degree + 1)
     for i in range(len(thetas)):
         product = derivative_matrix(cycle[i], rens[i].step) @ product
-    report = spectral_report(product, cycle[0].basis)
+    report = spectral_report(product)
     observed = tuple(rens[i].step.perm for i in range(len(thetas)))
     return PeriodicOrbitResult(cycle=cycle, combinatorics=observed,
                                residual=res, multipliers=report,
@@ -370,8 +369,7 @@ def _doubling_seed(degree: int) -> np.ndarray:
     degree 7 or zero-padded above it, then normalized."""
     in_t = Polynomial(FEIGENBAUM_PHI)(Polynomial([0.5, 0.5]))
     coeffs = _cheb.poly2cheb(in_t.coef)[:degree + 1]
-    coeffs = _basis.normalized_constant(_basis.padded(coeffs, degree),
-                                        PhiBasis.ORTHOGONAL)
+    coeffs = _basis.normalized_constant(_basis.padded(coeffs, degree))
     coeffs.setflags(write=False)
     return coeffs
 
@@ -385,8 +383,9 @@ def _seed_cycle(thetas: tuple[tuple[int, ...], ...],
     if m == 1 and thetas[0] == THETA_DOUBLING:
         return (UnimodalMap(_doubling_seed(degree)),)
     burn = m * max(1, math.ceil(2 / m))
+    # a depth-d chase constrains positions < d: the burn-in and all m members
     c = _families.infinitely_renormalizable_parameter(
-        _SEED_FAMILY, thetas, burn + 3).c
+        _SEED_FAMILY, thetas, burn + max(3, m)).c
     g = _SEED_FAMILY.member(c, degree=degree)
     for i in range(burn):
         g = renormalize_with(g, thetas[i % m], degree=degree).map

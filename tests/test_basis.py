@@ -5,12 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from renormlab.basis import (PhiBasis, clenshaw, collocation_nodes,
-                             deriv_coeffs, eval_phi, fit_phi, phi_at_zero,
-                             project_function)
+from renormlab.basis import (clenshaw, collocation_nodes, deriv_coeffs,
+                             eval_phi, fit_phi, phi_at_zero, project_function)
 from renormlab.errors import DomainError
-
-BASIS = PhiBasis.ORTHOGONAL
 
 degrees = st.integers(min_value=0, max_value=64)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -29,13 +26,12 @@ def test_fit_recovers_a_chebyshev_polynomial(degree):
     u = collocation_nodes(2 * (degree + 1))
     for _ in range(5):
         want = random_coeffs(rng, degree)
-        got, residual = fit_phi(u, cheb.chebval(2.0 * u - 1.0, want),
-                                degree, BASIS)
+        got, residual = fit_phi(u, cheb.chebval(2.0 * u - 1.0, want), degree)
         assert np.max(np.abs(got - want)) < 1e-13
         assert residual <= 1e-14
         # project_function samples on exactly these nodes
         projected, _ = project_function(
-            lambda v: cheb.chebval(2.0 * v - 1.0, want), degree, BASIS)
+            lambda v: cheb.chebval(2.0 * v - 1.0, want), degree)
         assert np.array_equal(projected, got)
 
 
@@ -45,10 +41,10 @@ def test_stacked_fit_agrees_with_row_fits(degree):
     u = collocation_nodes(2 * (degree + 1))
     # a degree-(D+4) stack, so the residuals are not all at rounding level
     values = cheb.chebval(2.0 * u - 1.0, random_coeffs(rng, degree + 4, 6).T)
-    coeffs, residual = fit_phi(u, values, degree, BASIS)
+    coeffs, residual = fit_phi(u, values, degree)
     assert coeffs.shape == (6, degree + 1) and residual.shape == (6,)
     for i in range(6):
-        row, row_res = fit_phi(u, values[i], degree, BASIS)
+        row, row_res = fit_phi(u, values[i], degree)
         # one solve for the stack and one per row round differently
         assert np.max(np.abs(coeffs[i] - row)) < 1e-14
         assert abs(residual[i] - row_res) < 1e-14
@@ -61,10 +57,10 @@ def test_deriv_coeffs_match_central_differences(order):
     h = 1e-5
     for coeffs in random_coeffs(rng, 8, 3):
         lower = (coeffs if order == 1
-                 else deriv_coeffs(coeffs, BASIS, order - 1))
-        diff = (eval_phi(lower, BASIS, u + h)
-                - eval_phi(lower, BASIS, u - h)) / (2.0 * h)
-        exact = eval_phi(deriv_coeffs(coeffs, BASIS, order), BASIS, u)
+                 else deriv_coeffs(coeffs, order - 1))
+        diff = (eval_phi(lower, u + h)
+                - eval_phi(lower, u - h)) / (2.0 * h)
+        exact = eval_phi(deriv_coeffs(coeffs, order), u)
         # truncation h^2 phi^(order+2) / 6 is about 1e-8 of the scale here
         assert np.max(np.abs(exact - diff)) < 1e-7 * np.max(np.abs(exact))
 
@@ -89,9 +85,9 @@ def test_clenshaw_is_chebval_on_arrays(degree, seed, ts):
     t = np.array(ts)
     assert np.array_equal(clenshaw(c, t), cheb.chebval(t, c))
     u = (t + 1.0) / 2.0
-    assert np.array_equal(eval_phi(c, BASIS, u),
+    assert np.array_equal(eval_phi(c, u),
                           cheb.chebval(2.0 * u - 1.0, c))
-    assert phi_at_zero(c, BASIS) == cheb.chebval(-1.0, c)
+    assert phi_at_zero(c) == cheb.chebval(-1.0, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +99,7 @@ def test_first_derivative_is_chebder_bit_for_bit(c):
     at every degree 0 to 64, compared as bytes, so the sign of a zero
     counts.  The bound on |c| keeps the recurrence finite."""
     c = np.array(c)
-    got, want = deriv_coeffs(c, BASIS), cheb.chebder(c) * 2.0
+    got, want = deriv_coeffs(c), cheb.chebder(c) * 2.0
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -122,7 +118,7 @@ def test_every_derivative_order_is_chebder_bit_for_bit(c, order):
     recurrence.  Coefficients are 0 or at least 1e-100 in size, so no step
     rounds a subnormal, and at most 1e200, so none overflows."""
     c = np.array(c)
-    got = deriv_coeffs(c, BASIS, order)
+    got = deriv_coeffs(c, order)
     want = cheb.chebder(c, order) * 2.0 ** order
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -130,7 +126,7 @@ def test_every_derivative_order_is_chebder_bit_for_bit(c, order):
 
 def test_negative_derivative_order_is_rejected():
     with pytest.raises(DomainError):
-        deriv_coeffs(np.ones(3), BASIS, -1)
+        deriv_coeffs(np.ones(3), -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +136,7 @@ def test_clenshaw_stack_of_phi_and_padded_derivative(degree, seed, ts):
     """The (D+1, 2, 1) stack maps.validate evaluates: phi, and phi' padded
     with a trailing zero, which changes at most the sign of a zero."""
     c = random_coeffs(np.random.default_rng(seed), degree)
-    dc = deriv_coeffs(c, BASIS)
+    dc = deriv_coeffs(c)
     stack = np.zeros((degree + 1, 2, 1))
     stack[:, 0, 0] = c
     stack[:dc.size, 1, 0] = dc

@@ -148,6 +148,18 @@ def test_itinerary_without_window_reports_depth(quadratic):
     assert err.value.depth == 1
 
 
+def test_a_window_with_no_float_inside_is_refused(quadratic):
+    """(D,T,T,T,T) narrows to 8.1e-14 at depth 9 and to a single float at
+    depth 10, where the chase used to return the zero-width bracket."""
+    thetas = [THETA_DOUBLING] + [THETA_TRIPLING] * 4
+    br = F.infinitely_renormalizable_parameter(quadratic, thetas, 9)
+    assert br.bracket[0] < br.c < br.bracket[1]
+    assert 0.0 < br.widths[-1] < 1e-12
+    with pytest.raises(WindowNotFound, match="depth-10 window") as err:
+        F.infinitely_renormalizable_parameter(quadratic, thetas, 10)
+    assert err.value.depth == 10
+
+
 def test_depth_limits(quadratic):
     with pytest.raises(DomainError):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 0)

@@ -87,8 +87,8 @@ def test_operator_columns_match_derivative_matrix(fixed_point_24):
     rng = np.random.default_rng(3)
     for _ in range(4):
         c = rng.normal(size=g.degree + 1)
-        w = lambda x: eval_phi(c, g.basis, np.asarray(x) ** 2)
-        fitted, _ = fit_phi(u_nodes, lop.apply(L, w, xs), g.degree, g.basis)
+        w = lambda x: eval_phi(c, np.asarray(x) ** 2)
+        fitted, _ = fit_phi(u_nodes, lop.apply(L, w, xs), g.degree)
         assert np.max(np.abs(A @ c - fitted)) < 1e-7 * scale
 
 
@@ -96,7 +96,7 @@ def test_unstable_vector_is_an_eigenfunction(fixed_point_24, spectrum_24):
     g = fixed_point_24.map
     L = lop.renorm_derivative_as_loperator(g)
     u = spectrum_24.unstable_vector
-    w = lambda x: eval_phi(u, g.basis, np.asarray(x) ** 2)
+    w = lambda x: eval_phi(u, np.asarray(x) ** 2)
     lhs = lop.apply(L, w, GRID)
     assert np.max(np.abs(lhs - spectrum_24.delta * w(GRID))) < 1e-7
 

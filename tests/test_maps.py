@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from renormlab.basis import PhiBasis
 from renormlab.errors import DomainError, InvalidMap
 from renormlab.maps import (QuadraticFamily, UnimodalMap, orbit, validate)
 
@@ -39,12 +38,12 @@ def test_domain_is_clamped_with_slack():
 def test_increasing_phi_is_rejected():
     # phi(u) = 1 + u grows, so f has a minimum at 0 instead of a maximum
     with pytest.raises(InvalidMap):
-        UnimodalMap(np.array([1.5, 0.5]), PhiBasis.ORTHOGONAL)
+        UnimodalMap(np.array([1.5, 0.5]))
 
 
 def test_unnormalized_map_is_rejected():
     with pytest.raises(InvalidMap):
-        UnimodalMap(np.array([0.7, -0.4]), PhiBasis.ORTHOGONAL)
+        UnimodalMap(np.array([0.7, -0.4]))
 
 
 @pytest.mark.parametrize("offset", [1e-9, -1e-9])
@@ -52,10 +51,10 @@ def test_normalization_off_by_1e_9_is_rejected(offset):
     # T_0 = 1 shifts phi(0) by offset; at -1e-9 the range stays inside
     # [-1, 1], so only the normalization guard can refuse the map
     coeffs = quadratic_map(1.4, degree=4).coeffs + offset * np.eye(5)[0]
-    diag = validate(UnimodalMap(coeffs, PhiBasis.ORTHOGONAL, check=False))
+    diag = validate(UnimodalMap(coeffs, check=False))
     assert diag.normalization_residual == pytest.approx(1e-9, rel=1e-6)
     with pytest.raises(InvalidMap):
-        UnimodalMap(coeffs, PhiBasis.ORTHOGONAL)
+        UnimodalMap(coeffs)
 
 
 def test_range_just_below_minus_one_is_rejected():
@@ -63,16 +62,16 @@ def test_range_just_below_minus_one_is_rejected():
     # phi(1) = -1 - 1e-9, so only the range guard can refuse the map
     c = 2.0 + 1e-9
     coeffs = np.array([1.0 - c / 2, -c / 2])
-    diag = validate(UnimodalMap(coeffs, PhiBasis.ORTHOGONAL, check=False))
+    diag = validate(UnimodalMap(coeffs, check=False))
     assert diag.normalization_residual <= 1e-15
     assert diag.monotonicity_margin > 0
     assert diag.range_min == pytest.approx(-1.0 - 1e-9, abs=1e-15)
     with pytest.raises(InvalidMap):
-        UnimodalMap(coeffs, PhiBasis.ORTHOGONAL)
+        UnimodalMap(coeffs)
 
 
 def test_check_false_defers_validation():
-    f = UnimodalMap(np.array([0.7, -0.4]), PhiBasis.ORTHOGONAL, check=False)
+    f = UnimodalMap(np.array([0.7, -0.4]), check=False)
     diag = validate(f)
     assert not diag.ok
     assert diag.normalization_residual > 1e-3
@@ -89,7 +88,7 @@ def test_diagnostics_fields_on_good_map():
 def test_json_roundtrip_is_bit_exact():
     f = quadratic_map(1.3737, degree=8)
     g = UnimodalMap.from_json(f.to_json())
-    assert g.basis == f.basis
+    assert g.to_json() == f.to_json()
     assert np.array_equal(g.coeffs, f.coeffs)
 
 
@@ -183,7 +182,7 @@ def test_evaluation_never_escapes_closure(c, x):
 def test_json_roundtrip_property(degree, c):
     f = QuadraticFamily().member(c, degree=degree)
     g = UnimodalMap.from_json(f.to_json())
-    assert np.array_equal(g.coeffs, f.coeffs) and g.basis is f.basis
+    assert np.array_equal(g.coeffs, f.coeffs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -724,7 +724,7 @@ def _scan_periods_sampled(f, q, grid=64):
 
 def _detect_sampled(f, p_max=16, grid=64):
     """detect with the sampled period test (reasons are not kept)."""
-    row = _OneRow(f.coeffs, f.basis)
+    row = _OneRow(f.coeffs)
     lam_path = orbit_stack(f, 0.0, p_max)
     for p in range(2, p_max + 1):
         lam = float(lam_path[p])
@@ -790,7 +790,7 @@ def test_period_test_matches_the_sampled_test_at_the_fixed_points(
     for fp in (fixed_point_24, tripling_fixed_point):
         g = fp.map
         for q in range(2, 9):
-            _assert_scan_matches_sampled(_OneRow(g.coeffs, g.basis), q)
+            _assert_scan_matches_sampled(_OneRow(g.coeffs), q)
         step, ref = detect(g), _detect_sampled(g)
         assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
         assert np.array_equal(step.intervals, ref.intervals)

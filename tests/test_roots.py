@@ -33,6 +33,21 @@ def test_brent_refuses_a_non_bracket(h, values):
     assert calls == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("lo, hi, root", [(0.3, 0.7, 0.5),
+                                         (0.45, 0.46, 0.455)],
+                         ids=["wide", "around-the-root"])
+def test_brent_refuses_a_nan_inside_the_bracket(lo, hi, root):
+    """h brackets its root on [0, 1] but is nan on (lo, hi); without the
+    check, brent returned 0.3 (where h = -0.2) and 0.45000000000000007."""
+    counted, calls = _recorded(
+        lambda x: math.nan if lo < x < hi else x - root)
+    with pytest.raises(NoBracket, match="h is nan at") as err:
+        brent(counted, 0.0, 1.0)
+    # the point named is the last one evaluated, and its value is nan
+    assert repr(calls[-1]) in str(err.value)
+    assert lo < calls[-1] < hi
+
+
 @pytest.mark.parametrize("a, b, root", [(1.0, 2.0, 1.0), (0.0, 1.0, 1.0),
                                         (2.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from renormlab import families
-from renormlab.basis import PhiBasis, design_matrix
+from renormlab.basis import design_matrix
 from renormlab.errors import (CombinatoricsMismatch, DomainError, InvalidMap,
-                              NoConvergence, RenormlabError)
+                              NoConvergence, RenormlabError, WindowNotFound)
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize)
@@ -32,6 +32,8 @@ TRIPLING_LAMBDA = -0.107789504
 TRIPLING_LAMBDA_REF = -0.10778950429255075546354518683
 TRIPLING_DELTA = 55.247027
 TWO_CYCLE_MULTIPLIER = 218.411795
+# this solver at degree 24; degrees 16 and 32 agree to 2e-14
+DDDT_MULTIPLIER = 5002.0407185970
 
 
 def sup_distance(f, g, grid=200):
@@ -258,10 +260,8 @@ def test_an_eigenvalue_just_outside_the_disk_is_not_hyperbolic():
     # one unstable eigenvalue 1e-4 beyond the unit circle is one too many;
     # the same spectrum with it 1e-4 inside is hyperbolic
     tail = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
-    outside = spectral_report(np.diag([4.67, 1 + 1e-4] + tail),
-                              PhiBasis.ORTHOGONAL)
-    inside = spectral_report(np.diag([4.67, 1 - 1e-4] + tail),
-                             PhiBasis.ORTHOGONAL)
+    outside = spectral_report(np.diag([4.67, 1 + 1e-4] + tail))
+    inside = spectral_report(np.diag([4.67, 1 - 1e-4] + tail))
     assert not outside.hyperbolic
     assert inside.hyperbolic
 
@@ -291,7 +291,7 @@ def test_stable_functional_normalization(spectrum_24):
 def _stable_normalized_direction(g, rep):
     """Direction with no unstable component that keeps f(0) = 1."""
     sigma = rep.stable_functional
-    n_row = design_matrix(np.array([0.0]), g.degree, g.basis)[0]
+    n_row = design_matrix(np.array([0.0]), g.degree)[0]
     constraints = np.stack([sigma[1:4], n_row[1:4]])
     _, _, vt = np.linalg.svd(constraints)
     w = np.zeros(g.degree + 1)
@@ -302,7 +302,7 @@ def _stable_normalized_direction(g, rep):
 def test_stable_perturbations_contract(fixed_point_24, spectrum_24):
     g = fixed_point_24.map
     w = _stable_normalized_direction(g, spectrum_24)
-    pert = UnimodalMap(g.coeffs + 1e-6 * w, g.basis)
+    pert = UnimodalMap(g.coeffs + 1e-6 * w)
     rep = convergence_experiment(pert, g, 4)
     # sup norm is not adapted to the modal splitting, so one transient
     # bounce is allowed before contraction sets in
@@ -327,8 +327,8 @@ def test_derivative_action_matches_directional_difference(fixed_point_24):
     rng = np.random.default_rng(7)
     v = rng.normal(size=g.degree + 1) * 1e-0
     h = 1e-7
-    fp = UnimodalMap(g.coeffs + h * v, g.basis, check=False)
-    fm = UnimodalMap(g.coeffs - h * v, g.basis, check=False)
+    fp = UnimodalMap(g.coeffs + h * v, check=False)
+    fm = UnimodalMap(g.coeffs - h * v, check=False)
     def T(f):
         return project_T(f, detect(f, validate_input=False), g.degree)[0]
 
@@ -360,8 +360,38 @@ def test_two_cycle_structure(two_cycle):
     assert int(np.sum(moduli > 1)) == 1 and moduli[1] < 0.05
 
 
+def test_a_length_four_cycle_solves():
+    # the last member sits at chase position burn + 3 = 7, so a chase to
+    # depth burn + 3 leaves it unconstrained and the seed not renormalizable
+    orbit = solve_periodic_orbit(
+        (THETA_DOUBLING,) * 3 + (THETA_TRIPLING,), degree=24)
+    assert orbit.residual < 1e-13
+    assert orbit.multipliers.hyperbolic
+    assert orbit.multipliers.delta == pytest.approx(DDDT_MULTIPLIER,
+                                                    rel=1e-11)
+
+
+FIVE_CYCLES = ("DDDDT", "DDDTT", "DDTDT", "DDTTT", "DTDTT")
+
+
+@pytest.mark.parametrize("word", FIVE_CYCLES)
+def test_prime_five_cycles_solve(word):
+    thetas = tuple({"D": THETA_DOUBLING, "T": THETA_TRIPLING}[t] for t in word)
+    orbit = solve_periodic_orbit(thetas, degree=24)
+    assert orbit.residual < 1e-13
+    assert orbit.multipliers.hyperbolic
+
+
+def test_the_five_cycle_past_the_horizon_fails_typed():
+    # (D,T,T,T,T)'s depth-10 window holds no float; the chase says so
+    with pytest.raises(WindowNotFound) as err:
+        solve_periodic_orbit((THETA_DOUBLING,) + (THETA_TRIPLING,) * 4,
+                             degree=24)
+    assert err.value.depth == 10
+
+
 def test_long_cycle_hits_the_seeding_depth_cap(monkeypatch):
-    # eight types need a depth-11 seed; the chase refuses before any scan
+    # eight types need a depth-16 seed; the chase refuses before any scan
     def no_scan(*args, **kwargs):
         raise AssertionError("the parameter chase scanned")
 
