@@ -4,7 +4,8 @@ a solver step is taken out?
 Each mutant copies src/ to a temporary directory and changes the code
 there by exact text replacements, each of which must occur exactly once:
 a module constant changed, a step of the Newton solver taken out, a sign
-flipped, or a shortcut taken without its check.  It runs the test suite
+flipped, a shortcut taken without its check, or a kernel's layout or
+result disturbed.  It runs the test suite
 against the copy, the deterministic tests first and the Hypothesis tests
 only if those all pass, stopping at the first failure.  A mutant is
 killed when the suite fails, and the first failing test is printed, so a
@@ -13,7 +14,7 @@ suite passes.  The unmutated copy runs first as a control and must pass.
 Exits non-zero if the control fails or any mutant survives.  Standard
 library only; run on demand and in CI (about 40 s for the control, which
 runs the whole suite, and seconds for a mutant, which stops at its first
-failure; about 3 min in all on 2 cores):
+failure; about 4 min in all on 2 cores):
 
     python3 scripts/mutants.py
 """
@@ -68,6 +69,14 @@ MUTANTS = [
      (("        if math.isnan(fcur):\n", "        if False:\n"),)),
     ("families.py", "width check dropped in the nested-window chase",
      (("if math.nextafter(lo, math.inf) >= hi:", "if False:"),)),
+    ("basis.py", "eval_rows repeats the points where it should tile them",
+     (("np.tile(t, len(rows))", "np.repeat(t, len(rows))"),)),
+    ("solver.py", "_sup_distance compares g with itself",
+     (("eval_rows([f.coeffs, g.coeffs]", "eval_rows([g.coeffs, g.coeffs]"),)),
+    ("solver.py", "a solved fixed-point coefficient moved by 1e-10",
+     (("FixedPointResult(map=cycle[0],",
+       "FixedPointResult(map=UnimodalMap(_basis.normalized_constant("
+       "cycle[0].coeffs + 1e-10 * (np.arange(degree + 1) == 2))),"),)),
 ]
 
 

@@ -14,6 +14,15 @@ same operations as numpy, so its values are numpy's bit for bit, and it
 is generic over the number type: Python floats (the scalar orbits),
 float64 arrays and coefficient stacks, and equally np.longdouble arrays or
 mpmath numbers.
+
+Several series evaluated at the same points go through eval_rows, which
+lays them out as dense planes: the rows, zero-padded at the top to one
+length, each repeated once per point, against the points tiled once per
+row.  Every value then runs through the same rounded operations as its own
+pass.  One pass over contiguous (D+1, k*n) planes pays numpy's per-call
+cost once, where k passes pay it k times, and each of its steps runs one
+contiguous loop, where a broadcast (D+1, k, 1) stack runs numpy's slower
+broadcasting loop over a (k, 1) operand.
 """
 
 from __future__ import annotations
@@ -47,7 +56,10 @@ def clenshaw(c, t):
 
     c is indexed along its first axis: a sequence of numbers, or an array
     whose rows c[k] broadcast against t, so a (D+1, n, 1) stack evaluates
-    n series on every t at once."""
+    n series on every t at once.  Zeros appended to a degree-D series (top
+    padding) change at most the sign of a zero: the steps over them keep
+    (c0, c1) at zero and then reach (c[D-1], c[D]), where the unpadded pass
+    starts.  eval_rows relies on this for rows of unequal length."""
     if len(c) == 1:
         c0, c1 = c[0], 0
     elif len(c) == 2:
@@ -64,6 +76,19 @@ def eval_phi(coeffs: np.ndarray, u):
     """phi(u) for one coefficient vector, elementwise over u."""
     u = np.asarray(u, dtype=float)
     return clenshaw(np.asarray(coeffs, dtype=float), 2.0 * u - 1.0)
+
+
+def eval_rows(rows, t) -> np.ndarray:
+    """k coefficient rows evaluated at the same points t in one Clenshaw
+    pass: shape (k, len(t)), row i equal to clenshaw(rows[i], t) up to the
+    sign of a zero (module docstring).  Rows may differ in length; shorter
+    ones are zero-padded at the top."""
+    t = np.asarray(t, dtype=float)
+    coeffs = np.zeros((len(rows), max(len(r) for r in rows)))
+    for i, r in enumerate(rows):
+        coeffs[i, :len(r)] = r
+    planes = np.repeat(coeffs.T, t.size, axis=1)
+    return clenshaw(planes, np.tile(t, len(rows))).reshape(len(rows), t.size)
 
 
 def deriv_coeffs(coeffs: np.ndarray, order: int = 1) -> np.ndarray:

@@ -4,7 +4,9 @@ Each subcommand runs one pipeline, writes a JSON report plus CSV plot data
 into the output directory, and prints a one-line summary.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (the error name lands in the
 report's status field).  All pipelines are deterministic, so identical
-config and seed reproduce byte-identical outputs.
+config and seed reproduce byte-identical outputs.  The argument parser is
+built once per process, on the first main() call, and reused by later
+calls in the same process.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +106,11 @@ def _int_at_least(low: int):
     return parse
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so in-process callers of main() build it
+    once per process, and importing this module builds nothing."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--degree", type=int)

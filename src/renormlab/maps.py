@@ -135,13 +135,11 @@ class UnimodalMap:
 def validate(f: UnimodalMap) -> MapDiagnostics:
     """Structural diagnostics; never raises.
 
-    phi and phi' are one Clenshaw pass over a (D+1, 2, 1) coefficient stack;
-    phi' is padded with a trailing zero, which leaves its values as they are
-    up to the sign of a zero."""
-    stack = np.zeros((f.coeffs.size, 2, 1))
-    stack[:, 0, 0] = f.coeffs
-    stack[:-1, 1, 0] = f.deriv_coeffs()
-    vals, derivs = _basis.clenshaw(stack, _check_grid(f.degree))
+    phi and phi' are one Clenshaw pass through basis.eval_rows; phi' is
+    padded with a trailing zero, which leaves its values as they are up to
+    the sign of a zero."""
+    vals, derivs = _basis.eval_rows([f.coeffs, f.deriv_coeffs()],
+                                    _check_grid(f.degree))
     return MapDiagnostics(
         normalization_residual=abs(vals[0] - 1.0),
         monotonicity_margin=np.min(-derivs),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,14 @@ def write_csv(path, header, rows) -> Path:
 
 
 def to_jsonable(obj):
+    """obj as JSON values; a non-finite float becomes None (JSON null), as
+    RFC 8259 has no NaN or Infinity."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -54,5 +57,6 @@ def to_jsonable(obj):
 def write_json(path, payload) -> Path:
     path = Path(path)
     path.write_text(json.dumps(to_jsonable(payload), indent=2,
-                               sort_keys=False) + "\n", newline="\n")
+                               sort_keys=False, allow_nan=False) + "\n",
+                    newline="\n")
     return path

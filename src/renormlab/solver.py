@@ -185,9 +185,22 @@ class FixedPointResult:
     history: tuple[float, ...]      # residual per accepted iterate
 
 
+@cache
+def _residual_grid() -> np.ndarray:
+    """_sup_distance's points as t = 2x^2 - 1, the t that f(x) evaluates
+    phi at, for x = linspace(-1, 1, RESIDUAL_GRID); read-only, built once.
+    Every x lies in [-1, 1], so f's domain check has nothing to refuse."""
+    x = np.linspace(-1.0, 1.0, RESIDUAL_GRID)
+    t = 2.0 * x ** 2 - 1.0
+    t.setflags(write=False)
+    return t
+
+
 def _sup_distance(f: UnimodalMap, g: UnimodalMap) -> float:
-    xs = np.linspace(-1.0, 1.0, RESIDUAL_GRID)
-    return float(np.max(np.abs(f(xs) - g(xs))))
+    """max |f(x) - g(x)| over the residual grid: f and g in one Clenshaw
+    pass (basis.eval_rows), unequal degrees padded."""
+    fx, gx = _basis.eval_rows([f.coeffs, g.coeffs], _residual_grid())
+    return float(np.max(np.abs(fx - gx)))
 
 
 _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,

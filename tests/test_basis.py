@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from renormlab.basis import (clenshaw, collocation_nodes, deriv_coeffs,
-                             eval_phi, fit_phi, phi_at_zero, project_function)
+                             eval_phi, eval_rows, fit_phi, phi_at_zero,
+                             project_function)
 from renormlab.errors import DomainError
 
 degrees = st.integers(min_value=0, max_value=64)
@@ -133,8 +134,8 @@ def test_negative_derivative_order_is_rejected():
 @given(degree=degrees, seed=seeds,
        ts=st.lists(args, min_size=1, max_size=40))
 def test_clenshaw_stack_of_phi_and_padded_derivative(degree, seed, ts):
-    """The (D+1, 2, 1) stack maps.validate evaluates: phi, and phi' padded
-    with a trailing zero, which changes at most the sign of a zero."""
+    """A (D+1, 2, 1) stack of phi and phi' padded with a trailing zero,
+    which changes at most the sign of a zero."""
     c = random_coeffs(np.random.default_rng(seed), degree)
     dc = deriv_coeffs(c)
     stack = np.zeros((degree + 1, 2, 1))
@@ -165,3 +166,21 @@ def test_clenshaw_runs_unchanged_on_other_number_types(degree, seed, ts):
     long = clenshaw(c.astype(np.longdouble), t.astype(np.longdouble))
     assert long.dtype == np.longdouble
     assert np.all(np.abs(long.astype(float) - double) <= tol)
+
+
+@pytest.mark.parametrize("n", [1, 97, 400])
+@pytest.mark.parametrize("degrees", [
+    (0,), (1,), (2,), (24,), (64,),
+    (24, 23), (0, 64), (64, 1), (2, 2),
+    (1, 2, 24), (64, 24, 0), (24, 24, 24)])
+def test_eval_rows_is_one_clenshaw_pass_per_row(degrees, n):
+    """eval_rows against a separate clenshaw pass per row, with ==: rows of
+    mixed lengths are zero-padded at the top, which changes at most the
+    sign of a zero, and np.array_equal counts -0.0 == 0.0."""
+    rng = np.random.default_rng(1000 * len(degrees) + sum(degrees) + n)
+    rows = [random_coeffs(rng, d) for d in degrees]
+    t = rng.uniform(-1.0, 1.0, n)
+    got = eval_rows(rows, t)
+    assert got.shape == (len(rows), n)
+    for c, values in zip(rows, got):
+        assert np.array_equal(values, clenshaw(c, t))

@@ -193,3 +193,32 @@ def test_sums_with_bad_gamma_writes_the_report_and_no_csv(tmp_path, capsys):
     assert rep["status"] == "OperatorDomainError"
     assert "OperatorDomainError" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_reports_are_strict_json(tmp_path):
+    """One operator power leaves norm_ratio undefined: the report writes it
+    as null, since RFC 8259 JSON has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    assert run(tmp_path, "sums", "--fixed-point", "--m-max", "1") == 0
+    text = (tmp_path / "sums.json").read_text()
+    rep = json.loads(text, parse_constant=refuse)
+    assert rep["results"]["norm_ratio"] is None
+    assert len(rep["results"]["norms"]) == 1
+
+
+def test_the_shared_parser_keeps_no_state_between_runs(tmp_path):
+    """main() reuses one parser per process; a run after a --depth run
+    writes the bytes a freshly built parser gives for the same arguments."""
+    assert cli.build_parser() is cli.build_parser()
+    assert run(tmp_path, "tower", "--fixed-point", "--depth", "3") == 0
+    assert run(tmp_path, "tower", "--fixed-point") == 0
+    shared = [(tmp_path / name).read_bytes()
+              for name in ("tower.json", "tower.csv")]
+    cli.build_parser.cache_clear()
+    assert run(tmp_path, "tower", "--fixed-point") == 0
+    fresh = [(tmp_path / name).read_bytes()
+             for name in ("tower.json", "tower.csv")]
+    assert shared == fresh
+    assert json.loads(shared[0])["results"]["depth"] == 8

@@ -9,7 +9,7 @@ from renormlab.errors import (CombinatoricsMismatch, DomainError, InvalidMap,
                               NoConvergence, RenormlabError, WindowNotFound)
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
-                              project_T, renormalize)
+                              project_T, renormalize, renormalize_with)
 from renormlab import solver
 from renormlab.solver import (convergence_experiment, derivative_matrix,
                               finite_difference_matrix, solve_fixed_point,
@@ -39,6 +39,27 @@ DDDT_MULTIPLIER = 5002.0407185970
 def sup_distance(f, g, grid=200):
     xs = np.linspace(-1.0, 1.0, grid)
     return float(np.max(np.abs([f(x) - g(x) for x in xs])))
+
+
+@pytest.mark.parametrize("degrees", [(24, 24), (1, 1), (1, 24), (24, 1)])
+def test_sup_distance_is_the_sup_of_two_evaluations(fixed_point_24, degrees):
+    """_sup_distance's one padded pass is max |f(xs) - g(xs)| through
+    UnimodalMap.__call__ exactly, for equal and unequal degrees."""
+    f = fixed_point_24.map if degrees[0] == 24 else fam.member(1.4)
+    g = fam.member(1.3, degree=degrees[1])
+    xs = np.linspace(-1.0, 1.0, solver.RESIDUAL_GRID)
+    want = float(np.max(np.abs(f(xs) - g(xs))))
+    assert want > 0.0
+    assert solver._sup_distance(f, g) == want
+
+
+def test_the_reported_residual_is_the_returned_maps(fixed_point_24):
+    """residual is sup |Rg - g| of the map the solve returns, recomputed bit
+    for bit, so a returned map that is not the one Newton measured (one
+    coefficient moved by 1e-10, say) fails here."""
+    fp = fixed_point_24
+    rg = renormalize_with(fp.map, fp.theta, degree=fp.map.degree).map
+    assert solver._sup_distance(rg, fp.map) == fp.residual
 
 
 def test_fixed_point_constants(fixed_point_24):
