@@ -77,6 +77,10 @@ MUTANTS = [
      (("FixedPointResult(map=cycle[0],",
        "FixedPointResult(map=UnimodalMap(_basis.normalized_constant("
        "cycle[0].coeffs + 1e-10 * (np.arange(degree + 1) == 2))),"),)),
+    ("loperator.py", "_extend drops the inner derivative",
+     (("words(dy2) * dy[:, None]", "words(dy2)"),)),
+    ("loperator.py", "the weight products start one slope late",
+     (("range(p - j, p)", "range(p - j + 1, p)"),)),
 ]
 
 

@@ -1,25 +1,26 @@
-"""Sum-of-substitutions operators Lv(x) = sum_i phi_i(x) v(psi_i(x)).
+"""Sum-of-substitutions operators Lv(x) = sum_i w_i(x) v(y_i(x)).
 
 The derivative of the renormalization operator has this form (plus a rank-one
 part from the scaling sensitivity, stored separately), and the composition
 algebra is closed: substituting one sum into another yields another sum.  The
-associated positive operator weights each term by |Dpsi_i|^gamma; since it is
+associated positive operator weights each term by |Dy_i|^gamma; since it is
 positive its sup-norm on continuous functions is attained at v = 1, which
-makes norm growth under composition directly measurable.  The positive
-weight is multiplicative, (L1 L2)_gamma = (L1)_gamma (L2)_gamma, so
-norm_growth evaluates L_gamma^m 1 one level at a time: each word of L^m is
-a row of grid values (points, phi-product, Dpsi-product), and level m costs
-one call of each term's phi, psi and Dpsi on the p^(m-1) rows of level
-m - 1, and gives gamma_norm(compose_power(L, m), gamma) bit for bit.  The
-rank-one tails stay outside these estimates.
+makes norm growth under composition directly measurable.
 
-All inner maps carry analytic derivatives (chain rule over the stored
-composition); nothing here differentiates numerically.
+An operator is one function of the points, branches(x) -> (w, y, dy): the
+weight, point and point derivative of every term, as (n_terms, x.size)
+arrays.  Composition has one rule, _extend, which follows every word (a row
+of w, y, dy) by every term of the next operator; compose builds its
+branches with it and norm_growth expands L^m with it level by level, so
+norm_growth equals gamma_norm(compose_power(L, m), gamma) bit for bit
+because both run the same code.  The rank-one tails stay outside the norm
+estimates.  All derivatives are analytic chain-rule products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,57 +28,12 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .errors import OperatorDomainError, TermBlowup
 from .maps import UnimodalMap
-from .renorm import RenormStep, detect, iterate_derivative, orbit_stack
+from .renorm import RenormStep, detect, orbit_stack, slopes
 
 CONTAINMENT_GRID = 128
 CONTAINMENT_TOL = 1e-10
 NORM_GRID = 512
 COMPOSE_CAP = 4096
-
-
-@dataclass(frozen=True)
-class SmoothMap1D:
-    """A map of [-1,1] with its analytic derivative."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-    def d(self, x):
-        return self.dfn(np.asarray(x, dtype=float))
-
-
-def identity_map() -> SmoothMap1D:
-    return SmoothMap1D(lambda x: x, np.ones_like)
-
-
-def affine_map(a: float, b: float) -> SmoothMap1D:
-    return SmoothMap1D(lambda x: a * x + b, lambda x: np.full_like(x, a))
-
-
-def compose_smooth(outer: SmoothMap1D, inner: SmoothMap1D) -> SmoothMap1D:
-    def fn(x):
-        return outer.fn(inner.fn(x))
-
-    def dfn(x):
-        return outer.dfn(inner.fn(x)) * inner.dfn(x)
-
-    return SmoothMap1D(fn, dfn)
-
-
-def map_iterate(f: UnimodalMap, k: int, scale: float) -> SmoothMap1D:
-    """x -> f^k(scale*x) with derivative scale*Df^k(scale*x)."""
-
-    def fn(x):
-        return orbit_stack(f, scale * np.asarray(x, float), k)[-1]
-
-    def dfn(x):
-        _, dv = iterate_derivative(f, scale * np.asarray(x, float), k)
-        return scale * dv
-
-    return SmoothMap1D(fn, dfn)
 
 
 @dataclass(frozen=True)
@@ -105,40 +61,59 @@ class RankOneTail:
         return self.weight(np.asarray(x, float)) * self.functional(v)
 
 
+def _check_contained(y: np.ndarray) -> None:
+    """OperatorDomainError naming the first row of points y that leaves
+    [-1,1] by more than CONTAINMENT_TOL."""
+    excess = np.max(np.abs(y), axis=1) - 1.0
+    bad = np.flatnonzero(excess > CONTAINMENT_TOL)
+    if bad.size:
+        raise OperatorDomainError(
+            f"term {int(bad[0])}: psi image leaves [-1,1] by "
+            f"{float(excess[bad[0]]):.3e}")
+
+
+def _term_cap(n_terms: int) -> None:
+    if n_terms > COMPOSE_CAP:
+        raise TermBlowup(f"composition would carry {n_terms} terms "
+                         f"(cap {COMPOSE_CAP})")
+
+
 @dataclass(frozen=True)
 class LOperator:
-    """terms: (phi_i, psi_i) pairs; tails: additive rank-one parts.
+    """Lv(x) = sum_i w_i(x) v(y_i(x)) plus additive rank-one tails.
 
-    Every psi_i must map [-1,1] into itself (checked on a uniform grid at
-    construction).
+    branches(x) returns (w, y, dy) for the 1-d points x, each of shape
+    (n_terms, x.size).  Construction evaluates it on CONTAINMENT_GRID
+    uniform points, checks the shapes and that every y_i maps [-1,1] into
+    itself, and that every tail node lies in [-1,1].
     """
 
-    terms: tuple[tuple[Callable, SmoothMap1D], ...]
+    branches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    n_terms: int
     tails: tuple[RankOneTail, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "tails", tuple(self.tails))
         grid = np.linspace(-1.0, 1.0, CONTAINMENT_GRID)
-        for i, (_, psi) in enumerate(self.terms):
-            img = psi(grid)
-            excess = float(np.max(np.abs(img))) - 1.0
-            if excess > CONTAINMENT_TOL:
-                raise OperatorDomainError(
-                    f"term {i}: psi image leaves [-1,1] by {excess:.3e}")
+        w, y, dy = self.branches(grid)
+        want = (self.n_terms, CONTAINMENT_GRID)
+        if any(a.shape != want for a in (w, y, dy)):
+            raise OperatorDomainError(f"branches must give shape {want}")
+        _check_contained(y)
         for t in self.tails:
             excess = float(np.max(np.abs(t.nodes))) - 1.0
             if excess > CONTAINMENT_TOL:
                 raise OperatorDomainError(
                     f"tail node outside [-1,1] by {excess:.3e}")
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
-
-def identity_operator() -> LOperator:
-    return LOperator(terms=((lambda x: np.ones_like(x), identity_map()),))
+def _principal(L: LOperator, v, x: np.ndarray) -> np.ndarray:
+    """sum_i w_i(x) v(y_i(x)), the terms of L without its tails."""
+    w, y, _ = L.branches(x)
+    out = np.zeros_like(x)
+    for wi, yi in zip(w, y):
+        out = out + wi * v(yi)
+    return out
 
 
 def apply(L: LOperator, v, grid) -> np.ndarray:
@@ -146,9 +121,7 @@ def apply(L: LOperator, v, grid) -> np.ndarray:
     x = np.asarray(grid, dtype=float)
     if x.size and float(np.max(np.abs(x))) > 1.0 + CONTAINMENT_TOL:
         raise OperatorDomainError("grid leaves [-1,1]")
-    out = np.zeros_like(x)
-    for phi, psi in L.terms:
-        out = out + phi(x) * v(psi(x))
+    out = _principal(L, v, x)
     for t in L.tails:
         out = out + t.apply(v, x)
     return out
@@ -162,38 +135,48 @@ def _positive_gamma(gamma) -> float:
 
 
 def apply_positive(L: LOperator, gamma: float, v, grid) -> np.ndarray:
-    """L_gamma v(x) = sum_i |phi_i(x)| |Dpsi_i(x)|^gamma v(psi_i(x)).
+    """L_gamma v(x) = sum_i |w_i(x)| |Dy_i(x)|^gamma v(y_i(x)).
 
     Acts on the principal terms only; the rank-one tails are not of
     substitution form and stay outside the positive-operator estimates.
     """
     gamma = _positive_gamma(gamma)
     x = np.asarray(grid, dtype=float)
+    w, y, dy = L.branches(x)
     out = np.zeros_like(x)
-    for phi, psi in L.terms:
-        out = out + (np.abs(phi(x)) * np.abs(psi.d(x))**gamma) * v(psi(x))
+    for wi, yi, dyi in zip(w, y, dy):
+        out = out + (np.abs(wi) * np.abs(dyi)**gamma) * v(yi)
     return out
+
+
+def _positive_sup(w, dy, gamma: float) -> float:
+    """max over the columns of sum_i |w_i| |dy_i|^gamma, rows added in
+    apply_positive's order: L_gamma 1 on the grid of the columns."""
+    total = np.zeros(w.shape[1])
+    for row in np.abs(w) * np.abs(dy)**gamma:
+        total = total + row
+    return float(np.max(total))
 
 
 def gamma_norm(L: LOperator, gamma: float) -> float:
     """Sup-norm of L_gamma on C[-1,1]; attained at v = 1 by positivity."""
-    grid = chebpts1(NORM_GRID)
-    vals = apply_positive(L, gamma, lambda y: np.ones_like(y), grid)
-    return float(np.max(vals))
+    w, _, dy = L.branches(chebpts1(NORM_GRID))
+    return _positive_sup(w, dy, _positive_gamma(gamma))
 
 
-def _product_phi(phi1, phi2, psi1):
-    def phi(x):
-        return phi1(x) * phi2(psi1(x))
+def _extend(L: LOperator, w, y, dy):
+    """The words (w, y, dy), rows of k points, each followed by every term
+    of L, whose branches run once on all their points: row i n + j is word
+    i then term j (n = L.n_terms), and w and dy multiply along the word."""
+    rows, k = y.shape
+    w2, y2, dy2 = L.branches(y.ravel())
 
-    return phi
+    def words(a):  # (n, rows * k) -> (rows, n, k)
+        return a.reshape(L.n_terms, rows, k).swapaxes(0, 1)
 
-
-def _pullback_weight(phi1, psi1, w2):
-    def weight(x):
-        return phi1(x) * w2(psi1(x))
-
-    return weight
+    return ((w[:, None] * words(w2)).reshape(-1, k),
+            words(y2).reshape(-1, k),
+            (words(dy2) * dy[:, None]).reshape(-1, k))
 
 
 def _scaled_weight(w, c: float):
@@ -204,46 +187,31 @@ def _scaled_weight(w, c: float):
 
 
 def compose(L1: LOperator, L2: LOperator) -> LOperator:
-    """L1 after L2: (L1 L2)v(x) = sum_ij phi1_i(x) phi2_j(psi1_i(x)) v(psi2_j(psi1_i(x))).
+    """L1 after L2: (L1 L2)v(x) = sum_ij w1_i(x) w2_j(y1_i(x)) v(y2_j(y1_i(x))).
 
-    Rank-one parts propagate: L1's principal terms pull L2's tails back
-    through psi1; L1's tails evaluate all of L2 at their nodes, which stays
-    rank-one.  TermBlowup guards the product growth past COMPOSE_CAP.
+    Rank-one parts propagate: L1's principal terms pull each L2 tail back
+    into one tail; L1's tails evaluate all of L2 at their nodes, which
+    stays rank-one.  TermBlowup guards the product growth past COMPOSE_CAP.
     """
     n_terms = L1.n_terms * L2.n_terms
-    if n_terms > COMPOSE_CAP:
-        raise TermBlowup(f"composition would carry {n_terms} terms "
-                         f"(cap {COMPOSE_CAP})")
-    terms = []
-    for phi1, psi1 in L1.terms:
-        for phi2, psi2 in L2.terms:
-            terms.append((_product_phi(phi1, phi2, psi1),
-                          compose_smooth(psi2, psi1)))
-    tails = []
-    # principal(L1) applied to each tail of L2
-    for phi1, psi1 in L1.terms:
-        for t2 in L2.tails:
-            tails.append(RankOneTail(_pullback_weight(phi1, psi1, t2.weight),
-                                     t2.nodes, t2.coeffs))
+    _term_cap(n_terms)
+    tails = [RankOneTail(partial(_principal, L1, t2.weight), t2.nodes,
+                         t2.coeffs) for t2 in L2.tails]
     # tails of L1 applied to all of L2: functional(L2 v) re-expands over nodes
     for t1 in L1.tails:
-        nodes = []
-        coeffs = []
-        for phi2, psi2 in L2.terms:
-            nodes.append(psi2(t1.nodes))
-            coeffs.append(t1.coeffs * phi2(t1.nodes))
-        if nodes:
-            merged = np.concatenate(nodes)
-            if merged.size > COMPOSE_CAP:
-                raise TermBlowup(f"composed tail would carry {merged.size} "
+        if L2.n_terms:
+            w2, y2, _ = L2.branches(t1.nodes)
+            if y2.size > COMPOSE_CAP:
+                raise TermBlowup(f"composed tail would carry {y2.size} "
                                  f"nodes (cap {COMPOSE_CAP})")
-            tails.append(RankOneTail(t1.weight, merged,
-                                     np.concatenate(coeffs)))
+            tails.append(RankOneTail(t1.weight, y2.ravel(),
+                                     (t1.coeffs * w2).ravel()))
         for t2 in L2.tails:
             c = float(np.dot(t1.coeffs, t2.weight(t1.nodes)))
             tails.append(RankOneTail(_scaled_weight(t1.weight, c),
                                      t2.nodes, t2.coeffs))
-    return LOperator(terms=tuple(terms), tails=tuple(tails))
+    return LOperator(lambda x: _extend(L2, *L1.branches(x)), n_terms,
+                     tuple(tails))
 
 
 def compose_power(L: LOperator, m: int) -> LOperator:
@@ -255,97 +223,77 @@ def compose_power(L: LOperator, m: int) -> LOperator:
     return out
 
 
-def _renorm_phi(f: UnimodalMap, lam: float, p: int, j: int):
-    def phi(x):
-        y = orbit_stack(f, lam * np.asarray(x, float), p - j)[-1]
-        _, dj = iterate_derivative(f, y, j)
-        return dj / lam
-
-    return phi
+def _chain_products(s: np.ndarray) -> np.ndarray:
+    """Row j = s[p-j] * ... * s[p-1], multiplied left to right from 1, for
+    the p slope rows s = Df(z_0..z_{p-1}) of an orbit: Df^j(z_{p-j})."""
+    p = len(s)
+    rows = []
+    for j in range(p):
+        d = np.ones_like(s[0])
+        for k in range(p - j, p):
+            d = d * s[k]
+        rows.append(d)
+    return np.stack(rows)
 
 
 def renorm_derivative_as_loperator(f: UnimodalMap,
                                    step: RenormStep | None = None) -> LOperator:
     """Derivative of the renormalization at f, as substitution terms plus a
-    rank-one tail.
+    rank-one tail, all read off one orbit z_0..z_p of lam x.
 
-    Term j has phi_j(x) = Df^j(f^{p-j}(lam x)) / lam and
-    psi_j(x) = f^{p-j-1}(lam x); the tail carries the scaling sensitivity,
-    with weight (x Df^p(lam x) - f^p(lam x)/lam)/lam and the critical-orbit
-    functional sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)).
+    Term j has w_j(x) = Df^j(z_{p-j}) / lam, y_j(x) = z_{p-j-1} and
+    dy_j(x) = lam Df^{p-j-1}(lam x); the tail carries the scaling
+    sensitivity, with weight (x Df^p(lam x) - z_p/lam)/lam and the
+    critical-orbit functional sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)).
     """
     if step is None:
         step = detect(f)
     p, lam = step.p, step.lam
 
-    terms = [(_renorm_phi(f, lam, p, j), map_iterate(f, p - j - 1, lam))
-             for j in range(p)]
+    def orbit(x):  # z_0..z_p, the p slopes, Df^k(lam x) for k = 0..p
+        z = orbit_stack(f, lam * x, p)
+        s = slopes(f, z[:p])
+        return z, s, np.cumprod(np.concatenate([np.ones_like(z[:1]), s]),
+                                axis=0)
 
-    crit = orbit_stack(f, np.zeros(1), p)
-    nodes = crit[p - 1::-1, 0]
-    coeffs = np.array([iterate_derivative(f, crit[p - j], j)[1][0]
-                       for j in range(p)])
+    def branches(x):
+        z, s, dk = orbit(x)
+        return _chain_products(s) / lam, z[p - 1::-1], lam * dk[p - 1::-1]
 
     def tail_weight(x):
-        x = np.asarray(x, dtype=float)
-        zp, dp = iterate_derivative(f, lam * x, p)
-        return (x * dp - zp / lam) / lam
+        z, _, dk = orbit(x)
+        return (x * dk[p] - z[p] / lam) / lam
 
-    tail = RankOneTail(tail_weight, nodes, coeffs)
-    return LOperator(terms=tuple(terms), tails=(tail,))
+    crit = orbit_stack(f, np.zeros(1), p)
+    coeffs = _chain_products(slopes(f, crit[:p]))[:, 0]
+    tail = RankOneTail(tail_weight, crit[p - 1::-1, 0], coeffs)
+    return LOperator(branches, p, (tail,))
 
 
 def norm_growth(L: LOperator, gamma: float, m_max: int) -> np.ndarray:
-    """gamma_norm of L, L^2, ..., L^m_max (principal parts), by expanding
-    the words of L level by level on the grid.
+    """gamma_norm of L, L^2, ..., L^m_max (principal parts): level m is
+    _extend(L, level m - 1), one branches call on the points of all
+    p^(m-1) words, where compose_power evaluates every level below again;
+    each norm equals gamma_norm(compose_power(L, m), gamma) bit for bit.
 
-    The weight of the word i_1..i_m at x is
-    |phi_{i_1}(x) phi_{i_2}(y_1) ... phi_{i_m}(y_{m-1})|
-    |Dpsi_{i_m}(y_{m-1}) ... Dpsi_{i_1}(x)|^gamma, y_k its k-th point, so
-    (L1 L2)_gamma = (L1)_gamma (L2)_gamma and level m follows from level
-    m - 1 by one evaluation of each term on all its rows: O(m p) kernel
-    calls on arrays of up to p^m rows, where composing the operators costs
-    O(m p^m) calls through nested closures.  Words are stacked in
-    compose's order (word i then term j at row i p + j) and summed in
-    apply_positive's order, so every norm equals
-    gamma_norm(compose_power(L, m), gamma) bit for bit.
-
-    compose's term checks are kept: TermBlowup when p^m > COMPOSE_CAP, and
-    OperatorDomainError, with compose's message, when a word's psi leaves
-    [-1,1] on the CONTAINMENT_GRID points.  The tails do not enter the
-    principal-part norm and are neither composed nor checked; for
-    renorm_derivative_as_loperator their node count equals the term count,
-    so compose's term cap fires first there too.
+    compose's checks are kept: TermBlowup when p^m > COMPOSE_CAP, and
+    OperatorDomainError, with compose's message, when a word's point
+    leaves [-1,1] on the CONTAINMENT_GRID points.  The tails are neither
+    composed nor checked; for renorm_derivative_as_loperator their node
+    count equals the term count, so the term cap fires first there too.
     """
     gamma = _positive_gamma(gamma)
-    if not L.terms:
-        return np.zeros(m_max)
+    # the NORM_GRID columns carry the norm, the CONTAINMENT_GRID columns
+    # only the containment check
+    grid = np.concatenate([chebpts1(NORM_GRID),
+                           np.linspace(-1.0, 1.0, CONTAINMENT_GRID)])
+    level = L.branches(grid)
     out = np.empty(m_max)
-    p = L.n_terms
-    # each row is a word; the NORM_GRID columns carry the norm, the
-    # CONTAINMENT_GRID columns only the containment check
-    ys = np.concatenate([chebpts1(NORM_GRID),
-                         np.linspace(-1.0, 1.0, CONTAINMENT_GRID)])[None, :]
-    phis = np.ones((1, NORM_GRID))
-    dpsis = np.ones((1, NORM_GRID))
-    for m in range(1, m_max + 1):
-        n_terms = ys.shape[0] * p
-        if m > 1 and n_terms > COMPOSE_CAP:
-            raise TermBlowup(f"composition would carry {n_terms} terms "
-                             f"(cap {COMPOSE_CAP})")
-        at = ys[:, :NORM_GRID]
-        level = [(psi(ys), phis * phi(at), psi.d(at) * dpsis)
-                 for phi, psi in L.terms]
-        ys, phis, dpsis = (np.stack(arrs, axis=1).reshape(n_terms, -1)
-                           for arrs in zip(*level))
-        excess = np.max(np.abs(ys[:, NORM_GRID:]), axis=1) - 1.0
-        bad = np.flatnonzero(excess > CONTAINMENT_TOL)
-        if bad.size:
-            raise OperatorDomainError(
-                f"term {int(bad[0])}: psi image leaves [-1,1] by "
-                f"{float(excess[bad[0]]):.3e}")
-        total = np.zeros(NORM_GRID)
-        for w in np.abs(phis) * np.abs(dpsis)**gamma:
-            total = total + w
-        out[m - 1] = float(np.max(total))
+    for m in range(m_max):
+        if m:
+            _term_cap(len(level[0]) * L.n_terms)
+            level = _extend(L, *level)
+            _check_contained(level[1][:, NORM_GRID:])
+        w, _, dy = level
+        out[m] = _positive_sup(w[:, :NORM_GRID], dy[:, :NORM_GRID], gamma)
     return out

@@ -99,16 +99,6 @@ def slopes(f: UnimodalMap, z) -> np.ndarray:
     return 2.0 * z * f.phi_deriv(z * z)
 
 
-def iterate_derivative(f: UnimodalMap, z0, k: int):
-    """(f^k(z0), Df^k(z0)) by forward iteration of the chain rule."""
-    z = np.asarray(z0, dtype=float)
-    dz = np.ones_like(z)
-    for _ in range(k):
-        dz = dz * slopes(f, z)
-        z = f.phi(z * z)
-    return z, dz
-
-
 def _left_to_right(intervals: np.ndarray):
     """(order, gaps) of intervals (..., q, 2): order sorts them by left end,
     gaps[..., k] is the space between the k-th and (k+1)-th in that order."""

@@ -34,10 +34,12 @@ def write_csv(path, header, rows) -> Path:
 
 
 def to_jsonable(obj):
-    """obj as JSON values; a non-finite float becomes None (JSON null), as
-    RFC 8259 has no NaN or Infinity."""
-    if obj is None or isinstance(obj, (bool, str)):
+    """obj as JSON values; a numpy bool becomes a JSON boolean, and a
+    non-finite float None (JSON null), as RFC 8259 has no NaN or Infinity."""
+    if obj is None or isinstance(obj, str):
         return obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):

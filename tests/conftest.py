@@ -4,6 +4,7 @@ from contextlib import suppress
 import numpy as np
 import pytest
 
+from renormlab.loperator import LOperator
 from renormlab.maps import QuadraticFamily
 from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab import solver
@@ -39,6 +40,18 @@ def cold_doubling(degree, c=QUADRATIC_SEED_C, tol=1e-10):
     solver._newton_polish's tuple."""
     start = (QuadraticFamily().member(c, degree=degree),)
     return solver._newton_polish(start, (THETA_DOUBLING,), tol)
+
+
+def affine_operator(rows):
+    """Lv(x) = sum of w v(a x + b) over the rows (w, a, b): constant weights
+    and affine points, the hand-built operators of the tests."""
+    w, a, b = np.array(rows, dtype=float).reshape(-1, 3).T[:, :, None]
+
+    def branches(x):
+        ones = np.ones_like(x)
+        return w * ones, a * x + b, a * ones
+
+    return LOperator(branches, len(rows))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -20,7 +20,7 @@ from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab.solver import (convergence_experiment, derivative_matrix,
                               finite_difference_matrix, solve_periodic_orbit,
                               spectrum)
-from conftest import C_INF, cold_doubling, record_accept
+from conftest import C_INF, affine_operator, cold_doubling, record_accept
 
 DELTA_3DP = 4.669
 
@@ -205,11 +205,7 @@ def test_criterion_11_loperator_algebra(fixed_point_24):
             w1, w2 = rng.uniform(-2, 2, size=2)
             a1, a2 = rng.uniform(-0.45, 0.45, size=2)
             b1, b2 = rng.uniform(-0.5, 0.5, size=2)
-            ops.append(lop.LOperator(terms=(
-                (lambda x, w=w1: np.full_like(np.asarray(x, float), w),
-                 lop.affine_map(a1, b1)),
-                (lambda x, w=w2: np.full_like(np.asarray(x, float), w),
-                 lop.affine_map(a2, b2)))))
+            ops.append(affine_operator([(w1, a1, b1), (w2, a2, b2)]))
         L1, L2 = ops
         both = lop.apply(lop.compose(L1, L2), v, xs)
         seq = lop.apply(L1, lambda x: lop.apply(L2, v, np.atleast_1d(x)), xs)

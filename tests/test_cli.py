@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from renormlab import cli
+from renormlab import cli, reporting
 from renormlab.cli import main
 
 REPORT_KEYS = {"command", "version", "config", "status", "results",
@@ -206,6 +206,14 @@ def test_reports_are_strict_json(tmp_path):
     rep = json.loads(text, parse_constant=refuse)
     assert rep["results"]["norm_ratio"] is None
     assert len(rep["results"]["norms"]) == 1
+
+
+def test_numpy_bools_are_written_as_json_booleans(tmp_path):
+    path = reporting.write_json(tmp_path / "bools.json",
+                                {"yes": np.bool_(True), "no": np.bool_(False),
+                                 "rows": np.array([1.0, 2.0]) > 1.5})
+    assert json.loads(path.read_text()) == {"yes": True, "no": False,
+                                            "rows": [False, True]}
 
 
 def test_the_shared_parser_keeps_no_state_between_runs(tmp_path):

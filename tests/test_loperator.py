@@ -8,26 +8,23 @@ from hypothesis import strategies as st
 from renormlab import loperator as lop
 from renormlab.basis import collocation_nodes, eval_phi, fit_phi
 from renormlab.errors import OperatorDomainError, TermBlowup
-from renormlab.renorm import RenormStep, spatial_permutation, tower
-from renormlab.solver import derivative_matrix
+from renormlab.renorm import (RenormStep, detect, slopes,
+                              spatial_permutation, tower)
+from renormlab.solver import derivative_matrix, solve_fixed_point
+
+from conftest import affine_operator
 
 GRID = np.linspace(-1.0, 1.0, 201)
 
 
-def const_weight(c):
-    return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-
-
 def test_identity_operator_is_identity():
-    I = lop.identity_operator()
+    I = affine_operator([(1.0, 1.0, 0.0)])
     v = lambda x: np.sin(3.0 * x) + x**2
     assert np.max(np.abs(lop.apply(I, v, GRID) - v(GRID))) < 1e-15
 
 
 def test_symmetrizer_kills_odd_functions():
-    half = const_weight(0.5)
-    sym = lop.LOperator(terms=((half, lop.affine_map(1.0, 0.0)),
-                               (half, lop.affine_map(-1.0, 0.0))))
+    sym = affine_operator([(0.5, 1.0, 0.0), (0.5, -1.0, 0.0)])
     odd = lambda x: x**3 - 0.2 * x
     even = lambda x: np.cos(x)
     assert np.max(np.abs(lop.apply(sym, odd, GRID))) < 1e-15
@@ -35,18 +32,11 @@ def test_symmetrizer_kills_odd_functions():
 
 
 def test_positive_operator_weights_by_derivative_power():
-    L = lop.LOperator(terms=((const_weight(1.0), lop.affine_map(0.5, 0.0)),))
+    L = affine_operator([(1.0, 0.5, 0.0)])
     v = lambda x: 1.0 + x**2
     want = 0.25 * v(0.5 * GRID)
     assert np.max(np.abs(lop.apply_positive(L, 2.0, v, GRID) - want)) < 1e-14
     assert lop.gamma_norm(L, 2.0) == pytest.approx(0.25)
-
-
-def _affine_terms(rows):
-    terms = []
-    for w, a, b in rows:
-        terms.append((const_weight(w), lop.affine_map(a, b)))
-    return tuple(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,8 +49,8 @@ def _affine_terms(rows):
                           st.floats(-0.5, 0.5)),
                 min_size=1, max_size=3))
 def test_composition_agrees_with_sequential_application(rows1, rows2):
-    L1 = lop.LOperator(terms=_affine_terms(rows1))
-    L2 = lop.LOperator(terms=_affine_terms(rows2))
+    L1 = affine_operator(rows1)
+    L2 = affine_operator(rows2)
     both = lop.compose(L1, L2)
     v = lambda x: np.cos(2.0 * x) + 0.3 * x
     inner = lambda x: lop.apply(L2, v, np.atleast_1d(x))
@@ -101,16 +91,20 @@ def test_unstable_vector_is_an_eigenfunction(fixed_point_24, spectrum_24):
     assert np.max(np.abs(lhs - spectrum_24.delta * w(GRID))) < 1e-7
 
 
+def _tower_step(g):
+    """The p = 4 step of g's two-level tower."""
+    tw = tower(g, 2)
+    lvl = tw.level(2)
+    return RenormStep(p=4, lam=tw.scalings[1],
+                      perm=spatial_permutation(lvl), intervals=lvl)
+
+
 def test_composed_square_matches_two_step_operator(fixed_point_24):
     g = fixed_point_24.map
     L = lop.renorm_derivative_as_loperator(g)
     LL = lop.compose(L, L)
 
-    tw = tower(g, 2)
-    lvl = tw.level(2)
-    step = RenormStep(p=4, lam=tw.scalings[1],
-                      perm=spatial_permutation(lvl), intervals=lvl)
-    direct = lop.renorm_derivative_as_loperator(g, step)
+    direct = lop.renorm_derivative_as_loperator(g, _tower_step(g))
     assert direct.n_terms == 4
     assert LL.n_terms == 4
 
@@ -118,6 +112,73 @@ def test_composed_square_matches_two_step_operator(fixed_point_24):
     xs = np.linspace(-0.9, 0.9, 120)
     gap = lop.apply(LL, v, xs) - lop.apply(direct, v, xs)
     assert np.max(np.abs(gap)) < 1e-7
+
+
+def _forward(f, z, k):
+    """(f^k(z), Df^k(z)) by k forward chain-rule steps."""
+    dz = np.ones_like(z)
+    for _ in range(k):
+        dz = dz * slopes(f, z)
+        z = f.phi(z * z)
+    return z, dz
+
+
+def _per_term_branches(f, step, x):
+    """Each term by its own forward chain rule: term j runs an orbit of
+    p - j steps from lam x, then j slope steps for w_j, and its own orbit
+    of p - j - 1 steps for y_j and lam Df^{p-j-1}(lam x)."""
+    p, lam = step.p, step.lam
+    w, y, dy = [], [], []
+    for j in range(p):
+        z, _ = _forward(f, lam * x, p - j)
+        w.append(_forward(f, z, j)[1] / lam)
+        zj, dj = _forward(f, lam * x, p - j - 1)
+        y.append(zj)
+        dy.append(lam * dj)
+    return np.array(w), np.array(y), np.array(dy)
+
+
+@pytest.mark.parametrize("which", ["doubling24", "doubling48", "tripling",
+                                   "tower4"])
+def test_one_orbit_branches_are_the_per_term_chain_rule(
+        which, fixed_point_24, request):
+    if which == "doubling48":
+        g = solve_fixed_point(degree=48).map
+    elif which == "tripling":
+        g = request.getfixturevalue("tripling_fixed_point").map
+    else:
+        g = fixed_point_24.map
+    step = _tower_step(g) if which == "tower4" else detect(g)
+    L = lop.renorm_derivative_as_loperator(g, step)
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 97), [0.0, 1e-9, -0.3]])
+    got = L.branches(xs)
+    want = _per_term_branches(g, step, xs)
+    for name, a, b in zip(("w", "y", "dy"), got, want):
+        assert a.shape == (step.p, xs.size)
+        assert np.array_equal(a, b), name
+
+    # the tail: weight (x Df^p(lam x) - f^p(lam x)/lam)/lam, nodes
+    # f^{p-j-1}(0) and coefficients Df^j(f^{p-j}(0))
+    p, lam = step.p, step.lam
+    (tail,) = L.tails
+    zp, dp = _forward(g, lam * xs, p)
+    assert np.array_equal(tail.weight(xs), (xs * dp - zp / lam) / lam)
+    zero = np.zeros(1)
+    nodes = [_forward(g, zero, p - j - 1)[0][0] for j in range(p)]
+    coeffs = [_forward(g, _forward(g, zero, p - j)[0], j)[1][0]
+              for j in range(p)]
+    assert tail.nodes.tolist() == nodes
+    assert tail.coeffs.tolist() == coeffs
+
+
+def test_branches_with_the_wrong_row_count_are_refused():
+    def branches(x):
+        ones = np.ones((3, x.size))
+        return ones, 0.5 * ones, ones
+
+    with pytest.raises(OperatorDomainError, match="shape"):
+        lop.LOperator(branches, 2)
+    assert lop.LOperator(branches, 3).n_terms == 3
 
 
 def test_norm_bound_dominates_random_sections(fixed_point_24):
@@ -146,15 +207,14 @@ def test_norm_growth_rates(fixed_point_24):
 
 
 def test_gamma_monotone_for_contractive_branches():
-    L = lop.LOperator(terms=((const_weight(1.0), lop.affine_map(0.4, 0.1)),
-                             (const_weight(0.7), lop.affine_map(-0.3, 0.2))))
+    L = affine_operator([(1.0, 0.4, 0.1), (0.7, -0.3, 0.2)])
     norms = [lop.gamma_norm(L, gam) for gam in (1.0, 2.0, 3.0)]
     assert norms[0] > norms[1] > norms[2]
 
 
 def test_escaping_branch_is_rejected():
     with pytest.raises(OperatorDomainError):
-        lop.LOperator(terms=((const_weight(1.0), lop.affine_map(1.5, 0.0)),))
+        affine_operator([(1.0, 1.5, 0.0)])
 
 
 def test_apply_checks_the_grid(fixed_point_24):
@@ -182,14 +242,14 @@ def test_norm_growth_is_gamma_norm_of_composed_powers_bit_for_bit(
         which, gamma, fixed_point_24):
     L = (lop.renorm_derivative_as_loperator(fixed_point_24.map)
          if which == "fixed_point_24" else
-         lop.LOperator(terms=_affine_terms(AFFINE_ROWS[which])))
+         affine_operator(AFFINE_ROWS[which]))
     want = [lop.gamma_norm(lop.compose_power(L, m), gamma)
             for m in range(1, 5)]
     assert lop.norm_growth(L, gamma, 4).tolist() == want
 
 
 def test_norm_growth_of_the_zero_operator():
-    zero = lop.LOperator(terms=())
+    zero = affine_operator([])
     assert lop.gamma_norm(zero, 3.0) == 0.0
     assert lop.norm_growth(zero, 3.0, 2).tolist() == [0.0, 0.0]
 
@@ -208,8 +268,7 @@ def test_norm_growth_term_cap_trips_like_compose_power(fixed_point_24,
 
 def test_norm_growth_rejects_escaping_words_like_compose():
     # one step stays within CONTAINMENT_TOL, two steps exceed it
-    one = const_weight(1.0)
-    L = lop.LOperator(terms=((one, lop.affine_map(1.0, 6e-11)),))
+    L = affine_operator([(1.0, 1.0, 6e-11)])
     with pytest.raises(OperatorDomainError) as composed:
         lop.compose(L, L)
     with pytest.raises(OperatorDomainError) as grown:
@@ -220,8 +279,7 @@ def test_norm_growth_rejects_escaping_words_like_compose():
     assert lop.norm_growth(L, 3.0, 1).tolist() == [1.0]
 
     # only the word (1, 1) escapes; compose names it as term 1*2 + 1
-    L2 = lop.LOperator(terms=((one, lop.affine_map(0.5, 0.0)),
-                              (one, lop.affine_map(1.0, 6e-11))))
+    L2 = affine_operator([(1.0, 0.5, 0.0), (1.0, 1.0, 6e-11)])
     with pytest.raises(OperatorDomainError) as composed:
         lop.compose(L2, L2)
     with pytest.raises(OperatorDomainError) as grown:
@@ -234,7 +292,7 @@ def test_norm_growth_rejects_escaping_words_like_compose():
 @pytest.mark.parametrize("entry", ["gamma_norm", "apply_positive",
                                    "norm_growth"])
 def test_nonpositive_gamma_is_rejected(entry, gamma):
-    L = lop.LOperator(terms=_affine_terms(AFFINE_ROWS["affine2"]))
+    L = affine_operator(AFFINE_ROWS["affine2"])
     calls = {
         "gamma_norm": lambda: lop.gamma_norm(L, gamma),
         "apply_positive": lambda: lop.apply_positive(
