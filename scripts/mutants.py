@@ -81,6 +81,9 @@ MUTANTS = [
      (("words(dy2) * dy[:, None]", "words(dy2)"),)),
     ("loperator.py", "the weight products start one slope late",
      (("range(p - j, p)", "range(p - j + 1, p)"),)),
+    ("families.py", "every sibling window reuses the first type's hits",
+     (("zip(oks, g.renormalize_each(Theta))",
+       "zip(oks, g.renormalize_each(Theta[:1]) * len(Theta))"),)),
 ]
 
 

@@ -8,7 +8,11 @@ renormalization period p, and of which type) for find_windows, classify
 Both test the exact renormalizations of the family (FamilyLevel): the
 level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
 P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), so no level is
-projected onto a basis and no degree is involved.
+projected onto a basis and no degree is involved.  The window tower
+classifies each grid once for all the children of a window
+(_child_windows): one walk of the parent itinerary per grid, and one
+period scan up to the longest child type (renorm._scan_up_to) tests every
+type; a child with no run on a grid falls back to the next grid alone.
 The edges of the run are then roots of scalar critical-orbit equations,
 solved in Python floats by roots.brent (_bisect_edge).  brent tries the
 grid cell where the classification flips and refuses it if the equation
@@ -40,7 +44,7 @@ from .errors import (BracketNotFound, DomainError, NoBracket,
                      SingleItinerary, WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
-from .renorm import IntervalTower, scan_periods
+from .renorm import IntervalTower, _scan_up_to, scan_periods
 from .roots import brent, sign_changes
 
 SCAN_GRID = 2000
@@ -238,10 +242,22 @@ class FamilyLevel:
         has type theta (what detect(p_max=len(theta)) finds, with spatial
         ranks exactly theta), and level holds those rows renormalized once
         more: P times p = len(theta), lam times their g^p(0)."""
-        lam, _, live, trial = scan_periods(self, len(theta))
-        hit = live[(trial.fail == 0) & np.all(trial.ranks == theta, axis=-1)]
-        return hit, replace(self, c=self.c[hit], P=self.P * len(theta),
-                            lam=self.lam[hit] * lam[hit])
+        return self.renormalize_each([theta])[0]
+
+    def renormalize_each(self, thetas) -> list:
+        """[renormalize(theta) for theta in thetas] from one period scan
+        up to the longest theta (renorm._scan_up_to): one tip orbit, and
+        one trial per period, whatever the number of types."""
+        scan = _scan_up_to(self, max(len(t) for t in thetas))
+        out = []
+        for theta in thetas:
+            lam, _, live, trial = scan[len(theta)]
+            hit = live[(trial.fail == 0)
+                       & np.all(trial.ranks == theta, axis=-1)]
+            out.append((hit, replace(self, c=self.c[hit],
+                                     P=self.P * len(theta),
+                                     lam=self.lam[hit] * lam[hit])))
+        return out
 
 
 def _level_zero(fam: QuadraticFamily, cs: np.ndarray):
@@ -325,6 +341,19 @@ def _itinerary_ok(fam: QuadraticFamily, c: float, prefix) -> bool:
     return bool(classify(fam, [c], prefix)[0])
 
 
+def _prefix_rows(fam: QuadraticFamily, cs: np.ndarray, prefix):
+    """(rows, level): the indices of the parameters of cs that realize
+    prefix, in order, and their level after it, one FamilyLevel.renormalize
+    per type.  The walk stops at the first level that no row reaches."""
+    rows, g = _level_zero(fam, cs)
+    for theta in prefix:
+        if not rows.size:
+            break
+        hit, g = g.renormalize(tuple(theta))
+        rows = rows[hit]
+    return rows, g
+
+
 def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     """Does f_c realize the first len(prefix) renormalization types?  One
     boolean per parameter of cs.
@@ -335,15 +364,61 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     is built.  Parameters outside the family's domain come out False.
     """
     cs = np.asarray(cs, dtype=float)
-    rows, g = _level_zero(fam, cs)
-    for theta in prefix:
-        if not rows.size:
-            break
-        hit, g = g.renormalize(tuple(theta))
-        rows = rows[hit]
+    rows, _ = _prefix_rows(fam, cs, prefix)
     ok = np.zeros(cs.shape, dtype=bool)
     ok[rows] = True
     return ok
+
+
+def _classify_children(fam: QuadraticFamily, cs: np.ndarray, parent,
+                       Theta) -> np.ndarray:
+    """Row k is classify(fam, cs, parent + [Theta[k]]), bit for bit: the
+    parent is walked once, and every type is tested from one period scan
+    of the parent's level (FamilyLevel.renormalize_each)."""
+    rows, g = _prefix_rows(fam, cs, parent)
+    oks = np.zeros((len(Theta), cs.size), dtype=bool)
+    if rows.size:
+        for ok, (hit, _) in zip(oks, g.renormalize_each(Theta)):
+            ok[rows[hit]] = True
+    return oks
+
+
+def _child_windows(fam: QuadraticFamily, parent, Theta,
+                   bracket: tuple[float, float]) -> list[tuple[float, float]]:
+    """[_window_for_prefix(fam, parent + [theta], bracket) for theta in
+    Theta], with one classification of each grid for all the children
+    still without a run (_classify_children).  Each child takes the first
+    of WINDOW_GRIDS that holds a run for it, so a child with none on a grid
+    falls back to the next one alone.  The edges are then solved child by
+    child, in the order and with the calls of the one-child case."""
+    lo, hi = bracket
+    runs: list = [None] * len(Theta)
+    for grid in WINDOW_GRIDS:
+        todo = [k for k, run in enumerate(runs) if run is None]
+        if not todo:
+            break
+        cs = np.linspace(lo, hi, grid)
+        oks = _classify_children(fam, cs, parent, [Theta[k] for k in todo])
+        for k, ok in zip(todo, oks):
+            if ok.any():
+                runs[k] = cs, ok
+    depth = len(parent) + 1
+    P = math.prod(len(t) for t in parent)
+    windows = []
+    for theta, run in zip(Theta, runs):
+        if run is None:
+            raise WindowNotFound(f"no window for a depth-{depth} itinerary "
+                                 f"inside ({lo:.8g}, {hi:.8g})", depth=depth)
+        cs, ok = run
+        left, right = _edge_equations(fam, P * len(theta))
+        edges = np.nonzero(np.diff(np.r_[0, ok, 0]))[0]
+        starts, ends = edges[::2], edges[1::2]
+        best = int(np.argmax(ends - starts))
+        i, j = starts[best], ends[best] - 1
+        a = cs[i] if i == 0 else _bisect_edge(left, cs, i - 1, depth)
+        b = cs[j] if j == cs.size - 1 else _bisect_edge(right, cs, j, depth)
+        windows.append((float(a), float(b)))
+    return windows
 
 
 def _window_for_prefix(fam: QuadraticFamily, prefix,
@@ -352,24 +427,9 @@ def _window_for_prefix(fam: QuadraticFamily, prefix,
     of WINDOW_GRIDS that has one; each edge is the root of its
     critical-orbit equation, with P the product of the periods of prefix,
     solved from the cell where the classification flips and never past
-    the bracket.  An edge at the bracket end stays there."""
-    lo, hi = bracket
-    left, right = _edge_equations(fam, math.prod(len(t) for t in prefix))
-    for grid in WINDOW_GRIDS:
-        cs = np.linspace(lo, hi, grid)
-        ok = classify(fam, cs, prefix)
-        if not ok.any():
-            continue
-        edges = np.nonzero(np.diff(np.r_[0, ok, 0]))[0]
-        starts, ends = edges[::2], edges[1::2]
-        best = int(np.argmax(ends - starts))
-        i, j = starts[best], ends[best] - 1
-        depth = len(prefix)
-        a = cs[i] if i == 0 else _bisect_edge(left, cs, i - 1, depth)
-        b = cs[j] if j == grid - 1 else _bisect_edge(right, cs, j, depth)
-        return float(a), float(b)
-    raise WindowNotFound(f"no window for a depth-{len(prefix)} itinerary "
-                         f"inside ({lo:.8g}, {hi:.8g})", depth=len(prefix))
+    the bracket.  An edge at the bracket end stays there.  The one-child
+    case of _child_windows."""
+    return _child_windows(fam, prefix[:-1], prefix[-1:], bracket)[0]
 
 
 @dataclass(frozen=True)
@@ -428,10 +488,8 @@ def parameter_window_tower(fam: QuadraticFamily, Theta, depth: int,
     for _ in range(depth):
         nxt = []
         for prefix, brk in frontier:
-            for theta in Theta:
-                child = prefix + (theta,)
-                win = _window_for_prefix(fam, list(child), brk)
-                nxt.append((child, win))
+            wins = _child_windows(fam, prefix, Theta, brk)
+            nxt += [(prefix + (theta,), w) for theta, w in zip(Theta, wins)]
         nxt.sort(key=lambda t: t[1][0])
         levels.append(np.array([w for _, w in nxt]))
         frontier = nxt

@@ -271,22 +271,30 @@ def scan_periods(f, q: int):
     degenerate, rows, trial): lam[i] = f_i^q(0); degenerate and rows split
     the rows where no period p < q is degenerate or admissible by whether
     lam vanishes at q (detect raises there), and trial tests period q on
-    rows.  One tip orbit to step q serves every candidate; each candidate
-    adds only the endpoint orbit.
+    rows.  It is the last entry of _scan_up_to(f, q).
     """
+    return _scan_up_to(f, q)[q]
+
+
+def _scan_up_to(f, q: int) -> dict:
+    """{p: scan_periods(f, p)} for p = 2..q (for q < 2, the one entry q,
+    on no rows), from one scan: one tip orbit to step q serves every
+    candidate, each candidate adds only the endpoint orbit, and the rows
+    admissible at p drop out before p + 1 is tried.  Entry p reads only
+    the first p steps of the tip orbit, so it is the same bit for bit
+    for every q >= p."""
     lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
-
-    def trial(p):
-        ends = orbit_stack(f[rows], np.abs(lam_path[p, rows, None]), p)
-        return _test_period(lam_path[:p + 1, rows], ends[..., 0], p)
-
-    for p in range(2, q + 1):
+    out = {}
+    for p in range(min(2, q), q + 1):
         small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
+        ends = orbit_stack(f[rows], np.abs(lam_path[p, rows, None]), p)
+        trial = _test_period(lam_path[:p + 1, rows], ends[..., 0], p)
+        out[p] = lam_path[p], degenerate, rows, trial
         if p < q:
-            rows = rows[trial(p).fail != 0]
-    return lam_path[q], degenerate, rows, trial(q)
+            rows = rows[trial.fail != 0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,111 @@ def test_parameter_tower_shape(quadratic):
             assert inside
 
 
+def _window_per_child(fam, prefix, bracket):
+    """The window of one itinerary, classified on its own: the first of
+    WINDOW_GRIDS whose classify(prefix) holds a run, and the longest run's
+    edges from the flip cells."""
+    lo, hi = bracket
+    depth = len(prefix)
+    left, right = F._edge_equations(fam, math.prod(len(t) for t in prefix))
+    for grid in F.WINDOW_GRIDS:
+        cs = np.linspace(lo, hi, grid)
+        ok = F.classify(fam, cs, prefix)
+        if not ok.any():
+            continue
+        edges = np.nonzero(np.diff(np.r_[0, ok, 0]))[0]
+        starts, ends = edges[::2], edges[1::2]
+        best = int(np.argmax(ends - starts))
+        i, j = starts[best], ends[best] - 1
+        a = cs[i] if i == 0 else F._bisect_edge(left, cs, i - 1, depth)
+        b = cs[j] if j == grid - 1 else F._bisect_edge(right, cs, j, depth)
+        return float(a), float(b)
+    raise WindowNotFound(f"no window for a depth-{depth} itinerary "
+                         f"inside ({lo:.8g}, {hi:.8g})", depth=depth)
+
+
+def _tower_levels_per_child(fam, Theta, depth, bracket=F.DEFAULT_BRACKET):
+    """parameter_window_tower's levels below the root, one classification
+    per child window (_window_per_child)."""
+    frontier, levels = [((), bracket)], []
+    for _ in range(depth):
+        nxt = [(prefix + (theta,),
+                _window_per_child(fam, list(prefix + (theta,)), brk))
+               for prefix, brk in frontier for theta in Theta]
+        nxt.sort(key=lambda t: t[1][0])
+        levels.append(np.array([w for _, w in nxt]))
+        frontier = nxt
+    return levels
+
+
+def _assert_tower_is_per_child(fam, Theta, depth):
+    tw = F.parameter_window_tower(fam, Theta, depth)
+    want = _tower_levels_per_child(fam, Theta, depth)
+    assert len(tw.levels) == depth + 1
+    assert tw.levels[0].tobytes() == np.array(
+        [[want[0][0, 0], want[0][-1, 1]]]).tobytes()
+    for got, ref in zip(tw.levels[1:], want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_window_tower_is_the_per_child_loop_as_bytes(quadratic, depth):
+    _assert_tower_is_per_child(quadratic, [THETA_DOUBLING, THETA_TRIPLING],
+                               depth)
+
+
+def test_three_type_window_tower_is_the_per_child_loop_as_bytes(quadratic):
+    # periods 2, 3 and 4: one scan to period 4 serves all three types
+    _assert_tower_is_per_child(
+        quadratic, [THETA_DOUBLING, THETA_TRIPLING, (2, 3, 0, 1)], 3)
+
+
+def test_a_child_without_a_run_falls_back_alone(quadratic, monkeypatch):
+    """On a 5-point first grid over (0.3, 2.0) only the doubling child has
+    a run (at 1.15); the tripling child alone is classified again on the
+    next grid, and the windows are the per-child ones."""
+    monkeypatch.setattr(F, "WINDOW_GRIDS", (5, 129, 513, 2049))
+    shared, calls = F._classify_children, []
+
+    def recorded(fam, cs, parent, Theta):
+        calls.append((len(parent), cs.size, list(Theta)))
+        return shared(fam, cs, parent, Theta)
+
+    monkeypatch.setattr(F, "_classify_children", recorded)
+    for depth in (1, 2, 3):
+        _assert_tower_is_per_child(
+            quadratic, [THETA_DOUBLING, THETA_TRIPLING], depth)
+    assert calls[:2] == [(0, 5, [THETA_DOUBLING, THETA_TRIPLING]),
+                         (0, 129, [THETA_TRIPLING])]
+    assert any(size > 5 and len(Theta) == 1 for n, size, Theta in calls
+               if n > 0)
+
+
+def test_window_for_prefix_is_the_per_child_window(quadratic):
+    brackets = {(): F.DEFAULT_BRACKET}
+    Theta = [THETA_DOUBLING, THETA_TRIPLING, (2, 3, 0, 1)]
+    for prefix in [p for d in (1, 2) for p in itertools.product(Theta,
+                                                                repeat=d)]:
+        win = F._window_for_prefix(quadratic, list(prefix),
+                                   brackets[prefix[:-1]])
+        ref = _window_per_child(quadratic, list(prefix),
+                                brackets[prefix[:-1]])
+        assert [w.hex() for w in win] == [w.hex() for w in ref]
+        brackets[prefix] = win
+
+
+def test_a_tower_child_without_a_window_raises_like_the_per_child_loop(
+        quadratic):
+    # (1, 3, 0, 2) is no period-4 type of the quadratic family
+    Theta = [THETA_DOUBLING, THETA_TRIPLING, (1, 3, 0, 2)]
+    with pytest.raises(WindowNotFound) as ref:
+        _tower_levels_per_child(quadratic, Theta, 2)
+    with pytest.raises(WindowNotFound) as err:
+        F.parameter_window_tower(quadratic, Theta, 2)
+    assert (str(err.value), err.value.depth) == (str(ref.value),
+                                                 ref.value.depth)
+
+
 def test_single_type_rejected(quadratic):
     with pytest.raises(SingleItinerary):
         F.parameter_window_tower(quadratic, [THETA_DOUBLING], 2)

@@ -14,7 +14,7 @@ from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               LAMBDA_FLOOR, _NEAR_ONE, _NOT_FINITE,
                               _NOT_INVARIANT, _OVERLAP, IntervalTower,
-                              RenormStep, _Trial,
+                              RenormStep, _Trial, _scan_up_to,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _test_one, _test_period,
                               central_dominance,
@@ -783,6 +783,47 @@ def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
         assert len(g) and g.P == 2 ** ((depth + 1) // 2) * 3 ** (depth // 2)
         bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
     assert sum(admitted) > 0
+
+
+def _assert_scan_entries_are_scan_periods(g, q):
+    """Every entry p of _scan_up_to(g, q) is scan_periods(g, p), as bytes:
+    lam, the degenerate and live rows, and the trial's fail codes, ranks
+    and pieces.  Returns the number of rows admissible at some p."""
+    scan = _scan_up_to(g, q)
+    assert list(scan) == list(range(2, q + 1))
+    admitted = 0
+    for p, (lam, degenerate, rows, trial) in scan.items():
+        ref_lam, ref_degenerate, ref_rows, ref = scan_periods(g, p)
+        for got, want in [(lam, ref_lam), (degenerate, ref_degenerate),
+                          (rows, ref_rows), (trial.fail, ref.fail),
+                          (trial.ranks, ref.ranks),
+                          (trial.pieces, ref.pieces)]:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert trial.p == ref.p == p
+        admitted += int(np.count_nonzero(trial.fail == 0))
+    return admitted
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_each_scan_entry_is_scan_periods_on_member_grids(q):
+    g = _members(np.r_[np.linspace(0.5, 2.0, 1501),
+                       1.7548776662466927, 1.0, 1.3107026413368328])
+    assert _assert_scan_entries_are_scan_periods(g, q) > 0
+
+
+def test_each_scan_entry_is_scan_periods_inside_the_nested_chase():
+    # the levels the (doubling, tripling) chase classifies, on the grids
+    # of its brackets down to depth 4
+    prefix = [THETA_DOUBLING, THETA_TRIPLING] * 2
+    bracket, admitted = F.DEFAULT_BRACKET, 0
+    for depth in range(1, 5):
+        g = _members(np.linspace(*bracket, 129))
+        for theta in prefix[:depth]:
+            admitted += _assert_scan_entries_are_scan_periods(g, 5)
+            _, g = g.renormalize(theta)
+        bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
+    assert admitted > 0
 
 
 def test_period_test_matches_the_sampled_test_at_the_fixed_points(
