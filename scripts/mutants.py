@@ -56,9 +56,9 @@ MUTANTS = [
     ("roots.py", "zero end refused by brackets",
      (("(fa <= 0.0) & (fb >= 0.0) | (fb <= 0.0) & (fa >= 0.0)",
        "(fa < 0.0) & (fb > 0.0) | (fb < 0.0) & (fa > 0.0)"),)),
-    ("solver.py", "rank-one term's sign flipped in derivative_matrix",
-     (("(principal + np.outer(tail_weight, sens))",
-       "(principal - np.outer(tail_weight, sens))"),)),
+    ("renorm.py", "rank-one term's sign flipped in derivative_terms",
+     (("tail = (x * dk[p] - z[p] / lam) / lam",
+       "tail = -(x * dk[p] - z[p] / lam) / lam"),)),
     loosened("solver.py", "COARSE_DEGREE", "12", "8"),
     ("geometry.py", "usable_depth's floor test reverted to < LENGTH_FLOOR",
      (("if not tower.lengths(lv).min() >= LENGTH_FLOOR:",
@@ -79,11 +79,18 @@ MUTANTS = [
        "cycle[0].coeffs + 1e-10 * (np.arange(degree + 1) == 2))),"),)),
     ("loperator.py", "_extend drops the inner derivative",
      (("words(dy2) * dy[:, None]", "words(dy2)"),)),
-    ("loperator.py", "the weight products start one slope late",
-     (("range(p - j, p)", "range(p - j + 1, p)"),)),
+    ("renorm.py", "the weight products start one slope late",
+     (("chain[p - k:] *= s[k]", "chain[p - k + 1:] *= s[k]"),)),
     ("families.py", "every sibling window reuses the first type's hits",
      (("zip(oks, g.renormalize_each(Theta))",
        "zip(oks, g.renormalize_each(Theta[:1]) * len(Theta))"),)),
+    ("geometry.py", "partition_sum refuses one usable level",
+     (('got {s}")\n    kmax = usable_depth(tower)\n    if kmax < 1:',
+       'got {s}")\n    kmax = usable_depth(tower)\n    if kmax <= 1:'),)),
+    ("geometry.py", "hausdorff_dimension refuses five usable levels",
+     (("if kmax < 5:", "if kmax <= 5:"),)),
+    ("geometry.py", "hausdorff_dimension refuses kmin = kmax - 2",
+     (("kmin > kmax - 2", "kmin >= kmax - 2"),)),
 ]
 
 

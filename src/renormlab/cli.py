@@ -4,9 +4,10 @@ Each subcommand runs one pipeline, writes a JSON report plus CSV plot data
 into the output directory, and prints a one-line summary.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (the error name lands in the
 report's status field).  All pipelines are deterministic, so identical
-config and seed reproduce byte-identical outputs.  The argument parser is
-built once per process, on the first main() call, and reused by later
-calls in the same process.
+config reproduces byte-identical outputs.  No code draws a random number:
+`--seed` is recorded in each report's `config` only to keep the report
+schema.  The argument parser is built once per process, on the first
+main() call, and reused by later calls in the same process.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .errors import OperatorDomainError, TermBlowup
 from .maps import UnimodalMap
-from .renorm import RenormStep, detect, orbit_stack, slopes
+from .renorm import (RenormStep, critical_functional, derivative_terms,
+                     detect)
 
 CONTAINMENT_GRID = 128
 CONTAINMENT_TOL = 1e-10
@@ -223,51 +224,23 @@ def compose_power(L: LOperator, m: int) -> LOperator:
     return out
 
 
-def _chain_products(s: np.ndarray) -> np.ndarray:
-    """Row j = s[p-j] * ... * s[p-1], multiplied left to right from 1, for
-    the p slope rows s = Df(z_0..z_{p-1}) of an orbit: Df^j(z_{p-j})."""
-    p = len(s)
-    rows = []
-    for j in range(p):
-        d = np.ones_like(s[0])
-        for k in range(p - j, p):
-            d = d * s[k]
-        rows.append(d)
-    return np.stack(rows)
-
-
 def renorm_derivative_as_loperator(f: UnimodalMap,
                                    step: RenormStep | None = None) -> LOperator:
-    """Derivative of the renormalization at f, as substitution terms plus a
-    rank-one tail, all read off one orbit z_0..z_p of lam x.
-
-    Term j has w_j(x) = Df^j(z_{p-j}) / lam, y_j(x) = z_{p-j-1} and
-    dy_j(x) = lam Df^{p-j-1}(lam x); the tail carries the scaling
-    sensitivity, with weight (x Df^p(lam x) - z_p/lam)/lam and the
-    critical-orbit functional sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)).
-    """
+    """Derivative of the renormalization at f: the p substitution terms and
+    the rank-one tail of renorm.derivative_terms, whose one orbit of lam x
+    gives the weights, points and point derivatives, with the critical-orbit
+    functional of renorm.critical_functional on the tail."""
     if step is None:
         step = detect(f)
-    p, lam = step.p, step.lam
-
-    def orbit(x):  # z_0..z_p, the p slopes, Df^k(lam x) for k = 0..p
-        z = orbit_stack(f, lam * x, p)
-        s = slopes(f, z[:p])
-        return z, s, np.cumprod(np.concatenate([np.ones_like(z[:1]), s]),
-                                axis=0)
 
     def branches(x):
-        z, s, dk = orbit(x)
-        return _chain_products(s) / lam, z[p - 1::-1], lam * dk[p - 1::-1]
+        return derivative_terms(f, step, x)[:3]
 
     def tail_weight(x):
-        z, _, dk = orbit(x)
-        return (x * dk[p] - z[p] / lam) / lam
+        return derivative_terms(f, step, x)[3]
 
-    crit = orbit_stack(f, np.zeros(1), p)
-    coeffs = _chain_products(slopes(f, crit[:p]))[:, 0]
-    tail = RankOneTail(tail_weight, crit[p - 1::-1, 0], coeffs)
-    return LOperator(branches, p, (tail,))
+    tail = RankOneTail(tail_weight, *critical_functional(f, step))
+    return LOperator(branches, step.p, (tail,))
 
 
 def norm_growth(L: LOperator, gamma: float, m_max: int) -> np.ndarray:

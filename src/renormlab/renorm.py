@@ -99,6 +99,38 @@ def slopes(f: UnimodalMap, z) -> np.ndarray:
     return 2.0 * z * f.phi_deriv(z * z)
 
 
+def _orbit_chain(f: UnimodalMap, z0: np.ndarray, p: int):
+    """(z, chain, dk): the orbit z_0..z_p of z0, chain[j] = Df^j(z_{p-j})
+    and dk[j] = Df^j(z_0), j = 0..p, each multiplied left to right from 1
+    (chain[p] == dk[p]); the one product of slopes along an orbit."""
+    z = orbit_stack(f, z0, p)
+    s = slopes(f, z[:p])
+    chain = np.ones_like(z)
+    for k in range(p):
+        chain[p - k:] *= s[k]
+    dk = np.cumprod(np.concatenate([np.ones_like(z[:1]), s]), axis=0)
+    return z, chain, dk
+
+
+def derivative_terms(f: UnimodalMap, step: RenormStep, x: np.ndarray):
+    """(w, y, dy, tail) of DT(f) at the points x, from one orbit z of lam x:
+    rows j = 0..p-1 of w_j = Df^j(z_{p-j})/lam, y_j = z_{p-j-1} and
+    dy_j = lam Df^{p-j-1}(lam x), and the weight of the rank-one term
+    (whose functional is critical_functional's),
+    tail = (x Df^p(lam x) - z_p/lam)/lam."""
+    p, lam = step.p, step.lam
+    z, chain, dk = _orbit_chain(f, lam * x, p)
+    tail = (x * dk[p] - z[p] / lam) / lam
+    return chain[:p] / lam, z[p - 1::-1], lam * dk[p - 1::-1], tail
+
+
+def critical_functional(f: UnimodalMap, step: RenormStep):
+    """(nodes, coeffs) of sigma(v) = sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)),
+    j = 0..p-1: the first-order change of lam = f^p(0) under f -> f + v."""
+    z, chain, _ = _orbit_chain(f, np.zeros(1), step.p)
+    return z[step.p - 1::-1, 0], chain[:step.p, 0]
+
+
 def _left_to_right(intervals: np.ndarray):
     """(order, gaps) of intervals (..., q, 2): order sorts them by left end,
     gaps[..., k] is the space between the k-th and (k+1)-th in that order."""

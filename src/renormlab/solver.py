@@ -8,9 +8,11 @@ T(f) = f^p(lam x)/lam at f, acting on an even perturbation v, is
                 + (1/lam) [x (Tf)'(x) - Tf(x)] sum_{j<p} Df^j(z_{p-j}) v(z_{p-j-1})
 
 with z_i = f^i(0); the second, rank-one term is the sensitivity of the
-scaling lam = f^p(0) to the perturbation.  Projected onto the basis this
-gives a dense matrix whose dominant eigenvalue at the period-doubling fixed
-point is the expansion constant delta.
+scaling lam = f^p(0) to the perturbation.  One kernel computes both, for
+the L-operator too: renorm.derivative_terms and critical_functional.
+Projected onto the basis this gives a dense matrix whose dominant
+eigenvalue at the period-doubling fixed point is the expansion constant
+delta.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as _cheb
 
@@ -30,8 +31,8 @@ from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
                      TruncationLoss)
 from .maps import QuadraticFamily, UnimodalMap
-from .renorm import (THETA_DOUBLING, RenormStep, detect, orbit_stack,
-                     project_T, renormalize, renormalize_with, slopes)
+from .renorm import (THETA_DOUBLING, RenormStep, critical_functional,
+                     derivative_terms, detect, renormalize, renormalize_with)
 
 UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
 MAX_HALVINGS = 8         # damping halvings per Newton step
@@ -46,68 +47,34 @@ FEIGENBAUM_PHI = (1.0, -1.5276330, 0.1048152, 0.0267057, -0.0035274,
                   0.0000816, 0.0000254, -0.0000027)
 
 
-def _suffix_products(fps: np.ndarray) -> np.ndarray:
-    """amp[j] = fps[p-1] * ... * fps[p-j] for j = 0..p (amp[0] = 1)."""
-    return np.concatenate([np.ones((1,) + fps.shape[1:]),
-                           np.cumprod(fps[::-1], axis=0)])
-
-
 def derivative_matrix(f: UnimodalMap,
                       step: RenormStep | None = None) -> np.ndarray:
     """Matrix of DT(f) on the coefficient space, shape (D+1, D+1).
 
-    Column n is the projection of DT(f) applied to the n-th basis element,
-    through the same basis.project_function renormalize uses, so this matrix
-    is exactly the derivative of the discretized operator (what Newton and
+    Column n is the projection of DT(f) applied to the n-th basis element
+    (the terms and tail of renorm.derivative_terms) through the same
+    basis.project_function renormalize uses, so this matrix is exactly the
+    derivative of the discretized operator (what Newton and
     finite-difference checks need).  Images of high-order basis elements
     genuinely exceed degree D, so their fit residual is not small; it is
     informational and dropped here.
     """
     if step is None:
         step = detect(f)
-    p, lam = step.p, step.lam
     dim = f.degree + 1
-
-    # scaling sensitivity along the critical orbit
-    zc = orbit_stack(f, 0.0, p)
-    campl = _suffix_products(slopes(f, zc[:p]))
-    crit_design = _basis.design_matrix(zc[p - 1::-1] ** 2, dim - 1)
-    sens = campl[:p] @ crit_design
+    nodes, coeffs = critical_functional(f, step)
+    sens = coeffs @ _basis.design_matrix(nodes ** 2, dim - 1)
 
     def images(u):
         """Row n: DT(f) applied to the n-th basis element, at the nodes u."""
         x = np.sqrt(u)
-        zs = orbit_stack(f, lam * x, p)
-        # suffix products: amp[j] = Df^j evaluated at z_{p-j}
-        amp = _suffix_products(slopes(f, zs[:p]))
-        # basis values at the arguments of v: rows j = 0..p-1 use z_{p-j-1}
-        design = _basis.design_matrix(zs[p - 1::-1].ravel() ** 2,
-                                      dim - 1).reshape(p, x.size, dim)
-        principal = np.einsum("jt,jtn->tn", amp[:p], design) / lam
-        tail_weight = (x * amp[p] - zs[p] / lam) / lam
-        return (principal + np.outer(tail_weight, sens)).T
+        w, y, _, tail = derivative_terms(f, step, x)
+        design = _basis.design_matrix(y.ravel() ** 2,
+                                      dim - 1).reshape(step.p, x.size, dim)
+        principal = np.einsum("jt,jtn->tn", w, design)
+        return (principal + np.outer(tail, sens)).T
 
     return _basis.project_function(images, dim - 1)[0].T
-
-
-def finite_difference_matrix(f: UnimodalMap, h: float = 1e-6) -> np.ndarray:
-    """Central-difference check of derivative_matrix via raw coefficient
-    perturbations (the perturbed maps are built unchecked on purpose: the
-    operator itself never assumes f(0) = 1)."""
-    dim = f.degree + 1
-    base = np.array(f.coeffs)
-    cols = np.empty((dim, dim))
-
-    def coeffs_of_T(c):
-        g = UnimodalMap(c, check=False)
-        return project_T(g, detect(g, validate_input=False), f.degree)[0]
-
-    for n in range(dim):
-        plus, minus = base.copy(), base.copy()
-        plus[n] += h
-        minus[n] -= h
-        cols[:, n] = (coeffs_of_T(plus) - coeffs_of_T(minus)) / (2.0 * h)
-    return cols
 
 
 @dataclass(frozen=True)
@@ -122,7 +89,7 @@ class SpectralReport:
 
 
 def _sorted_eigensystem(mat: np.ndarray):
-    vals, vecs = scipy.linalg.eig(mat)
+    vals, vecs = np.linalg.eig(mat)
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
     return vals[order], vecs[:, order]
 
@@ -207,6 +174,20 @@ _NEWTON_RECOVERABLE = (InvalidMap, NotRenormalizable, DegenerateScaling,
                        CombinatoricsMismatch, TruncationLoss, DomainError)
 
 
+def _newton_step(jac: np.ndarray, rhs: np.ndarray, history: list):
+    """jac^-1 rhs; NoConvergence with the residual history if jac is
+    singular, or jac or the step is not finite."""
+    try:
+        step = np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError:
+        raise NoConvergence(f"singular Newton matrix at residual "
+                            f"{history[-1]:.3e}", history=tuple(history))
+    if not (np.isfinite(jac).all() and np.isfinite(step).all()):
+        raise NoConvergence(f"non-finite Newton matrix or step at residual "
+                            f"{history[-1]:.3e}", history=tuple(history))
+    return step
+
+
 def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
                    thetas: tuple[tuple[int, ...], ...], tol: float):
     """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m} from
@@ -271,7 +252,7 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
 
     for it in range(1, MAX_NEWTON_ITERS + 1):
         jac = jacobian(cycle, rens)
-        delta = scipy.linalg.solve(jac, minus_residual(cycle, rens))
+        delta = _newton_step(jac, minus_residual(cycle, rens), history)
         delta = delta.reshape(m, dim)
         for halvings in range(MAX_HALVINGS + 1):
             trial = step_to(delta, 0.5 ** halvings)
@@ -284,7 +265,7 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
                 f"Newton stalled at residual {res:.3e} after {it} steps",
                 history=tuple(history))
         if res < tol:
-            chord = scipy.linalg.solve(jac, minus_residual(cycle, rens))
+            chord = _newton_step(jac, minus_residual(cycle, rens), history)
             trial = step_to(chord.reshape(m, dim), 1.0)
             if trial is not None and trial[3] < res:
                 c_stack, cycle, rens, res = trial

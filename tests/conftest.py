@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from renormlab.loperator import LOperator
-from renormlab.maps import QuadraticFamily
-from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
+from renormlab.maps import QuadraticFamily, UnimodalMap
+from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
+                              project_T, tower)
 from renormlab import solver
 from renormlab.solver import solve_fixed_point, solve_periodic_orbit, spectrum
 
@@ -40,6 +41,26 @@ def cold_doubling(degree, c=QUADRATIC_SEED_C, tol=1e-10):
     solver._newton_polish's tuple."""
     start = (QuadraticFamily().member(c, degree=degree),)
     return solver._newton_polish(start, (THETA_DOUBLING,), tol)
+
+
+def finite_difference_matrix(f, h=1e-6):
+    """Central-difference check of solver.derivative_matrix via raw
+    coefficient perturbations (the perturbed maps are built unchecked on
+    purpose: the operator itself never assumes f(0) = 1)."""
+    dim = f.degree + 1
+    base = np.array(f.coeffs)
+    cols = np.empty((dim, dim))
+
+    def coeffs_of_T(c):
+        g = UnimodalMap(c, check=False)
+        return project_T(g, detect(g, validate_input=False), f.degree)[0]
+
+    for n in range(dim):
+        plus, minus = base.copy(), base.copy()
+        plus[n] += h
+        minus[n] -= h
+        cols[:, n] = (coeffs_of_T(plus) - coeffs_of_T(minus)) / (2.0 * h)
+    return cols
 
 
 def affine_operator(rows):

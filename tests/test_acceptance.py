@@ -18,9 +18,9 @@ from renormlab.basis import collocation_nodes, eval_phi, fit_phi
 from renormlab.cli import main
 from renormlab.renorm import THETA_DOUBLING, THETA_TRIPLING, tower
 from renormlab.solver import (convergence_experiment, derivative_matrix,
-                              finite_difference_matrix, solve_periodic_orbit,
-                              spectrum)
-from conftest import C_INF, affine_operator, cold_doubling, record_accept
+                              solve_periodic_orbit, spectrum)
+from conftest import (C_INF, affine_operator, cold_doubling,
+                      finite_difference_matrix, record_accept)
 
 DELTA_3DP = 4.669
 

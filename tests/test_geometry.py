@@ -155,6 +155,31 @@ def test_shallow_tower_rejected_for_dimension():
         G.hausdorff_dimension(G.middle_thirds_tower(3))
 
 
+def test_one_usable_level_has_a_partition_sum():
+    tw = G.self_similar_tower(2, 1.0 / 3.0, 1)
+    assert G.usable_depth(tw) == 1
+    (total,) = G.partition_sum(tw, LOG2_LOG3)
+    assert abs(total - 1.0) < 1e-15      # 2 (1/3)^s = 1 at the dimension
+
+
+def test_five_usable_levels_are_enough_for_the_dimension():
+    tw = G.middle_thirds_tower(5)
+    assert G.usable_depth(tw) == 5
+    dim = G.hausdorff_dimension(tw)
+    assert dim.fit_levels == (2, 5)
+    assert abs(dim.s_estimate - LOG2_LOG3) < 1e-12
+
+
+def test_the_shortest_fit_window_is_allowed():
+    # kmin = kmax - 2: two ratios in the fit, one in each stability window
+    tw = G.middle_thirds_tower(7)
+    dim = G.hausdorff_dimension(tw, kmin=5)
+    assert dim.fit_levels == (5, 7)
+    assert abs(dim.s_estimate - LOG2_LOG3) < 1e-12
+    with pytest.raises(EmptyLevel, match="need 8 usable levels"):
+        G.hausdorff_dimension(tw, kmin=6)
+
+
 def test_single_level_tower_rejected():
     tw = IntervalTower(levels=(np.array([[0.0, 1.0]]),), periods=(1,),
                        scalings=None, kind="synthetic")

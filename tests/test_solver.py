@@ -12,9 +12,9 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, renormalize, renormalize_with)
 from renormlab import solver
 from renormlab.solver import (convergence_experiment, derivative_matrix,
-                              finite_difference_matrix, solve_fixed_point,
-                              solve_periodic_orbit, spectral_report, spectrum)
-from conftest import C_INF, cold_doubling
+                              solve_fixed_point, solve_periodic_orbit,
+                              spectral_report, spectrum)
+from conftest import C_INF, cold_doubling, finite_difference_matrix
 
 fam = QuadraticFamily()
 
@@ -275,6 +275,22 @@ def test_newton_budget_exhaustion_raises(monkeypatch):
     with pytest.raises(NoConvergence) as err:
         cold_doubling(24, c=1.2)
     assert len(err.value.history) >= 1
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.eye, "singular Newton matrix"),
+    (lambda n: np.full((n, n), np.nan), "non-finite Newton matrix")])
+def test_a_bad_newton_matrix_raises_with_the_history(monkeypatch, matrix,
+                                                    message):
+    # DT = I makes the fixed-point Jacobian DT - I zero below its pinned row
+    def bad(f, step=None):
+        return matrix(f.degree + 1)
+
+    monkeypatch.setattr(solver, "derivative_matrix", bad)
+    with pytest.raises(NoConvergence, match=message) as err:
+        solve_fixed_point(degree=12)
+    (seed_residual,) = err.value.history
+    assert 0.0 < seed_residual < 1e-6
 
 
 def test_an_eigenvalue_just_outside_the_disk_is_not_hyperbolic():
