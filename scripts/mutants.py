@@ -90,7 +90,13 @@ MUTANTS = [
     ("geometry.py", "hausdorff_dimension refuses five usable levels",
      (("if kmax < 5:", "if kmax <= 5:"),)),
     ("geometry.py", "hausdorff_dimension refuses kmin = kmax - 2",
-     (("kmin > kmax - 2", "kmin >= kmax - 2"),)),
+     (("elif kmax < kmin + 2:", "elif kmax <= kmin + 2:"),)),
+    ("renorm.py", "_test_period's endpoint rows start one step late",
+     (("z[p + 1:2 * p, rows]", "z[p + 2:2 * p + 1, rows]"),)),
+    ("renorm.py", "_test_one's endpoint rows start one step late",
+     (("zip(z[1:p], z[p + 1:2 * p])", "zip(z[1:p], z[p + 2:2 * p + 1])"),)),
+    ("renorm.py", "tower's endpoint rows start one step late",
+     (("z[p_cum:2 * p_cum]", "z[p_cum + 1:2 * p_cum + 1]"),)),
 ]
 
 

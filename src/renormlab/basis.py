@@ -148,18 +148,16 @@ def _collocation(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return u, mat
 
 
-def fit_phi(u_nodes: np.ndarray, values: np.ndarray,
-            degree: int) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients for phi on the nodes plus the sup residual.
+def fit_phi(values: np.ndarray, degree: int) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients for phi from its values on the 2(D+1)
+    collocation nodes, plus the sup residual.
 
     The residual is max |phi(u_t) - values_t| over the nodes; callers decide
     whether that level of truncation loss is acceptable.  Values of shape
     (n, nodes) are n functions fitted by one solve: coefficients (n, D+1)
     and one residual per row.
     """
-    nodes, mat = _collocation(degree)
-    if u_nodes is not nodes:  # project_function's nodes reuse their matrix
-        mat = design_matrix(u_nodes, degree)
+    _, mat = _collocation(degree)
     values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(mat, values.T, rcond=None)
     residual = np.max(np.abs(mat @ coeffs - values.T), axis=0)
@@ -173,4 +171,4 @@ def project_function(fn, degree: int) -> tuple[np.ndarray, float]:
     one row of values or a stack (n, nodes) of n functions, fitted by one
     solve."""
     u, _ = _collocation(degree)
-    return fit_phi(u, np.asarray(fn(u), dtype=float), degree)
+    return fit_phi(np.asarray(fn(u), dtype=float), degree)

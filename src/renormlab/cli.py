@@ -146,8 +146,8 @@ def build_parser() -> _Parser:
         p.add_argument("--c", type=float)
         p.add_argument("--fixed-point", action="store_true",
                        help="use the solved fixed point instead of --c")
-        p.add_argument("--depth", type=_int_at_least(1),
-                       help="tower depth (overrides config tower_depth)")
+        p.add_argument("--depth", dest="tower_depth", type=_int_at_least(1),
+                       help="tower depth (sets config tower_depth)")
     p = sub.choices["sums"]
     p.add_argument("--t", type=float, default=3.0,
                    help="decay-sum exponent (> 1)")
@@ -188,8 +188,7 @@ def _select_map(cfg: RunConfig, args):
 
 def _tower_for(cfg: RunConfig, args):
     f, label = _select_map(cfg, args)
-    depth = cfg.tower_depth if args.depth is None else args.depth
-    return tower(f, depth), label, depth, f
+    return tower(f, cfg.tower_depth), label, f
 
 
 def _run_feigenbaum(cfg, args, out):
@@ -248,18 +247,18 @@ def _run_orbit(cfg, args, out):
 
 
 def _run_tower(cfg, args, out):
-    tw, label, depth, _ = _tower_for(cfg, args)
+    tw, label, _ = _tower_for(cfg, args)
     write_csv(out / "tower.csv", ["k", "i", "left", "right", "length"],
               tower_rows(tw))
     results = {"map": label, **tower_header(tw)}
     diag = []
     if tw.truncated_at is not None:
         diag.append(f"truncated at level {tw.truncated_at}: {tw.note}")
-    return results, f"{label} depth={tw.depth}/{depth}", diag
+    return results, f"{label} depth={tw.depth}/{cfg.tower_depth}", diag
 
 
 def _run_geometry(cfg, args, out):
-    tw, label, _, _ = _tower_for(cfg, args)
+    tw, label, _ = _tower_for(cfg, args)
     rep = _geometry.bounded_geometry(tw)
     rows = []
     for k, (cr, gr) in enumerate(zip(rep.child_ratios, rep.gap_ratios), 1):
@@ -280,7 +279,7 @@ def _run_geometry(cfg, args, out):
 
 
 def _run_sums(cfg, args, out):
-    tw, label, _, f = _tower_for(cfg, args)
+    tw, label, f = _tower_for(cfg, args)
     fit = _geometry.spectral_sum(tw, args.t)
     L = _loperator.renorm_derivative_as_loperator(f)
     norms = _loperator.norm_growth(L, args.gamma, args.m_max)
@@ -305,7 +304,7 @@ def _run_sums(cfg, args, out):
 
 
 def _run_dimension(cfg, args, out):
-    tw, label, _, _ = _tower_for(cfg, args)
+    tw, label, _ = _tower_for(cfg, args)
     rep = _geometry.hausdorff_dimension(tw)
     write_csv(out / "partition_sums.csv", ["k", "sum_at_s"],
               enumerate(rep.sums, 1))

@@ -245,7 +245,7 @@ def hausdorff_dimension(tower: IntervalTower,
     elif kmax < kmin + 2:
         raise EmptyLevel(f"need {kmin + 2} usable levels for kmin = {kmin}, "
                          f"have {kmax}")
-    if kmin < 1 or kmin > kmax - 2:
+    if kmin < 1:
         raise DomainError(f"kmin = {kmin} leaves no fit window in 1..{kmax}")
     loglens = _log_length_levels(tower, kmax)
     s_est, s_lo, s_hi = (

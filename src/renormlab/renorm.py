@@ -7,19 +7,21 @@ spatial order of those pieces is the combinatorial type theta.  Iterating the
 construction produces a nested tower of interval families whose geometry
 carries the fine structure of the attractor.
 
-Both tests read two orbits, of the tip 0 and of the endpoint a = |lam| (f is
-even, so -a follows a after one step).  f is monotone on each side of 0
-(validate requires phi' < 0), so a piece Delta_i, i >= 1, that is disjoint
-from Delta_0 = J misses the critical point; by induction f^i is monotone on
-each half of J and Delta_i is exactly the span of f^i(0) and f^i(a).  The
-disjointness check, which includes Delta_0, therefore certifies the two-orbit
-pieces, and with them that f^p is unimodal on J and that its reach on J is
-max(|f^p(0)|, |f^p(a)|) (Milnor-Thurston monotonicity on laps).
+Both tests, and the tower, read one orbit: the critical orbit z_i = f^i(0).
+f is even and a * a == lam * lam in floating point, so the orbit of the
+endpoint a = |lam| is z from step p on, f^i(a) = z_{p+i} for i >= 1, bit
+for bit.  f is monotone on each side of 0 (validate requires phi' < 0), so
+a piece Delta_i, i >= 1, that is disjoint from Delta_0 = J misses the
+critical point; by induction f^i is monotone on each half of J and Delta_i
+is exactly the span of z_i and z_{p+i}.  The disjointness check, which
+includes Delta_0, therefore certifies these pieces, and with them that f^p
+is unimodal on J and that its reach on J is max(|z_p|, |z_{2p}|)
+(Milnor-Thurston monotonicity on laps).
 
 The period test is written twice, with the same operations in the same
 order: _test_period runs it on every row of an orbit stack at once, for
 scan_periods over parameter grids, and _test_one runs it on the Python-float
-orbits of one map, for detect, where numpy's per-call cost on one-row arrays
+orbit of one map, for detect, where numpy's per-call cost on one-row arrays
 would be most of the work.  They agree bit for bit, reasons included.
 """
 
@@ -80,11 +82,8 @@ def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
     """Z[i] = f^i(z0) for i = 0..n, stacked along a new first axis.
 
     Works on phi directly so orbits of slightly denormalized maps (derivative
-    probes) extrapolate smoothly instead of hitting the eval clamp.  A
-    scalar z0 steps on Python floats (_orbit), an array z0 through f.phi;
-    both round the same operations."""
-    if np.ndim(z0) == 0:
-        return np.array(_orbit(f.coeffs.tolist(), float(z0), n))
+    probes) extrapolate smoothly instead of hitting the eval clamp.  It
+    rounds the operations of _orbit, the Python-float orbit of one point."""
     z = np.asarray(z0, dtype=float)
     zs = [z]
     for _ in range(n):
@@ -166,48 +165,49 @@ _NEAR_ONE, _NOT_INVARIANT, _NOT_FINITE, _OVERLAP = 1, 2, 3, 4
 
 @dataclass(frozen=True)
 class _Trial:
-    """Candidate period p tested on every row of a pair of orbit stacks."""
+    """Candidate period p tested on every row of a critical orbit stack."""
 
     p: int
     lam: np.ndarray       # (n,) f^p(0)
     fail: np.ndarray      # (n,) 0 for an admissible row, else the test code
-    reach: np.ndarray     # (n,) max(|f^p(0)|, |f^p(a)|), a = |lam|
+    reach: np.ndarray     # (n,) max(|f^p(0)|, |f^2p(0)|)
     pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
     ranks: np.ndarray     # (n, p) spatial rank of each piece
 
 
-def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
+def _test_period(z: np.ndarray, p: int) -> _Trial:
     """The admissibility tests of period p, on every row at once.
 
-    tip and ends are the orbits of the tip and of the endpoint, per row for
-    i = 0..p: tip[i] = f^i(0) and ends[i] = f^i(a), a = |lam|, where
-    lam = tip[p] is already checked nondegenerate by the caller.  In order:
-    |lam| not within LAMBDA_FLOOR of 1; J = [-a, a] invariant under f^p,
-    read from the reach max(|f^p(0)|, |f^p(a)|); both orbits finite from
-    step 1 to step p; the pieces pairwise disjoint, with Delta_0 = J and
-    Delta_i, 1 <= i < p, the hull of f^i(0) and f^i(a).  A row fails at the
-    first test it does not pass; only rows that pass the first three get
-    pieces.  The last test certifies the first two: disjointness from
-    Delta_0 makes f^i monotone on each half of J (module docstring), so the
-    two-orbit hulls and reach are exact and f^p is unimodal on J.
+    z is the critical orbit per row, z[i] = f^i(0) for i = 0..2p, where
+    lam = z[p] is already checked nondegenerate by the caller; the endpoint
+    a = |lam| has the orbit z[p:] (module docstring), whose row 0, lam, is
+    never read as a point of it.  In order: |lam| not within LAMBDA_FLOOR
+    of 1; J = [-a, a] invariant under f^p, read from the reach
+    max(|z[p]|, |z[2p]|); z finite from step 1 to step 2p; the pieces
+    pairwise disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull
+    of z[i] and z[p + i].  A row fails at the first test it does not pass;
+    only rows that pass the first three get pieces.  The last test
+    certifies the first two: disjointness from Delta_0 makes f^i monotone
+    on each half of J, so the hulls and reach are exact and f^p is
+    unimodal on J.
     """
-    lam = tip[p]
+    lam = z[p]
     n = lam.size
     a = np.abs(lam)
     t = _Trial(p=p, lam=lam,
                fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
-               reach=np.maximum(a, np.abs(ends[p])),
+               reach=np.maximum(a, np.abs(z[2 * p])),
                pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
     t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
-    finite = np.isfinite(tip[1:p + 1]) & np.isfinite(ends[1:p + 1])
-    t.fail[(t.fail == 0) & ~finite.all(axis=0)] = _NOT_FINITE
+    finite = np.isfinite(z[1:2 * p + 1]).all(axis=0)
+    t.fail[(t.fail == 0) & ~finite] = _NOT_FINITE
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
         # the surviving rows' left and right piece ends, (rows, p) each
         lo, hi = np.empty((2, rows.size, p))
         hi[:, 0] = a[rows]
         lo[:, 0] = -hi[:, 0]
-        tip_i, ends_i = tip[1:p, rows].T, ends[1:p, rows].T
+        tip_i, ends_i = z[1:p, rows].T, z[p + 1:2 * p, rows].T
         np.minimum(tip_i, ends_i, out=lo[:, 1:])
         np.maximum(tip_i, ends_i, out=hi[:, 1:])
         t.pieces[rows, :, 0] = lo
@@ -221,26 +221,26 @@ def _test_period(tip: np.ndarray, ends: np.ndarray, p: int) -> _Trial:
     return t
 
 
-def _test_one(tip: list, ends: list, p: int):
-    """_test_period on the Python-float orbits of one map: (reason, pieces,
-    ranks), reason None when p is admissible, else why it failed.
+def _test_one(z: list, p: int):
+    """_test_period on the Python-float critical orbit of one map: (reason,
+    pieces, ranks), reason None when p is admissible, else why it failed.
 
     The tests, their order and the rounded operations are _test_period's;
     a hull end is np.minimum's or np.maximum's, which keep the second
     operand on a tie.  The finiteness test runs before any piece is built,
     so the pieces are finite floats, which Python orders as numpy does."""
-    lam = tip[p]
+    lam = z[p]
     a = abs(lam)
     if a >= 1.0 - LAMBDA_FLOOR:
         return f"|lam| = {a:.6f} too close to 1", None, None
-    reach = max(a, abs(ends[p]))
+    reach = max(a, abs(z[2 * p]))
     if reach > a + INVARIANCE_TOL:
         return (f"J not invariant: |f^{p}| reaches {reach:.6e} > {a:.6e}",
                 None, None)
-    if not all(map(math.isfinite, tip[1:p + 1] + ends[1:p + 1])):
+    if not all(map(math.isfinite, z[1:2 * p + 1])):
         return f"orbit not finite up to f^{p}", None, None
     pieces = [(-a, a)] + [(t if t < e else e, t if t > e else e)
-                          for t, e in zip(tip[1:p], ends[1:p])]
+                          for t, e in zip(z[1:p], z[p + 1:2 * p])]
     order = sorted(range(p), key=lambda i: pieces[i][0])
     ok = all(pieces[j][0] - pieces[i][1] > 0.0
              for i, j in zip(order, order[1:]))
@@ -260,13 +260,13 @@ def detect(f: UnimodalMap, p_max: int = 16,
     """Smallest admissible renormalization period and its combinatorics.
 
     Scans p = 2..p_max.  For each candidate the scaling lam = f^p(0) must be
-    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, both orbits
-    finite to step p, and the pieces f^i(J) pairwise disjoint, all read
-    from the orbits of the tip and of |lam| (disjointness certifies that
-    f^p is unimodal on J).  The orbits and the tests run on Python floats
-    (_test_one), bit for bit what the batched _test_period finds on a
-    one-row stack.  The first reason each candidate fails is kept and
-    reported on NotRenormalizable.
+    nondegenerate, J = [-|lam|, |lam|] invariant under f^p, the critical
+    orbit finite to step 2p, and the pieces f^i(J) pairwise disjoint, all
+    read from the critical orbit, extended to step 2p per candidate
+    (disjointness certifies that f^p is unimodal on J).  The orbit and the
+    tests run on Python floats (_test_one), bit for bit what the batched
+    _test_period finds on a one-row stack.  The first reason each candidate
+    fails is kept and reported on NotRenormalizable.
 
     A map built with check=True was validated on construction, so only
     unchecked maps get the structural pre-check, and validate_input=False
@@ -278,14 +278,14 @@ def detect(f: UnimodalMap, p_max: int = 16,
             raise InvalidMap("detect requires a structurally valid map")
     reasons: dict[int, str] = {}
     c = f.coeffs.tolist()
-    tip = [0.0, _step(c, 0.0)]
+    z = [0.0]
     for p in range(2, p_max + 1):
-        tip.append(_step(c, tip[-1]))
-        lam = tip[p]
+        z += _orbit(c, z[-1], 2 * p + 1 - len(z))[1:]
+        lam = z[p]
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        reason, pieces, ranks = _test_one(tip, _orbit(c, abs(lam), p), p)
+        reason, pieces, ranks = _test_one(z, p)
         if reason is not None:
             reasons[p] = reason
             continue
@@ -310,20 +310,18 @@ def scan_periods(f, q: int):
 
 def _scan_up_to(f, q: int) -> dict:
     """{p: scan_periods(f, p)} for p = 2..q (for q < 2, the one entry q,
-    on no rows), from one scan: one tip orbit to step q serves every
-    candidate, each candidate adds only the endpoint orbit, and the rows
-    admissible at p drop out before p + 1 is tried.  Entry p reads only
-    the first p steps of the tip orbit, so it is the same bit for bit
-    for every q >= p."""
-    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
+    on no rows), from one scan: one critical orbit to step 2q serves every
+    candidate, and the rows admissible at p drop out before p + 1 is
+    tried.  Entry p reads only the first 2p steps of the orbit, so it is
+    the same bit for bit for every q >= p."""
+    z = orbit_stack(f, np.zeros((len(f), 1)), 2 * q)[..., 0]
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
     out = {}
     for p in range(min(2, q), q + 1):
-        small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
+        small = np.abs(z[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
-        ends = orbit_stack(f[rows], np.abs(lam_path[p, rows, None]), p)
-        trial = _test_period(lam_path[:p + 1, rows], ends[..., 0], p)
-        out[p] = lam_path[p], degenerate, rows, trial
+        trial = _test_period(z[:2 * p + 1, rows], p)
+        out[p] = z[p], degenerate, rows, trial
         if p < q:
             rows = rows[trial.fail != 0]
     return out
@@ -392,7 +390,7 @@ class IntervalTower:
     """Nested interval families Delta_{i,k}, i = 0..p_k-1, k = 1..depth.
 
     levels[k-1] is a (p_k, 2) array in time order i; periods and scalings are
-    the cumulative p_k and lam_k.  Synthetic towers (kind != "map") carry no
+    p_k and lam_k = f^{p_k}(0).  Synthetic towers (kind != "map") carry no
     scalings.  A construction that stops early records where and why.
     """
 
@@ -460,13 +458,13 @@ def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int) -> None:
 def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     """Iterate detect/renormalize, tracking Delta_{i,k} = f^i([-|lam_k|, |lam_k|]).
 
-    lam_k and p_k multiply up over the levels.  Delta_{0,k} = [-a_k, a_k],
-    a_k = |lam_k|; for i >= 1, Delta_{i,k} is the hull of f^i(0) (one tip
-    orbit, extended as p_k grows) and f^i(a_k): about 2 p_depth scalar
-    steps.  The level's disjointness check certifies the hulls: a piece
-    disjoint from Delta_{0,k} misses the critical point, so by induction f^i
-    is monotone on each half of [-a_k, a_k].  On failure at some level the
-    tower built so far is returned with a truncation marker.
+    The periods p_k multiply up over the levels; renormalize supplies only
+    the next period and map.  Level k extends one Python-float critical
+    orbit z_i = f^i(0) to step 2 p_k and reads lam_k = z_{p_k},
+    Delta_{0,k} = [-|lam_k|, |lam_k|] and, for i >= 1, Delta_{i,k} =
+    hull(z_i, z_{p_k+i}) (module docstring): about 2 p_depth scalar steps.
+    The level's disjointness check certifies the hulls.  On failure at
+    some level the tower built so far is returned with a truncation marker.
     """
     if depth < 1:
         raise InvalidMap("tower depth must be >= 1")
@@ -474,9 +472,10 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     periods: list[int] = []
     scalings: list[float] = []
     g = f
-    p_cum, lam_cum = 1, 1.0
+    p_cum = 1
     truncated_at, note = None, None
-    tip = orbit_stack(f, 0.0, 0)
+    c = f.coeffs.tolist()
+    tip = [0.0]
     for k in range(1, depth + 1):
         try:
             ren = renormalize(g)
@@ -485,18 +484,17 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
             break
         p_cum *= ren.step.p
-        lam_cum *= ren.step.lam
-        a = abs(lam_cum)
-        tip = np.concatenate(
-            [tip, orbit_stack(f, tip[-1], p_cum - tip.size)[1:]])
-        pieces = _hulls(np.stack([tip, orbit_stack(f, a, p_cum - 1)], -1))
-        pieces[0] = -a, a
+        tip += _orbit(c, tip[-1], 2 * p_cum + 1 - len(tip))[1:]
+        lam = tip[p_cum]
+        z = np.array(tip)
+        pieces = _hulls(np.stack([z[:p_cum], z[p_cum:2 * p_cum]], -1))
+        pieces[0] = -abs(lam), abs(lam)
         _check_level_disjoint(pieces, k)
         if levels:
             _check_nesting(pieces, levels[-1], k)
         levels.append(pieces)
         periods.append(p_cum)
-        scalings.append(lam_cum)
+        scalings.append(lam)
         g = ren.map
     return IntervalTower(levels=tuple(levels), periods=tuple(periods),
                          scalings=tuple(scalings), truncated_at=truncated_at,

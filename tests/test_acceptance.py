@@ -220,8 +220,7 @@ def test_criterion_11_loperator_algebra(fixed_point_24):
         c = np.zeros(g.degree + 1)
         c[j] = 1.0
         w = lambda x: eval_phi(c, np.asarray(x) ** 2)
-        fitted, _ = fit_phi(u_nodes, lop.apply(L, w, np.sqrt(u_nodes)),
-                            g.degree)
+        fitted, _ = fit_phi(lop.apply(L, w, np.sqrt(u_nodes)), g.degree)
         col_err = max(col_err, float(np.max(np.abs(A[:, j] - fitted))))
     ok = worst < 1e-10 and col_err < 1e-7
     report(11, ok, f"composition worst={worst:.2e} column gap={col_err:.2e}")

@@ -27,7 +27,7 @@ def test_fit_recovers_a_chebyshev_polynomial(degree):
     u = collocation_nodes(2 * (degree + 1))
     for _ in range(5):
         want = random_coeffs(rng, degree)
-        got, residual = fit_phi(u, cheb.chebval(2.0 * u - 1.0, want), degree)
+        got, residual = fit_phi(cheb.chebval(2.0 * u - 1.0, want), degree)
         assert np.max(np.abs(got - want)) < 1e-13
         assert residual <= 1e-14
         # project_function samples on exactly these nodes
@@ -42,10 +42,10 @@ def test_stacked_fit_agrees_with_row_fits(degree):
     u = collocation_nodes(2 * (degree + 1))
     # a degree-(D+4) stack, so the residuals are not all at rounding level
     values = cheb.chebval(2.0 * u - 1.0, random_coeffs(rng, degree + 4, 6).T)
-    coeffs, residual = fit_phi(u, values, degree)
+    coeffs, residual = fit_phi(values, degree)
     assert coeffs.shape == (6, degree + 1) and residual.shape == (6,)
     for i in range(6):
-        row, row_res = fit_phi(u, values[i], degree)
+        row, row_res = fit_phi(values[i], degree)
         # one solve for the stack and one per row round differently
         assert np.max(np.abs(coeffs[i] - row)) < 1e-14
         assert abs(residual[i] - row_res) < 1e-14

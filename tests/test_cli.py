@@ -230,3 +230,12 @@ def test_the_shared_parser_keeps_no_state_between_runs(tmp_path):
              for name in ("tower.json", "tower.csv")]
     assert shared == fresh
     assert json.loads(shared[0])["results"]["depth"] == 8
+
+
+def test_depth_is_recorded_in_the_config(tmp_path):
+    """--depth sets tower_depth, so the report's config reproduces the
+    run."""
+    assert run(tmp_path, "tower", "--c", "1.401155189", "--depth", "3") == 0
+    rep = load_report(tmp_path, "tower")
+    assert rep["config"]["tower_depth"] == 3
+    assert rep["results"]["depth"] == 3

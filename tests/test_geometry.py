@@ -180,6 +180,11 @@ def test_the_shortest_fit_window_is_allowed():
         G.hausdorff_dimension(tw, kmin=6)
 
 
+def test_a_fit_window_below_level_one_is_refused():
+    with pytest.raises(DomainError, match="kmin = 0"):
+        G.hausdorff_dimension(G.middle_thirds_tower(7), kmin=0)
+
+
 def test_single_level_tower_rejected():
     tw = IntervalTower(levels=(np.array([[0.0, 1.0]]),), periods=(1,),
                        scalings=None, kind="synthetic")

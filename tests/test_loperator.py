@@ -80,7 +80,7 @@ def test_operator_columns_match_derivative_matrix(fixed_point_24):
     for _ in range(4):
         c = rng.normal(size=g.degree + 1)
         w = lambda x: eval_phi(c, np.asarray(x) ** 2)
-        fitted, _ = fit_phi(u_nodes, lop.apply(L, w, xs), g.degree)
+        fitted, _ = fit_phi(lop.apply(L, w, xs), g.degree)
         # both read renorm.derivative_terms and differ only in the order of
         # summation and the fit: 4.6e-15 * scale at most here
         assert np.max(np.abs(A @ c - fitted)) < 64 * EPS * scale

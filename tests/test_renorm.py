@@ -16,7 +16,8 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               _NOT_INVARIANT, _OVERLAP, IntervalTower,
                               RenormStep, _Trial, _scan_up_to,
                               _check_level_disjoint, _check_nesting, _hulls,
-                              _left_to_right, _test_one, _test_period,
+                              _left_to_right, _orbit, _test_one,
+                              _test_period,
                               central_dominance,
                               detect, orbit_stack, project_T, renormalize,
                               renormalize_with, scan_periods,
@@ -155,7 +156,7 @@ def test_tower_header_and_rows_are_consistent(tower_8):
 
 
 def test_detection_is_stable_under_grid_refinement():
-    # the two-orbit detect is what the sampled test finds at every grid
+    # the one-orbit detect is what the sampled test finds at every grid
     for c in (1.2, 1.35, 1.76):
         f = fam.member(c)
         step = detect(f)
@@ -268,7 +269,8 @@ def test_check_nesting_matches_the_loop_on_any_ends(parents, children):
        z=st.floats(min_value=-1.1, max_value=1.1),
        n=st.integers(min_value=0, max_value=64))
 def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
-    """The Python-float orbit rounds exactly what the array orbit rounds.
+    """The Python-float orbit (_orbit) rounds exactly what the array orbit
+    (orbit_stack) rounds.
 
     The maps are family members plus a perturbation of every coefficient,
     small enough (1e-3 * 2.5^-k) that orbits from [-1.1, 1.1] stay
@@ -278,8 +280,8 @@ def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
     coeffs += 1e-3 * rng.uniform(-1.0, 1.0, degree + 1) / 2.5 ** np.arange(
         degree + 1)
     f = UnimodalMap(coeffs, check=False)
-    scalar = orbit_stack(f, z, n)
-    assert scalar.shape == (n + 1,) and scalar.dtype == np.float64
+    scalar = _orbit(f.coeffs.tolist(), z, n)
+    assert len(scalar) == n + 1 and all(type(x) is float for x in scalar)
     assert np.array_equal(scalar, orbit_stack(f, np.array([z]), n)[:, 0])
 
 
@@ -300,19 +302,30 @@ def _trial_reason(trial, i):
         return f"pieces overlap: {exc}"
 
 
+def _array_orbit(f, z, n):
+    """f^i(z), i = 0..n, by orbit_stack on a one-row array; like the
+    Python-float orbit, it may leave the finite floats without a
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return orbit_stack(f, np.array([z]), n)[:, 0]
+
+
 def _detect_upfront(f, p_max=16):
     """detect with f^p(0) computed to p_max before the period loop and each
     candidate tested by the batched _test_period on a one-row stack (no
-    structural pre-check)."""
+    structural pre-check).  Steps p + 1..2p of the stack come from an
+    orbit of its own, started at |lam|, so detect's reading of them off
+    the critical orbit is checked bit for bit."""
     reasons = {}
-    lam_path = orbit_stack(f, 0.0, p_max)
+    lam_path = _array_orbit(f, 0.0, p_max)
     for p in range(2, p_max + 1):
         lam = float(lam_path[p])
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        ends = orbit_stack(f, abs(lam), p)
-        trial = _test_period(lam_path[:p + 1, None], ends[:, None], p)
+        ends = _array_orbit(f, abs(lam), p)
+        z = np.concatenate([lam_path[:p + 1], ends[1:]])
+        trial = _test_period(z[:, None], p)
         if trial.fail[0]:
             reasons[p] = _trial_reason(trial, 0)
             continue
@@ -331,12 +344,13 @@ def _outcome(fn, *args):
 
 @st.composite
 def _candidate_orbits(draw, ps=st.integers(min_value=2, max_value=16)):
-    """(tip, ends, p) for a candidate period p drawn from ps:
-    tip[i] = f^i(0) and ends[i] = f^i(a), a = |tip[p]|, i = 0..p.  The
-    points are first laid out admissibly, each piece i >= 1 spanned by
-    tip[i] and ends[i] and all of them apart from each other and from
-    J = [-a, a]; then up to four points are replaced by a repeat of
-    another point, a signed zero, inf or nan, which ties hull ends and
+    """(z, p) for a candidate period p drawn from ps: a critical orbit
+    z[i] = f^i(0), i = 0..2p, built as tip = z[:p + 1] and the endpoint
+    orbit ends[i] = z[p + i], ends[i] = f^i(a) with a = |tip[p]| for
+    i >= 1.  The points are first laid out admissibly, each piece i >= 1
+    spanned by tip[i] and ends[i] and all of them apart from each other
+    and from J = [-a, a]; then up to four points are replaced by a repeat
+    of another point, a signed zero, inf or nan, which ties hull ends and
     left ends, tests which operand a tie keeps, and leaves the finite
     floats."""
     p = draw(ps)
@@ -359,22 +373,21 @@ def _candidate_orbits(draw, ps=st.integers(min_value=2, max_value=16)):
         orbit[draw(st.integers(1, p))] = draw(
             st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, *tip[1:],
                              *ends[1:]]))
-    ends[0] = abs(tip[p])
-    return tip, ends, p
+    return tip + ends[1:], p
 
 
 @settings(max_examples=300, deadline=None)
 @given(_candidate_orbits())
-@example(([0.0, 0.0, -0.3], [0.3, -0.0, 0.1], 2))  # a hull of two zeros
-@example(([0.0, -0.0, -0.3], [0.3, 0.0, 0.1], 2))
+@example(([0.0, 0.0, -0.3, -0.0, 0.1], 2))  # a hull of two zeros
+@example(([0.0, -0.0, -0.3, 0.0, 0.1], 2))
 def test_one_map_period_test_is_the_batched_one(orbits):
     """_test_one against _test_period on a one-row stack: the reasons agree
     byte for byte, and an admissible p has the same pieces, as bytes, and
     the same ranks."""
-    tip, ends, p = orbits
+    z, p = orbits
     with np.errstate(invalid="ignore", over="ignore"):
-        ref = _test_period(np.array(tip)[:, None], np.array(ends)[:, None], p)
-        reason, pieces, ranks = _test_one(tip, ends, p)
+        ref = _test_period(np.array(z)[:, None], p)
+        reason, pieces, ranks = _test_one(z, p)
         assert reason == (_trial_reason(ref, 0) if ref.fail[0] else None)
     if reason is not None:
         return
@@ -382,10 +395,13 @@ def test_one_map_period_test_is_the_batched_one(orbits):
     assert tuple(ranks) == tuple(ref.ranks[0])
 
 
-def _test_period_reference(tip, ends, p):
+def _test_period_reference(z, p):
     """_test_period as it was written before it built the hull ends as two
-    planes: the hulls of a 3-D stack of both orbits, piece 0 set after,
-    and the pieces gathered again to sort them."""
+    planes and read both orbits off one: the hulls of a 3-D stack of the
+    tip orbit z[:p + 1] and the endpoint orbit z[p:] (whose row 0 only
+    piece 0 reads, and then overwrites), piece 0 set after, and the
+    pieces gathered again to sort them."""
+    tip, ends = z[:p + 1], z[p:]
     lam = tip[p]
     n = lam.size
     a = np.abs(lam)
@@ -409,26 +425,23 @@ def _test_period_reference(tip, ends, p):
 
 @st.composite
 def _orbit_stacks(draw):
-    """(tip, ends, p): up to 12 rows of candidate orbits for one p in 2..6,
-    as stacks of shape (p + 1, rows).  Most rows are _candidate_orbits
-    (ties, signed zeros, inf and nan); the others are points drawn from a
-    few values, so hull ends and left ends tie across pieces, and lam may
-    lie near 1."""
+    """(z, p): up to 12 rows of candidate critical orbits for one p in
+    2..6, as a stack of shape (2p + 1, rows).  Most rows are
+    _candidate_orbits (ties, signed zeros, inf and nan); the others are
+    points drawn from a few values, so hull ends and left ends tie across
+    pieces, and lam may lie near 1."""
     p = draw(st.integers(2, 6))
     values = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0 - 1e-9,
                               -1.0, np.inf, np.nan])
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         if draw(st.booleans()):
-            tip, ends, _ = draw(_candidate_orbits(ps=st.just(p)))
+            z, _ = draw(_candidate_orbits(ps=st.just(p)))
         else:
-            tip = [0.0] + draw(st.lists(values, min_size=p, max_size=p))
-            ends = [abs(tip[p])] + draw(st.lists(values, min_size=p,
-                                                 max_size=p))
-        rows.append((tip, ends))
-    tip = np.array([row[0] for row in rows]).T
-    ends = np.array([row[1] for row in rows]).T
-    return tip, ends, p
+            z = [0.0] + draw(st.lists(values, min_size=2 * p,
+                                      max_size=2 * p))
+        rows.append(z)
+    return np.array(rows).T, p
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,10 +449,10 @@ def _orbit_stacks(draw):
 def test_period_test_is_the_reference_as_bytes(stacks):
     """_test_period against the stack-and-gather reference on many rows at
     once: fail, reach, pieces and ranks as bytes."""
-    tip, ends, p = stacks
+    z, p = stacks
     with np.errstate(invalid="ignore", over="ignore"):
-        got = _test_period(tip, ends, p)
-        want = _test_period_reference(tip, ends, p)
+        got = _test_period(z, p)
+        want = _test_period_reference(z, p)
     for name in ("fail", "reach", "pieces", "ranks"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -448,12 +461,10 @@ def test_an_orbit_1e_9_outside_J_fails_as_not_invariant():
     """p = 2 with J = [-0.4, 0.4] and Delta_1 = [0.9, 1]: f^2(a) on -a is
     admissible, and 1e-9 beyond it fails as not invariant in both period
     tests, so the invariance guard alone tells the two orbits apart."""
-    tip = [0.0, 1.0, -0.4]
     for end, admissible in [(-0.4, True), (-(0.4 + 1e-9), False)]:
-        ends = [0.4, 0.9, end]
-        reason = _test_one(tip, ends, 2)[0]
-        trial = _test_period(np.array(tip)[:, None], np.array(ends)[:, None],
-                             2)
+        z = [0.0, 1.0, -0.4, 0.9, end]
+        reason = _test_one(z, 2)[0]
+        trial = _test_period(np.array(z)[:, None], 2)
         if admissible:
             assert reason is None and trial.fail[0] == 0
         else:
@@ -513,7 +524,7 @@ def test_detect_matches_the_upfront_orbit_on_perturbed_maps():
                 _outcome(lambda g: detect(g, validate_input=False), f), ref)
             seen |= {r.split(" ")[0]
                      for r in (getattr(ref, "reasons", None) or {}).values()}
-            escaped += not np.all(np.isfinite(orbit_stack(f, 0.0, 16)))
+            escaped += not np.all(np.isfinite(_array_orbit(f, 0.0, 16)))
     assert seen == {"|lam|", "J", "orbit", "pieces"}
     assert escaped
 
@@ -527,7 +538,7 @@ def test_detect_fails_a_candidate_with_a_non_finite_orbit():
     rng = np.random.default_rng(0)
     coeffs += 1e-3 * rng.uniform(-1.0, 1.0, 25) / 2.5 ** np.arange(25)
     f = UnimodalMap(coeffs, check=False)
-    assert not np.all(np.isfinite(orbit_stack(f, 0.0, 16)))
+    assert not np.all(np.isfinite(_array_orbit(f, 0.0, 16)))
     step = _outcome(lambda g: detect(g, validate_input=False), f)
     if not isinstance(step, RenormlabError):
         assert np.isfinite(step.lam)
@@ -557,11 +568,28 @@ def test_tower_memory_is_linear_in_the_level(fixed_point_24):
     assert peak < 2e6
 
 
+def test_the_fixed_point_tower_nests_to_depth_16(fixed_point_24):
+    """Level k reads lam_k = f^{p_k}(0) and its pieces off the critical
+    orbit, so piece i of level k lies in piece i mod p_{k-1} of level k - 1
+    with no tolerance.  A lam_k multiplied up from the renormalizations'
+    scalings drifts from f^{p_k}(0) (1.3e-4 relative at level 15), and
+    level 16 then escapes level 15."""
+    tw = tower(fixed_point_24.map, 16)
+    assert tw.depth == 16 and tw.truncated_at is None
+    assert tw.periods == tuple(2**k for k in range(1, 17))
+    for k in range(2, 17):
+        child, parent = tw.level(k), tw.level(k - 1)
+        parent = parent[np.arange(len(child)) % len(parent)]
+        assert np.all(parent[:, 0] <= child[:, 0])
+        assert np.all(child[:, 1] <= parent[:, 1])
+
+
 def _tower_sampled(f, depth, grid=64):
     """tower with each level's hulls taken over a symmetric grid sample of
-    the central interval pushed through p_k - 1 steps."""
+    the central interval pushed through p_k - 1 steps, lam_k = f^{p_k}(0)
+    from an array orbit of f."""
     levels, periods, scalings = [], [], []
-    g, p_cum, lam_cum = f, 1, 1.0
+    g, p_cum = f, 1
     truncated_at, note = None, None
     for k in range(1, depth + 1):
         try:
@@ -571,15 +599,15 @@ def _tower_sampled(f, depth, grid=64):
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
             break
         p_cum *= ren.step.p
-        lam_cum *= ren.step.lam
-        a = abs(lam_cum)
+        lam = float(_array_orbit(f, 0.0, p_cum)[-1])
+        a = abs(lam)
         pieces = _hulls(orbit_stack(f, _sample_symmetric(a, grid), p_cum - 1))
         _check_level_disjoint(pieces, k)
         if levels:
             _check_nesting(pieces, levels[-1], k)
         levels.append(pieces)
         periods.append(p_cum)
-        scalings.append(lam_cum)
+        scalings.append(lam)
         g = ren.map
     return IntervalTower(levels=tuple(levels), periods=tuple(periods),
                          scalings=tuple(scalings), truncated_at=truncated_at,
@@ -622,7 +650,7 @@ def test_tower_matches_the_sampled_hulls_across_the_family(c):
 
 
 # ---------------------------------------------------------------------------
-# the sampled period test, kept as the reference for the two-orbit one
+# the sampled period test, kept as the reference for the one-orbit one
 
 
 @dataclass(frozen=True)
@@ -725,7 +753,7 @@ def _scan_periods_sampled(f, q, grid=64):
 def _detect_sampled(f, p_max=16, grid=64):
     """detect with the sampled period test (reasons are not kept)."""
     row = _OneRow(f.coeffs)
-    lam_path = orbit_stack(f, 0.0, p_max)
+    lam_path = _array_orbit(f, 0.0, p_max)
     for p in range(2, p_max + 1):
         lam = float(lam_path[p])
         if abs(lam) <= LAMBDA_FLOOR:
