@@ -16,8 +16,7 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               _NOT_INVARIANT, _OVERLAP, IntervalTower,
                               RenormStep, _Trial, _scan_up_to,
                               _check_level_disjoint, _check_nesting, _hulls,
-                              _left_to_right, _orbit, _test_one,
-                              _test_period,
+                              _left_to_right, _orbit, _test_one, _test_period,
                               central_dominance,
                               detect, orbit_stack, project_T, renormalize,
                               renormalize_with, scan_periods,
@@ -345,9 +344,9 @@ def _outcome(fn, *args):
 @st.composite
 def _candidate_orbits(draw, ps=st.integers(min_value=2, max_value=16)):
     """(z, p) for a candidate period p drawn from ps: a critical orbit
-    z[i] = f^i(0), i = 0..2p, built as tip = z[:p + 1] and the endpoint
-    orbit ends[i] = z[p + i], ends[i] = f^i(a) with a = |tip[p]| for
-    i >= 1.  The points are first laid out admissibly, each piece i >= 1
+    z[i] = f^i(0), i = 0..2p, built from tip = z[:p + 1] and the endpoint
+    orbit ends = z[p:], ends[i] = f^i(a) for i >= 1 with a = |tip[p]|.
+    The points are first laid out admissibly, each piece i >= 1
     spanned by tip[i] and ends[i] and all of them apart from each other
     and from J = [-a, a]; then up to four points are replaced by a repeat
     of another point, a signed zero, inf or nan, which ties hull ends and
