@@ -97,6 +97,11 @@ MUTANTS = [
      (("zip(z[1:p], z[p + 1:2 * p])", "zip(z[1:p], z[p + 2:2 * p + 1])"),)),
     ("renorm.py", "tower's endpoint rows start one step late",
      (("z[p_cum:2 * p_cum]", "z[p_cum + 1:2 * p_cum + 1]"),)),
+    ("renorm.py", "a tower level's orbit is not divided by its lam",
+     (("z = [t / lam for t in", "z = [t for t in"),
+      ("z.append(x / lam)", "z.append(x)"))),
+    ("renorm.py", "the stride past step 4P is one step long",
+     (("for _ in range(P):", "for _ in range(P + 1):"),)),
 ]
 
 

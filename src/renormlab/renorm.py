@@ -3,9 +3,10 @@
 Rf(x) = f^p(lam x) / lam with lam = f^p(0), taken at the smallest p >= 2 for
 which the central interval J = [-|lam|, |lam|] is invariant under f^p and the
 first-return pieces Delta_i = f^i(J), i = 0..p-1, are pairwise disjoint.  The
-spatial order of those pieces is the combinatorial type theta.  Iterating the
-construction produces a nested tower of interval families whose geometry
-carries the fine structure of the attractor.
+spatial order of those pieces is the combinatorial type theta.  The k-th
+renormalization is f^{p_k}(lam_k x)/lam_k itself, lam_k = f^{p_k}(0), whose
+critical orbit is every p_k-th step of f's over lam_k, so the nested tower
+of intervals f^i(J_k), carrying the attractor's fine structure, is one orbit.
 
 Both tests, and the tower, read one orbit: the critical orbit z_i = f^i(0).
 f is even and a * a == lam * lam in floating point, so the orbit of the
@@ -21,8 +22,9 @@ is unimodal on J and that its reach on J is max(|z_p|, |z_{2p}|)
 The period test is written twice, with the same operations in the same
 order: _test_period runs it on every row of an orbit stack at once, for
 scan_periods over parameter grids, and _test_one runs it on the Python-float
-orbit of one map, for detect, where numpy's per-call cost on one-row arrays
-would be most of the work.  They agree bit for bit, reasons included.
+orbit of one map, for detect and the tower levels, where numpy's per-call
+cost on one-row arrays would be most of the work.  They agree bit for bit,
+reasons included.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ INVARIANCE_TOL = 1e-12
 NESTING_TOL = 1e-10
 PROJECTION_CAP = 1e-10
 DEFAULT_DEGREE = 24
+P_MAX = 16
 
 THETA_DOUBLING = (0, 1)
 THETA_TRIPLING = (1, 2, 0)
@@ -255,7 +258,36 @@ def _test_one(z: list, p: int):
     return None, pieces, ranks
 
 
-def detect(f: UnimodalMap, p_max: int = 16,
+def _first_period(c: list, tip: list, P: int, lam: float,
+                  p_max: int) -> RenormStep:
+    """detect on g(x) = f^P(lam x)/lam, lam = f^P(0), f with coefficients c
+    (g is f at P = 1, lam = 1.0), from g^j(0) = f^{jP}(0)/lam.  tip, f's
+    critical orbit as far as known, is extended in place to step 4P, as
+    far as the pieces of period 2 reach; past 4P only the stride is kept,
+    so refuting every p holds 2 p_max + 1 samples, not 2 p_max P steps.
+    Returns g's step, in g's coordinates."""
+    tip += _orbit(c, tip[-1], 4 * P + 1 - len(tip))[1:]
+    z = [t / lam for t in tip[:4 * P + 1:P]]
+    x = tip[4 * P]
+    reasons: dict[int, str] = {}
+    for p in range(2, p_max + 1):
+        for _ in range(2 * p + 1 - len(z)):
+            for _ in range(P):
+                x = _step(c, x)
+            z.append(x / lam)
+        if abs(z[p]) <= LAMBDA_FLOOR:
+            raise DegenerateScaling(
+                f"f^{p}(0) = {z[p]:.3e} vanishes to working precision", p=p)
+        reason, pieces, ranks = _test_one(z, p)
+        if reason is not None:
+            reasons[p] = reason
+            continue
+        return RenormStep(p=p, lam=z[p], perm=ranks, intervals=pieces)
+    raise NotRenormalizable(
+        f"no admissible period up to {p_max}", reasons=reasons)
+
+
+def detect(f: UnimodalMap, p_max: int = P_MAX,
            validate_input: bool = True) -> RenormStep:
     """Smallest admissible renormalization period and its combinatorics.
 
@@ -264,9 +296,9 @@ def detect(f: UnimodalMap, p_max: int = 16,
     orbit finite to step 2p, and the pieces f^i(J) pairwise disjoint, all
     read from the critical orbit, extended to step 2p per candidate
     (disjointness certifies that f^p is unimodal on J).  The orbit and the
-    tests run on Python floats (_test_one), bit for bit what the batched
-    _test_period finds on a one-row stack.  The first reason each candidate
-    fails is kept and reported on NotRenormalizable.
+    tests run on Python floats (_first_period, _test_one), bit for bit what
+    the batched _test_period finds on a one-row stack.  The first reason
+    each candidate fails is kept and reported on NotRenormalizable.
 
     A map built with check=True was validated on construction, so only
     unchecked maps get the structural pre-check, and validate_input=False
@@ -276,22 +308,7 @@ def detect(f: UnimodalMap, p_max: int = 16,
     if validate_input and not f.check:
         if not validate(f).ok:
             raise InvalidMap("detect requires a structurally valid map")
-    reasons: dict[int, str] = {}
-    c = f.coeffs.tolist()
-    z = [0.0]
-    for p in range(2, p_max + 1):
-        z += _orbit(c, z[-1], 2 * p + 1 - len(z))[1:]
-        lam = z[p]
-        if abs(lam) <= LAMBDA_FLOOR:
-            raise DegenerateScaling(
-                f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
-        reason, pieces, ranks = _test_one(z, p)
-        if reason is not None:
-            reasons[p] = reason
-            continue
-        return RenormStep(p=p, lam=lam, perm=ranks, intervals=pieces)
-    raise NotRenormalizable(
-        f"no admissible period up to {p_max}", reasons=reasons)
+    return _first_period(f.coeffs.tolist(), [0.0], 1, 1.0, p_max)
 
 
 def scan_periods(f, q: int):
@@ -354,7 +371,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
     return _basis.project_function(phi_tf, degree)
 
 
-def renormalize(f: UnimodalMap, step: RenormStep | None = None,
+def renormalize(f: UnimodalMap, step: RenormStep,
                 degree: int | None = None) -> Renormalized:
     """Rf projected back onto the coefficient space of phi.
 
@@ -363,8 +380,6 @@ def renormalize(f: UnimodalMap, step: RenormStep | None = None,
     the constant coefficient is then shifted so Rf(0) = 1 holds to within one
     rounding.
     """
-    if step is None:
-        step = detect(f)
     target = degree if degree is not None else max(f.degree, DEFAULT_DEGREE)
     coeffs, residual = project_T(f, step, target)
     if residual >= PROJECTION_CAP:
@@ -456,34 +471,30 @@ def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int) -> None:
 
 
 def tower(f: UnimodalMap, depth: int) -> IntervalTower:
-    """Iterate detect/renormalize, tracking Delta_{i,k} = f^i([-|lam_k|, |lam_k|]).
+    """Delta_{i,k} = f^i([-|lam_k|, |lam_k|]), k = 1..depth, read off one
+    Python-float critical orbit z_i = f^i(0) of f; no level is projected.
 
-    The periods p_k multiply up over the levels; renormalize supplies only
-    the next period and map.  Level k extends one Python-float critical
-    orbit z_i = f^i(0) to step 2 p_k and reads lam_k = z_{p_k},
-    Delta_{0,k} = [-|lam_k|, |lam_k|] and, for i >= 1, Delta_{i,k} =
-    hull(z_i, z_{p_k+i}) (module docstring): about 2 p_depth scalar steps.
-    The level's disjointness check certifies the hulls.  On failure at
-    some level the tower built so far is returned with a truncation marker.
+    p_k is p_{k-1} times detect's period of f's own (k-1)-th
+    renormalization, whose critical orbit is z_{j p_{k-1}}/lam_{k-1}
+    (_first_period; p_0 = 1, lam_0 = 1).  lam_k = z_{p_k}, Delta_{0,k} =
+    [-|lam_k|, |lam_k|] and Delta_{i,k} = hull(z_i, z_{p_k+i}), i >= 1,
+    which the level's disjointness check certifies (module docstring):
+    about 2 p_depth steps.  A level k with no admissible period up to P_MAX
+    truncates the tower there, after 2 P_MAX p_{k-1} steps, P_MAX times the
+    levels before it; a failed disjointness or nesting certificate is no
+    truncation, it raises OverlapError.
     """
     if depth < 1:
         raise InvalidMap("tower depth must be >= 1")
-    levels: list[np.ndarray] = []
-    periods: list[int] = []
-    scalings: list[float] = []
-    g = f
-    p_cum = 1
+    levels, periods, scalings = [], [], []
+    p_cum, lam, c, tip = 1, 1.0, f.coeffs.tolist(), [0.0]
     truncated_at, note = None, None
-    c = f.coeffs.tolist()
-    tip = [0.0]
     for k in range(1, depth + 1):
         try:
-            ren = renormalize(g)
-        except (NotRenormalizable, DegenerateScaling, TruncationLoss,
-                InvalidMap) as exc:
+            p_cum *= _first_period(c, tip, p_cum, lam, P_MAX).p
+        except (NotRenormalizable, DegenerateScaling) as exc:
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
             break
-        p_cum *= ren.step.p
         tip += _orbit(c, tip[-1], 2 * p_cum + 1 - len(tip))[1:]
         lam = tip[p_cum]
         z = np.array(tip)
@@ -495,7 +506,6 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
         levels.append(pieces)
         periods.append(p_cum)
         scalings.append(lam)
-        g = ren.map
     return IntervalTower(levels=tuple(levels), periods=tuple(periods),
                          scalings=tuple(scalings), truncated_at=truncated_at,
                          note=note, kind="map")

@@ -10,6 +10,7 @@ from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
                               RenormlabError, TruncationLoss)
 from renormlab import families as F
+from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               LAMBDA_FLOOR, _NEAR_ONE, _NOT_FINITE,
@@ -76,19 +77,21 @@ def test_detect_validates_unchecked_maps():
 
 
 def test_renormalized_map_is_normalized_exactly():
-    rf, step = renormalize(fam.member(1.3))
+    f = fam.member(1.3)
+    rf, step = renormalize(f, detect(f))
     assert rf(0.0) == 1.0
     assert step.p == 2
 
 
 def test_projection_residual_is_reported_small():
-    res = renormalize(fam.member(1.3))
+    f = fam.member(1.3)
+    res = renormalize(f, detect(f))
     assert res.projection_residual < 1e-12
 
 
 def test_fixed_point_is_fixed(fixed_point_24):
     g = fixed_point_24.map
-    rg, _ = renormalize(g)
+    rg, _ = renormalize(g, detect(g))
     assert sup_distance(rg, g) < 1e-10
 
 
@@ -479,7 +482,7 @@ def test_a_projection_residual_over_the_cap_raises(fixed_point_24):
     _, residual = project_T(g, detect(g), 4)
     assert 1e-7 < residual < 1e-6
     with pytest.raises(TruncationLoss) as exc:
-        renormalize(g, degree=4)
+        renormalize(g, detect(g), degree=4)
     assert exc.value.residual == residual
 
 
@@ -567,6 +570,46 @@ def test_tower_memory_is_linear_in_the_level(fixed_point_24):
     assert peak < 2e6
 
 
+def test_a_failing_level_keeps_only_the_stride_of_its_orbit():
+    """At c = 1.4011551 level 11 has no admissible period up to 16, which
+    takes f's critical orbit to step 32 p_10 = 32768 to show.  Only the
+    steps up to 4 p_10, what the pieces of period 2 would need, and the
+    stride p_10 beyond them are kept: the build peaks at about 0.22 MB,
+    and at about 1.2 MB if the whole orbit is stored."""
+    tracemalloc.start()
+    try:
+        tw = tower(fam.member(1.4011551), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tw.depth == 10 and tw.truncated_at == 11
+    assert tw.note == "NotRenormalizable: no admissible period up to 16"
+    assert peak < 5e5
+
+
+def _tree(tw):
+    return ([lv.tobytes() for lv in tw.levels], tw.periods, tw.scalings,
+            tw.truncated_at, tw.note)
+
+
+def test_tower_never_projects(monkeypatch, tower_9, fixed_point_24):
+    """Each level's period is read off f's own critical orbit, so the
+    tower neither renormalizes nor projects, and it builds the same trees
+    without them: the fixed-point tower, and one at c = 1.40115 that
+    truncates at level 9."""
+    member = fam.member(1.40115, degree=24)
+    want = tower(member, 9)
+    assert want.truncated_at == 9
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tower projected a level")
+
+    monkeypatch.setattr(renorm, "renormalize", refuse)
+    monkeypatch.setattr(renorm, "project_T", refuse)
+    assert _tree(tower(fixed_point_24.map, 9)) == _tree(tower_9)
+    assert _tree(tower(member, 9)) == _tree(want)
+
+
 def test_the_fixed_point_tower_nests_to_depth_16(fixed_point_24):
     """Level k reads lam_k = f^{p_k}(0) and its pieces off the critical
     orbit, so piece i of level k lies in piece i mod p_{k-1} of level k - 1
@@ -592,7 +635,7 @@ def _tower_sampled(f, depth, grid=64):
     truncated_at, note = None, None
     for k in range(1, depth + 1):
         try:
-            ren = renormalize(g)
+            ren = renormalize(g, detect(g))
         except (NotRenormalizable, DegenerateScaling, TruncationLoss,
                 InvalidMap) as exc:
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
