@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,8 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               slopes, spatial_permutation, tower, tower_header,
                               tower_rows)
 from renormlab.solver import solve_fixed_point
+
+from conftest import C_INF
 
 fam = QuadraticFamily()
 
@@ -624,6 +627,31 @@ def test_the_fixed_point_tower_nests_to_depth_16(fixed_point_24):
         parent = parent[np.arange(len(child)) % len(parent)]
         assert np.all(parent[:, 0] <= child[:, 0])
         assert np.all(child[:, 1] <= parent[:, 1])
+
+
+def test_the_c_inf_tower_has_the_exact_combinatorics_to_depth_16():
+    """The float tower at c = C_INF against the same map, 1 - c x^2 (1 - c/2
+    is exact in floats), iterated in 128-bit mpmath: at every level to 16
+    the exact pieces are disjoint and lie in the float pieces' spatial
+    order, so each level doubles as in the exact tower, although from
+    level 14 on a float end is off by more than the smallest gap.  Deeper,
+    nothing bounds the float orbit's roundoff: at level 20 it reads period
+    3 where the exact orbit admits period 2."""
+    tw = tower(fam.member(C_INF), 16)
+    assert tw.depth == 16 and tw.truncated_at is None
+    assert tw.periods == tuple(2**k for k in range(1, 17))
+    with mpmath.workprec(128):
+        c, x, z = mpmath.mpf(C_INF), mpmath.mpf(0), [0.0]
+        for _ in range(2**17):
+            x = 1 - c * x * x
+            z.append(float(x))
+    z = np.array(z)
+    for k, p in enumerate(tw.periods, 1):
+        exact = np.sort(np.stack([z[:p], z[p:2 * p]], -1), axis=-1)
+        exact[0] = -abs(z[p]), abs(z[p])
+        _check_level_disjoint(exact, k)
+        assert np.array_equal(np.argsort(exact[:, 0]),
+                              np.argsort(tw.level(k)[:, 0]))
 
 
 def _tower_sampled(f, depth, grid=64):
