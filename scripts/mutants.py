@@ -102,6 +102,12 @@ MUTANTS = [
       ("z.append(x / lam)", "z.append(x)"))),
     ("renorm.py", "the stride past step 4P is one step long",
      (("for _ in range(P):", "for _ in range(P + 1):"),)),
+    ("families.py", "a family level's orbit is not divided by its lam",
+     (("return self.z[::self.P] / self.z[self.P]",
+       "return self.z[::self.P]"),)),
+    ("families.py", "a family level runs its orbit on from 0",
+     (("self.fam.orbit(self.c, self.z[-1], max(m, 0))",
+       "self.fam.orbit(self.c, 0.0, max(m, 0))"),)),
 ]
 
 

@@ -7,8 +7,9 @@ renormalization period p, and of which type) for find_windows, classify
 (an itinerary of types, one pass per level) for the nested-window chase.
 Both test the exact renormalizations of the family (FamilyLevel): the
 level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
-P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), so no level is
-projected onto a basis and no degree is involved.  The window tower
+P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), whose critical orbit
+is every P-th step of f_c's over Lam, so every level is read off one
+critical orbit per parameter and none is projected.  The window tower
 classifies each grid once for all the children of a window
 (_child_windows): one walk of the parent itinerary per grid, and one
 period scan up to the longest child type (renorm._scan_up_to) tests every
@@ -83,36 +84,28 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
 
 def _edge_equations(fam: QuadraticFamily, P: int):
     """(left, right) edge equations of a window of total period P (see the
-    module docstring); right is positive where J is invariant.  right runs
-    one critical orbit to step 2P, reading f_c^P(0) on the way: the
-    rounded operations of two orbits from 0, at 2P steps where they take
-    3P."""
+    module docstring); right is positive where J is invariant.  right reads
+    f_c^P(0) and f_c^2P(0) off one critical orbit to step 2P."""
     def left(c):
         return fam.critical_value_map(c, P)
 
     def right(c):
-        c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
-        x = lam = fam.critical_value_map(c, P)
-        for _ in range(P):
-            x = 1.0 - c * x * x
-        return abs(lam) - abs(x)
+        z = fam.orbit(c, 0.0, 2 * P)
+        return abs(z[P]) - abs(z[2 * P])
     return left, right
-
-
-def _proper_divisors(q: int) -> list[int]:
-    return [d for d in range(1, q) if q % d == 0]
 
 
 def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
                     grid: int) -> float | None:
     """Leftmost primitive root of f_c^q(0) in [lo, hi], or None.  A cell
     of the grid is solved where f_c^q(0) changes sign across it or vanishes
-    at one of its ends, so a root on a grid point is found too."""
+    at one of its ends, so a root on a grid point is found too; it is
+    primitive when its critical orbit misses 0 at every proper divisor."""
     cs = np.linspace(lo, hi, grid)
     for i in sign_changes(fam.critical_value_map(cs, q)):
         c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
-        if all(abs(fam.critical_value_map(c, d)) > 1e-9
-               for d in _proper_divisors(q)):
+        z = fam.orbit(c, 0.0, q)
+        if all(abs(z[d]) > 1e-9 for d in range(1, q) if q % d == 0):
             return c
     return None
 
@@ -213,50 +206,49 @@ class Window:
 
 @dataclass(frozen=True)
 class FamilyLevel:
-    """Rows of one exact renormalization level of 1 - c x^2: row i is
-    g(x) = f_c^P(lam x)/lam with c = c[i], lam = lam[i] = f_c^P(0), as the
-    row view renorm.scan_periods runs on.  Level 0 is P = 1, lam = 1, the
-    members f_c themselves."""
+    """Rows of one exact renormalization level of fam: row i is g(x) =
+    f_c^P(lam x)/lam, c = c[i], read off f_c's critical orbit z[:, i] as
+    the tower reads f's: lam = z[P], and g's critical orbit is z[::P]/lam.
+    Level 0 is P = 1, the members f_c themselves."""
 
+    fam: QuadraticFamily
     c: np.ndarray
     P: int
-    lam: np.ndarray
+    z: np.ndarray
 
-    def __len__(self) -> int:
-        return self.c.size
+    def extended(self, n: int) -> "FamilyLevel":
+        """The level with z run on from its last step to step nP, if short
+        of it."""
+        m = n * self.P + 1 - len(self.z)
+        more = self.fam.orbit(self.c, self.z[-1], max(m, 0))[1:]
+        return replace(self, z=np.concatenate([self.z, more]))
 
-    def __getitem__(self, rows) -> "FamilyLevel":
-        return replace(self, c=self.c[rows], lam=self.lam[rows])
-
-    def phi(self, u):
-        """g(x) = phi(x^2): phi(u) = f_c^(P-1)(1 - c lam^2 u)/lam, row i
-        at u[i], u broadcasting against (n, 1)."""
-        c, lam = self.c[:, None], self.lam[:, None]
-        x = 1.0 - c * (lam * lam) * u
-        for _ in range(self.P - 1):
-            x = 1.0 - c * x * x
-        return x / lam
+    @property
+    def orbit(self) -> np.ndarray:
+        """g^j(0) = z[jP]/z[P] as far as z reaches."""
+        return self.z[::self.P] / self.z[self.P]
 
     def renormalize(self, theta) -> tuple[np.ndarray, "FamilyLevel"]:
         """(hit, level): hit indexes the rows whose first renormalization
         has type theta (what detect(p_max=len(theta)) finds, with spatial
         ranks exactly theta), and level holds those rows renormalized once
-        more: P times p = len(theta), lam times their g^p(0)."""
+        more: P times p = len(theta)."""
         return self.renormalize_each([theta])[0]
 
     def renormalize_each(self, thetas) -> list:
         """[renormalize(theta) for theta in thetas] from one period scan
-        up to the longest theta (renorm._scan_up_to): one tip orbit, and
-        one trial per period, whatever the number of types."""
-        scan = _scan_up_to(self, max(len(t) for t in thetas))
+        up to the longest theta q (renorm._scan_up_to): z is run on once,
+        to step 2qP, and each child keeps it for its rows."""
+        q = max(len(t) for t in thetas)
+        g = self.extended(2 * q)
+        scan = _scan_up_to(g.orbit, q)
         out = []
         for theta in thetas:
-            lam, _, live, trial = scan[len(theta)]
+            _, _, live, trial = scan[len(theta)]
             hit = live[(trial.fail == 0)
                        & np.all(trial.ranks == theta, axis=-1)]
-            out.append((hit, replace(self, c=self.c[hit],
-                                     P=self.P * len(theta),
-                                     lam=self.lam[hit] * lam[hit])))
+            out.append((hit, replace(g, c=g.c[hit], P=g.P * len(theta),
+                                     z=g.z[:, hit])))
         return out
 
 
@@ -264,7 +256,7 @@ def _level_zero(fam: QuadraticFamily, cs: np.ndarray):
     """(rows, level 0): the indices of the parameters of cs inside the
     family's domain, in order, and their members as a FamilyLevel."""
     rows = np.nonzero((fam.C_MIN < cs) & (cs <= fam.C_MAX))[0]
-    return rows, FamilyLevel(c=cs[rows], P=1, lam=np.ones(rows.size))
+    return rows, FamilyLevel(fam, cs[rows], 1, np.zeros((1, rows.size)))
 
 
 def classify_period(fam: QuadraticFamily, cs,
@@ -278,7 +270,7 @@ def classify_period(fam: QuadraticFamily, cs,
         raise DomainError(f"got p = {p}: renormalization periods start at 2")
     cs = np.asarray(cs, dtype=float)
     rows, g = _level_zero(fam, cs)
-    _, degenerate, live, trial = scan_periods(g, p)
+    _, degenerate, live, trial = scan_periods(g.extended(2 * p).orbit, p)
     ok = trial.fail == 0
     marks = np.zeros(cs.shape, dtype=bool)
     marks[rows[degenerate]] = marks[rows[live[ok]]] = True

@@ -196,12 +196,22 @@ class QuadraticFamily:
         coeffs[1] = -c / 2.0
         return UnimodalMap(coeffs)
 
-    def critical_value_map(self, c, q: int):
-        """f_c^q(0): a Python float for a scalar c (the root finders call
-        it in a loop), an array for an array of parameters; both paths round
-        the same operations and agree bit for bit."""
-        c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
-        x = 0.0 * c
-        for _ in range(q):
+    def orbit(self, c, x, n: int):
+        """[x, f_c(x), ..., f_c^n(x)] by the family's one step: Python floats
+        for a scalar c (the root finders call it in a loop), steps along a
+        new first axis for an array c, x broadcasting against it; both paths
+        round the same operations and agree bit for bit."""
+        if np.ndim(c) == 0:
+            c, x = float(c), float(x)
+            z = [x] * (n + 1)
+        else:
+            c = np.asarray(c, dtype=float)
+            z = np.full((n + 1,) + c.shape, x, dtype=float)
+        for k in range(1, n + 1):
             x = 1.0 - c * x * x
-        return x
+            z[k] = x
+        return z
+
+    def critical_value_map(self, c, q: int):
+        """f_c^q(0), read off the critical orbit (orbit)."""
+        return self.orbit(c, 0.0, q)[q]

@@ -311,28 +311,25 @@ def detect(f: UnimodalMap, p_max: int = P_MAX,
     return _first_period(f.coeffs.tolist(), [0.0], 1, 1.0, p_max)
 
 
-def scan_periods(f, q: int):
-    """What detect(p_max=q) finds at period q, for every row of f at once.
-
-    f is a row view: len(f) rows, f[rows] selects some, and f.phi(u)
-    evaluates row i at u[i] with u broadcasting against (n, 1), so the
-    orbits run on it unchanged (families.FamilyLevel).  Returns (lam,
-    degenerate, rows, trial): lam[i] = f_i^q(0); degenerate and rows split
-    the rows where no period p < q is degenerate or admissible by whether
-    lam vanishes at q (detect raises there), and trial tests period q on
-    rows.  It is the last entry of _scan_up_to(f, q).
+def scan_periods(z: np.ndarray, q: int):
+    """What detect(p_max=q) finds at period q, for every column of the
+    critical orbits z[k, i] = f_i^k(0), k = 0..2q or more, at once
+    (families.FamilyLevel.orbit).  Returns (lam, degenerate, rows, trial):
+    lam[i] = f_i^q(0); degenerate and rows split the rows where no period
+    p < q is degenerate or admissible by whether lam vanishes at q (detect
+    raises there), and trial tests period q on rows.  It is the last entry
+    of _scan_up_to(z, q).
     """
-    return _scan_up_to(f, q)[q]
+    return _scan_up_to(z, q)[q]
 
 
-def _scan_up_to(f, q: int) -> dict:
-    """{p: scan_periods(f, p)} for p = 2..q (for q < 2, the one entry q,
-    on no rows), from one scan: one critical orbit to step 2q serves every
+def _scan_up_to(z: np.ndarray, q: int) -> dict:
+    """{p: scan_periods(z, p)} for p = 2..q (for q < 2, the one entry q,
+    on no rows), from one scan: the orbits to step 2q serve every
     candidate, and the rows admissible at p drop out before p + 1 is
-    tried.  Entry p reads only the first 2p steps of the orbit, so it is
+    tried.  Entry p reads only the first 2p steps of the orbits, so it is
     the same bit for bit for every q >= p."""
-    z = orbit_stack(f, np.zeros((len(f), 1)), 2 * q)[..., 0]
-    degenerate = rows = np.arange(len(f) if q >= 2 else 0)
+    degenerate = rows = np.arange(z.shape[1] if q >= 2 else 0)
     out = {}
     for p in range(min(2, q), q + 1):
         small = np.abs(z[p, rows]) <= LAMBDA_FLOOR

@@ -426,9 +426,9 @@ def test_edge_root_scans_the_grid_only_off_the_flip_cell(h, cs, k, arrays,
 @settings(max_examples=200, deadline=None)
 @given(c=st.floats(0.0, 2.0), P=st.integers(1, 60))
 def test_right_edge_equation_is_the_two_orbits_from_zero(c, P):
-    """The right edge equation continues one orbit from f_c^P(0); the
-    values are |f_c^P(0)| - |f_c^2P(0)| with both orbits run from 0, as
-    bytes, on a float and on an array."""
+    """The right edge equation reads f_c^P(0) and f_c^2P(0) off one
+    critical orbit; the values are |f_c^P(0)| - |f_c^2P(0)| with both
+    orbits run from 0, as bytes, on a float and on an array."""
     fam = QuadraticFamily()
     _, right = F._edge_equations(fam, P)
     got = right(c)
@@ -439,6 +439,52 @@ def test_right_edge_equation_is_the_two_orbits_from_zero(c, P):
     want = (np.abs(fam.critical_value_map(cs, P))
             - np.abs(fam.critical_value_map(cs, 2 * P)))
     assert right(cs).tobytes() == want.tobytes()
+
+
+def _orbit_from_scratch(cs, n):
+    """f_c^k(0), k = 0..n, for every c of cs, by 1.0 - c * x * x."""
+    x = np.zeros_like(cs)
+    zs = [x]
+    for _ in range(n):
+        x = 1.0 - cs * x * x
+        zs.append(x)
+    return np.stack(zs)
+
+
+def _assert_level_is_the_family_orbit(fam, g):
+    """Every row of g.z is f_c's critical orbit run from 0, as bytes, and
+    g's lam, z[P], is critical_value_map(c, P), the left edge equation's
+    value, on the array and on each float alike.  Returns the rows."""
+    assert g.z.ndim == 2 and g.z.shape[1] == g.c.size and len(g.z) > g.P
+    assert g.z.tobytes() == _orbit_from_scratch(g.c, len(g.z) - 1).tobytes()
+    left, _ = F._edge_equations(fam, g.P)
+    assert g.z[g.P].tobytes() == fam.critical_value_map(g.c, g.P).tobytes()
+    assert g.z[g.P].tobytes() == left(g.c).tobytes()
+    for c, lam in zip(g.c.tolist(), g.z[g.P].tolist()):
+        assert left(c).hex() == lam.hex()
+    return g.c.size
+
+
+def test_family_levels_hold_the_family_orbit_on_nested_chase_grids(
+        quadratic):
+    """Down the (doubling, tripling) chase to depth 4, on the grids of its
+    brackets: each level of the walk, each child of the last level's one
+    scan, and each level run on further keep f_c's critical orbit from
+    scratch, with no step recomputed differently."""
+    prefix = [THETA_DOUBLING, THETA_TRIPLING] * 2
+    bracket, rows = F.DEFAULT_BRACKET, 0
+    for depth in range(1, 5):
+        cs = np.linspace(*bracket, 513)
+        _, g = F._level_zero(quadratic, cs)
+        for theta in prefix[:depth]:
+            _, g = g.renormalize(theta)
+            rows += _assert_level_is_the_family_orbit(quadratic, g)
+            rows += _assert_level_is_the_family_orbit(quadratic,
+                                                      g.extended(5))
+        for _, child in g.renormalize_each([THETA_DOUBLING, THETA_TRIPLING]):
+            rows += _assert_level_is_the_family_orbit(quadratic, child)
+        bracket = F._window_for_prefix(quadratic, prefix[:depth], bracket)
+    assert rows > 0
 
 
 def _mp_orbit(c, q):

@@ -724,36 +724,65 @@ def test_tower_matches_the_sampled_hulls_across_the_family(c):
 
 
 @dataclass(frozen=True)
-class _LevelRows(F.FamilyLevel):
-    """FamilyLevel rows with the phi' the sampled test reads, by the chain
-    rule over the P - 1 steps: phi'(u) = -c lam prod_j f_c'(x_j) with
-    x_0 = 1 - c lam^2 u, x_(j+1) = f_c(x_j)."""
+class _LevelRows:
+    """Rows of one family level for the sampled test, in f_c's
+    coordinates: row i is g(x) = f_c^P(lam x)/lam with c = c[i] and
+    lam = f_c^P(0), iterated from scratch by the step 1.0 - c * x * x."""
 
-    def phi_deriv(self, u):
-        c, lam = self.c[:, None], self.lam[:, None]
-        x = 1.0 - c * (lam * lam) * u
-        d = -c * lam
-        for _ in range(self.P - 1):
-            d = d * (-2.0 * c * x)
+    c: np.ndarray
+    P: int
+
+    def __len__(self):
+        return self.c.size
+
+    def __getitem__(self, rows):
+        return _LevelRows(self.c[rows], self.P)
+
+    def orbit(self, x, n):
+        """f_c^k(x), k = 0..n, stacked along a new first axis; row i of x
+        is iterated with c[i]."""
+        c = self.c[:, None]
+        zs = [x]
+        for _ in range(n):
             x = 1.0 - c * x * x
-        return d
+            zs.append(x)
+        return np.stack(zs)
+
+    def slopes(self, x):
+        """f_c'(x) = -2 c x, row i of the last-but-one axis with c[i]."""
+        return -2.0 * self.c[:, None] * x
+
+    @property
+    def lam(self):
+        return self.orbit(np.zeros((len(self), 1)), self.P)[-1, :, 0]
 
 
 def _members(cs):
-    """The quadratic members at cs as level-0 rows."""
-    cs = np.asarray(cs, dtype=float)
-    return _LevelRows(c=cs, P=1, lam=np.ones(cs.size))
+    """The quadratic members at cs as the family's level 0."""
+    return F._level_zero(fam, np.asarray(cs, dtype=float))[1]
 
 
 class _OneRow(UnimodalMap):
-    """One map as a one-row view: phi and phi' act elementwise, so every
-    selection of its rows is the map itself."""
+    """One map as a one-row level with P = 1 and lam = 1: phi and phi' act
+    elementwise, so every selection of its rows is the map itself."""
+
+    P = 1
 
     def __len__(self):
         return 1
 
     def __getitem__(self, rows):
         return self
+
+    def orbit(self, x, n):
+        return orbit_stack(self, x, n)
+
+    def slopes(self, x):
+        return slopes(self, x)
+
+    @property
+    def lam(self):
+        return np.ones(1)
 
 
 def _sample_symmetric(a, grid):
@@ -775,29 +804,34 @@ def _sign_changes(s):
                             axis=-1)
 
 
-def _test_period_sampled(f, lam, p, grid=64):
-    """Period p tested on a grid sample of J = [-|lam|, |lam|] plus the tip:
-    |lam| away from 1, J invariant under f^p on the sample, one sign change
-    of (f^p)' on the sample, sampled hulls pairwise disjoint.  fail is 0 on
-    admissible rows and nonzero elsewhere."""
-    n = lam.size
-    a = np.abs(lam)
+def _test_period_sampled(f, zp, p, grid=64):
+    """Period p of the level rows f tested on a grid sample, in f's
+    coordinates: J = [-|zp|, |zp|] with zp = f^(pP)(0) per row, plus the
+    tip, pushed through pP steps and read at every P-th step divided by
+    lam = f^P(0): |zp/lam| away from 1, J invariant under f^(pP) on the
+    sample, one sign change of (f^(pP))' on the sample, and the sampled
+    hulls, divided by lam, pairwise disjoint.  fail is 0 on admissible
+    rows and nonzero elsewhere."""
+    n, P, lam = len(f), f.P, f.lam
+    a = np.abs(zp / lam)
     fail = np.where(a >= 1.0 - LAMBDA_FLOOR, 1, 0)
     pieces, ranks = np.zeros((n, p, 2)), np.zeros((n, p), dtype=int)
     rows = np.nonzero(fail == 0)[0]
     if rows.size:
-        zs = orbit_stack(f[rows], _sample_symmetric(a[rows], grid), p)
-        bad = np.max(np.abs(zs[p]), axis=-1) > a[rows] + INVARIANCE_TOL
+        xs = f[rows].orbit(_sample_symmetric(np.abs(zp[rows]), grid), p * P)
+        reach = np.max(np.abs(xs[p * P] / lam[rows, None]), axis=-1)
+        bad = reach > a[rows] + INVARIANCE_TOL
         fail[rows[bad]] = 2
-        rows, zs = rows[~bad], zs[:, ~bad]
+        rows, xs = rows[~bad], xs[:, ~bad]
     if rows.size:
         flips = _sign_changes(
-            np.sign(np.prod(slopes(f[rows], zs[:p]), axis=0)))
+            np.sign(np.prod(f[rows].slopes(xs[:p * P]), axis=0)))
         bad = flips != 1
         fail[rows[bad]] = 3
-        rows, zs = rows[~bad], zs[:, ~bad]
+        rows, xs = rows[~bad], xs[:, ~bad]
     if rows.size:
-        pieces[rows] = np.swapaxes(_hulls(zs[:p]), 0, 1)
+        hulls = _hulls(xs[:p * P:P]) / lam[rows, None]
+        pieces[rows] = np.sort(np.swapaxes(hulls, 0, 1), axis=-1)
         order, gaps = _left_to_right(pieces[rows])
         fail[rows[np.any(gaps <= 0.0, axis=-1)]] = 4
         ranks[rows] = np.argsort(order, axis=-1)
@@ -805,19 +839,21 @@ def _test_period_sampled(f, lam, p, grid=64):
 
 
 def _scan_periods_sampled(f, q, grid=64):
-    """scan_periods with the sampled period test: (lam, degenerate, rows,
-    (fail, pieces, ranks) at q)."""
-    lam_path = orbit_stack(f, np.zeros((len(f), 1)), q)[..., 0]
+    """scan_periods with the sampled period test on the level rows f:
+    (lam, degenerate, rows, (fail, pieces, ranks) at q), f's critical orbit
+    computed from scratch and read at every P-th step divided by lam."""
+    z = f.orbit(np.zeros((len(f), 1)), q * f.P)[..., 0]
+    lam_path = z[::f.P] / f.lam
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
     for p in range(2, q + 1):
         small = np.abs(lam_path[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
         if p < q:
-            fail, _, _ = _test_period_sampled(f[rows], lam_path[p, rows], p,
+            fail, _, _ = _test_period_sampled(f[rows], z[p * f.P, rows], p,
                                               grid)
             rows = rows[fail != 0]
     return (lam_path[q], degenerate, rows,
-            _test_period_sampled(f[rows], lam_path[q, rows], q, grid))
+            _test_period_sampled(f[rows], z[q * f.P, rows], q, grid))
 
 
 def _detect_sampled(f, p_max=16, grid=64):
@@ -836,13 +872,14 @@ def _detect_sampled(f, p_max=16, grid=64):
     raise NotRenormalizable(f"no admissible period up to {p_max}")
 
 
-def _assert_scan_matches_sampled(g, q, grid=64):
-    """scan_periods(g, q) against the sampled scan: the same lam, the same
-    degenerate rows and live rows, the same admissible rows at q, and on
-    them bit-identical pieces and ranks."""
-    lam, degenerate, rows, trial = scan_periods(g, q)
+def _assert_scan_matches_sampled(f, z, q, grid=64):
+    """scan_periods(z, q) against the sampled scan of the level rows f,
+    z being their critical orbits in the level's coordinates: the same
+    lam, the same degenerate rows and live rows, the same admissible rows
+    at q, and on them bit-identical pieces and ranks."""
+    lam, degenerate, rows, trial = scan_periods(z, q)
     ref_lam, ref_degenerate, ref_rows, (fail, pieces, ranks) = (
-        _scan_periods_sampled(g, q, grid))
+        _scan_periods_sampled(f, q, grid))
     assert np.array_equal(lam, ref_lam)
     assert np.array_equal(degenerate, ref_degenerate)
     assert np.array_equal(rows, ref_rows)
@@ -853,17 +890,25 @@ def _assert_scan_matches_sampled(g, q, grid=64):
     return int(ok.sum())
 
 
+def _assert_level_matches_sampled(g, q, grid=64):
+    """_assert_scan_matches_sampled on the family level g: scan_periods
+    reads g's critical orbit to step 2q, and the sampled scan iterates
+    f_c from scratch at g's parameters and P."""
+    return _assert_scan_matches_sampled(_LevelRows(g.c, g.P),
+                                        g.extended(2 * q).orbit, q, grid)
+
+
 @given(cs=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1,
                    max_size=64),
        q=st.integers(min_value=2, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_scan_periods_matches_the_sampled_test_on_quadratic_members(cs, q):
-    _assert_scan_matches_sampled(_members(cs), q)
+    _assert_level_matches_sampled(_members(cs), q)
 
 
 def test_scan_periods_matches_the_sampled_test_on_a_dense_sweep():
     g = _members(np.linspace(0.5, 2.0, 3001))
-    admitted = [_assert_scan_matches_sampled(g, q) for q in range(2, 9)]
+    admitted = [_assert_level_matches_sampled(g, q) for q in range(2, 9)]
     assert min(admitted[:4]) > 0
 
 
@@ -875,23 +920,25 @@ def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
     for depth in range(1, 5):
         g = _members(np.linspace(*bracket, 513))
         for theta in prefix[:depth]:
-            admitted += [_assert_scan_matches_sampled(g, q)
+            admitted += [_assert_level_matches_sampled(g, q)
                          for q in range(2, 5)]
             _, g = g.renormalize(theta)
-        assert len(g) and g.P == 2 ** ((depth + 1) // 2) * 3 ** (depth // 2)
+        assert g.c.size and g.P == 2 ** ((depth + 1) // 2) * 3 ** (depth // 2)
         bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
     assert sum(admitted) > 0
 
 
 def _assert_scan_entries_are_scan_periods(g, q):
-    """Every entry p of _scan_up_to(g, q) is scan_periods(g, p), as bytes:
-    lam, the degenerate and live rows, and the trial's fail codes, ranks
-    and pieces.  Returns the number of rows admissible at some p."""
-    scan = _scan_up_to(g, q)
+    """Every entry p of _scan_up_to on the family level g's critical orbit
+    to step 2q is scan_periods on its orbit to step 2p, as bytes: lam, the
+    degenerate and live rows, and the trial's fail codes, ranks and
+    pieces.  Returns the number of rows admissible at some p."""
+    scan = _scan_up_to(g.extended(2 * q).orbit, q)
     assert list(scan) == list(range(2, q + 1))
     admitted = 0
     for p, (lam, degenerate, rows, trial) in scan.items():
-        ref_lam, ref_degenerate, ref_rows, ref = scan_periods(g, p)
+        ref_lam, ref_degenerate, ref_rows, ref = scan_periods(
+            g.extended(2 * p).orbit, p)
         for got, want in [(lam, ref_lam), (degenerate, ref_degenerate),
                           (rows, ref_rows), (trial.fail, ref.fail),
                           (trial.ranks, ref.ranks),
@@ -929,7 +976,8 @@ def test_period_test_matches_the_sampled_test_at_the_fixed_points(
     for fp in (fixed_point_24, tripling_fixed_point):
         g = fp.map
         for q in range(2, 9):
-            _assert_scan_matches_sampled(_OneRow(g.coeffs), q)
+            _assert_scan_matches_sampled(
+                _OneRow(g.coeffs), orbit_stack(g, np.zeros(1), 2 * q), q)
         step, ref = detect(g), _detect_sampled(g)
         assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
         assert np.array_equal(step.intervals, ref.intervals)
