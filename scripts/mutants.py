@@ -103,11 +103,10 @@ MUTANTS = [
     ("renorm.py", "the stride past step 4P is one step long",
      (("for _ in range(P):", "for _ in range(P + 1):"),)),
     ("families.py", "a family level's orbit is not divided by its lam",
-     (("return self.z[::self.P] / self.z[self.P]",
-       "return self.z[::self.P]"),)),
+     (("return self.z / self.z[1]", "return self.z"),)),
     ("families.py", "a family level runs its orbit on from 0",
-     (("self.fam.orbit(self.c, self.z[-1], max(m, 0))",
-       "self.fam.orbit(self.c, 0.0, max(m, 0))"),)),
+     (("self.fam.iterate(self.c, z[-1], self.P)",
+       "self.fam.iterate(self.c, 0.0, self.P)"),)),
 ]
 
 

@@ -8,8 +8,7 @@ renormalization period p, and of which type) for find_windows, classify
 Both test the exact renormalizations of the family (FamilyLevel): the
 level after periods p_1, ..., p_k is g(x) = f_c^P(Lam x)/Lam with
 P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), whose critical orbit
-is every P-th step of f_c's over Lam, so every level is read off one
-critical orbit per parameter and none is projected.  The window tower
+is every P-th step of f_c's over Lam: no level is projected.  The window tower
 classifies each grid once for all the children of a window
 (_child_windows): one walk of the parent itinerary per grid, and one
 period scan up to the longest child type (renorm._scan_up_to) tests every
@@ -84,14 +83,14 @@ def _bisect_edge(h, cs, k: int, depth: int = 0) -> float:
 
 def _edge_equations(fam: QuadraticFamily, P: int):
     """(left, right) edge equations of a window of total period P (see the
-    module docstring); right is positive where J is invariant.  right reads
-    f_c^P(0) and f_c^2P(0) off one critical orbit to step 2P."""
+    module docstring); right is positive where J is invariant.  right runs
+    one critical orbit to step 2P, reading f_c^P(0) on the way."""
     def left(c):
         return fam.critical_value_map(c, P)
 
     def right(c):
-        z = fam.orbit(c, 0.0, 2 * P)
-        return abs(z[P]) - abs(z[2 * P])
+        lam = fam.critical_value_map(c, P)
+        return abs(lam) - abs(fam.iterate(c, lam, P))
     return left, right
 
 
@@ -104,8 +103,12 @@ def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
     cs = np.linspace(lo, hi, grid)
     for i in sign_changes(fam.critical_value_map(cs, q)):
         c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
-        z = fam.orbit(c, 0.0, q)
-        if all(abs(z[d]) > 1e-9 for d in range(1, q) if q % d == 0):
+        x, k = 0.0, 0
+        for d in (d for d in range(1, q) if q % d == 0):
+            x, k = fam.iterate(c, x, d - k), d
+            if not abs(x) > 1e-9:
+                break
+        else:
             return c
     return None
 
@@ -207,9 +210,9 @@ class Window:
 @dataclass(frozen=True)
 class FamilyLevel:
     """Rows of one exact renormalization level of fam: row i is g(x) =
-    f_c^P(lam x)/lam, c = c[i], read off f_c's critical orbit z[:, i] as
-    the tower reads f's: lam = z[P], and g's critical orbit is z[::P]/lam.
-    Level 0 is P = 1, the members f_c themselves."""
+    f_c^P(lam x)/lam, c = c[i], kept as every P-th step of f_c's critical
+    orbit, z[j, i] = f_c^(jP)(0): lam = z[1], and g's critical orbit is
+    z/lam, the tower's rule.  Level 0 is P = 1, the members f_c."""
 
     fam: QuadraticFamily
     c: np.ndarray
@@ -217,16 +220,17 @@ class FamilyLevel:
     z: np.ndarray
 
     def extended(self, n: int) -> "FamilyLevel":
-        """The level with z run on from its last step to step nP, if short
-        of it."""
-        m = n * self.P + 1 - len(self.z)
-        more = self.fam.orbit(self.c, self.z[-1], max(m, 0))[1:]
-        return replace(self, z=np.concatenate([self.z, more]))
+        """The level with z run on to z[n], P steps of f_c at a time from
+        its last entry, if short of it."""
+        z = list(self.z)
+        while len(z) <= n:
+            z.append(self.fam.iterate(self.c, z[-1], self.P))
+        return replace(self, z=np.array(z))
 
     @property
     def orbit(self) -> np.ndarray:
-        """g^j(0) = z[jP]/z[P] as far as z reaches."""
-        return self.z[::self.P] / self.z[self.P]
+        """g^j(0) = z[j]/z[1] as far as z reaches."""
+        return self.z / self.z[1]
 
     def renormalize(self, theta) -> tuple[np.ndarray, "FamilyLevel"]:
         """(hit, level): hit indexes the rows whose first renormalization
@@ -238,7 +242,7 @@ class FamilyLevel:
     def renormalize_each(self, thetas) -> list:
         """[renormalize(theta) for theta in thetas] from one period scan
         up to the longest theta q (renorm._scan_up_to): z is run on once,
-        to step 2qP, and each child keeps it for its rows."""
+        to z[2q], and a child of period p keeps every p-th entry."""
         q = max(len(t) for t in thetas)
         g = self.extended(2 * q)
         scan = _scan_up_to(g.orbit, q)
@@ -248,7 +252,7 @@ class FamilyLevel:
             hit = live[(trial.fail == 0)
                        & np.all(trial.ranks == theta, axis=-1)]
             out.append((hit, replace(g, c=g.c[hit], P=g.P * len(theta),
-                                     z=g.z[:, hit])))
+                                     z=g.z[::len(theta), hit])))
         return out
 
 

@@ -196,22 +196,18 @@ class QuadraticFamily:
         coeffs[1] = -c / 2.0
         return UnimodalMap(coeffs)
 
-    def orbit(self, c, x, n: int):
-        """[x, f_c(x), ..., f_c^n(x)] by the family's one step: Python floats
-        for a scalar c (the root finders call it in a loop), steps along a
-        new first axis for an array c, x broadcasting against it; both paths
-        round the same operations and agree bit for bit."""
-        if np.ndim(c) == 0:
-            c, x = float(c), float(x)
-            z = [x] * (n + 1)
-        else:
-            c = np.asarray(c, dtype=float)
-            z = np.full((n + 1,) + c.shape, x, dtype=float)
-        for k in range(1, n + 1):
+    def iterate(self, c, x, n: int):
+        """f_c^n(x) by the family's one step, keeping no orbit: a Python
+        float for a scalar c (the root finders call it in a loop), an array
+        for an array c, x broadcasting against it; both paths round the same
+        operations and agree bit for bit, and f_c^m(f_c^n(x)) is
+        f_c^(m+n)(x) as bytes."""
+        c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
+        x = x + 0.0 * c
+        for _ in range(n):
             x = 1.0 - c * x * x
-            z[k] = x
-        return z
+        return x
 
     def critical_value_map(self, c, q: int):
-        """f_c^q(0), read off the critical orbit (orbit)."""
-        return self.orbit(c, 0.0, q)[q]
+        """f_c^q(0) (iterate)."""
+        return self.iterate(c, 0.0, q)

@@ -426,8 +426,8 @@ def test_edge_root_scans_the_grid_only_off_the_flip_cell(h, cs, k, arrays,
 @settings(max_examples=200, deadline=None)
 @given(c=st.floats(0.0, 2.0), P=st.integers(1, 60))
 def test_right_edge_equation_is_the_two_orbits_from_zero(c, P):
-    """The right edge equation reads f_c^P(0) and f_c^2P(0) off one
-    critical orbit; the values are |f_c^P(0)| - |f_c^2P(0)| with both
+    """The right edge equation runs one critical orbit on from f_c^P(0)
+    to f_c^2P(0); the values are |f_c^P(0)| - |f_c^2P(0)| with both
     orbits run from 0, as bytes, on a float and on an array."""
     fam = QuadraticFamily()
     _, right = F._edge_equations(fam, P)
@@ -452,15 +452,18 @@ def _orbit_from_scratch(cs, n):
 
 
 def _assert_level_is_the_family_orbit(fam, g):
-    """Every row of g.z is f_c's critical orbit run from 0, as bytes, and
-    g's lam, z[P], is critical_value_map(c, P), the left edge equation's
-    value, on the array and on each float alike.  Returns the rows."""
-    assert g.z.ndim == 2 and g.z.shape[1] == g.c.size and len(g.z) > g.P
-    assert g.z.tobytes() == _orbit_from_scratch(g.c, len(g.z) - 1).tobytes()
+    """Every row of g.z is every P-th step of f_c's critical orbit run
+    from 0, as bytes, and g's lam, z[1], is critical_value_map(c, P), the
+    left edge equation's value, on the array and on each float alike.
+    Returns the rows."""
+    n = len(g.z) - 1
+    assert g.z.ndim == 2 and g.z.shape[1] == g.c.size and n >= 1
+    want = _orbit_from_scratch(g.c, n * g.P)[::g.P]
+    assert g.z.tobytes() == want.tobytes()
     left, _ = F._edge_equations(fam, g.P)
-    assert g.z[g.P].tobytes() == fam.critical_value_map(g.c, g.P).tobytes()
-    assert g.z[g.P].tobytes() == left(g.c).tobytes()
-    for c, lam in zip(g.c.tolist(), g.z[g.P].tolist()):
+    assert g.z[1].tobytes() == fam.critical_value_map(g.c, g.P).tobytes()
+    assert g.z[1].tobytes() == left(g.c).tobytes()
+    for c, lam in zip(g.c.tolist(), g.z[1].tolist()):
         assert left(c).hex() == lam.hex()
     return g.c.size
 
@@ -470,7 +473,9 @@ def test_family_levels_hold_the_family_orbit_on_nested_chase_grids(
     """Down the (doubling, tripling) chase to depth 4, on the grids of its
     brackets: each level of the walk, each child of the last level's one
     scan, and each level run on further keep f_c's critical orbit from
-    scratch, with no step recomputed differently."""
+    scratch, with no step recomputed differently.  A level keeps only the
+    steps it reads: a level of one scan up to its own period p holds
+    three, f_c^0(0), f_c^pP'(0) and f_c^2pP'(0)."""
     prefix = [THETA_DOUBLING, THETA_TRIPLING] * 2
     bracket, rows = F.DEFAULT_BRACKET, 0
     for depth in range(1, 5):
@@ -478,6 +483,7 @@ def test_family_levels_hold_the_family_orbit_on_nested_chase_grids(
         _, g = F._level_zero(quadratic, cs)
         for theta in prefix[:depth]:
             _, g = g.renormalize(theta)
+            assert len(g.z) == 3 and len(g.extended(5).z) == 6
             rows += _assert_level_is_the_family_orbit(quadratic, g)
             rows += _assert_level_is_the_family_orbit(quadratic,
                                                       g.extended(5))
