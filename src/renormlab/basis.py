@@ -6,14 +6,16 @@ T_n(2u - 1).  Every projection onto the basis goes through one least-squares
 fit on 2(D+1) first-kind Chebyshev nodes with the sup residual at the nodes
 reported, so truncation loss is observable rather than silent.
 
-Every evaluation goes through one kernel, clenshaw(c, t): the Clenshaw
-recurrence in the operation order of numpy.polynomial.chebyshev's series
-evaluator.  From (c0, c1) = (c[-2], c[-1]), each step k = D-2, ..., 0 is
-c0, c1 = c[k] - c1, c0 + c1*2t, and the value is c0 + c1*t.  It rounds the
-same operations as numpy, so its values are numpy's bit for bit, and it
-is generic over the number type: Python floats (the scalar orbits),
-float64 arrays and coefficient stacks, and equally np.longdouble arrays or
-mpmath numbers.
+Every evaluation whose value reaches an output goes through one kernel,
+clenshaw(c, t): the Clenshaw recurrence in the operation order of
+numpy.polynomial.chebyshev's series evaluator.  (maps.validate, whose
+values only decide a structural verdict, takes one product with a matrix
+cached per degree instead.)  From (c0, c1) = (c[-2], c[-1]), each step
+k = D-2, ..., 0 is c0, c1 = c[k] - c1, c0 + c1*2t, and the value is
+c0 + c1*t.  It rounds the same operations as numpy, so its values are
+numpy's bit for bit, and it is generic over the number type: Python
+floats (the scalar orbits), float64 arrays and coefficient stacks, and
+equally np.longdouble arrays or mpmath numbers.
 
 Several series evaluated at the same points go through eval_rows, which
 lays them out as dense planes: the rows, zero-padded at the top to one
@@ -67,8 +69,8 @@ def clenshaw(c, t):
     else:
         t2 = 2 * t
         c0, c1 = c[-2], c[-1]
-        for k in range(len(c) - 3, -1, -1):
-            c0, c1 = c[k] - c1, c0 + c1 * t2
+        for ck in c[-3::-1]:
+            c0, c1 = ck - c1, c0 + c1 * t2
     return c0 + c1 * t
 
 

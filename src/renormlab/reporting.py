@@ -15,6 +15,11 @@ import numpy as np
 
 
 def fmt(x) -> str:
+    kind = type(x)  # the common exact types first, as the chain below would
+    if kind is float or kind is np.float64:
+        return f"{float(x):.17g}"
+    if kind is int:
+        return str(x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):

@@ -18,8 +18,8 @@ delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -79,13 +79,40 @@ def derivative_matrix(f: UnimodalMap,
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """Eigenvalues of a derivative matrix; its eigenvectors, which need two
+    more eigensolves, are computed on first read of either one."""
+
     matrix_dim: int
     eigenvalues: np.ndarray          # sorted by modulus desc, pairs adjacent
     delta: float                     # leading eigenvalue (real part)
     gap: float                       # modulus of the second eigenvalue
     hyperbolic: bool                 # exactly one eigenvalue outside the disk
-    unstable_vector: np.ndarray      # coefficient vector, sup-norm 1 as a map
-    stable_functional: np.ndarray    # left eigenvector, sigma(u) = 1
+    matrix: np.ndarray = field(repr=False)   # read-only copy
+    # coefficient vector, sup-norm 1 as a map
+    unstable_vector = property(lambda self: self._vectors[0])
+    # left eigenvector, sigma(u) = 1
+    stable_functional = property(lambda self: self._vectors[1])
+
+    @cached_property
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = _sorted_eigensystem(self.matrix)
+        u_vec = _realified(vecs[:, 0])
+        grid = np.linspace(0.0, 1.0, SUP_GRID)
+        # u by keyword: perfbench/layers.py reads a traced call's kwargs["u"]
+        sup = float(np.max(np.abs(_basis.eval_phi(u_vec, u=grid))))
+        u_vec = u_vec / sup
+
+        lvals, lvecs = _sorted_eigensystem(self.matrix.T)
+        li = int(np.argmin(np.abs(lvals - vals[0])))
+        sigma = _realified(lvecs[:, li])
+        pairing = float(sigma @ u_vec)
+        sigma = sigma / pairing
+
+        direction = _increasing_c_direction(self.matrix_dim)
+        if float(sigma @ direction) < 0.0:
+            u_vec = -u_vec
+            sigma = -sigma
+        return u_vec, sigma
 
 
 def _sorted_eigensystem(mat: np.ndarray):
@@ -108,32 +135,16 @@ def _increasing_c_direction(dim: int) -> np.ndarray:
 
 
 def spectral_report(mat: np.ndarray) -> SpectralReport:
-    vals, vecs = _sorted_eigensystem(mat)
-    dim = mat.shape[0]
+    vals = np.linalg.eigvals(mat)
+    vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
     outside = np.abs(vals) > 1.0 + UNSTABLE_CUTOFF
-    hyperbolic = int(np.count_nonzero(outside)) == 1
-    delta = float(vals[0].real)
-    gap = float(np.abs(vals[1]))
-
-    u_vec = _realified(vecs[:, 0])
-    grid = np.linspace(0.0, 1.0, SUP_GRID)
-    # u by keyword: perfbench/layers.py reads a traced call's kwargs["u"]
-    sup = float(np.max(np.abs(_basis.eval_phi(u_vec, u=grid))))
-    u_vec = u_vec / sup
-
-    lvals, lvecs = _sorted_eigensystem(mat.T)
-    li = int(np.argmin(np.abs(lvals - vals[0])))
-    sigma = _realified(lvecs[:, li])
-    pairing = float(sigma @ u_vec)
-    sigma = sigma / pairing
-
-    direction = _increasing_c_direction(dim)
-    if float(sigma @ direction) < 0.0:
-        u_vec = -u_vec
-        sigma = -sigma
-    return SpectralReport(matrix_dim=dim, eigenvalues=vals, delta=delta,
-                          gap=gap, hyperbolic=hyperbolic,
-                          unstable_vector=u_vec, stable_functional=sigma)
+    frozen = np.array(mat)
+    frozen.setflags(write=False)
+    return SpectralReport(matrix_dim=mat.shape[0], eigenvalues=vals,
+                          delta=float(vals[0].real),
+                          gap=float(np.abs(vals[1])),
+                          hyperbolic=int(np.count_nonzero(outside)) == 1,
+                          matrix=frozen)
 
 
 def spectrum(f: UnimodalMap) -> SpectralReport:

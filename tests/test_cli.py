@@ -216,6 +216,28 @@ def test_numpy_bools_are_written_as_json_booleans(tmp_path):
                                             "rows": [False, True]}
 
 
+def _chain_fmt(x):
+    """reporting.fmt as it was before its exact-type fast path: the
+    isinstance chain alone."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x)).lower()
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
+
+
+@pytest.mark.parametrize("value", [
+    0.1, -2.5e-300, 4.6692016091029907, np.float64(0.1), np.float64(-7.0),
+    0, 7, -(2**70), float("nan"), float("inf"), float("-inf"), -0.0,
+    np.float64(-0.0), np.float64("nan"), 5e-324, True, False, np.bool_(True),
+    np.int64(-3), np.float32(0.1), np.float32("inf"), np.longdouble(0.1),
+    "text"])
+def test_fmt_is_the_isinstance_chain(value):
+    assert reporting.fmt(value) == _chain_fmt(value)
+
+
 def test_the_shared_parser_keeps_no_state_between_runs(tmp_path):
     """main() reuses one parser per process; a run after a --depth run
     writes the bytes a freshly built parser gives for the same arguments."""

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from renormlab.errors import DomainError, InvalidMap
-from renormlab.maps import (QuadraticFamily, UnimodalMap, orbit, validate)
+from renormlab.maps import (NORMALIZATION_TOL, RANGE_TOL, MapDiagnostics,
+                            QuadraticFamily, UnimodalMap, orbit, validate)
+
+EPS = np.finfo(float).eps
 
 
 def quadratic_map(c, degree=1):
@@ -191,20 +194,35 @@ def test_json_roundtrip_property(degree, c):
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        size=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
 def test_validate_fields_are_the_two_pass_values(degree, c, seed, size):
-    """validate's one stacked pass gives the fields of separate phi and phi'
-    passes through numpy, compared with ==; the maps are family members
-    with perturbations from none to O(1), so both verdicts occur."""
+    """validate's one cached matrix product gives the fields of separate
+    phi and phi' passes through numpy's chebval to within 2(D+1) eps times
+    the coefficients' absolute sum (phi' for the margin), and the same
+    verdict wherever no reference field lies that close to its threshold;
+    the maps are family members with perturbations from none to O(1), so
+    both verdicts occur."""
     coeffs = np.array(quadratic_map(c, degree).coeffs)
     coeffs += size * np.random.default_rng(seed).uniform(
         -1.0, 1.0, degree + 1) / (1.0 + np.arange(degree + 1))
     f = UnimodalMap(coeffs, check=False)
     t = 2.0 * np.linspace(0.0, 1.0, max(4 * degree + 1, 17)) - 1.0
+    dcoeffs = cheb.chebder(coeffs) * 2.0
     vals = cheb.chebval(t, coeffs)
-    derivs = cheb.chebval(t, cheb.chebder(coeffs) * 2.0)
+    derivs = cheb.chebval(t, dcoeffs)
+    tol = 2 * (degree + 1) * EPS * np.sum(np.abs(coeffs))
+    dtol = 2 * (degree + 1) * EPS * np.sum(np.abs(dcoeffs))
+    ref = MapDiagnostics(normalization_residual=abs(vals[0] - 1.0),
+                         monotonicity_margin=np.min(-derivs),
+                         range_min=np.min(vals), range_max=np.max(vals))
     diag = validate(f)
-    assert diag.normalization_residual == abs(cheb.chebval(-1.0, coeffs)
-                                              - 1.0)
-    assert diag.monotonicity_margin == np.min(-derivs)
-    assert diag.range_min == np.min(vals)
-    assert diag.range_max == np.max(vals)
-
+    for name, bound in [("normalization_residual", tol),
+                        ("monotonicity_margin", dtol),
+                        ("range_min", tol), ("range_max", tol)]:
+        assert abs(getattr(diag, name) - getattr(ref, name)) <= bound, name
+    # a rounding change can flip a verdict only inside the bound: one draw
+    # in 20,000 of this distribution lands there (normalization 1e-12)
+    near = (abs(ref.normalization_residual - NORMALIZATION_TOL) <= tol
+            or abs(ref.monotonicity_margin) <= dtol
+            or abs(ref.range_min + 1.0 + RANGE_TOL) <= tol
+            or abs(ref.range_max - 1.0 - RANGE_TOL) <= tol)
+    if not near:
+        assert diag.ok == ref.ok

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renormlab import families
-from renormlab.basis import design_matrix
+from renormlab.basis import design_matrix, eval_phi
 from renormlab.errors import (CombinatoricsMismatch, DomainError, InvalidMap,
                               NoConvergence, RenormlabError, WindowNotFound)
 from renormlab.maps import QuadraticFamily, UnimodalMap
@@ -325,6 +325,74 @@ def test_exactly_one_unstable_mode(spectrum_24):
 def test_stable_functional_normalization(spectrum_24):
     sigma = spectrum_24.stable_functional
     assert float(sigma @ spectrum_24.unstable_vector) == pytest.approx(1.0)
+
+
+def _eager_report(mat):
+    """The eigensystem as spectral_report computed it before its vectors
+    became lazy: one eig for the eigenvalues and the right vector, one on
+    mat.T for the left one, normalized and signed the same way.  Returns
+    (eigenvalues, unstable_vector, stable_functional)."""
+    def sorted_eigensystem(m):
+        vals, vecs = np.linalg.eig(m)
+        order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+        return vals[order], vecs[:, order]
+
+    def realified(vec):
+        pivot = vec[int(np.argmax(np.abs(vec)))]
+        return np.real(vec * np.conj(pivot) / abs(pivot))
+
+    vals, vecs = sorted_eigensystem(mat)
+    u_vec = realified(vecs[:, 0])
+    grid = np.linspace(0.0, 1.0, solver.SUP_GRID)
+    u_vec = u_vec / float(np.max(np.abs(eval_phi(u_vec, grid))))
+    lvals, lvecs = sorted_eigensystem(mat.T)
+    sigma = realified(lvecs[:, int(np.argmin(np.abs(lvals - vals[0])))])
+    sigma = sigma / float(sigma @ u_vec)
+    direction = np.zeros(mat.shape[0])
+    direction[:2] = -0.5
+    if float(sigma @ direction) < 0.0:
+        u_vec, sigma = -u_vec, -sigma
+    return vals, u_vec, sigma
+
+
+@functools.cache
+def _solver_matrices():
+    """DT at the doubling and tripling fixed points of degree 10 to 64, and
+    the product of the (doubling, tripling) 2-cycle at degree 24."""
+    mats = {}
+    for degree in range(10, 65):
+        for name, theta in [("D", THETA_DOUBLING), ("T", THETA_TRIPLING)]:
+            fp = solve_fixed_point(theta=theta, degree=degree)
+            mats[f"{name}{degree}"] = derivative_matrix(fp.map)
+    mats["DT24"] = solve_periodic_orbit([THETA_DOUBLING, THETA_TRIPLING],
+                                        degree=24).multipliers.matrix
+    return mats
+
+
+def test_spectral_report_eigenvalues_are_eig_bit_for_bit():
+    # eigvals and eig's eigenvalues run different LAPACK paths; every digest
+    # downstream relies on their agreeing as bytes on the solver's matrices
+    for name, mat in _solver_matrices().items():
+        rep = spectral_report(mat)
+        vals = _eager_report(mat)[0]
+        assert rep.eigenvalues.dtype == vals.dtype, name
+        assert np.array_equal(rep.eigenvalues, vals), name
+        assert rep.delta == float(vals[0].real), name
+        assert rep.gap == float(np.abs(vals[1])), name
+        assert rep.hyperbolic, name
+
+
+def test_lazy_vectors_are_the_eager_ones():
+    mats = dict(_solver_matrices())
+    mats["diag"] = np.diag([4.67, 0.5, -0.2, 0.1, 0.05])
+    for name, mat in mats.items():
+        rep = spectral_report(mat)
+        assert "_vectors" not in rep.__dict__, name
+        _, u_vec, sigma = _eager_report(mat)
+        assert np.array_equal(rep.unstable_vector, u_vec), name
+        assert np.array_equal(rep.stable_functional, sigma), name
+        assert rep.unstable_vector is rep.unstable_vector, name
+    assert not rep.matrix.flags.writeable
 
 
 def _stable_normalized_direction(g, rep):
