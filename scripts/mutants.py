@@ -111,6 +111,8 @@ MUTANTS = [
      (("rows[:, :-1] @ deriv.T", "rows[:, 1:] @ deriv.T"),)),
     ("solver.py", "the lazily computed vectors keep the eigensolver's sign",
      (("        if float(sigma @ direction) < 0.0:\n", "        if False:\n"),)),
+    ("cli.py", "orbit's clamp_excess counts overshoot past 0.5",
+     (("max(0.0, abs(x) - 1.0)", "max(0.0, abs(x) - 0.5)"),)),
 ]
 
 

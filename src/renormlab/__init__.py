@@ -10,13 +10,13 @@ parameter analysis.
 __version__ = "0.1.0"
 
 from .errors import RenormlabError
-from .maps import QuadraticFamily, UnimodalMap, orbit, validate
+from .maps import QuadraticFamily, UnimodalMap, validate
 from .renorm import IntervalTower, RenormStep, detect, renormalize, tower
 from .solver import (convergence_experiment, derivative_matrix,
                      solve_fixed_point, solve_periodic_orbit, spectrum)
 
 __all__ = [
-    "RenormlabError", "QuadraticFamily", "UnimodalMap", "orbit", "validate",
+    "RenormlabError", "QuadraticFamily", "UnimodalMap", "validate",
     "IntervalTower", "RenormStep", "detect", "renormalize", "tower",
     "convergence_experiment", "derivative_matrix", "solve_fixed_point",
     "solve_periodic_orbit", "spectrum", "__version__",

@@ -34,8 +34,6 @@ from functools import cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import DomainError
-
 
 TAG = "orthogonal-u"  # the one basis, named in the map JSON and reports
 DEGREE_MAX = 64
@@ -93,32 +91,25 @@ def eval_rows(rows, t) -> np.ndarray:
     return clenshaw(planes, np.tile(t, len(rows))).reshape(len(rows), t.size)
 
 
-def deriv_coeffs(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
-    """Coefficients of d^order phi / du^order in the same basis.
+def deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of dphi/du in the same basis.
 
-    Each derivative runs numpy's chebder recurrence on Python floats, the
-    same operations in the same order, and doubles the result, so the first
-    derivative is chebder(coeffs) * 2 bit for bit without numpy's
-    per-element cost.  Doubling is exact and commutes with the recurrence,
-    so order m is chebder(coeffs, m) * 2**m as long as no step overflows or
-    rounds a subnormal."""
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
+    Runs numpy's chebder recurrence on Python floats, the same operations
+    in the same order, and doubles the result, so it is chebder(coeffs) * 2
+    bit for bit without numpy's per-element cost."""
     c = np.asarray(coeffs, dtype=float).tolist()
-    if order >= len(c):  # as chebder: c[:1] * 0, keeping c[0]'s zero sign
+    n = len(c) - 1
+    if n == 0:  # as chebder: c[:1] * 0, keeping c[0]'s zero sign
         return np.array([c[0] * 0 * 2.0])
-    for _ in range(order):
-        n = len(c) - 1
-        der = [0.0] * n
-        for j in range(n, 2, -1):
-            der[j - 1] = (2 * j) * c[j]
-            c[j - 2] += (j * c[j]) / (j - 2)
-        if n > 1:
-            der[1] = 4 * c[2]
-        der[0] = c[1]
-        # t = 2u - 1, so each u-derivative picks up a factor 2
-        c = [d * 2.0 for d in der]
-    return np.array(c)
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    # t = 2u - 1, so the u-derivative picks up a factor 2
+    return np.array([d * 2.0 for d in der])
 
 
 def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:

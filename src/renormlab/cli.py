@@ -27,8 +27,8 @@ from . import families as _families
 from . import geometry as _geometry
 from . import loperator as _loperator
 from .errors import RenormlabError, UsageError
-from .maps import QuadraticFamily, orbit as _orbit
-from .renorm import tower, tower_header, tower_rows
+from .maps import QuadraticFamily
+from .renorm import _orbit, tower, tower_header, tower_rows
 from .reporting import write_csv, write_json
 from .solver import convergence_experiment, solve_fixed_point, spectrum
 
@@ -232,15 +232,15 @@ def _run_spectrum(cfg, args, out):
 
 def _run_orbit(cfg, args, out):
     f = QuadraticFamily().member(args.c)
-    orb = _orbit(f, 0.0, args.n)
-    write_csv(out / "orbit.csv", ["i", "x_i"],
-              enumerate(orb.points))
+    xs = _orbit(f.coeffs.tolist(), 0.0, args.n)
+    write_csv(out / "orbit.csv", ["i", "x_i"], enumerate(xs))
     results = {
         "c": args.c,
         "n": args.n,
-        "min": float(np.min(orb.points)),
-        "max": float(np.max(orb.points)),
-        "clamp_excess": orb.clamp_excess,
+        "min": min(xs),
+        "max": max(xs),
+        # total overshoot of the unclamped orbit beyond [-1, 1]
+        "clamp_excess": sum(max(0.0, abs(x) - 1.0) for x in xs),
     }
     return results, f"c={args.c} n={args.n} range=[{results['min']:.6f}, " \
                     f"{results['max']:.6f}]", []

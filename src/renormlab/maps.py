@@ -154,35 +154,6 @@ def validate(f: UnimodalMap) -> MapDiagnostics:
 
 
 @dataclass(frozen=True)
-class Orbit:
-    points: np.ndarray
-    clamp_excess: float   # total overshoot beyond [-1, 1] absorbed by clipping
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return self.points.size
-
-
-def orbit(f: UnimodalMap, x0: float, n: int) -> Orbit:
-    """x0, f(x0), ..., f^n(x0), clamped to [-1, 1] with the excess recorded."""
-    if abs(x0) > 1.0 + EVAL_SLACK:
-        raise DomainError(f"orbit start {x0} outside [-1, 1]")
-    pts = np.empty(n + 1)
-    excess = 0.0
-    x = float(np.clip(x0, -1.0, 1.0))
-    excess += max(0.0, abs(x0) - 1.0)
-    pts[0] = x
-    for k in range(1, n + 1):
-        x = float(f.phi(x * x))
-        excess += max(0.0, abs(x) - 1.0)
-        x = min(1.0, max(-1.0, x))
-        pts[k] = x
-    return Orbit(points=pts, clamp_excess=excess)
-
-
-@dataclass(frozen=True)
 class QuadraticFamily:
     """f_c(x) = 1 - c x^2 for c in (C_MIN, C_MAX] = (0, 2]."""
 

@@ -25,6 +25,11 @@ scan_periods over parameter grids, and _test_one runs it on the Python-float
 orbit of one map, for detect and the tower levels, where numpy's per-call
 cost on one-row arrays would be most of the work.  They agree bit for bit,
 reasons included.
+
+Every orbit of a map is _orbit, one routine for both number types: Python
+floats for the scalar orbits of detect and the towers, float64 arrays for
+the many points of DT(f) (_orbit_chain) and of T(f)'s projection
+(project_T).
 """
 
 from __future__ import annotations
@@ -66,14 +71,18 @@ class RenormStep:
         object.__setattr__(self, "perm", tuple(int(r) for r in self.perm))
 
 
-def _step(c: list, z: float) -> float:
-    """phi(z^2) for a Python float z and the coefficient list c: the
-    operations of f.phi on one point."""
+def _step(c, z):
+    """phi(z^2) for the coefficients c and the point z: the operations of
+    f.phi, on Python floats or elementwise on float64 arrays."""
     return _basis.clenshaw(c, 2.0 * (z * z) - 1.0)
 
 
-def _orbit(c: list, z: float, n: int) -> list:
-    """[z, f(z), ..., f^n(z)] on Python floats (_step)."""
+def _orbit(c, z, n: int) -> list:
+    """[z, f(z), ..., f^n(z)] by _step, the one orbit of a map: on Python
+    floats for a coefficient list c, elementwise on float64 arrays for
+    c = f.coeffs and an array z, rounding the same operations either way.
+    It works on phi directly, unclamped, so orbits of slightly
+    denormalized maps (derivative probes) extrapolate smoothly."""
     zs = [z]
     for _ in range(n):
         z = _step(c, z)
@@ -81,31 +90,18 @@ def _orbit(c: list, z: float, n: int) -> list:
     return zs
 
 
-def orbit_stack(f: UnimodalMap, z0, n: int) -> np.ndarray:
-    """Z[i] = f^i(z0) for i = 0..n, stacked along a new first axis.
-
-    Works on phi directly so orbits of slightly denormalized maps (derivative
-    probes) extrapolate smoothly instead of hitting the eval clamp.  It
-    rounds the operations of _orbit, the Python-float orbit of one point."""
-    z = np.asarray(z0, dtype=float)
-    zs = [z]
-    for _ in range(n):
-        z = f.phi(z * z)
-        zs.append(z)
-    return np.stack(zs)
-
-
 def slopes(f: UnimodalMap, z) -> np.ndarray:
-    """f'(z) = 2 z phi'(z^2), unclamped like orbit_stack."""
+    """f'(z) = 2 z phi'(z^2), unclamped like _orbit."""
     z = np.asarray(z, dtype=float)
     return 2.0 * z * f.phi_deriv(z * z)
 
 
 def _orbit_chain(f: UnimodalMap, z0: np.ndarray, p: int):
-    """(z, chain, dk): the orbit z_0..z_p of z0, chain[j] = Df^j(z_{p-j})
-    and dk[j] = Df^j(z_0), j = 0..p, each multiplied left to right from 1
-    (chain[p] == dk[p]); the one product of slopes along an orbit."""
-    z = orbit_stack(f, z0, p)
+    """(z, chain, dk): the orbit z_0..z_p of z0 (_orbit, stacked along a
+    new first axis), chain[j] = Df^j(z_{p-j}) and dk[j] = Df^j(z_0),
+    j = 0..p, each multiplied left to right from 1 (chain[p] == dk[p]);
+    the one product of slopes along an orbit."""
+    z = np.stack(_orbit(f.coeffs, z0, p))
     s = slopes(f, z[:p])
     chain = np.ones_like(z)
     for k in range(p):
@@ -363,7 +359,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
     lam, p = step.lam, step.p
 
     def phi_tf(u):
-        return orbit_stack(f, f.phi((lam * lam) * u), p - 1)[-1] / lam
+        return _orbit(f.coeffs, f.phi((lam * lam) * u), p - 1)[-1] / lam
 
     return _basis.project_function(phi_tf, degree)
 

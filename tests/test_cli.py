@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -49,6 +50,28 @@ def test_orbit_roundtrip(tmp_path):
     assert len(rows) == 52
     xs = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.max(np.abs(xs)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("c, n, csv_sha256, results", [
+    ("1.5", 50,
+     "8e28b7685eea8c9c8d2a8cc1ec85374fac1e0e99e059df63523e99aa8d98d109",
+     {"c": 1.5, "n": 50, "min": -0.5, "max": 1.0, "clamp_excess": 0.0}),
+    ("2.0", 300,
+     "21394064d54aba01b6db555d0b27334788e5d8c91bb5c5acceefeffeae374435",
+     {"c": 2.0, "n": 300, "min": -1.0, "max": 1.0, "clamp_excess": 0.0}),
+    ("1.4011551890920328", 1024,
+     "205b9d26304498676bd895f35dcc5e233be072053c14907ee80db2399939a1a8",
+     {"c": 1.4011551890920328, "n": 1024, "min": -0.40115518909203285,
+      "max": 1.0, "clamp_excess": 0.0}),
+], ids=["1.5-50", "2.0-300", "c_inf-1024"])
+def test_orbit_outputs_are_pinned(tmp_path, c, n, csv_sha256, results):
+    """orbit.csv's bytes and orbit.json's results, pinned; they are also
+    what an orbit clamped to [-1, 1] gives, since no clamp fires for c in
+    (0, 2]."""
+    assert run(tmp_path, "orbit", "--c", c, "--n", str(n)) == 0
+    got = hashlib.sha256((tmp_path / "orbit.csv").read_bytes()).hexdigest()
+    assert got == csv_sha256
+    assert load_report(tmp_path, "orbit")["results"] == results
 
 
 def test_cascade_is_deterministic(tmp_path):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
+from renormlab.cli import main
 from renormlab.errors import DomainError, InvalidMap
 from renormlab.maps import (NORMALIZATION_TOL, RANGE_TOL, MapDiagnostics,
-                            QuadraticFamily, UnimodalMap, orbit, validate)
+                            QuadraticFamily, UnimodalMap, validate)
 
 EPS = np.finfo(float).eps
 
@@ -124,13 +125,17 @@ def test_from_json_rejects_malformed_text():
         UnimodalMap.from_json("{")
 
 
-def test_orbit_stays_inside_interval():
-    f = quadratic_map(1.9)
-    orb = orbit(f, 0.0, 300)
-    pts = np.asarray(orb.points)
-    assert len(orb) == 301
+def test_orbit_stays_inside_interval(tmp_path):
+    # the critical orbit as `renormlab orbit` writes it, with the overshoot
+    # of the unclamped orbit beyond [-1, 1] as its report reads it
+    argv = ["orbit", "--c", "1.9", "--n", "300", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / "orbit.csv").read_text().splitlines()[1:]
+    pts = np.array([float(r.split(",")[1]) for r in rows])
+    results = json.loads((tmp_path / "orbit.json").read_text())["results"]
+    assert len(pts) == 301
     assert np.max(np.abs(pts)) <= 1.0 + 1e-9
-    assert orb.clamp_excess < 1e-9
+    assert results["clamp_excess"] < 1e-9
 
 
 def test_family_domain_bounds():

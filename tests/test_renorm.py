@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
@@ -20,7 +21,7 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _orbit, _test_one, _test_period,
                               central_dominance,
-                              detect, orbit_stack, project_T, renormalize,
+                              detect, project_T, renormalize,
                               renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
                               tower_rows)
@@ -274,8 +275,9 @@ def test_check_nesting_matches_the_loop_on_any_ends(parents, children):
        z=st.floats(min_value=-1.1, max_value=1.1),
        n=st.integers(min_value=0, max_value=64))
 def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
-    """The Python-float orbit (_orbit) rounds exactly what the array orbit
-    (orbit_stack) rounds.
+    """_orbit rounds what numpy's chebval rounds, iterated: on Python
+    floats, and on a one-row float64 array with the coefficients as an
+    array or as a list, each compared as bytes with _chebval_orbit.
 
     The maps are family members plus a perturbation of every coefficient,
     small enough (1e-3 * 2.5^-k) that orbits from [-1.1, 1.1] stay
@@ -285,9 +287,14 @@ def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
     coeffs += 1e-3 * rng.uniform(-1.0, 1.0, degree + 1) / 2.5 ** np.arange(
         degree + 1)
     f = UnimodalMap(coeffs, check=False)
+    ref = _chebval_orbit(f, np.array([z]), n)
     scalar = _orbit(f.coeffs.tolist(), z, n)
     assert len(scalar) == n + 1 and all(type(x) is float for x in scalar)
-    assert np.array_equal(scalar, orbit_stack(f, np.array([z]), n)[:, 0])
+    assert np.array(scalar).tobytes() == ref[:, 0].tobytes()
+    for c in (f.coeffs, f.coeffs.tolist()):
+        row = np.stack(_orbit(c, np.array([z]), n))
+        assert row.dtype == ref.dtype and row.shape == ref.shape
+        assert row.tobytes() == ref.tobytes()
 
 
 def _trial_reason(trial, i):
@@ -307,12 +314,22 @@ def _trial_reason(trial, i):
         return f"pieces overlap: {exc}"
 
 
+def _chebval_orbit(f, z, n):
+    """f^i(z), i = 0..n, stacked along a new first axis: numpy's chebval
+    iterated, x <- chebval(2 x^2 - 1, c), an orbit computed without
+    renorm."""
+    zs = [np.asarray(z, dtype=float)]
+    for _ in range(n):
+        zs.append(cheb.chebval(2.0 * (zs[-1] * zs[-1]) - 1.0, f.coeffs))
+    return np.stack(zs)
+
+
 def _array_orbit(f, z, n):
-    """f^i(z), i = 0..n, by orbit_stack on a one-row array; like the
+    """f^i(z), i = 0..n, by _chebval_orbit on a one-row array; like the
     Python-float orbit, it may leave the finite floats without a
     warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return orbit_stack(f, np.array([z]), n)[:, 0]
+        return _chebval_orbit(f, np.array([z]), n)[:, 0]
 
 
 def _detect_upfront(f, p_max=16):
@@ -657,7 +674,7 @@ def test_the_c_inf_tower_has_the_exact_combinatorics_to_depth_16():
 def _tower_sampled(f, depth, grid=64):
     """tower with each level's hulls taken over a symmetric grid sample of
     the central interval pushed through p_k - 1 steps, lam_k = f^{p_k}(0)
-    from an array orbit of f."""
+    from _chebval_orbit."""
     levels, periods, scalings = [], [], []
     g, p_cum = f, 1
     truncated_at, note = None, None
@@ -671,7 +688,8 @@ def _tower_sampled(f, depth, grid=64):
         p_cum *= ren.step.p
         lam = float(_array_orbit(f, 0.0, p_cum)[-1])
         a = abs(lam)
-        pieces = _hulls(orbit_stack(f, _sample_symmetric(a, grid), p_cum - 1))
+        pieces = _hulls(
+            _chebval_orbit(f, _sample_symmetric(a, grid), p_cum - 1))
         _check_level_disjoint(pieces, k)
         if levels:
             _check_nesting(pieces, levels[-1], k)
@@ -775,7 +793,7 @@ class _OneRow(UnimodalMap):
         return self
 
     def orbit(self, x, n):
-        return orbit_stack(self, x, n)
+        return _chebval_orbit(self, x, n)
 
     def slopes(self, x):
         return slopes(self, x)
@@ -977,7 +995,7 @@ def test_period_test_matches_the_sampled_test_at_the_fixed_points(
         g = fp.map
         for q in range(2, 9):
             _assert_scan_matches_sampled(
-                _OneRow(g.coeffs), orbit_stack(g, np.zeros(1), 2 * q), q)
+                _OneRow(g.coeffs), _chebval_orbit(g, np.zeros(1), 2 * q), q)
         step, ref = detect(g), _detect_sampled(g)
         assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
         assert np.array_equal(step.intervals, ref.intervals)
