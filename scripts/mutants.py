@@ -57,8 +57,8 @@ MUTANTS = [
      (("(fa <= 0.0) & (fb >= 0.0) | (fb <= 0.0) & (fa >= 0.0)",
        "(fa < 0.0) & (fb > 0.0) | (fb < 0.0) & (fa > 0.0)"),)),
     ("renorm.py", "rank-one term's sign flipped in derivative_terms",
-     (("tail = (x * dk[p] - z[p] / lam) / lam",
-       "tail = -(x * dk[p] - z[p] / lam) / lam"),)),
+     (("tail = (x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam",
+       "tail = -(x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam"),)),
     loosened("solver.py", "COARSE_DEGREE", "12", "8"),
     ("geometry.py", "usable_depth's floor test reverted to < LENGTH_FLOOR",
      (("if not tower.lengths(lv).min() >= LENGTH_FLOOR:",
@@ -113,6 +113,9 @@ MUTANTS = [
      (("        if float(sigma @ direction) < 0.0:\n", "        if False:\n"),)),
     ("cli.py", "orbit's clamp_excess counts overshoot past 0.5",
      (("max(0.0, abs(x) - 1.0)", "max(0.0, abs(x) - 0.5)"),)),
+    ("renorm.py", "_check_level_disjoint's fast path accepts a zero gap",
+     (("if not np.all(_left_to_right(intervals)[1] > 0.0):",
+       "if not np.all(_left_to_right(intervals)[1] >= 0.0):"),)),
 ]
 
 

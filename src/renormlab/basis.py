@@ -3,8 +3,9 @@
 A unimodal map with quadratic tip is stored as f(x) = phi(x^2) where phi is a
 polynomial on [0, 1], written in Chebyshev polynomials shifted to [0, 1],
 T_n(2u - 1).  Every projection onto the basis goes through one least-squares
-fit on 2(D+1) first-kind Chebyshev nodes with the sup residual at the nodes
-reported, so truncation loss is observable rather than silent.
+fit on 2(D+1) first-kind Chebyshev nodes (fit_coeffs), with the sup residual
+at the nodes reported wherever a caller reads it (fit_phi,
+project_function), so truncation loss is observable rather than silent.
 
 Every evaluation whose value reaches an output goes through one kernel,
 clenshaw(c, t): the Clenshaw recurrence in the operation order of
@@ -132,8 +133,8 @@ def normalized_constant(coeffs: np.ndarray) -> np.ndarray:
 
 @cache
 def _collocation(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """project_function's 2(D+1) nodes and their design matrix, read-only,
-    built once per degree."""
+    """The fit's 2(D+1) nodes and their design matrix, read-only, built
+    once per degree."""
     u = collocation_nodes(2 * (degree + 1))
     mat = design_matrix(u, degree)
     u.setflags(write=False)
@@ -141,20 +142,28 @@ def _collocation(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return u, mat
 
 
-def fit_phi(values: np.ndarray, degree: int) -> tuple[np.ndarray, float]:
+def fit_coeffs(values: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares coefficients for phi from its values on the 2(D+1)
-    collocation nodes, plus the sup residual.
-
-    The residual is max |phi(u_t) - values_t| over the nodes; callers decide
-    whether that level of truncation loss is acceptable.  Values of shape
-    (n, nodes) are n functions fitted by one solve: coefficients (n, D+1)
-    and one residual per row.
-    """
+    collocation nodes, by one solve: (D+1,) for one row of values,
+    (n, D+1) for n rows.  The one fit; fit_phi adds the residual."""
     _, mat = _collocation(degree)
     values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(mat, values.T, rcond=None)
-    residual = np.max(np.abs(mat @ coeffs - values.T), axis=0)
-    return coeffs.T, residual if residual.ndim else float(residual)
+    return coeffs.T
+
+
+def fit_phi(values: np.ndarray, degree: int) -> tuple[np.ndarray, float]:
+    """fit_coeffs' coefficients plus the sup residual.
+
+    The residual is max |phi(u_t) - values_t| over the nodes; callers decide
+    whether that level of truncation loss is acceptable.  Values of shape
+    (n, nodes) give one residual per row.
+    """
+    _, mat = _collocation(degree)
+    values = np.asarray(values, dtype=float)
+    coeffs = fit_coeffs(values, degree)
+    residual = np.max(np.abs(mat @ coeffs.T - values.T), axis=0)
+    return coeffs, residual if residual.ndim else float(residual)
 
 
 def project_function(fn, degree: int) -> tuple[np.ndarray, float]:
@@ -164,4 +173,11 @@ def project_function(fn, degree: int) -> tuple[np.ndarray, float]:
     one row of values or a stack (n, nodes) of n functions, fitted by one
     solve."""
     u, _ = _collocation(degree)
-    return fit_phi(np.asarray(fn(u), dtype=float), degree)
+    return fit_phi(fn(u), degree)
+
+
+def project_coeffs(fn, degree: int) -> np.ndarray:
+    """project_function's coefficients without its residual (fit_coeffs),
+    for callers that read none."""
+    u, _ = _collocation(degree)
+    return fit_coeffs(fn(u), degree)

@@ -196,7 +196,7 @@ def _run_feigenbaum(cfg, args, out):
     rep = spectrum(fp.map)
     xs = np.linspace(-1.0, 1.0, cfg.grid)
     write_csv(out / "feigenbaum_map.csv", ["x", "g_x"],
-              zip(xs, fp.map(xs)))
+              zip(xs.tolist(), fp.map(xs).tolist()))
     results = {
         "lambda_star": fp.lambda_star,
         "residual": fp.residual,

@@ -28,8 +28,8 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .errors import OperatorDomainError, TermBlowup
 from .maps import UnimodalMap
-from .renorm import (RenormStep, critical_functional, derivative_terms,
-                     detect)
+from .renorm import (RenormStep, critical_functional, derivative_branches,
+                     derivative_terms, detect)
 
 CONTAINMENT_GRID = 128
 CONTAINMENT_TOL = 1e-10
@@ -226,18 +226,18 @@ def compose_power(L: LOperator, m: int) -> LOperator:
 
 def renorm_derivative_as_loperator(f: UnimodalMap,
                                    step: RenormStep | None = None) -> LOperator:
-    """Derivative of the renormalization at f: the p substitution terms and
-    the rank-one tail of renorm.derivative_terms, whose one orbit of lam x
-    gives the weights, points and point derivatives, with the critical-orbit
-    functional of renorm.critical_functional on the tail."""
+    """Derivative of the renormalization at f: the p substitution terms of
+    renorm.derivative_branches, whose one orbit of lam x stops at step
+    p - 1, and the rank-one term, its weight the tail of
+    renorm.derivative_terms and its functional renorm.critical_functional."""
     if step is None:
         step = detect(f)
 
     def branches(x):
-        return derivative_terms(f, step, x)[:3]
+        return derivative_branches(f, step, x)
 
     def tail_weight(x):
-        return derivative_terms(f, step, x)[3]
+        return derivative_terms(f, step, x)[2]
 
     tail = RankOneTail(tail_weight, *critical_functional(f, step))
     return LOperator(branches, step.p, (tail,))

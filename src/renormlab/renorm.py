@@ -97,36 +97,54 @@ def slopes(f: UnimodalMap, z) -> np.ndarray:
 
 
 def _orbit_chain(f: UnimodalMap, z0: np.ndarray, p: int):
-    """(z, chain, dk): the orbit z_0..z_p of z0 (_orbit, stacked along a
-    new first axis), chain[j] = Df^j(z_{p-j}) and dk[j] = Df^j(z_0),
-    j = 0..p, each multiplied left to right from 1 (chain[p] == dk[p]);
-    the one product of slopes along an orbit."""
-    z = np.stack(_orbit(f.coeffs, z0, p))
-    s = slopes(f, z[:p])
+    """(z, s, chain, dk), p rows each: the orbit z_0..z_{p-1} of z0
+    (_orbit, stacked along a new first axis), its slopes s_i = f'(z_i),
+    chain[j] = Df^j(z_{p-j}) and dk[j] = Df^j(z_0), j = 0..p-1, each
+    multiplied left to right from 1; the one product of slopes along an
+    orbit, in p Clenshaw passes (p - 1 steps and one slope pass).  The
+    p-th step and Df^p(z_0) = dk[p-1] s_{p-1} are left to the callers that
+    read them."""
+    z = np.stack(_orbit(f.coeffs, z0, p - 1))
+    s = slopes(f, z)
     chain = np.ones_like(z)
-    for k in range(p):
+    for k in range(1, p):
         chain[p - k:] *= s[k]
-    dk = np.cumprod(np.concatenate([np.ones_like(z[:1]), s]), axis=0)
-    return z, chain, dk
+    dk = np.cumprod(np.concatenate([np.ones_like(z[:1]), s[:-1]]), axis=0)
+    return z, s, chain, dk
+
+
+def derivative_branches(f: UnimodalMap, step: RenormStep, x: np.ndarray):
+    """(w, y, dy), the substitution terms of DT(f) at the points x, from
+    the orbit z of lam x to step p - 1: rows j = 0..p-1 of
+    w_j = Df^j(z_{p-j})/lam, y_j = z_{p-j-1} and
+    dy_j = lam Df^{p-j-1}(lam x); p Clenshaw passes."""
+    z, _, chain, dk = _orbit_chain(f, step.lam * x, step.p)
+    return chain / step.lam, z[::-1], step.lam * dk[::-1]
 
 
 def derivative_terms(f: UnimodalMap, step: RenormStep, x: np.ndarray):
-    """(w, y, dy, tail) of DT(f) at the points x, from one orbit z of lam x:
-    rows j = 0..p-1 of w_j = Df^j(z_{p-j})/lam, y_j = z_{p-j-1} and
-    dy_j = lam Df^{p-j-1}(lam x), and the weight of the rank-one term
-    (whose functional is critical_functional's),
-    tail = (x Df^p(lam x) - z_p/lam)/lam."""
-    p, lam = step.p, step.lam
-    z, chain, dk = _orbit_chain(f, lam * x, p)
-    tail = (x * dk[p] - z[p] / lam) / lam
-    return chain[:p] / lam, z[p - 1::-1], lam * dk[p - 1::-1], tail
+    """(w, y, tail, nodes, coeffs): all of DT(f) at the 1-d points x,
+    DT(f) v = sum_j w_j v(y_j) + tail sigma(v), off one orbit, that of
+    lam x with the critical point 0.0 appended as a last column, in p + 1
+    Clenshaw passes.  w and y are derivative_branches'; the weight of the
+    rank-one term, tail = (x Df^p(lam x) - z_p/lam)/lam, takes the orbit's
+    p-th step on the columns of x; (nodes, coeffs) are
+    critical_functional's sigma, read off the last column."""
+    p, lam, n = step.p, step.lam, x.size
+    z, s, chain, dk = _orbit_chain(f, np.append(lam * x, 0.0), p)
+    zp = _step(f.coeffs, z[-1, :n])
+    tail = (x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam
+    return (chain[:, :n] / lam, z[::-1, :n], tail,
+            z[::-1, n], chain[:, n])
 
 
 def critical_functional(f: UnimodalMap, step: RenormStep):
     """(nodes, coeffs) of sigma(v) = sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)),
-    j = 0..p-1: the first-order change of lam = f^p(0) under f -> f + v."""
-    z, chain, _ = _orbit_chain(f, np.zeros(1), step.p)
-    return z[step.p - 1::-1, 0], chain[:step.p, 0]
+    j = 0..p-1: the first-order change of lam = f^p(0) under f -> f + v,
+    from the orbit of the critical point alone (derivative_terms reads
+    the same columns off its own orbit)."""
+    z, _, chain, _ = _orbit_chain(f, np.zeros(1), step.p)
+    return z[::-1, 0], chain[:, 0]
 
 
 def _left_to_right(intervals: np.ndarray):
@@ -437,10 +455,15 @@ class IntervalTower:
 
 
 def _check_level_disjoint(intervals: np.ndarray, k: int) -> None:
-    try:
-        spatial_permutation(intervals)
-    except OverlapError as exc:
-        raise OverlapError(f"level {k} {exc}") from None
+    """OverlapError unless the pieces of level k are pairwise disjoint,
+    every gap between neighbours in left-to-right order (_left_to_right)
+    positive; nan gaps pass, as in spatial_permutation, which runs only to
+    word a failure, with the level in front."""
+    if not np.all(_left_to_right(intervals)[1] > 0.0):
+        try:
+            spatial_permutation(intervals)
+        except OverlapError as exc:
+            raise OverlapError(f"level {k} {exc}") from None
 
 
 def _check_nesting(child: np.ndarray, parent: np.ndarray, k: int) -> None:
@@ -528,5 +551,5 @@ def tower_header(tw: IntervalTower) -> dict:
 def tower_rows(tw: IntervalTower):
     """CSV rows (level, index, left, right, length)."""
     for k in range(1, tw.depth + 1):
-        for i, (left, right) in enumerate(tw.level(k)):
-            yield k, i, float(left), float(right), float(right - left)
+        for i, (left, right) in enumerate(tw.level(k).tolist()):
+            yield k, i, left, right, right - left

@@ -33,7 +33,7 @@ def write_csv(path, header, rows) -> Path:
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(map(fmt, row)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

@@ -9,7 +9,8 @@ T(f) = f^p(lam x)/lam at f, acting on an even perturbation v, is
 
 with z_i = f^i(0); the second, rank-one term is the sensitivity of the
 scaling lam = f^p(0) to the perturbation.  One kernel computes both, for
-the L-operator too: renorm.derivative_terms and critical_functional.
+the L-operator too: renorm.derivative_terms gives the terms, the tail and
+the critical functional off one orbit.
 Projected onto the basis this gives a dense matrix whose dominant
 eigenvalue at the period-doubling fixed point is the expansion constant
 delta.
@@ -31,8 +32,8 @@ from .errors import (CombinatoricsMismatch, DegenerateScaling, DomainError,
                      InvalidMap, NoConvergence, NotRenormalizable,
                      TruncationLoss)
 from .maps import QuadraticFamily, UnimodalMap
-from .renorm import (THETA_DOUBLING, RenormStep, critical_functional,
-                     derivative_terms, detect, renormalize, renormalize_with)
+from .renorm import (THETA_DOUBLING, RenormStep, derivative_terms, detect,
+                     renormalize, renormalize_with)
 
 UNSTABLE_CUTOFF = 1e-6   # |eig| > 1 + cutoff counts as expanding
 MAX_HALVINGS = 8         # damping halvings per Newton step
@@ -52,29 +53,30 @@ def derivative_matrix(f: UnimodalMap,
     """Matrix of DT(f) on the coefficient space, shape (D+1, D+1).
 
     Column n is the projection of DT(f) applied to the n-th basis element
-    (the terms and tail of renorm.derivative_terms) through the same
-    basis.project_function renormalize uses, so this matrix is exactly the
-    derivative of the discretized operator (what Newton and
-    finite-difference checks need).  Images of high-order basis elements
-    genuinely exceed degree D, so their fit residual is not small; it is
-    informational and dropped here.
+    onto the basis at the collocation nodes renormalize fits at, so this
+    matrix is exactly the derivative of the discretized operator (what
+    Newton and finite-difference checks need).  One call to
+    renorm.derivative_terms gives the terms, the tail and the critical
+    functional, off one orbit of p + 1 Clenshaw passes.  Images of
+    high-order basis elements genuinely exceed degree D, so their fit
+    residual is not small; it is informational, and basis.project_coeffs
+    does not compute it.
     """
     if step is None:
         step = detect(f)
     dim = f.degree + 1
-    nodes, coeffs = critical_functional(f, step)
-    sens = coeffs @ _basis.design_matrix(nodes ** 2, dim - 1)
 
     def images(u):
         """Row n: DT(f) applied to the n-th basis element, at the nodes u."""
         x = np.sqrt(u)
-        w, y, _, tail = derivative_terms(f, step, x)
+        w, y, tail, nodes, coeffs = derivative_terms(f, step, x)
+        sens = coeffs @ _basis.design_matrix(nodes ** 2, dim - 1)
         design = _basis.design_matrix(y.ravel() ** 2,
                                       dim - 1).reshape(step.p, x.size, dim)
         principal = np.einsum("jt,jtn->tn", w, design)
         return (principal + np.outer(tail, sens)).T
 
-    return _basis.project_function(images, dim - 1)[0].T
+    return _basis.project_coeffs(images, dim - 1).T
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
     """
     m = len(thetas)
     dim = start_cycle[0].coeffs.size
-    norm_row = _basis.design_matrix(np.zeros(1), dim - 1)[0]
+    norm_row = (-1.0) ** np.arange(dim)   # T_n(-1): the row of phi(0)
     pinned = np.arange(m) * dim   # row of each g_i's constant equation
 
     def build_cycle(c_stack: np.ndarray):

@@ -74,6 +74,21 @@ def test_orbit_outputs_are_pinned(tmp_path, c, n, csv_sha256, results):
     assert load_report(tmp_path, "orbit")["results"] == results
 
 
+@pytest.mark.parametrize("argv, name, csv_sha256", [
+    (["tower", "--fixed-point"], "tower.csv",
+     "71dd66a96fa5c48ded3e8f6479fc52dcfdc12a6f3ddcfedc9031ba9f36313e18"),
+    (["feigenbaum"], "feigenbaum_map.csv",
+     "305ddd3e8142ed170d910bc85051488b8a60b74d738073f73cd85b216f211faf"),
+], ids=["tower", "feigenbaum"])
+def test_fixed_point_csvs_are_pinned(tmp_path, argv, name, csv_sha256):
+    """The CSVs of `tower --fixed-point` and `feigenbaum` at the default
+    configuration, pinned byte for byte: their rows are formatted from
+    Python floats, which must print as the numpy floats they hold."""
+    assert run(tmp_path, *argv) == 0
+    got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == csv_sha256
+
+
 def test_cascade_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(a, "cascade", "--n", "8") == 0

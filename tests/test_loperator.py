@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import basis
 from renormlab import loperator as lop
 from renormlab.basis import (collocation_nodes, design_matrix, eval_phi,
                              fit_phi, project_function)
@@ -213,6 +214,31 @@ def test_derivative_matrix_projects_the_per_term_chain_rule(
 
     want = project_function(images, dim - 1)[0].T
     assert np.array_equal(derivative_matrix(g, step), want)
+
+
+@pytest.mark.parametrize("which, p", [("doubling24", 2), ("tripling", 3)])
+def test_one_derivative_runs_one_orbit(which, p, fixed_point_24, request,
+                                       monkeypatch):
+    """Clenshaw passes over arrays: derivative_matrix makes p + 1 (p - 1
+    orbit steps, one slope pass and the p-th step, the critical functional
+    riding on the same orbit), the L-operator's branches p (no p-th
+    step)."""
+    g, step = _case(which, fixed_point_24, request)
+    assert step.p == p
+    L = lop.renorm_derivative_as_loperator(g, step)
+    kernel, calls = basis.clenshaw, []
+
+    def counted(c, t):
+        if isinstance(t, np.ndarray):
+            calls.append(t.shape)
+        return kernel(c, t)
+
+    monkeypatch.setattr(basis, "clenshaw", counted)
+    derivative_matrix(g, step)
+    assert len(calls) == p + 1
+    calls.clear()
+    L.branches(GRID)
+    assert len(calls) == p
 
 
 def test_branches_with_the_wrong_row_count_are_refused():

@@ -205,6 +205,19 @@ def test_check_nesting_names_the_first_escaping_piece_in_time_order():
     _check_nesting(child[[0, 2]], parent, 3)
 
 
+def test_check_level_disjoint_refuses_touching_and_overlapping_pieces():
+    """Pieces that touch (a gap of exactly 0.0) or overlap fail, worded by
+    spatial_permutation with the level in front; disjoint pieces pass."""
+    _check_level_disjoint(np.array([[0.5, 0.6], [-1.0, -0.2], [0.0, 0.4]]), 3)
+    for right, by in [(0.5, "-0.000e+00"), (0.6, "1.000e-01")]:
+        pieces = np.array([[0.5, 0.6], [-1.0, -0.2], [0.0, right]])
+        with pytest.raises(OverlapError) as exc:
+            _check_level_disjoint(pieces, 3)
+        assert str(exc.value) == (
+            f"level 3 pieces 2 and 0 overlap by {by}: "
+            f"[0.0, {right}] vs [0.5, 0.6]")
+
+
 def _check_nesting_loop(child, parent, k, tol=1e-10):
     for left, right in child:
         inside = (parent[:, 0] - tol <= left) & (right <= parent[:, 1] + tol)
