@@ -12,6 +12,7 @@ from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
                               RenormlabError, TruncationLoss)
 from renormlab import families as F
+from renormlab.basis import normalized_constant
 from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
@@ -687,18 +688,24 @@ def test_the_c_inf_tower_has_the_exact_combinatorics_to_depth_16():
 def _tower_sampled(f, depth, grid=64):
     """tower with each level's hulls taken over a symmetric grid sample of
     the central interval pushed through p_k - 1 steps, lam_k = f^{p_k}(0)
-    from _chebval_orbit."""
+    from _chebval_orbit.  p_k comes from detect on the projected
+    renormalizations, projected as renormalize does but with no cap on the
+    residual: tower projects nothing, so renormalize's TruncationLoss is no
+    truncation of it (at c = 1.4324975339664014 the period-9 level's
+    residual sits at 1.0e-10..1.2e-10 at every degree 24..64)."""
     levels, periods, scalings = [], [], []
     g, p_cum = f, 1
     truncated_at, note = None, None
     for k in range(1, depth + 1):
         try:
-            ren = renormalize(g, detect(g))
-        except (NotRenormalizable, DegenerateScaling, TruncationLoss,
-                InvalidMap) as exc:
+            step = detect(g)
+            degree = max(g.degree, renorm.DEFAULT_DEGREE)
+            coeffs, _ = project_T(g, step, degree)
+            g_next = UnimodalMap(normalized_constant(coeffs))
+        except (NotRenormalizable, DegenerateScaling, InvalidMap) as exc:
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
             break
-        p_cum *= ren.step.p
+        p_cum *= step.p
         lam = float(_array_orbit(f, 0.0, p_cum)[-1])
         a = abs(lam)
         pieces = _hulls(
@@ -709,7 +716,7 @@ def _tower_sampled(f, depth, grid=64):
         levels.append(pieces)
         periods.append(p_cum)
         scalings.append(lam)
-        g = ren.map
+        g = g_next
     return IntervalTower(levels=tuple(levels), periods=tuple(periods),
                          scalings=tuple(scalings), truncated_at=truncated_at,
                          note=note, kind="map")
@@ -745,6 +752,7 @@ def test_tower_matches_the_sampled_hulls_on_quadratic_members(c):
 
 
 @given(c=st.floats(min_value=1.0, max_value=2.0))
+@example(c=1.4324975339664014)
 @settings(max_examples=60, deadline=None)
 def test_tower_matches_the_sampled_hulls_across_the_family(c):
     _assert_same_tower(fam.member(c, degree=24), 4)
