@@ -116,6 +116,8 @@ MUTANTS = [
     ("renorm.py", "_check_level_disjoint's fast path accepts a zero gap",
      (("if not np.all(_left_to_right(intervals)[1] > 0.0):",
        "if not np.all(_left_to_right(intervals)[1] >= 0.0):"),)),
+    ("families.py", "parameter_window_tower accepts a repeated type",
+     (("    if len(set(Theta)) < len(Theta):\n", "    if False:\n"),)),
 ]
 
 

@@ -11,7 +11,7 @@ P = p_1 ... p_k and Lam = f_c^P(0) (Collet-Eckmann), whose critical orbit
 is every P-th step of f_c's over Lam: no level is projected.  The window tower
 classifies each grid once for all the children of a window
 (_child_windows): one walk of the parent itinerary per grid, and one
-period scan up to the longest child type (renorm._scan_up_to) tests every
+period scan up to the longest child type (renorm.scan_periods) tests every
 type; a child with no run on a grid falls back to the next grid alone.
 The edges of the run are then roots of scalar critical-orbit equations,
 solved in Python floats by roots.brent (_bisect_edge).  brent tries the
@@ -44,7 +44,7 @@ from .errors import (BracketNotFound, DomainError, NoBracket,
                      SingleItinerary, WindowNotFound)
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
-from .renorm import IntervalTower, _scan_up_to, scan_periods
+from .renorm import IntervalTower, scan_periods
 from .roots import brent, sign_changes
 
 SCAN_GRID = 2000
@@ -232,20 +232,15 @@ class FamilyLevel:
         """g^j(0) = z[j]/z[1] as far as z reaches."""
         return self.z / self.z[1]
 
-    def renormalize(self, theta) -> tuple[np.ndarray, "FamilyLevel"]:
-        """(hit, level): hit indexes the rows whose first renormalization
-        has type theta (what detect(p_max=len(theta)) finds, with spatial
-        ranks exactly theta), and level holds those rows renormalized once
-        more: P times p = len(theta)."""
-        return self.renormalize_each([theta])[0]
-
     def renormalize_each(self, thetas) -> list:
-        """[renormalize(theta) for theta in thetas] from one period scan
-        up to the longest theta q (renorm._scan_up_to): z is run on once,
-        to z[2q], and a child of period p keeps every p-th entry."""
+        """[(hit, level) for theta in thetas]: hit indexes the rows whose
+        first renormalization has type theta (detect(p_max=len(theta))
+        with ranks exactly theta), level holds them renormalized once more
+        (P times len(theta)).  One scan_periods up to the longest theta q
+        runs z on once, to z[2q]; a child of period p keeps every p-th z."""
         q = max(len(t) for t in thetas)
         g = self.extended(2 * q)
-        scan = _scan_up_to(g.orbit, q)
+        scan = scan_periods(g.orbit, q)
         out = []
         for theta in thetas:
             _, _, live, trial = scan[len(theta)]
@@ -274,7 +269,7 @@ def classify_period(fam: QuadraticFamily, cs,
         raise DomainError(f"got p = {p}: renormalization periods start at 2")
     cs = np.asarray(cs, dtype=float)
     rows, g = _level_zero(fam, cs)
-    _, degenerate, live, trial = scan_periods(g.extended(2 * p).orbit, p)
+    _, degenerate, live, trial = scan_periods(g.extended(2 * p).orbit, p)[p]
     ok = trial.fail == 0
     marks = np.zeros(cs.shape, dtype=bool)
     marks[rows[degenerate]] = marks[rows[live[ok]]] = True
@@ -339,13 +334,13 @@ def _itinerary_ok(fam: QuadraticFamily, c: float, prefix) -> bool:
 
 def _prefix_rows(fam: QuadraticFamily, cs: np.ndarray, prefix):
     """(rows, level): the indices of the parameters of cs that realize
-    prefix, in order, and their level after it, one FamilyLevel.renormalize
-    per type.  The walk stops at the first level that no row reaches."""
+    prefix, in order, and their level after it, one renormalize_each per
+    type.  The walk stops at the first level that no row reaches."""
     rows, g = _level_zero(fam, cs)
     for theta in prefix:
         if not rows.size:
             break
-        hit, g = g.renormalize(tuple(theta))
+        hit, g = g.renormalize_each([tuple(theta)])[0]
         rows = rows[hit]
     return rows, g
 
@@ -355,9 +350,9 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     boolean per parameter of cs.
 
     Each level tests all surviving parameters together on the exact
-    renormalization of the family (FamilyLevel.renormalize), so the cost is
-    one pass per level, not one per parameter, and no level past the prefix
-    is built.  Parameters outside the family's domain come out False.
+    renormalization of the family (FamilyLevel.renormalize_each): one pass
+    per level, not one per parameter, and no level past the prefix.
+    Parameters outside the family's domain come out False.
     """
     cs = np.asarray(cs, dtype=float)
     rows, _ = _prefix_rows(fam, cs, prefix)
@@ -472,11 +467,13 @@ def parameter_window_tower(fam: QuadraticFamily, Theta, depth: int,
 
     Level 1 is the hull of the first-generation windows; level k+1 holds the
     |Theta|^k windows of all length-k itineraries, in increasing order.
+    The types must be distinct (a repeat would count its windows twice).
     """
     Theta = [tuple(t) for t in Theta]
-    if len(Theta) < 2:
-        raise SingleItinerary("need at least two renormalization types "
-                              "for a parameter Cantor set")
+    if len(set(Theta)) < 2:
+        raise SingleItinerary("need two distinct renormalization types")
+    if len(set(Theta)) < len(Theta):
+        raise DomainError(f"renormalization types repeat in {Theta}")
     if depth < 1 or depth > 6:
         raise DomainError(f"depth must lie in 1..6, got {depth}")
     frontier: list[tuple[tuple, tuple[float, float]]] = [((), bracket)]

@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, EmptyLevel
-from .renorm import IntervalTower, _check_level_disjoint, _check_nesting
+from .renorm import IntervalTower
 from .roots import brent
 
 LENGTH_FLOOR = 1e-13
@@ -129,18 +129,6 @@ def bounded_geometry(tower: IntervalTower) -> GeometryReport:
         gap_ratios=tuple(gap_ratios),
         near_degenerate=tau <= NEAR_DEGENERATE_TAU,
     )
-
-
-def largest_interval_constant(tower: IntervalTower) -> np.ndarray:
-    """Per-level max_i |Delta_i| / |Delta_0|, one entry per usable level."""
-    kmax = usable_depth(tower)
-    if kmax < 1:
-        raise EmptyLevel("tower has no usable levels")
-    out = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        lens = tower.lengths(k)
-        out[k - 1] = lens.max() / lens[0]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,51 +248,3 @@ def hausdorff_dimension(tower: IntervalTower,
         stability=float(abs(s_hi - s_lo)),
         fit_levels=(kmin, kmax),
     )
-
-
-# ---------------------------------------------------------------------------
-# synthetic towers (test oracles and surrogates)
-
-
-def self_similar_tower(branching: int, ratio: float,
-                       depth: int) -> IntervalTower:
-    """Exactly self-similar tower on [0, 1].
-
-    Each interval spawns `branching` children of `ratio` times its length,
-    flush with its endpoints and separated by equal gaps.  Closed forms:
-    spectral_sum's S_k = branching^k * ratio^(k(t-1)), so the fitted mu is
-    branching * ratio^(t-1); the dimension is log(branching) / log(1/ratio).
-    """
-    if branching < 2:
-        raise DomainError(f"branching must be >= 2, got {branching}")
-    if not 0.0 < ratio * branching < 1.0:
-        raise DomainError(f"need 0 < branching * ratio < 1, got "
-                          f"{branching * ratio}")
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    levels = []
-    current = np.array([[0.0, 1.0]])
-    for _ in range(depth):
-        nxt = []
-        for a, b in current:
-            ln = (b - a) * ratio
-            gap = ((b - a) - branching * ln) / (branching - 1)
-            for j in range(branching):
-                left = a + j * (ln + gap)
-                nxt.append((left, left + ln))
-        current = np.asarray(nxt)
-        levels.append(current)
-    periods = tuple(branching**k for k in range(1, depth + 1))
-    tw = IntervalTower(levels=tuple(levels), periods=periods, scalings=None,
-                       note=f"self-similar p={branching} r={ratio}",
-                       kind="synthetic")
-    for k in range(1, depth + 1):
-        _check_level_disjoint(tw.level(k), k)
-        if k >= 2:
-            _check_nesting(tw.level(k), tw.level(k - 1), k)
-    return tw
-
-
-def middle_thirds_tower(depth: int) -> IntervalTower:
-    """Standard middle-thirds construction; dimension log2/log3 exactly."""
-    return self_similar_tower(2, 1.0 / 3.0, depth)

@@ -12,8 +12,8 @@ weight, point and point derivative of every term, as (n_terms, x.size)
 arrays.  Composition has one rule, _extend, which follows every word (a row
 of w, y, dy) by every term of the next operator; compose builds its
 branches with it and norm_growth expands L^m with it level by level, so
-norm_growth equals gamma_norm(compose_power(L, m), gamma) bit for bit
-because both run the same code.  The rank-one tails stay outside the norm
+norm_growth equals gamma_norm of the m-fold compose bit for bit because
+both run the same code.  The rank-one tails stay outside the norm
 estimates.  All derivatives are analytic chain-rule products.
 """
 
@@ -28,8 +28,8 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .errors import OperatorDomainError, TermBlowup
 from .maps import UnimodalMap
-from .renorm import (RenormStep, critical_functional, derivative_branches,
-                     derivative_terms, detect)
+from .renorm import (RenormStep, derivative_branches, derivative_terms,
+                     detect)
 
 CONTAINMENT_GRID = 128
 CONTAINMENT_TOL = 1e-10
@@ -54,12 +54,6 @@ class RankOneTail:
         coeffs.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def functional(self, v) -> float:
-        return float(np.dot(self.coeffs, v(self.nodes)))
-
-    def apply(self, v, x: np.ndarray) -> np.ndarray:
-        return self.weight(np.asarray(x, float)) * self.functional(v)
 
 
 def _check_contained(y: np.ndarray) -> None:
@@ -117,17 +111,6 @@ def _principal(L: LOperator, v, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(L: LOperator, v, grid) -> np.ndarray:
-    """Pointwise Lv on grid points in [-1,1]."""
-    x = np.asarray(grid, dtype=float)
-    if x.size and float(np.max(np.abs(x))) > 1.0 + CONTAINMENT_TOL:
-        raise OperatorDomainError("grid leaves [-1,1]")
-    out = _principal(L, v, x)
-    for t in L.tails:
-        out = out + t.apply(v, x)
-    return out
-
-
 def _positive_gamma(gamma) -> float:
     gamma = float(gamma)
     if not gamma > 0.0:
@@ -135,24 +118,9 @@ def _positive_gamma(gamma) -> float:
     return gamma
 
 
-def apply_positive(L: LOperator, gamma: float, v, grid) -> np.ndarray:
-    """L_gamma v(x) = sum_i |w_i(x)| |Dy_i(x)|^gamma v(y_i(x)).
-
-    Acts on the principal terms only; the rank-one tails are not of
-    substitution form and stay outside the positive-operator estimates.
-    """
-    gamma = _positive_gamma(gamma)
-    x = np.asarray(grid, dtype=float)
-    w, y, dy = L.branches(x)
-    out = np.zeros_like(x)
-    for wi, yi, dyi in zip(w, y, dy):
-        out = out + (np.abs(wi) * np.abs(dyi)**gamma) * v(yi)
-    return out
-
-
 def _positive_sup(w, dy, gamma: float) -> float:
     """max over the columns of sum_i |w_i| |dy_i|^gamma, rows added in
-    apply_positive's order: L_gamma 1 on the grid of the columns."""
+    order: L_gamma 1 on the grid of the columns."""
     total = np.zeros(w.shape[1])
     for row in np.abs(w) * np.abs(dy)**gamma:
         total = total + row
@@ -215,21 +183,12 @@ def compose(L1: LOperator, L2: LOperator) -> LOperator:
                      tuple(tails))
 
 
-def compose_power(L: LOperator, m: int) -> LOperator:
-    if m < 1:
-        raise OperatorDomainError(f"power must be >= 1, got {m}")
-    out = L
-    for _ in range(m - 1):
-        out = compose(out, L)
-    return out
-
-
 def renorm_derivative_as_loperator(f: UnimodalMap,
                                    step: RenormStep | None = None) -> LOperator:
     """Derivative of the renormalization at f: the p substitution terms of
     renorm.derivative_branches, whose one orbit of lam x stops at step
-    p - 1, and the rank-one term, its weight the tail of
-    renorm.derivative_terms and its functional renorm.critical_functional."""
+    p - 1, and the rank-one term, whose weight is the tail and functional
+    the (nodes, coeffs) of renorm.derivative_terms, the latter at no x."""
     if step is None:
         step = detect(f)
 
@@ -239,15 +198,16 @@ def renorm_derivative_as_loperator(f: UnimodalMap,
     def tail_weight(x):
         return derivative_terms(f, step, x)[2]
 
-    tail = RankOneTail(tail_weight, *critical_functional(f, step))
+    tail = RankOneTail(tail_weight,
+                       *derivative_terms(f, step, np.empty(0))[3:])
     return LOperator(branches, step.p, (tail,))
 
 
 def norm_growth(L: LOperator, gamma: float, m_max: int) -> np.ndarray:
     """gamma_norm of L, L^2, ..., L^m_max (principal parts): level m is
     _extend(L, level m - 1), one branches call on the points of all
-    p^(m-1) words, where compose_power evaluates every level below again;
-    each norm equals gamma_norm(compose_power(L, m), gamma) bit for bit.
+    p^(m-1) words, where composing L m times evaluates every level below
+    again; each norm equals gamma_norm of that m-fold compose bit for bit.
 
     compose's checks are kept: TermBlowup when p^m > COMPOSE_CAP, and
     OperatorDomainError, with compose's message, when a word's point

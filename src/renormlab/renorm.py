@@ -128,23 +128,15 @@ def derivative_terms(f: UnimodalMap, step: RenormStep, x: np.ndarray):
     lam x with the critical point 0.0 appended as a last column, in p + 1
     Clenshaw passes.  w and y are derivative_branches'; the weight of the
     rank-one term, tail = (x Df^p(lam x) - z_p/lam)/lam, takes the orbit's
-    p-th step on the columns of x; (nodes, coeffs) are
-    critical_functional's sigma, read off the last column."""
+    p-th step on the columns of x; (nodes, coeffs), off the last column,
+    are sigma(v) = sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)), lam = f^p(0)'s
+    first-order change under f -> f + v (an empty x gives these alone)."""
     p, lam, n = step.p, step.lam, x.size
     z, s, chain, dk = _orbit_chain(f, np.append(lam * x, 0.0), p)
     zp = _step(f.coeffs, z[-1, :n])
     tail = (x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam
     return (chain[:, :n] / lam, z[::-1, :n], tail,
             z[::-1, n], chain[:, n])
-
-
-def critical_functional(f: UnimodalMap, step: RenormStep):
-    """(nodes, coeffs) of sigma(v) = sum_j Df^j(f^{p-j}(0)) v(f^{p-j-1}(0)),
-    j = 0..p-1: the first-order change of lam = f^p(0) under f -> f + v,
-    from the orbit of the critical point alone (derivative_terms reads
-    the same columns off its own orbit)."""
-    z, _, chain, _ = _orbit_chain(f, np.zeros(1), step.p)
-    return z[::-1, 0], chain[:, 0]
 
 
 def _left_to_right(intervals: np.ndarray):
@@ -325,24 +317,15 @@ def detect(f: UnimodalMap, p_max: int = P_MAX,
     return _first_period(f.coeffs.tolist(), [0.0], 1, 1.0, p_max)
 
 
-def scan_periods(z: np.ndarray, q: int):
-    """What detect(p_max=q) finds at period q, for every column of the
-    critical orbits z[k, i] = f_i^k(0), k = 0..2q or more, at once
-    (families.FamilyLevel.orbit).  Returns (lam, degenerate, rows, trial):
-    lam[i] = f_i^q(0); degenerate and rows split the rows where no period
-    p < q is degenerate or admissible by whether lam vanishes at q (detect
-    raises there), and trial tests period q on rows.  It is the last entry
-    of _scan_up_to(z, q).
-    """
-    return _scan_up_to(z, q)[q]
-
-
-def _scan_up_to(z: np.ndarray, q: int) -> dict:
-    """{p: scan_periods(z, p)} for p = 2..q (for q < 2, the one entry q,
-    on no rows), from one scan: the orbits to step 2q serve every
-    candidate, and the rows admissible at p drop out before p + 1 is
-    tried.  Entry p reads only the first 2p steps of the orbits, so it is
-    the same bit for bit for every q >= p."""
+def scan_periods(z: np.ndarray, q: int) -> dict:
+    """What detect(p_max=p) finds at period p, p = 2..q (q alone, on no
+    rows, for q < 2), for every column of the critical orbits
+    z[k, i] = f_i^k(0), k = 0..2q or more, at once (FamilyLevel.orbit):
+    entry p is (lam, degenerate, rows, trial), lam[i] = f_i^p(0);
+    degenerate and rows split the rows where no period below p is
+    degenerate or admissible by whether lam vanishes at p (detect raises
+    there); trial tests p on rows.  Rows admissible at p drop out before
+    p + 1; entry p reads z to step 2p only, the same for every q >= p."""
     degenerate = rows = np.arange(z.shape[1] if q >= 2 else 0)
     out = {}
     for p in range(min(2, q), q + 1):
@@ -525,15 +508,6 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     return IntervalTower(levels=tuple(levels), periods=tuple(periods),
                          scalings=tuple(scalings), truncated_at=truncated_at,
                          note=note, kind="map")
-
-
-def central_dominance(tw: IntervalTower) -> float:
-    """min over levels of |Delta_{0,k}| / max_i |Delta_{i,k}|."""
-    floor = np.inf
-    for k in range(1, tw.depth + 1):
-        lens = tw.lengths(k)
-        floor = min(floor, float(lens[0] / np.max(lens)))
-    return float(floor)
 
 
 def tower_header(tw: IntervalTower) -> dict:

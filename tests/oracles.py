@@ -1,0 +1,111 @@
+"""Reference implementations the tests compare the package against.
+
+Nothing in the package calls these: pointwise application of an
+L-operator with its rank-one tails, the positive operator L_gamma applied
+to a function, powers of an L-operator by repeated compose, and exactly
+self-similar interval towers with closed-form sums and dimension.
+"""
+
+import numpy as np
+
+from renormlab.errors import DomainError, OperatorDomainError
+from renormlab.loperator import (CONTAINMENT_TOL, LOperator, RankOneTail,
+                                 _positive_gamma, _principal, compose)
+from renormlab.renorm import (IntervalTower, _check_level_disjoint,
+                              _check_nesting)
+
+
+# ---------------------------------------------------------------------------
+# L-operators
+
+
+def tail_functional(t: RankOneTail, v) -> float:
+    """sum_j coeffs[j] * v(nodes[j])."""
+    return float(np.dot(t.coeffs, v(t.nodes)))
+
+
+def tail_apply(t: RankOneTail, v, x: np.ndarray) -> np.ndarray:
+    return t.weight(np.asarray(x, float)) * tail_functional(t, v)
+
+
+def apply(L: LOperator, v, grid) -> np.ndarray:
+    """Pointwise Lv on grid points in [-1,1]."""
+    x = np.asarray(grid, dtype=float)
+    if x.size and float(np.max(np.abs(x))) > 1.0 + CONTAINMENT_TOL:
+        raise OperatorDomainError("grid leaves [-1,1]")
+    out = _principal(L, v, x)
+    for t in L.tails:
+        out = out + tail_apply(t, v, x)
+    return out
+
+
+def apply_positive(L: LOperator, gamma: float, v, grid) -> np.ndarray:
+    """L_gamma v(x) = sum_i |w_i(x)| |Dy_i(x)|^gamma v(y_i(x)).
+
+    Acts on the principal terms only; the rank-one tails are not of
+    substitution form and stay outside the positive-operator estimates.
+    """
+    gamma = _positive_gamma(gamma)
+    x = np.asarray(grid, dtype=float)
+    w, y, dy = L.branches(x)
+    out = np.zeros_like(x)
+    for wi, yi, dyi in zip(w, y, dy):
+        out = out + (np.abs(wi) * np.abs(dyi)**gamma) * v(yi)
+    return out
+
+
+def compose_power(L: LOperator, m: int) -> LOperator:
+    if m < 1:
+        raise OperatorDomainError(f"power must be >= 1, got {m}")
+    out = L
+    for _ in range(m - 1):
+        out = compose(out, L)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# synthetic towers
+
+
+def self_similar_tower(branching: int, ratio: float,
+                       depth: int) -> IntervalTower:
+    """Exactly self-similar tower on [0, 1].
+
+    Each interval spawns `branching` children of `ratio` times its length,
+    flush with its endpoints and separated by equal gaps.  Closed forms:
+    spectral_sum's S_k = branching^k * ratio^(k(t-1)), so the fitted mu is
+    branching * ratio^(t-1); the dimension is log(branching) / log(1/ratio).
+    """
+    if branching < 2:
+        raise DomainError(f"branching must be >= 2, got {branching}")
+    if not 0.0 < ratio * branching < 1.0:
+        raise DomainError(f"need 0 < branching * ratio < 1, got "
+                          f"{branching * ratio}")
+    if depth < 1:
+        raise DomainError(f"depth must be >= 1, got {depth}")
+    levels = []
+    current = np.array([[0.0, 1.0]])
+    for _ in range(depth):
+        nxt = []
+        for a, b in current:
+            ln = (b - a) * ratio
+            gap = ((b - a) - branching * ln) / (branching - 1)
+            for j in range(branching):
+                left = a + j * (ln + gap)
+                nxt.append((left, left + ln))
+        current = np.asarray(nxt)
+        levels.append(current)
+    periods = tuple(branching**k for k in range(1, depth + 1))
+    tw = IntervalTower(levels=tuple(levels), periods=periods, scalings=None,
+                       note=f"self-similar p={branching} r={ratio}",
+                       kind="synthetic")
+    for k in range(1, depth + 1):
+        _check_level_disjoint(tw.level(k), k)
+        if k >= 2:
+            _check_nesting(tw.level(k), tw.level(k - 1), k)
+    return tw
+
+
+def middle_thirds_tower(depth: int) -> IntervalTower:
+    """Standard middle-thirds construction; dimension log2/log3 exactly."""
+    return self_similar_tower(2, 1.0 / 3.0, depth)

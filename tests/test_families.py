@@ -246,6 +246,21 @@ def test_single_type_rejected(quadratic):
         F.parameter_window_tower(quadratic, [THETA_DOUBLING], 2)
 
 
+def test_one_distinct_type_repeated_is_a_single_itinerary(quadratic):
+    # two copies of one type made a tower whose every window came twice
+    with pytest.raises(SingleItinerary, match="two distinct"):
+        F.parameter_window_tower(quadratic, [THETA_DOUBLING] * 2, 3)
+
+
+def test_repeated_type_rejected(quadratic):
+    # (doubling, tripling, tripling) counted each tripling window twice
+    Theta = [THETA_DOUBLING, THETA_TRIPLING, THETA_TRIPLING]
+    with pytest.raises(DomainError, match="repeat"):
+        F.parameter_window_tower(quadratic, Theta, 3)
+    with pytest.raises(DomainError, match="repeat"):
+        F.parameter_cantor_dimension(quadratic, Theta, 3)
+
+
 def test_itinerary_without_window_reports_depth(quadratic):
     with pytest.raises(WindowNotFound) as err:
         F.infinitely_renormalizable_parameter(quadratic, [THETA_TRIPLING], 2,
@@ -482,7 +497,7 @@ def test_family_levels_hold_the_family_orbit_on_nested_chase_grids(
         cs = np.linspace(*bracket, 513)
         _, g = F._level_zero(quadratic, cs)
         for theta in prefix[:depth]:
-            _, g = g.renormalize(theta)
+            _, g = g.renormalize_each([theta])[0]
             assert len(g.z) == 3 and len(g.extended(5).z) == 6
             rows += _assert_level_is_the_family_orbit(quadratic, g)
             rows += _assert_level_is_the_family_orbit(quadratic,

@@ -9,13 +9,15 @@ from renormlab import geometry as G
 from renormlab.errors import DomainError, EmptyLevel, NoBracket
 from renormlab.renorm import IntervalTower
 
+from oracles import middle_thirds_tower, self_similar_tower
+
 LOG2_LOG3 = np.log(2.0) / np.log(3.0)
 
 
 # --- synthetic towers with known answers --------------------------------
 
 def test_middle_thirds_geometry():
-    tw = G.middle_thirds_tower(10)
+    tw = middle_thirds_tower(10)
     rep = G.bounded_geometry(tw)
     assert abs(rep.tau - 1.0 / 3.0) < 1e-9
     assert rep.all_interior()
@@ -23,7 +25,7 @@ def test_middle_thirds_geometry():
 
 
 def test_middle_thirds_dimension():
-    tw = G.middle_thirds_tower(10)
+    tw = middle_thirds_tower(10)
     dim = G.hausdorff_dimension(tw)
     assert abs(dim.s_estimate - LOG2_LOG3) < 1e-6
     assert abs(dim.eta - 1.0) < 1e-6
@@ -31,21 +33,21 @@ def test_middle_thirds_dimension():
 
 
 def test_self_similar_partition_exponent():
-    tw = G.self_similar_tower(3, 0.2, 8)
+    tw = self_similar_tower(3, 0.2, 8)
     dim = G.hausdorff_dimension(tw)
     assert abs(dim.s_estimate - np.log(3) / np.log(5)) < 1e-6
 
 
 def test_dimension_resolves_to_float_precision():
     # the root is solved to float resolution, not to a bisection tolerance
-    mt = G.hausdorff_dimension(G.middle_thirds_tower(10))
+    mt = G.hausdorff_dimension(middle_thirds_tower(10))
     assert abs(mt.s_estimate - LOG2_LOG3) < 1e-12
-    ss = G.hausdorff_dimension(G.self_similar_tower(3, 0.2, 8))
+    ss = G.hausdorff_dimension(self_similar_tower(3, 0.2, 8))
     assert abs(ss.s_estimate - np.log(3) / np.log(5)) < 1e-12
 
 
 def test_self_similar_sum_ratio_closed_form():
-    tw = G.self_similar_tower(3, 0.2, 8)
+    tw = self_similar_tower(3, 0.2, 8)
     fit = G.spectral_sum(tw, 2.5)
     assert abs(fit.mu - 3 * 0.2**1.5) < 1e-10
 
@@ -55,7 +57,7 @@ def test_self_similar_sum_ratio_closed_form():
        ratio=st.floats(0.05, 0.24),
        t=st.floats(1.2, 4.0))
 def test_sum_ratio_closed_form_property(branching, ratio, t):
-    tw = G.self_similar_tower(branching, ratio, 6)
+    tw = self_similar_tower(branching, ratio, 6)
     fit = G.spectral_sum(tw, t)
     assert abs(fit.mu - branching * ratio ** (t - 1.0)) < 1e-8
 
@@ -70,7 +72,7 @@ def test_near_degenerate_tower_is_flagged():
 
 
 def test_usable_depth_stops_at_length_floor():
-    tw = G.self_similar_tower(2, 0.01, 8)
+    tw = self_similar_tower(2, 0.01, 8)
     assert len(tw.levels) == 8
     assert G.usable_depth(tw) == 6
 
@@ -78,7 +80,7 @@ def test_usable_depth_stops_at_length_floor():
 def test_a_nan_length_ends_the_usable_depth():
     # one nan right end at level 5; nan < LENGTH_FLOOR is False, so a
     # floor test written as `< LENGTH_FLOOR` counts the level as resolved
-    tw = G.self_similar_tower(2, 1.0 / 3.0, 7)
+    tw = self_similar_tower(2, 1.0 / 3.0, 7)
     levels = [lv.copy() for lv in tw.levels]
     levels[4][0, 1] = np.nan
     tw = IntervalTower(levels=tuple(levels), periods=tw.periods,
@@ -99,11 +101,6 @@ def test_fixed_point_tower_has_bounded_geometry(tower_8):
     assert rep.all_interior()
     assert not rep.near_degenerate
     assert rep.levels_checked >= 8
-
-
-def test_fixed_point_largest_interval_is_the_first(tower_8):
-    lic = G.largest_interval_constant(tower_8)
-    assert np.allclose(lic, 1.0, atol=1e-12)
 
 
 def test_fixed_point_cubic_sums_contract(tower_8):
@@ -152,18 +149,18 @@ def test_partition_exponent_range(tower_8):
 
 def test_shallow_tower_rejected_for_dimension():
     with pytest.raises(EmptyLevel):
-        G.hausdorff_dimension(G.middle_thirds_tower(3))
+        G.hausdorff_dimension(middle_thirds_tower(3))
 
 
 def test_one_usable_level_has_a_partition_sum():
-    tw = G.self_similar_tower(2, 1.0 / 3.0, 1)
+    tw = self_similar_tower(2, 1.0 / 3.0, 1)
     assert G.usable_depth(tw) == 1
     (total,) = G.partition_sum(tw, LOG2_LOG3)
     assert abs(total - 1.0) < 1e-15      # 2 (1/3)^s = 1 at the dimension
 
 
 def test_five_usable_levels_are_enough_for_the_dimension():
-    tw = G.middle_thirds_tower(5)
+    tw = middle_thirds_tower(5)
     assert G.usable_depth(tw) == 5
     dim = G.hausdorff_dimension(tw)
     assert dim.fit_levels == (2, 5)
@@ -172,7 +169,7 @@ def test_five_usable_levels_are_enough_for_the_dimension():
 
 def test_the_shortest_fit_window_is_allowed():
     # kmin = kmax - 2: two ratios in the fit, one in each stability window
-    tw = G.middle_thirds_tower(7)
+    tw = middle_thirds_tower(7)
     dim = G.hausdorff_dimension(tw, kmin=5)
     assert dim.fit_levels == (5, 7)
     assert abs(dim.s_estimate - LOG2_LOG3) < 1e-12
@@ -182,7 +179,7 @@ def test_the_shortest_fit_window_is_allowed():
 
 def test_a_fit_window_below_level_one_is_refused():
     with pytest.raises(DomainError, match="kmin = 0"):
-        G.hausdorff_dimension(G.middle_thirds_tower(7), kmin=0)
+        G.hausdorff_dimension(middle_thirds_tower(7), kmin=0)
 
 
 def test_single_level_tower_rejected():
@@ -276,8 +273,8 @@ def _assert_geometry_matches_the_loop(tower):
 def test_bounded_geometry_matches_the_loop_on_map_towers(tower_8, tower_9):
     for tw in (tower_8, tower_9):
         assert _assert_geometry_matches_the_loop(tw).levels_checked >= 8
-    for tw in (G.middle_thirds_tower(10), G.self_similar_tower(3, 0.2, 6),
-               G.self_similar_tower(2, 0.01, 8)):
+    for tw in (middle_thirds_tower(10), self_similar_tower(3, 0.2, 6),
+               self_similar_tower(2, 0.01, 8)):
         _assert_geometry_matches_the_loop(tw)
 
 
@@ -353,7 +350,7 @@ def test_self_similar_tower_memory_is_not_parents_times_children():
     nesting check's binary search keeps the whole build under 8 MB."""
     tracemalloc.start()
     try:
-        tw = G.self_similar_tower(2, 1.0 / 3.0, 13)
+        tw = self_similar_tower(2, 1.0 / 3.0, 13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

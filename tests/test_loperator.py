@@ -10,11 +10,12 @@ from renormlab import loperator as lop
 from renormlab.basis import (collocation_nodes, design_matrix, eval_phi,
                              fit_phi, project_function)
 from renormlab.errors import OperatorDomainError, TermBlowup
-from renormlab.renorm import (RenormStep, detect, slopes,
+from renormlab.renorm import (RenormStep, derivative_terms, detect, slopes,
                               spatial_permutation, tower)
 from renormlab.solver import derivative_matrix, solve_fixed_point
 
 from conftest import affine_operator
+from oracles import apply, apply_positive, compose_power
 
 GRID = np.linspace(-1.0, 1.0, 201)
 EPS = np.finfo(float).eps
@@ -23,22 +24,22 @@ EPS = np.finfo(float).eps
 def test_identity_operator_is_identity():
     I = affine_operator([(1.0, 1.0, 0.0)])
     v = lambda x: np.sin(3.0 * x) + x**2
-    assert np.max(np.abs(lop.apply(I, v, GRID) - v(GRID))) < 1e-15
+    assert np.max(np.abs(apply(I, v, GRID) - v(GRID))) < 1e-15
 
 
 def test_symmetrizer_kills_odd_functions():
     sym = affine_operator([(0.5, 1.0, 0.0), (0.5, -1.0, 0.0)])
     odd = lambda x: x**3 - 0.2 * x
     even = lambda x: np.cos(x)
-    assert np.max(np.abs(lop.apply(sym, odd, GRID))) < 1e-15
-    assert np.max(np.abs(lop.apply(sym, even, GRID) - even(GRID))) < 1e-15
+    assert np.max(np.abs(apply(sym, odd, GRID))) < 1e-15
+    assert np.max(np.abs(apply(sym, even, GRID) - even(GRID))) < 1e-15
 
 
 def test_positive_operator_weights_by_derivative_power():
     L = affine_operator([(1.0, 0.5, 0.0)])
     v = lambda x: 1.0 + x**2
     want = 0.25 * v(0.5 * GRID)
-    assert np.max(np.abs(lop.apply_positive(L, 2.0, v, GRID) - want)) < 1e-14
+    assert np.max(np.abs(apply_positive(L, 2.0, v, GRID) - want)) < 1e-14
     assert lop.gamma_norm(L, 2.0) == pytest.approx(0.25)
 
 
@@ -56,9 +57,9 @@ def test_composition_agrees_with_sequential_application(rows1, rows2):
     L2 = affine_operator(rows2)
     both = lop.compose(L1, L2)
     v = lambda x: np.cos(2.0 * x) + 0.3 * x
-    inner = lambda x: lop.apply(L2, v, np.atleast_1d(x))
-    direct = lop.apply(L1, inner, GRID)
-    assert np.max(np.abs(lop.apply(both, v, GRID) - direct)) < 1e-10
+    inner = lambda x: apply(L2, v, np.atleast_1d(x))
+    direct = apply(L1, inner, GRID)
+    assert np.max(np.abs(apply(both, v, GRID) - direct)) < 1e-10
 
 
 def test_renorm_derivative_term_count(fixed_point_24, tripling_fixed_point):
@@ -81,7 +82,7 @@ def test_operator_columns_match_derivative_matrix(fixed_point_24):
     for _ in range(4):
         c = rng.normal(size=g.degree + 1)
         w = lambda x: eval_phi(c, np.asarray(x) ** 2)
-        fitted, _ = fit_phi(lop.apply(L, w, xs), g.degree)
+        fitted, _ = fit_phi(apply(L, w, xs), g.degree)
         # both read renorm.derivative_terms and differ only in the order of
         # summation and the fit: 4.6e-15 * scale at most here
         assert np.max(np.abs(A @ c - fitted)) < 64 * EPS * scale
@@ -92,7 +93,7 @@ def test_unstable_vector_is_an_eigenfunction(fixed_point_24, spectrum_24):
     L = lop.renorm_derivative_as_loperator(g)
     u = spectrum_24.unstable_vector
     w = lambda x: eval_phi(u, np.asarray(x) ** 2)
-    lhs = lop.apply(L, w, GRID)
+    lhs = apply(L, w, GRID)
     assert np.max(np.abs(lhs - spectrum_24.delta * w(GRID))) < 1e-7
 
 
@@ -115,7 +116,7 @@ def test_composed_square_matches_two_step_operator(fixed_point_24):
 
     v = lambda x: np.cos(1.7 * x) - 0.4 * x**2
     xs = np.linspace(-0.9, 0.9, 120)
-    gap = lop.apply(LL, v, xs) - lop.apply(direct, v, xs)
+    gap = apply(LL, v, xs) - apply(direct, v, xs)
     assert np.max(np.abs(gap)) < 1e-7
 
 
@@ -194,6 +195,21 @@ def test_one_orbit_branches_are_the_per_term_chain_rule(
     assert tail.coeffs.tolist() == coeffs.tolist()
 
 
+@pytest.mark.parametrize("which", ["doubling24", "tripling"])
+def test_tail_functional_is_derivative_terms_at_any_points(
+        which, fixed_point_24, request):
+    """The L-operator's (nodes, coeffs) are derivative_terms' last two
+    outputs as bytes, whether the orbit carries no points of x or the
+    collocation points derivative_matrix evaluates at."""
+    g, step = _case(which, fixed_point_24, request)
+    (tail,) = lop.renorm_derivative_as_loperator(g, step).tails
+    for x in (np.empty(0), np.sqrt(collocation_nodes(2 * (g.degree + 1)))):
+        for got, want in zip((tail.nodes, tail.coeffs),
+                             derivative_terms(g, step, x)[3:]):
+            assert got.shape == want.shape == (step.p,)
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("which", CASES)
 def test_derivative_matrix_projects_the_per_term_chain_rule(
         which, fixed_point_24, request):
@@ -260,7 +276,7 @@ def test_norm_bound_dominates_random_sections(fixed_point_24):
         c = rng.uniform(0.0, 1.0, size=4)
         v = lambda x: np.polyval(c, np.asarray(x) ** 2)
         sup_v = np.max(np.abs(v(np.linspace(-1, 1, 400))))
-        out = lop.apply_positive(L, 3.0, v, xs)
+        out = apply_positive(L, 3.0, v, xs)
         assert np.max(np.abs(out)) <= bound * sup_v + 1e-12
 
 
@@ -290,14 +306,14 @@ def test_escaping_branch_is_rejected():
 def test_apply_checks_the_grid(fixed_point_24):
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(OperatorDomainError):
-        lop.apply(L, lambda x: x, np.array([0.0, 1.2]))
+        apply(L, lambda x: x, np.array([0.0, 1.2]))
 
 
 def test_term_cap_trips(fixed_point_24, monkeypatch):
     monkeypatch.setattr(lop, "COMPOSE_CAP", 8)
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(TermBlowup):
-        lop.compose_power(L, 5)
+        compose_power(L, 5)
 
 
 AFFINE_ROWS = {
@@ -313,7 +329,7 @@ def test_norm_growth_is_gamma_norm_of_composed_powers_bit_for_bit(
     L = (lop.renorm_derivative_as_loperator(fixed_point_24.map)
          if which == "fixed_point_24" else
          affine_operator(AFFINE_ROWS[which]))
-    want = [lop.gamma_norm(lop.compose_power(L, m), gamma)
+    want = [lop.gamma_norm(compose_power(L, m), gamma)
             for m in range(1, 5)]
     assert lop.norm_growth(L, gamma, 4).tolist() == want
 
@@ -329,7 +345,7 @@ def test_norm_growth_term_cap_trips_like_compose_power(fixed_point_24,
     monkeypatch.setattr(lop, "COMPOSE_CAP", 8)
     L = lop.renorm_derivative_as_loperator(fixed_point_24.map)
     with pytest.raises(TermBlowup) as composed:
-        lop.compose_power(L, 4)
+        compose_power(L, 4)
     with pytest.raises(TermBlowup) as grown:
         lop.norm_growth(L, 3.0, 4)
     assert str(grown.value) == str(composed.value)
@@ -365,7 +381,7 @@ def test_nonpositive_gamma_is_rejected(entry, gamma):
     L = affine_operator(AFFINE_ROWS["affine2"])
     calls = {
         "gamma_norm": lambda: lop.gamma_norm(L, gamma),
-        "apply_positive": lambda: lop.apply_positive(
+        "apply_positive": lambda: apply_positive(
             L, gamma, lambda x: np.ones_like(x), GRID),
         "norm_growth": lambda: lop.norm_growth(L, gamma, 2),
     }

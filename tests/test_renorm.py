@@ -18,10 +18,9 @@ from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               LAMBDA_FLOOR, _NEAR_ONE, _NOT_FINITE,
                               _NOT_INVARIANT, _OVERLAP, IntervalTower,
-                              RenormStep, _Trial, _scan_up_to,
+                              RenormStep, _Trial,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _orbit, _test_one, _test_period,
-                              central_dominance,
                               detect, project_T, renormalize,
                               renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
@@ -144,7 +143,11 @@ def test_tower_center_tracks_scaling(tower_8):
 
 
 def test_central_interval_dominates(tower_8):
-    assert central_dominance(tower_8) == pytest.approx(1.0, abs=1e-12)
+    # Delta_{0,k} = [-|lam_k|, |lam_k|] is the longest piece of every level
+    assert tower_8.depth == 8
+    for k in range(1, tower_8.depth + 1):
+        lengths = tower_8.lengths(k)
+        assert lengths[0] == lengths.max()
 
 
 def test_tower_truncates_when_structure_runs_out():
@@ -878,9 +881,10 @@ def _test_period_sampled(f, zp, p, grid=64):
 
 
 def _scan_periods_sampled(f, q, grid=64):
-    """scan_periods with the sampled period test on the level rows f:
-    (lam, degenerate, rows, (fail, pieces, ranks) at q), f's critical orbit
-    computed from scratch and read at every P-th step divided by lam."""
+    """Entry q of scan_periods by the sampled period test on the level
+    rows f: (lam, degenerate, rows, (fail, pieces, ranks) at q), f's
+    critical orbit computed from scratch and read at every P-th step
+    divided by lam."""
     z = f.orbit(np.zeros((len(f), 1)), q * f.P)[..., 0]
     lam_path = z[::f.P] / f.lam
     degenerate = rows = np.arange(len(f) if q >= 2 else 0)
@@ -912,11 +916,11 @@ def _detect_sampled(f, p_max=16, grid=64):
 
 
 def _assert_scan_matches_sampled(f, z, q, grid=64):
-    """scan_periods(z, q) against the sampled scan of the level rows f,
+    """scan_periods(z, q)[q] against the sampled scan of the level rows f,
     z being their critical orbits in the level's coordinates: the same
     lam, the same degenerate rows and live rows, the same admissible rows
     at q, and on them bit-identical pieces and ranks."""
-    lam, degenerate, rows, trial = scan_periods(z, q)
+    lam, degenerate, rows, trial = scan_periods(z, q)[q]
     ref_lam, ref_degenerate, ref_rows, (fail, pieces, ranks) = (
         _scan_periods_sampled(f, q, grid))
     assert np.array_equal(lam, ref_lam)
@@ -961,23 +965,23 @@ def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
         for theta in prefix[:depth]:
             admitted += [_assert_level_matches_sampled(g, q)
                          for q in range(2, 5)]
-            _, g = g.renormalize(theta)
+            _, g = g.renormalize_each([theta])[0]
         assert g.c.size and g.P == 2 ** ((depth + 1) // 2) * 3 ** (depth // 2)
         bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
     assert sum(admitted) > 0
 
 
 def _assert_scan_entries_are_scan_periods(g, q):
-    """Every entry p of _scan_up_to on the family level g's critical orbit
-    to step 2q is scan_periods on its orbit to step 2p, as bytes: lam, the
+    """Every entry p of scan_periods on the family level g's critical
+    orbit to step 2q is entry p on its orbit to step 2p, as bytes: lam, the
     degenerate and live rows, and the trial's fail codes, ranks and
     pieces.  Returns the number of rows admissible at some p."""
-    scan = _scan_up_to(g.extended(2 * q).orbit, q)
+    scan = scan_periods(g.extended(2 * q).orbit, q)
     assert list(scan) == list(range(2, q + 1))
     admitted = 0
     for p, (lam, degenerate, rows, trial) in scan.items():
         ref_lam, ref_degenerate, ref_rows, ref = scan_periods(
-            g.extended(2 * p).orbit, p)
+            g.extended(2 * p).orbit, p)[p]
         for got, want in [(lam, ref_lam), (degenerate, ref_degenerate),
                           (rows, ref_rows), (trial.fail, ref.fail),
                           (trial.ranks, ref.ranks),
@@ -1005,7 +1009,7 @@ def test_each_scan_entry_is_scan_periods_inside_the_nested_chase():
         g = _members(np.linspace(*bracket, 129))
         for theta in prefix[:depth]:
             admitted += _assert_scan_entries_are_scan_periods(g, 5)
-            _, g = g.renormalize(theta)
+            _, g = g.renormalize_each([theta])[0]
         bracket = F._window_for_prefix(fam, prefix[:depth], bracket)
     assert admitted > 0
 
