@@ -103,6 +103,15 @@ def test_fixed_point_tower_has_bounded_geometry(tower_8):
     assert rep.levels_checked >= 8
 
 
+def test_fixed_point_largest_interval_is_the_first(tower_8):
+    # max_i |Delta_i| / |Delta_0| on every usable level
+    kmax = G.usable_depth(tower_8)
+    assert kmax >= 1
+    lic = [tower_8.lengths(k).max() / tower_8.lengths(k)[0]
+           for k in range(1, kmax + 1)]
+    assert np.allclose(lic, 1.0, atol=1e-12)
+
+
 def test_fixed_point_cubic_sums_contract(tower_8):
     fit = G.spectral_sum(tower_8, 3.0)
     assert len(fit.sums) == G.usable_depth(tower_8)
