@@ -118,6 +118,14 @@ MUTANTS = [
        "if not np.all(_left_to_right(intervals)[1] >= 0.0):"),)),
     ("families.py", "parameter_window_tower accepts a repeated type",
      (("    if len(set(Theta)) < len(Theta):\n", "    if False:\n"),)),
+    ("renorm.py", "_test_period without its finiteness conjunct",
+     (("\n          & np.isfinite(z[1:2 * p + 1]).all(axis=0))", ")"),)),
+    ("families.py", "renormalize_each accepts a malformed type",
+     (("if len(theta) < 2 or sorted(theta) != list(range(len(theta))):",
+       "if False:"),)),
+    ("families.py", "find_windows accepts a reversed range",
+     (("np.linspace(*_ordered(c_range), grid)",
+       "np.linspace(*c_range, grid)"),)),
 ]
 
 
@@ -125,9 +133,10 @@ def run_suite(src: Path, workdir: Path):
     """None when the suite passes with the package imported from src, else
     the first failing test as pytest names it: the first deterministic one
     in file order, or the first Hypothesis test when every deterministic
-    test passes (a Hypothesis test draws its own examples, so which of
-    them fails first can vary between runs).  Hypothesis keeps its example
-    database under workdir, not in the repository."""
+    test passes.  The suite's default Hypothesis profile is derandomized
+    and keeps no example database (tests/conftest.py), so a kill is the
+    same on every run; anything Hypothesis still stores goes under
+    workdir, not into the repository."""
     env = dict(os.environ, PYTHONPATH=str(src),
                HYPOTHESIS_STORAGE_DIRECTORY=str(workdir / ".hypothesis"))
     for marks in ("not hypothesis", "hypothesis"):

@@ -53,6 +53,14 @@ DEPTH_CAP = 10
 DEFAULT_BRACKET = (0.3, 2.0)
 
 
+def _ordered(c_range) -> tuple[float, float]:
+    """c_range as (lo, hi); DomainError unless lo < hi, which nan fails."""
+    lo, hi = c_range
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got {tuple(c_range)}")
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # superstable parameters and cascades
 
@@ -237,15 +245,21 @@ class FamilyLevel:
         first renormalization has type theta (detect(p_max=len(theta))
         with ranks exactly theta), level holds them renormalized once more
         (P times len(theta)).  One scan_periods up to the longest theta q
-        runs z on once, to z[2q]; a child of period p keeps every p-th z."""
+        runs z on once, to z[2q]; a child of period p keeps every p-th z.
+        Every family path builds its levels here, so the types are checked
+        here: each must be a permutation of 0..p-1 with p >= 2, else
+        DomainError."""
+        for theta in thetas:
+            if len(theta) < 2 or sorted(theta) != list(range(len(theta))):
+                raise DomainError(f"{tuple(theta)} is not a renormalization "
+                                  f"type: a permutation of 0..p-1, p >= 2")
         q = max(len(t) for t in thetas)
         g = self.extended(2 * q)
         scan = scan_periods(g.orbit, q)
         out = []
         for theta in thetas:
-            _, _, live, trial = scan[len(theta)]
-            hit = live[(trial.fail == 0)
-                       & np.all(trial.ranks == theta, axis=-1)]
+            _, live, ok, ranks = scan[len(theta)]
+            hit = live[ok & np.all(ranks == theta, axis=-1)]
             out.append((hit, replace(g, c=g.c[hit], P=g.P * len(theta),
                                      z=g.z[::len(theta), hit])))
         return out
@@ -269,13 +283,12 @@ def classify_period(fam: QuadraticFamily, cs,
         raise DomainError(f"got p = {p}: renormalization periods start at 2")
     cs = np.asarray(cs, dtype=float)
     rows, g = _level_zero(fam, cs)
-    _, degenerate, live, trial = scan_periods(g.extended(2 * p).orbit, p)[p]
-    ok = trial.fail == 0
+    degenerate, live, ok, ranks = scan_periods(g.extended(2 * p).orbit, p)[p]
     marks = np.zeros(cs.shape, dtype=bool)
     marks[rows[degenerate]] = marks[rows[live[ok]]] = True
-    ranks = np.full(cs.shape + (p,), -1)
-    ranks[rows[live[ok]]] = trial.ranks[ok]
-    return marks, ranks
+    types = np.full(cs.shape + (p,), -1)
+    types[rows[live[ok]]] = ranks[ok]
+    return marks, types
 
 
 def _classify(fam: QuadraticFamily, c: float, p: int):
@@ -299,7 +312,7 @@ def find_windows(fam: QuadraticFamily, p: int,
     the last grid point is cut there."""
     if grid < 100:
         raise DomainError(f"grid must be >= 100, got {grid}")
-    cs = np.linspace(c_range[0], c_range[1], grid)
+    cs = np.linspace(*_ordered(c_range), grid)
     marks, ranks = classify_period(fam, cs, p)
     left, right = _edge_equations(fam, p)
     thetas = [tuple(r) if r[0] >= 0 else None for r in ranks.tolist()]
@@ -448,7 +461,7 @@ def infinitely_renormalizable_parameter(fam: QuadraticFamily, thetas,
     if depth < 1 or depth > DEPTH_CAP:
         raise DomainError(f"depth must lie in 1..{DEPTH_CAP}, got {depth}")
     prefix = [thetas[k % len(thetas)] for k in range(depth)]
-    lo, hi = bracket
+    lo, hi = _ordered(bracket)
     widths = []
     for d in range(1, depth + 1):
         lo, hi = _window_for_prefix(fam, prefix[:d], (lo, hi))
@@ -476,6 +489,7 @@ def parameter_window_tower(fam: QuadraticFamily, Theta, depth: int,
         raise DomainError(f"renormalization types repeat in {Theta}")
     if depth < 1 or depth > 6:
         raise DomainError(f"depth must lie in 1..6, got {depth}")
+    bracket = _ordered(bracket)
     frontier: list[tuple[tuple, tuple[float, float]]] = [((), bracket)]
     levels = []
     for _ in range(depth):

@@ -19,12 +19,13 @@ includes Delta_0, therefore certifies these pieces, and with them that f^p
 is unimodal on J and that its reach on J is max(|z_p|, |z_{2p}|)
 (Milnor-Thurston monotonicity on laps).
 
-The period test is written twice, with the same operations in the same
-order: _test_period runs it on every row of an orbit stack at once, for
+The period test is written twice, with the same rounded operations:
+_test_period runs it on every row of an orbit stack at once, for
 scan_periods over parameter grids, and _test_one runs it on the Python-float
 orbit of one map, for detect and the tower levels, where numpy's per-call
-cost on one-row arrays would be most of the work.  They agree bit for bit,
-reasons included.
+cost on one-row arrays would be most of the work.  They agree bit for bit
+on verdicts and ranks; only _test_one says why a period fails and returns
+the pieces, which detect reports.
 
 Every orbit of a map is _orbit, one routine for both number types: Python
 floats for the scalar orbits of detect and the towers, float64 arrays for
@@ -168,49 +169,29 @@ def _hulls(zs: np.ndarray) -> np.ndarray:
     return np.stack([zs.min(axis=-1), zs.max(axis=-1)], axis=-1)
 
 
-# first test a candidate period fails, in the order they run
-_NEAR_ONE, _NOT_INVARIANT, _NOT_FINITE, _OVERLAP = 1, 2, 3, 4
-
-
-@dataclass(frozen=True)
-class _Trial:
-    """Candidate period p tested on every row of a critical orbit stack."""
-
-    p: int
-    lam: np.ndarray       # (n,) f^p(0)
-    fail: np.ndarray      # (n,) 0 for an admissible row, else the test code
-    reach: np.ndarray     # (n,) max(|f^p(0)|, |f^2p(0)|)
-    pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
-    ranks: np.ndarray     # (n, p) spatial rank of each piece
-
-
-def _test_period(z: np.ndarray, p: int) -> _Trial:
-    """The admissibility tests of period p, on every row at once.
+def _test_period(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The admissibility tests of period p, on every row at once: (ok,
+    ranks), ok[i] whether row i passes them all, ranks[i] the spatial rank
+    of each of its pieces where it does.
 
     z is the critical orbit per row, z[i] = f^i(0) for i = 0..2p, where
     lam = z[p] is already checked nondegenerate by the caller; the endpoint
     a = |lam| has the orbit z[p:] (module docstring), whose row 0, lam, is
-    never read as a point of it.  In order: |lam| not within LAMBDA_FLOOR
+    never read as a point of it.  The tests: |lam| not within LAMBDA_FLOOR
     of 1; J = [-a, a] invariant under f^p, read from the reach
     max(|z[p]|, |z[2p]|); z finite from step 1 to step 2p; the pieces
     pairwise disjoint, with Delta_0 = J and Delta_i, 1 <= i < p, the hull
-    of z[i] and z[p + i].  A row fails at the first test it does not pass;
-    only rows that pass the first three get pieces.  The last test
-    certifies the first two: disjointness from Delta_0 makes f^i monotone
-    on each half of J, so the hulls and reach are exact and f^p is
-    unimodal on J.
+    of z[i] and z[p + i], built on the rows that pass the first three.
+    The last test certifies the first two: disjointness from Delta_0 makes
+    f^i monotone on each half of J, so the hulls and reach are exact and
+    f^p is unimodal on J.
     """
-    lam = z[p]
-    n = lam.size
-    a = np.abs(lam)
-    t = _Trial(p=p, lam=lam,
-               fail=np.where(a >= 1.0 - LAMBDA_FLOOR, _NEAR_ONE, 0),
-               reach=np.maximum(a, np.abs(z[2 * p])),
-               pieces=np.zeros((n, p, 2)), ranks=np.zeros((n, p), dtype=int))
-    t.fail[(t.fail == 0) & (t.reach > a + INVARIANCE_TOL)] = _NOT_INVARIANT
-    finite = np.isfinite(z[1:2 * p + 1]).all(axis=0)
-    t.fail[(t.fail == 0) & ~finite] = _NOT_FINITE
-    rows = np.nonzero(t.fail == 0)[0]
+    a = np.abs(z[p])
+    ok = ((a < 1.0 - LAMBDA_FLOOR)
+          & (np.maximum(a, np.abs(z[2 * p])) <= a + INVARIANCE_TOL)
+          & np.isfinite(z[1:2 * p + 1]).all(axis=0))
+    ranks = np.zeros((a.size, p), dtype=int)
+    rows = np.nonzero(ok)[0]
     if rows.size:
         # the surviving rows' left and right piece ends, (rows, p) each
         lo, hi = np.empty((2, rows.size, p))
@@ -219,25 +200,24 @@ def _test_period(z: np.ndarray, p: int) -> _Trial:
         tip_i, ends_i = z[1:p, rows].T, z[p + 1:2 * p, rows].T
         np.minimum(tip_i, ends_i, out=lo[:, 1:])
         np.maximum(tip_i, ends_i, out=hi[:, 1:])
-        t.pieces[rows, :, 0] = lo
-        t.pieces[rows, :, 1] = hi
         order = np.argsort(lo, axis=-1)
         # flat indices of each row's pieces, left to right
         flat = order + p * np.arange(rows.size)[:, None]
         gaps = lo.ravel()[flat[:, 1:]] - hi.ravel()[flat[:, :-1]]
-        t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
-        t.ranks[rows] = np.argsort(order, axis=-1)
-    return t
+        ok[rows[np.any(gaps <= 0.0, axis=-1)]] = False
+        ranks[rows] = np.argsort(order, axis=-1)
+    return ok, ranks
 
 
 def _test_one(z: list, p: int):
     """_test_period on the Python-float critical orbit of one map: (reason,
     pieces, ranks), reason None when p is admissible, else why it failed.
 
-    The tests, their order and the rounded operations are _test_period's;
-    a hull end is np.minimum's or np.maximum's, which keep the second
-    operand on a tie.  The finiteness test runs before any piece is built,
-    so the pieces are finite floats, which Python orders as numpy does."""
+    The tests and the rounded operations are _test_period's, run one at a
+    time so the first that fails names the reason; a hull end is
+    np.minimum's or np.maximum's, which keep the second operand on a tie.
+    The finiteness test runs before any piece is built, so the pieces are
+    finite floats, which Python orders as numpy does."""
     lam = z[p]
     a = abs(lam)
     if a >= 1.0 - LAMBDA_FLOOR:
@@ -318,23 +298,22 @@ def detect(f: UnimodalMap, p_max: int = P_MAX,
 
 
 def scan_periods(z: np.ndarray, q: int) -> dict:
-    """What detect(p_max=p) finds at period p, p = 2..q (q alone, on no
-    rows, for q < 2), for every column of the critical orbits
-    z[k, i] = f_i^k(0), k = 0..2q or more, at once (FamilyLevel.orbit):
-    entry p is (lam, degenerate, rows, trial), lam[i] = f_i^p(0);
+    """What detect(p_max=p) finds at period p, p = 2..q, for every column
+    of the critical orbits z[k, i] = f_i^k(0), k = 0..2q or more, at once
+    (FamilyLevel.orbit): entry p is (degenerate, rows, ok, ranks);
     degenerate and rows split the rows where no period below p is
-    degenerate or admissible by whether lam vanishes at p (detect raises
-    there); trial tests p on rows.  Rows admissible at p drop out before
-    p + 1; entry p reads z to step 2p only, the same for every q >= p."""
-    degenerate = rows = np.arange(z.shape[1] if q >= 2 else 0)
+    degenerate or admissible by whether lam = z[p] vanishes (detect raises
+    there); (ok, ranks) is _test_period of p on rows.  Rows admissible at p
+    drop out before p + 1; entry p reads z to step 2p only, the same for
+    every q >= p."""
+    rows = np.arange(z.shape[1])
     out = {}
-    for p in range(min(2, q), q + 1):
+    for p in range(2, q + 1):
         small = np.abs(z[p, rows]) <= LAMBDA_FLOOR
         degenerate, rows = rows[small], rows[~small]
-        trial = _test_period(z[:2 * p + 1, rows], p)
-        out[p] = z[p], degenerate, rows, trial
-        if p < q:
-            rows = rows[trial.fail != 0]
+        ok, ranks = _test_period(z[:2 * p + 1, rows], p)
+        out[p] = degenerate, rows, ok, ranks
+        rows = rows[~ok]
     return out
 
 

@@ -287,6 +287,36 @@ def test_depth_limits(quadratic):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 11)
 
 
+@pytest.mark.parametrize("theta", [(), (0,), (1,), (0, 0), (1, 2),
+                                   (0, 2, 2)])
+def test_a_malformed_type_is_a_domain_error(quadratic, theta, monkeypatch):
+    # () raised IndexError, and (0,) scanned every grid before it raised
+    # WindowNotFound; now no period scan runs
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a malformed type reached the period scan")
+
+    monkeypatch.setattr(F, "scan_periods", no_scan)
+    with pytest.raises(DomainError, match="not a renormalization type"):
+        F.infinitely_renormalizable_parameter(quadratic, [theta], 2)
+    with pytest.raises(DomainError, match="not a renormalization type"):
+        F.parameter_window_tower(quadratic, [THETA_DOUBLING, theta], 1)
+
+
+@pytest.mark.parametrize("c_range", [(1.9, 1.6), (1.7, 1.7),
+                                     (math.nan, 1.9), (1.6, math.nan)])
+def test_a_reversed_range_is_a_domain_error(quadratic, c_range):
+    # (1.9, 1.6) gave a p = 3 window whose right edge lay left of its left
+    # edge, and the chase in (2.0, 0.3) found no depth-2 window
+    with pytest.raises(DomainError, match="lo < hi"):
+        F.find_windows(quadratic, 3, c_range)
+    with pytest.raises(DomainError, match="lo < hi"):
+        F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 2,
+                                              bracket=c_range)
+    with pytest.raises(DomainError, match="lo < hi"):
+        F.parameter_window_tower(quadratic, [THETA_DOUBLING, THETA_TRIPLING],
+                                 1, bracket=c_range)
+
+
 def test_period_five_has_two_windows(quadratic):
     wins = F.find_windows(quadratic, 5, (1.6, 2.0), grid=512)
     assert [w.theta for w in wins] == [(1, 4, 0, 2, 3), (2, 4, 0, 1, 3)]

@@ -16,9 +16,7 @@ from renormlab.basis import normalized_constant
 from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
-                              LAMBDA_FLOOR, _NEAR_ONE, _NOT_FINITE,
-                              _NOT_INVARIANT, _OVERLAP, IntervalTower,
-                              RenormStep, _Trial,
+                              LAMBDA_FLOOR, IntervalTower, RenormStep,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _orbit, _test_one, _test_period,
                               detect, project_T, renormalize,
@@ -314,23 +312,6 @@ def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
         assert row.tobytes() == ref.tobytes()
 
 
-def _trial_reason(trial, i):
-    """Why row i (a failed one) of a _test_period trial failed, in detect's
-    words."""
-    code, p, a = trial.fail[i], trial.p, abs(trial.lam[i])
-    if code == _NEAR_ONE:
-        return f"|lam| = {a:.6f} too close to 1"
-    if code == _NOT_INVARIANT:
-        return (f"J not invariant: |f^{p}| reaches "
-                f"{trial.reach[i]:.6e} > {a:.6e}")
-    if code == _NOT_FINITE:
-        return f"orbit not finite up to f^{p}"
-    try:
-        spatial_permutation(trial.pieces[i])
-    except OverlapError as exc:
-        return f"pieces overlap: {exc}"
-
-
 def _chebval_orbit(f, z, n):
     """f^i(z), i = 0..n, stacked along a new first axis: numpy's chebval
     iterated, x <- chebval(2 x^2 - 1, c), an orbit computed without
@@ -351,10 +332,11 @@ def _array_orbit(f, z, n):
 
 def _detect_upfront(f, p_max=16):
     """detect with f^p(0) computed to p_max before the period loop and each
-    candidate tested by the batched _test_period on a one-row stack (no
-    structural pre-check).  Steps p + 1..2p of the stack come from an
-    orbit of its own, started at |lam|, so detect's reading of them off
-    the critical orbit is checked bit for bit."""
+    candidate tested by _test_period_reference on a one-row stack (no
+    structural pre-check), whose verdict and ranks the batched _test_period
+    must share.  Steps p + 1..2p of the stack come from an orbit of its
+    own, started at |lam|, so detect's reading of them off the critical
+    orbit is checked bit for bit."""
     reasons = {}
     lam_path = _array_orbit(f, 0.0, p_max)
     for p in range(2, p_max + 1):
@@ -364,10 +346,13 @@ def _detect_upfront(f, p_max=16):
                 f"f^{p}(0) = {lam:.3e} vanishes to working precision", p=p)
         ends = _array_orbit(f, abs(lam), p)
         z = np.concatenate([lam_path[:p + 1], ends[1:]])
-        trial = _test_period(z[:, None], p)
+        trial = _test_period_reference(z[:, None], p)
+        ok, ranks = _test_period(z[:, None], p)
+        assert ok[0] == (trial.fail[0] == 0)
         if trial.fail[0]:
             reasons[p] = _trial_reason(trial, 0)
             continue
+        assert tuple(ranks[0]) == tuple(trial.ranks[0])
         return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
                           intervals=trial.pieces[0])
     raise NotRenormalizable(
@@ -420,26 +405,45 @@ def _candidate_orbits(draw, ps=st.integers(min_value=2, max_value=16)):
 @example(([0.0, 0.0, -0.3, -0.0, 0.1], 2))  # a hull of two zeros
 @example(([0.0, -0.0, -0.3, 0.0, 0.1], 2))
 def test_one_map_period_test_is_the_batched_one(orbits):
-    """_test_one against _test_period on a one-row stack: the reasons agree
-    byte for byte, and an admissible p has the same pieces, as bytes, and
-    the same ranks."""
+    """_test_one against _test_period_reference on a one-row stack: the
+    reasons agree byte for byte, and an admissible p has the same pieces,
+    as bytes, and the same ranks, which are also _test_period's."""
     z, p = orbits
     with np.errstate(invalid="ignore", over="ignore"):
-        ref = _test_period(np.array(z)[:, None], p)
+        ref = _test_period_reference(np.array(z)[:, None], p)
+        ok, batched_ranks = _test_period(np.array(z)[:, None], p)
         reason, pieces, ranks = _test_one(z, p)
         assert reason == (_trial_reason(ref, 0) if ref.fail[0] else None)
+    assert ok[0] == (reason is None)
     if reason is not None:
         return
     assert np.array(pieces, dtype=float).tobytes() == ref.pieces[0].tobytes()
-    assert tuple(ranks) == tuple(ref.ranks[0])
+    assert tuple(ranks) == tuple(ref.ranks[0]) == tuple(batched_ranks[0])
+
+
+# first test a candidate period fails, in the order they run
+_NEAR_ONE, _NOT_INVARIANT, _NOT_FINITE, _OVERLAP = 1, 2, 3, 4
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """Candidate period p tested on every row of a critical orbit stack."""
+
+    p: int
+    lam: np.ndarray       # (n,) f^p(0)
+    fail: np.ndarray      # (n,) 0 for an admissible row, else the test code
+    reach: np.ndarray     # (n,) max(|f^p(0)|, |f^2p(0)|)
+    pieces: np.ndarray    # (n, p, 2) hulls of f^i(J), time order
+    ranks: np.ndarray     # (n, p) spatial rank of each piece
 
 
 def _test_period_reference(z, p):
-    """_test_period as it was written before it built the hull ends as two
-    planes and read both orbits off one: the hulls of a 3-D stack of the
-    tip orbit z[:p + 1] and the endpoint orbit z[p:] (whose row 0 only
-    piece 0 reads, and then overwrites), piece 0 set after, and the
-    pieces gathered again to sort them."""
+    """The period test with the first test each row fails and its pieces,
+    written apart from _test_period: the hulls of a 3-D stack of the tip
+    orbit z[:p + 1] and the endpoint orbit z[p:] (whose row 0 only piece 0
+    reads, and then overwrites), piece 0 set after, and the pieces
+    gathered again to sort them.  A row fails at the first test it does
+    not pass; only rows that pass the first three get pieces."""
     tip, ends = z[:p + 1], z[p:]
     lam = tip[p]
     n = lam.size
@@ -460,6 +464,23 @@ def _test_period_reference(z, p):
         t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
         t.ranks[rows] = np.argsort(order, axis=-1)
     return t
+
+
+def _trial_reason(trial, i):
+    """Why row i (a failed one) of a _test_period_reference trial failed,
+    in detect's words."""
+    code, p, a = trial.fail[i], trial.p, abs(trial.lam[i])
+    if code == _NEAR_ONE:
+        return f"|lam| = {a:.6f} too close to 1"
+    if code == _NOT_INVARIANT:
+        return (f"J not invariant: |f^{p}| reaches "
+                f"{trial.reach[i]:.6e} > {a:.6e}")
+    if code == _NOT_FINITE:
+        return f"orbit not finite up to f^{p}"
+    try:
+        spatial_permutation(trial.pieces[i])
+    except OverlapError as exc:
+        return f"pieces overlap: {exc}"
 
 
 @st.composite
@@ -486,14 +507,29 @@ def _orbit_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_orbit_stacks())
 def test_period_test_is_the_reference_as_bytes(stacks):
-    """_test_period against the stack-and-gather reference on many rows at
-    once: fail, reach, pieces and ranks as bytes."""
+    """_test_period against the failure-code reference on many rows at
+    once: ok is where the reference fails no test, and on those rows the
+    ranks agree as bytes."""
     z, p = stacks
     with np.errstate(invalid="ignore", over="ignore"):
-        got = _test_period(z, p)
+        ok, ranks = _test_period(z, p)
         want = _test_period_reference(z, p)
-    for name in ("fail", "reach", "pieces", "ranks"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert ok.dtype == bool
+    assert np.array_equal(ok, want.fail == 0)
+    assert ranks[ok].tobytes() == want.ranks[ok].tobytes()
+
+
+def test_a_non_finite_piece_end_fails_both_period_tests():
+    """p = 3 with J = [-0.3, 0.3], the last step inside J and the pieces
+    apart as far as their finite ends show, but one piece end nan or inf:
+    only the finiteness test refuses these rows."""
+    z = np.array([[0.0, 0.5, np.nan, -0.3, 0.6, 0.7, 0.2],
+                  [0.0, 0.5, 0.8, -0.3, 0.6, np.inf, 0.2]]).T
+    with np.errstate(invalid="ignore"):
+        ok, _ = _test_period(z, 3)
+    assert not ok.any()
+    for row in z.T.tolist():
+        assert _test_one(row, 3)[0] == "orbit not finite up to f^3"
 
 
 def test_an_orbit_1e_9_outside_J_fails_as_not_invariant():
@@ -503,11 +539,13 @@ def test_an_orbit_1e_9_outside_J_fails_as_not_invariant():
     for end, admissible in [(-0.4, True), (-(0.4 + 1e-9), False)]:
         z = [0.0, 1.0, -0.4, 0.9, end]
         reason = _test_one(z, 2)[0]
-        trial = _test_period(np.array(z)[:, None], 2)
+        (ok,), _ = _test_period(np.array(z)[:, None], 2)
+        assert ok == admissible
         if admissible:
-            assert reason is None and trial.fail[0] == 0
+            assert reason is None
         else:
             assert reason.startswith("J not invariant")
+            trial = _test_period_reference(np.array(z)[:, None], 2)
             assert reason == _trial_reason(trial, 0)
 
 
@@ -919,17 +957,18 @@ def _assert_scan_matches_sampled(f, z, q, grid=64):
     """scan_periods(z, q)[q] against the sampled scan of the level rows f,
     z being their critical orbits in the level's coordinates: the same
     lam, the same degenerate rows and live rows, the same admissible rows
-    at q, and on them bit-identical pieces and ranks."""
-    lam, degenerate, rows, trial = scan_periods(z, q)[q]
-    ref_lam, ref_degenerate, ref_rows, (fail, pieces, ranks) = (
+    at q, and on them bit-identical ranks, and pieces of
+    _test_period_reference on the same rows."""
+    degenerate, rows, ok, ranks = scan_periods(z, q)[q]
+    ref_lam, ref_degenerate, ref_rows, (fail, ref_pieces, ref_ranks) = (
         _scan_periods_sampled(f, q, grid))
-    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(z[q], ref_lam)
     assert np.array_equal(degenerate, ref_degenerate)
     assert np.array_equal(rows, ref_rows)
-    ok = trial.fail == 0
     assert np.array_equal(ok, fail == 0)
-    assert np.array_equal(trial.pieces[ok], pieces[ok])
-    assert np.array_equal(trial.ranks[ok], ranks[ok])
+    pieces = _test_period_reference(z[:2 * q + 1, rows], q).pieces
+    assert np.array_equal(pieces[ok], ref_pieces[ok])
+    assert np.array_equal(ranks[ok], ref_ranks[ok])
     return int(ok.sum())
 
 
@@ -973,23 +1012,18 @@ def test_scan_periods_matches_the_sampled_test_inside_the_nested_chase():
 
 def _assert_scan_entries_are_scan_periods(g, q):
     """Every entry p of scan_periods on the family level g's critical
-    orbit to step 2q is entry p on its orbit to step 2p, as bytes: lam, the
-    degenerate and live rows, and the trial's fail codes, ranks and
-    pieces.  Returns the number of rows admissible at some p."""
+    orbit to step 2q is entry p on its orbit to step 2p, as bytes: the
+    degenerate and live rows, the verdicts and the ranks.  Returns the
+    number of rows admissible at some p."""
     scan = scan_periods(g.extended(2 * q).orbit, q)
     assert list(scan) == list(range(2, q + 1))
     admitted = 0
-    for p, (lam, degenerate, rows, trial) in scan.items():
-        ref_lam, ref_degenerate, ref_rows, ref = scan_periods(
-            g.extended(2 * p).orbit, p)[p]
-        for got, want in [(lam, ref_lam), (degenerate, ref_degenerate),
-                          (rows, ref_rows), (trial.fail, ref.fail),
-                          (trial.ranks, ref.ranks),
-                          (trial.pieces, ref.pieces)]:
+    for p, entry in scan.items():
+        ref = scan_periods(g.extended(2 * p).orbit, p)[p]
+        for got, want in zip(entry, ref):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        assert trial.p == ref.p == p
-        admitted += int(np.count_nonzero(trial.fail == 0))
+        admitted += int(np.count_nonzero(entry[2]))
     return admitted
 
 

@@ -508,6 +508,14 @@ def test_long_cycle_hits_the_seeding_depth_cap(monkeypatch):
         solve_periodic_orbit([THETA_TRIPLING] * 8, degree=16)
 
 
+def test_a_malformed_type_is_a_domain_error():
+    # both raised IndexError or ValueError from inside the chase
+    with pytest.raises(DomainError, match="not a renormalization type"):
+        solve_fixed_point(theta=())
+    with pytest.raises(DomainError, match="not a renormalization type"):
+        solve_periodic_orbit([THETA_DOUBLING, ()])
+
+
 def test_period_one_cycle_is_the_fixed_point(fixed_point_24):
     # one route: the one-member cycle is the fixed point, bit for bit
     orbit = solve_periodic_orbit([THETA_DOUBLING], degree=24)
