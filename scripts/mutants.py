@@ -120,12 +120,18 @@ MUTANTS = [
      (("    if len(set(Theta)) < len(Theta):\n", "    if False:\n"),)),
     ("renorm.py", "_test_period without its finiteness conjunct",
      (("\n          & np.isfinite(z[1:2 * p + 1]).all(axis=0))", ")"),)),
-    ("families.py", "renormalize_each accepts a malformed type",
+    ("families.py", "_types accepts a malformed type",
      (("if len(theta) < 2 or sorted(theta) != list(range(len(theta))):",
        "if False:"),)),
     ("families.py", "find_windows accepts a reversed range",
      (("np.linspace(*_ordered(c_range), grid)",
        "np.linspace(*c_range, grid)"),)),
+    ("families.py", "_superstable_in solves the last bracketing cell first",
+     (("np.linspace(lo, hi, grid).tolist()",
+       "np.linspace(hi, lo, grid).tolist()"),)),
+    ("renorm.py", "_test_period accepts a zero gap between pieces",
+     (("right = lo[None, :] > hi[:, None]",
+       "right = lo[None, :] >= hi[:, None]"),)),
 ]
 
 

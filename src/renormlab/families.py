@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (BracketNotFound, DomainError, NoBracket,
 from .geometry import DimensionReport, hausdorff_dimension
 from .maps import QuadraticFamily
 from .renorm import IntervalTower, scan_periods
-from .roots import brent, sign_changes
+from .roots import brackets, brent, sign_changes
 
 SCAN_GRID = 2000
 WINDOW_GRIDS = (129, 513, 2049)
@@ -59,6 +60,16 @@ def _ordered(c_range) -> tuple[float, float]:
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {tuple(c_range)}")
     return lo, hi
+
+
+def _types(thetas) -> list[tuple[int, ...]]:
+    """Tuples of thetas; DomainError unless each permutes 0..p-1, p >= 2."""
+    thetas = [tuple(t) for t in thetas]
+    for theta in thetas:
+        if len(theta) < 2 or sorted(theta) != list(range(len(theta))):
+            raise DomainError(f"{theta} is not a renormalization type: "
+                              f"a permutation of 0..p-1, p >= 2")
+    return thetas
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +115,23 @@ def _edge_equations(fam: QuadraticFamily, P: int):
 
 def _superstable_in(fam: QuadraticFamily, q: int, lo: float, hi: float,
                     grid: int) -> float | None:
-    """Leftmost primitive root of f_c^q(0) in [lo, hi], or None.  A cell
-    of the grid is solved where f_c^q(0) changes sign across it or vanishes
-    at one of its ends, so a root on a grid point is found too; it is
-    primitive when its critical orbit misses 0 at every proper divisor."""
-    cs = np.linspace(lo, hi, grid)
-    for i in sign_changes(fam.critical_value_map(cs, q)):
-        c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
-        x, k = 0.0, 0
-        for d in (d for d in range(1, q) if q % d == 0):
-            x, k = fam.iterate(c, x, d - k), d
-            if not abs(x) > 1e-9:
-                break
-        else:
-            return c
+    """Leftmost primitive root of f_c^q(0) in [lo, hi], or None: a walk of
+    the grid in Python floats solves each cell where f_c^q(0) brackets a
+    root (roots.brackets; a root on a grid point counts) and stops at one
+    whose orbit misses 0 at every proper divisor, a few cells into a
+    doubling window, where an array pass over the grid would be wasted."""
+    cs = np.linspace(lo, hi, grid).tolist()
+    hs = (fam.critical_value_map(c, q) for c in cs)
+    for (a, b), ends in zip(pairwise(cs), pairwise(hs)):
+        if brackets(*ends):
+            c = brent(lambda c: fam.critical_value_map(c, q), a, b)
+            x, k = 0.0, 0
+            for d in (d for d in range(1, q) if q % d == 0):
+                x, k = fam.iterate(c, x, d - k), d
+                if not abs(x) > 1e-9:
+                    break
+            else:
+                return c
     return None
 
 
@@ -129,26 +143,27 @@ def superstable_parameters(fam: QuadraticFamily, periods,
 
     Consecutive doubling periods reuse the previous gap to predict the next
     scan window (the gaps contract geometrically, so a uniform grid over the
-    whole remaining range would miss the deep members).
-    """
+    whole remaining range would miss the deep members); a scan stops a few
+    cells in, so it walks Python floats (_superstable_in).  c_range needs
+    lo < hi, else DomainError."""
     periods = [int(q) for q in periods]
     if any(q < 2 for q in periods):
         raise DomainError("superstable periods start at 2")
+    cursor, end = _ordered(c_range)
     out: list[float] = []
-    cursor = c_range[0]
     prev_gap = None
     for n, q in enumerate(periods):
         c = None
         doubling = n >= 1 and q == 2 * periods[n - 1]
         if doubling and prev_gap is not None:
             c = _superstable_in(fam, q, cursor + 0.05 * prev_gap,
-                                min(cursor + 2.5 * prev_gap, c_range[1]), 200)
+                                min(cursor + 2.5 * prev_gap, end), 200)
         if c is None:
             eps = 1e-9 * max(1.0, abs(cursor))
-            c = _superstable_in(fam, q, cursor + eps, c_range[1], SCAN_GRID)
+            c = _superstable_in(fam, q, cursor + eps, end, SCAN_GRID)
         if c is None:
             raise BracketNotFound(f"no primitive period-{q} critical orbit "
-                                  f"in ({cursor:.6g}, {c_range[1]})")
+                                  f"in ({cursor:.6g}, {end})")
         if out:
             prev_gap = c - out[-1]
         out.append(c)
@@ -245,14 +260,7 @@ class FamilyLevel:
         first renormalization has type theta (detect(p_max=len(theta))
         with ranks exactly theta), level holds them renormalized once more
         (P times len(theta)).  One scan_periods up to the longest theta q
-        runs z on once, to z[2q]; a child of period p keeps every p-th z.
-        Every family path builds its levels here, so the types are checked
-        here: each must be a permutation of 0..p-1 with p >= 2, else
-        DomainError."""
-        for theta in thetas:
-            if len(theta) < 2 or sorted(theta) != list(range(len(theta))):
-                raise DomainError(f"{tuple(theta)} is not a renormalization "
-                                  f"type: a permutation of 0..p-1, p >= 2")
+        runs z on once, to z[2q]; a child of period p keeps every p-th z."""
         q = max(len(t) for t in thetas)
         g = self.extended(2 * q)
         scan = scan_periods(g.orbit, q)
@@ -353,7 +361,7 @@ def _prefix_rows(fam: QuadraticFamily, cs: np.ndarray, prefix):
     for theta in prefix:
         if not rows.size:
             break
-        hit, g = g.renormalize_each([tuple(theta)])[0]
+        hit, g = g.renormalize_each([theta])[0]
         rows = rows[hit]
     return rows, g
 
@@ -368,7 +376,7 @@ def classify(fam: QuadraticFamily, cs, prefix) -> np.ndarray:
     Parameters outside the family's domain come out False.
     """
     cs = np.asarray(cs, dtype=float)
-    rows, _ = _prefix_rows(fam, cs, prefix)
+    rows, _ = _prefix_rows(fam, cs, _types(prefix))
     ok = np.zeros(cs.shape, dtype=bool)
     ok[rows] = True
     return ok
@@ -455,7 +463,7 @@ def infinitely_renormalizable_parameter(fam: QuadraticFamily, thetas,
     window at every depth (they are strictly nested).  A window with no
     float inside it raises WindowNotFound carrying its depth.
     """
-    thetas = [tuple(t) for t in thetas]
+    thetas = _types(thetas)
     if not thetas:
         raise DomainError("need at least one renormalization type")
     if depth < 1 or depth > DEPTH_CAP:
@@ -482,7 +490,7 @@ def parameter_window_tower(fam: QuadraticFamily, Theta, depth: int,
     |Theta|^k windows of all length-k itineraries, in increasing order.
     The types must be distinct (a repeat would count its windows twice).
     """
-    Theta = [tuple(t) for t in Theta]
+    Theta = _types(Theta)
     if len(set(Theta)) < 2:
         raise SingleItinerary("need two distinct renormalization types")
     if len(set(Theta)) < len(Theta):

@@ -19,13 +19,13 @@ includes Delta_0, therefore certifies these pieces, and with them that f^p
 is unimodal on J and that its reach on J is max(|z_p|, |z_{2p}|)
 (Milnor-Thurston monotonicity on laps).
 
-The period test is written twice, with the same rounded operations:
-_test_period runs it on every row of an orbit stack at once, for
-scan_periods over parameter grids, and _test_one runs it on the Python-float
-orbit of one map, for detect and the tower levels, where numpy's per-call
-cost on one-row arrays would be most of the work.  They agree bit for bit
-on verdicts and ranks; only _test_one says why a period fails and returns
-the pieces, which detect reports.
+The period test is written twice, on the same rounded piece ends:
+_test_period compares every two pieces of every row of an orbit stack at
+once, for scan_periods over parameter grids, and _test_one sorts the pieces
+of the Python-float orbit of one map, for detect and the tower levels, where
+numpy's per-call cost on one-row arrays would be most of the work.  They
+agree bit for bit on verdicts and ranks (see _test_period); only _test_one
+says why a period fails and returns the pieces, which detect reports.
 
 Every orbit of a map is _orbit, one routine for both number types: Python
 floats for the scalar orbits of detect and the towers, float64 arrays for
@@ -184,7 +184,12 @@ def _test_period(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     of z[i] and z[p + i], built on the rows that pass the first three.
     The last test certifies the first two: disjointness from Delta_0 makes
     f^i monotone on each half of J, so the hulls and reach are exact and
-    f^p is unimodal on J.
+    f^p is unimodal on J.  With no sort, pieces i != j are apart when
+    lo[j] > hi[i] or lo[i] > hi[j]; as lo <= hi, at most one holds, so all
+    are apart when p(p - 1)/2 of the p^2 tests lo[j] > hi[i] pass, and
+    piece i's rank counts the j with lo[j] < lo[i].  As a - b > 0.0 exactly
+    when a > b for finite floats, and tied left ends fail, this is
+    _test_one's sort by left end with every gap > 0.0, bit for bit.
     """
     a = np.abs(z[p])
     ok = ((a < 1.0 - LAMBDA_FLOOR)
@@ -193,19 +198,16 @@ def _test_period(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.zeros((a.size, p), dtype=int)
     rows = np.nonzero(ok)[0]
     if rows.size:
-        # the surviving rows' left and right piece ends, (rows, p) each
-        lo, hi = np.empty((2, rows.size, p))
-        hi[:, 0] = a[rows]
-        lo[:, 0] = -hi[:, 0]
-        tip_i, ends_i = z[1:p, rows].T, z[p + 1:2 * p, rows].T
-        np.minimum(tip_i, ends_i, out=lo[:, 1:])
-        np.maximum(tip_i, ends_i, out=hi[:, 1:])
-        order = np.argsort(lo, axis=-1)
-        # flat indices of each row's pieces, left to right
-        flat = order + p * np.arange(rows.size)[:, None]
-        gaps = lo.ravel()[flat[:, 1:]] - hi.ravel()[flat[:, :-1]]
-        ok[rows[np.any(gaps <= 0.0, axis=-1)]] = False
-        ranks[rows] = np.argsort(order, axis=-1)
+        # the surviving rows' left and right piece ends, (p, rows) each
+        lo, hi = np.empty((2, p, rows.size))
+        hi[0] = a[rows]
+        lo[0] = -hi[0]
+        tip_i, ends_i = z[1:p, rows], z[p + 1:2 * p, rows]
+        np.minimum(tip_i, ends_i, out=lo[1:])
+        np.maximum(tip_i, ends_i, out=hi[1:])
+        right = lo[None, :] > hi[:, None]
+        ok[rows[right.sum(axis=(0, 1)) < p * (p - 1) // 2]] = False
+        ranks[rows] = (lo[:, None] < lo[None, :]).sum(axis=0).T
     return ok, ranks
 
 

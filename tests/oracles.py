@@ -2,8 +2,9 @@
 
 Nothing in the package calls these: pointwise application of an
 L-operator with its rank-one tails, the positive operator L_gamma applied
-to a function, powers of an L-operator by repeated compose, and exactly
-self-similar interval towers with closed-form sums and dimension.
+to a function, powers of an L-operator by repeated compose, exactly
+self-similar interval towers with closed-form sums and dimension, and the
+superstable-parameter scan as one array pass over its grid.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from renormlab.loperator import (CONTAINMENT_TOL, LOperator, RankOneTail,
                                  _positive_gamma, _principal, compose)
 from renormlab.renorm import (IntervalTower, _check_level_disjoint,
                               _check_nesting)
+from renormlab.roots import brent, sign_changes
 
 
 # ---------------------------------------------------------------------------
@@ -109,3 +111,24 @@ def self_similar_tower(branching: int, ratio: float,
 def middle_thirds_tower(depth: int) -> IntervalTower:
     """Standard middle-thirds construction; dimension log2/log3 exactly."""
     return self_similar_tower(2, 1.0 / 3.0, depth)
+
+
+# ---------------------------------------------------------------------------
+# superstable parameters
+
+
+def superstable_in(fam, q: int, lo: float, hi: float, grid: int):
+    """families._superstable_in as one array pass: f_c^q(0) on the whole
+    grid at once, then brent on each cell that brackets a root
+    (roots.sign_changes), left to right, until a root is primitive."""
+    cs = np.linspace(lo, hi, grid)
+    for i in sign_changes(fam.critical_value_map(cs, q)):
+        c = brent(lambda c: fam.critical_value_map(c, q), cs[i], cs[i + 1])
+        x, k = 0.0, 0
+        for d in (d for d in range(1, q) if q % d == 0):
+            x, k = fam.iterate(c, x, d - k), d
+            if not abs(x) > 1e-9:
+                break
+        else:
+            return c
+    return None

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renormlab import families as F
@@ -15,6 +15,7 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               renormalize)
 from renormlab.roots import brent
 from conftest import C_INF
+from oracles import superstable_in
 
 DELTA = 4.6692016091
 
@@ -51,6 +52,45 @@ def test_superstable_root_on_a_grid_point_is_found(quadratic):
     # and inside a cell of 4
     assert F._superstable_in(quadratic, 2, 0.5, 1.5, 3) == 1.0
     assert F._superstable_in(quadratic, 2, 0.5, 1.5, 4) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(2, 64),
+       window=st.lists(st.floats(0.3, 2.0), min_size=2, max_size=2,
+                       unique=True).map(sorted),
+       grid=st.integers(3, 300))
+@example(q=2, window=[0.5, 1.5], grid=3)    # the root on a grid point
+@example(q=2, window=[1.0, 1.5], grid=3)    # the root on the first point
+@example(q=4, window=[0.5, 1.5], grid=7)    # c = 1 is a root, not primitive
+@example(q=7, window=[0.4, 0.9], grid=300)  # no root
+def test_superstable_scan_is_the_array_reference(q, window, grid):
+    """The left-to-right scan in Python floats against the array pass over
+    the whole grid (oracles.superstable_in): the same root as float bytes,
+    or None from both."""
+    fam = QuadraticFamily()
+    got = F._superstable_in(fam, q, *window, grid)
+    want = superstable_in(fam, q, *window, grid)
+    if want is None:
+        assert got is None
+    else:
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+
+def test_cascade_is_the_cascade_of_the_array_reference(quadratic,
+                                                       monkeypatch):
+    got = F.cascade(quadratic, 10).params
+    monkeypatch.setattr(F, "_superstable_in", superstable_in)
+    assert got.tobytes() == F.cascade(quadratic, 10).params.tobytes()
+
+
+@pytest.mark.parametrize("c_range", [(2.0, 0.4), (1.5, 1.5),
+                                     (math.nan, 2.0)])
+def test_a_reversed_superstable_range_is_a_domain_error(quadratic, c_range):
+    # the range is refused before any scan: (2.0, 0.4) would otherwise
+    # find the period-2 root before failing on the period-4 one
+    with pytest.raises(DomainError, match="lo < hi"):
+        F.superstable_parameters(quadratic, [2, 4], c_range=c_range)
 
 
 def test_missing_period_raises(quadratic):
@@ -300,6 +340,21 @@ def test_a_malformed_type_is_a_domain_error(quadratic, theta, monkeypatch):
         F.infinitely_renormalizable_parameter(quadratic, [theta], 2)
     with pytest.raises(DomainError, match="not a renormalization type"):
         F.parameter_window_tower(quadratic, [THETA_DOUBLING, theta], 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: F.classify(fam, [2.5], [()]),
+    lambda fam: F.infinitely_renormalizable_parameter(fam, [()], 2,
+                                                      bracket=(2.5, 3.0)),
+    lambda fam: F.parameter_window_tower(fam, [(0, 1), (0,)], 1,
+                                         bracket=(2.5, 3.0))],
+    ids=["classify", "chase", "tower"])
+def test_a_malformed_type_is_refused_where_no_row_is_in_the_domain(
+        quadratic, call):
+    # with no grid point in the domain (0, 2] no level has rows, so the
+    # types are checked before any row is filtered
+    with pytest.raises(DomainError, match="not a renormalization type"):
+        call(quadratic)
 
 
 @pytest.mark.parametrize("c_range", [(1.9, 1.6), (1.7, 1.7),

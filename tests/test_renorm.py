@@ -16,7 +16,7 @@ from renormlab.basis import normalized_constant
 from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
-                              LAMBDA_FLOOR, IntervalTower, RenormStep,
+                              LAMBDA_FLOOR, P_MAX, IntervalTower, RenormStep,
                               _check_level_disjoint, _check_nesting, _hulls,
                               _left_to_right, _orbit, _test_one, _test_period,
                               detect, project_T, renormalize,
@@ -517,6 +517,62 @@ def test_period_test_is_the_reference_as_bytes(stacks):
     assert ok.dtype == bool
     assert np.array_equal(ok, want.fail == 0)
     assert ranks[ok].tobytes() == want.ranks[ok].tobytes()
+
+
+def _orbit_row(lam, pieces, last):
+    """A critical orbit z[0..2p] whose lam is z[p], whose piece i >= 1 is
+    the hull of pieces[i - 1], (z[i], z[p + i]) in that order, and whose
+    step 2p is last."""
+    tips, ends = zip(*pieces)
+    return [0.0, *tips, lam, *ends, last]
+
+
+# p = P_MAX: pieces 1..15 at positions k = -7..8, k != 0, as [k/16, k/16 +
+# 1/32], in the order _SPREAD, and J = [-1/64, 1/64] at k = 0; every other
+# piece runs right to left
+_SPREAD = (3, -5, 7, 1, -2, 6, -7, 4, -1, 5, -4, 2, -6, -3, 8)
+_WIDE = [(k / 16, k / 16 + 1 / 32)[::1 - 2 * (i % 2)]
+         for i, k in enumerate(_SPREAD)]
+
+
+@pytest.mark.parametrize("p, rows, admissible", [
+    # p = P_MAX, apart; then piece 15 moved onto piece 2's left end, onto
+    # piece 4's right end (touching) and across piece 1's right end
+    (P_MAX, [_orbit_row(1 / 64, _WIDE, -1 / 128),
+             _orbit_row(1 / 64, _WIDE[:-1] + [(-5 / 16, -0.3)], -1 / 128),
+             _orbit_row(1 / 64, _WIDE[:-1] + [(3 / 32, 7 / 64)], -1 / 128),
+             _orbit_row(1 / 64, _WIDE[:-1] + [(0.2, 0.22)], -1 / 128)],
+     [True, False, False, False]),
+    # two pieces with one left end, a zero gap between two pieces and
+    # between a piece and J, and the same rows apart
+    (3, [_orbit_row(0.1, [(0.3, 0.5), (0.4, 0.3)], 0.05),
+         _orbit_row(0.1, [(0.5, 0.3), (0.5, 0.6)], 0.05),
+         _orbit_row(-0.1, [(0.2, 0.1), (-0.5, -0.3)], 0.05),
+         _orbit_row(0.1, [(0.3, 0.5), (0.6, 0.7)], 0.05)],
+     [False, False, False, True]),
+    # ends at -0.0: J = [-0.0, 0.0] from lam = -0.0, apart from both
+    # pieces; touched by a piece ending at -0.0, one starting at 0.0 and
+    # one starting at -0.0; a piece from -0.0 to 0.0 beside J
+    (3, [_orbit_row(-0.0, [(0.2, 0.3), (-0.5, -0.4)], -0.0),
+         _orbit_row(-0.0, [(-0.3, -0.0), (0.2, 0.3)], 0.0),
+         _orbit_row(0.0, [(0.0, 0.3), (-0.5, -0.4)], -0.0),
+         _orbit_row(0.0, [(0.3, -0.0), (-0.5, -0.4)], -0.0),
+         _orbit_row(0.5, [(-0.0, 0.0), (0.6, 0.7)], 0.25)],
+     [True, False, False, False, False]),
+], ids=["p_max", "ties", "signed_zeros"])
+def test_period_test_is_the_reference_on_ties_and_zeros(p, rows, admissible):
+    """Cases _orbit_stacks does not reach: p = P_MAX, tied left ends, a
+    zero gap and ends at -0.0.  Only the rows whose pieces are apart pass,
+    and ok and the ranks on them are the reference's as bytes."""
+    z = np.array(rows).T
+    ok, ranks = _test_period(z, p)
+    want = _test_period_reference(z, p)
+    assert ok.tolist() == admissible
+    assert ok.tobytes() == (want.fail == 0).tobytes()
+    assert ranks[ok].tobytes() == want.ranks[ok].tobytes()
+    if p == P_MAX:
+        order = sorted(range(p), key=lambda i: ((0,) + _SPREAD)[i])
+        assert ranks[0].tolist() == [order.index(i) for i in range(p)]
 
 
 def test_a_non_finite_piece_end_fails_both_period_tests():
