@@ -72,7 +72,7 @@ MUTANTS = [
     ("basis.py", "eval_rows repeats the points where it should tile them",
      (("np.tile(t, len(rows))", "np.repeat(t, len(rows))"),)),
     ("solver.py", "_sup_distance compares g with itself",
-     (("eval_rows([f.coeffs, g.coeffs]", "eval_rows([g.coeffs, g.coeffs]"),)),
+     (("eval_rows([f.series, g.series]", "eval_rows([g.series, g.series]"),)),
     ("solver.py", "a solved fixed-point coefficient moved by 1e-10",
      (("FixedPointResult(map=cycle[0],",
        "FixedPointResult(map=UnimodalMap(_basis.normalized_constant("
@@ -132,6 +132,11 @@ MUTANTS = [
     ("renorm.py", "_test_period accepts a zero gap between pieces",
      (("right = lo[None, :] > hi[:, None]",
        "right = lo[None, :] >= hi[:, None]"),)),
+    ("basis.py", "the series drops its last nonzero coefficient",
+     (("coeffs[:nonzero[-1] + 1 if nonzero.size else 1]",
+       "coeffs[:nonzero[-1] if nonzero.size else 1]"),)),
+    ("basis.py", "the series keeps the zero top",
+     (("coeffs[:nonzero[-1] + 1 if nonzero.size else 1]", "coeffs"),)),
 ]
 
 

@@ -16,7 +16,20 @@ k = D-2, ..., 0 is c0, c1 = c[k] - c1, c0 + c1*2t, and the value is
 c0 + c1*t.  It rounds the same operations as numpy, so its values are
 numpy's bit for bit, and it is generic over the number type: Python
 floats (the scalar orbits), float64 arrays and coefficient stacks, and
-equally np.longdouble arrays or mpmath numbers.
+equally np.longdouble arrays or mpmath numbers.  clenshaw_of(c) does the
+pass's set-up once (c's top pair and the rest of c reversed) and returns
+the pass as a function of t, so an orbit of many steps over one series
+pays it once; clenshaw is clenshaw_of(c)(t).
+
+A map's evaluations run over its series, trimmed(coeffs): the coefficient
+vector without its exact-zero top.  Solved maps carry such tops (a fixed
+point solved at degree 12 and padded to 24 or 48 keeps index 12 as its
+last nonzero coefficient), and the trimmed pass is the padded one bit for
+bit at every finite t: from (c0, c1) = (+0, +0) each step over a zero top
+keeps (+0, +0), since 0 - 0 and 0 + 0*t2 round to +0, and the step over
+the top nonzero c[D] then lands on (c[D-1], c[D]) exactly, which is where
+the trimmed pass starts.  (A -0.0 in the top changes at most the sign of
+a zero result.)
 
 Several series evaluated at the same points go through eval_rows, which
 lays them out as dense planes: the rows, zero-padded at the top to one
@@ -52,25 +65,44 @@ def design_matrix(u, degree: int) -> np.ndarray:
     return _cheb.chebvander(2.0 * u - 1.0, degree)
 
 
-def clenshaw(c, t):
-    """sum_k c[k] T_k(t), in numpy's operation order (module docstring).
+def clenshaw_of(c):
+    """The function t -> sum_k c[k] T_k(t), in numpy's operation order
+    (module docstring), with c's set-up done once: the one place the
+    recurrence is written.
 
     c is indexed along its first axis: a sequence of numbers, or an array
     whose rows c[k] broadcast against t, so a (D+1, n, 1) stack evaluates
     n series on every t at once.  Zeros appended to a degree-D series (top
     padding) change at most the sign of a zero: the steps over them keep
     (c0, c1) at zero and then reach (c[D-1], c[D]), where the unpadded pass
-    starts.  eval_rows relies on this for rows of unequal length."""
-    if len(c) == 1:
-        c0, c1 = c[0], 0
-    elif len(c) == 2:
-        c0, c1 = c[0], c[1]
+    starts.  eval_rows relies on this for rows of unequal length, and a
+    map's evaluations for running over its trimmed series."""
+    if len(c) > 2:
+        top, rest = (c[-2], c[-1]), tuple(c[-3::-1])
     else:
-        t2 = 2 * t
-        c0, c1 = c[-2], c[-1]
-        for ck in c[-3::-1]:
-            c0, c1 = ck - c1, c0 + c1 * t2
-    return c0 + c1 * t
+        top, rest = (c[0], c[1] if len(c) == 2 else 0), ()
+
+    def at(t):
+        c0, c1 = top
+        if rest:
+            t2 = 2 * t
+            for ck in rest:
+                c0, c1 = ck - c1, c0 + c1 * t2
+        return c0 + c1 * t
+
+    return at
+
+
+def clenshaw(c, t):
+    """sum_k c[k] T_k(t) (clenshaw_of), for one evaluation."""
+    return clenshaw_of(c)(t)
+
+
+def trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs without its exact-zero top, keeping at least one coefficient:
+    a view, evaluated bit for bit as coeffs is (module docstring)."""
+    nonzero = coeffs.nonzero()[0]
+    return coeffs[:nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def eval_phi(coeffs: np.ndarray, u):

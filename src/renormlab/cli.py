@@ -232,7 +232,7 @@ def _run_spectrum(cfg, args, out):
 
 def _run_orbit(cfg, args, out):
     f = QuadraticFamily().member(args.c)
-    xs = _orbit(f.coeffs.tolist(), 0.0, args.n)
+    xs = _orbit(f.series.tolist(), 0.0, args.n)
     write_csv(out / "orbit.csv", ["i", "x_i"], enumerate(xs))
     results = {
         "c": args.c,

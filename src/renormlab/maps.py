@@ -63,10 +63,14 @@ class UnimodalMap:
 
     Construction validates the structure and raises InvalidMap on violation;
     pass check=False only to build deliberately broken maps for diagnostics.
+    coeffs is the full-degree vector (degree, the JSON, Newton, validate);
+    series, coeffs without its exact-zero top (basis.trimmed), is what
+    every evaluation of the map runs over, bit for bit the same values.
     """
 
     coeffs: np.ndarray
     check: bool = field(default=True, repr=False, compare=False)
+    series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
@@ -76,6 +80,7 @@ class UnimodalMap:
             raise InvalidMap(f"degree above {_basis.DEGREE_MAX} unsupported")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "series", _basis.trimmed(arr))
         if self.check:
             diag = validate(self)
             if not diag.ok:
@@ -90,23 +95,23 @@ class UnimodalMap:
         return self.coeffs.size - 1
 
     def deriv_coeffs(self) -> np.ndarray:
-        """Coefficients of dphi/du, cached."""
+        """Coefficients of dphi/du off the series, cached."""
         dc = self.__dict__.get("_dcoeffs")
         if dc is None:
-            dc = _basis.deriv_coeffs(self.coeffs)
+            dc = _basis.deriv_coeffs(self.series)
             object.__setattr__(self, "_dcoeffs", dc)
         return dc
 
     # u by keyword: perfbench/layers.py reads a traced call's kwargs["u"]
     def phi(self, u):
-        return _basis.eval_phi(self.coeffs, u=u)
+        return _basis.eval_phi(self.series, u=u)
 
     def phi_deriv(self, u):
         return _basis.eval_phi(self.deriv_coeffs(), u=u)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > 1.0 + EVAL_SLACK):
+        if not np.all(np.abs(x) <= 1.0 + EVAL_SLACK):  # nan fails too
             worst = float(np.max(np.abs(x)))
             raise DomainError(f"evaluation point |x| = {worst} outside [-1, 1]")
         u = np.clip(x, -1.0, 1.0) ** 2

@@ -30,7 +30,9 @@ says why a period fails and returns the pieces, which detect reports.
 Every orbit of a map is _orbit, one routine for both number types: Python
 floats for the scalar orbits of detect and the towers, float64 arrays for
 the many points of DT(f) (_orbit_chain) and of T(f)'s projection
-(project_T).
+(project_T).  Each runs over the map's series, f.series, its coefficients
+without their exact-zero top (basis.trimmed), and sets the Clenshaw pass
+up once per orbit (_step).
 """
 
 from __future__ import annotations
@@ -72,21 +74,24 @@ class RenormStep:
         object.__setattr__(self, "perm", tuple(int(r) for r in self.perm))
 
 
-def _step(c, z):
-    """phi(z^2) for the coefficients c and the point z: the operations of
-    f.phi, on Python floats or elementwise on float64 arrays."""
-    return _basis.clenshaw(c, 2.0 * (z * z) - 1.0)
+def _step(c):
+    """The step z -> phi(z^2) for the coefficients c: the operations of
+    f.phi, on Python floats or elementwise on float64 arrays, with the
+    Clenshaw pass set up once for every step taken (basis.clenshaw_of)."""
+    phi = _basis.clenshaw_of(c)
+    return lambda z: phi(2.0 * (z * z) - 1.0)
 
 
 def _orbit(c, z, n: int) -> list:
     """[z, f(z), ..., f^n(z)] by _step, the one orbit of a map: on Python
     floats for a coefficient list c, elementwise on float64 arrays for
-    c = f.coeffs and an array z, rounding the same operations either way.
+    c = f.series and an array z, rounding the same operations either way.
     It works on phi directly, unclamped, so orbits of slightly
     denormalized maps (derivative probes) extrapolate smoothly."""
+    step = _step(c)
     zs = [z]
     for _ in range(n):
-        z = _step(c, z)
+        z = step(z)
         zs.append(z)
     return zs
 
@@ -105,7 +110,7 @@ def _orbit_chain(f: UnimodalMap, z0: np.ndarray, p: int):
     orbit, in p Clenshaw passes (p - 1 steps and one slope pass).  The
     p-th step and Df^p(z_0) = dk[p-1] s_{p-1} are left to the callers that
     read them."""
-    z = np.stack(_orbit(f.coeffs, z0, p - 1))
+    z = np.stack(_orbit(f.series, z0, p - 1))
     s = slopes(f, z)
     chain = np.ones_like(z)
     for k in range(1, p):
@@ -134,7 +139,7 @@ def derivative_terms(f: UnimodalMap, step: RenormStep, x: np.ndarray):
     first-order change under f -> f + v (an empty x gives these alone)."""
     p, lam, n = step.p, step.lam, x.size
     z, s, chain, dk = _orbit_chain(f, np.append(lam * x, 0.0), p)
-    zp = _step(f.coeffs, z[-1, :n])
+    zp = _step(f.series)(z[-1, :n])
     tail = (x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam
     return (chain[:, :n] / lam, z[::-1, :n], tail,
             z[::-1, n], chain[:, n])
@@ -257,11 +262,12 @@ def _first_period(c: list, tip: list, P: int, lam: float,
     tip += _orbit(c, tip[-1], 4 * P + 1 - len(tip))[1:]
     z = [t / lam for t in tip[:4 * P + 1:P]]
     x = tip[4 * P]
+    step = _step(c)
     reasons: dict[int, str] = {}
     for p in range(2, p_max + 1):
         for _ in range(2 * p + 1 - len(z)):
             for _ in range(P):
-                x = _step(c, x)
+                x = step(x)
             z.append(x / lam)
         if abs(z[p]) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
@@ -296,7 +302,7 @@ def detect(f: UnimodalMap, p_max: int = P_MAX,
     if validate_input and not f.check:
         if not validate(f).ok:
             raise InvalidMap("detect requires a structurally valid map")
-    return _first_period(f.coeffs.tolist(), [0.0], 1, 1.0, p_max)
+    return _first_period(f.series.tolist(), [0.0], 1, 1.0, p_max)
 
 
 def scan_periods(z: np.ndarray, q: int) -> dict:
@@ -341,7 +347,7 @@ def project_T(f: UnimodalMap, step: RenormStep,
     lam, p = step.lam, step.p
 
     def phi_tf(u):
-        return _orbit(f.coeffs, f.phi((lam * lam) * u), p - 1)[-1] / lam
+        return _orbit(f.series, f.phi((lam * lam) * u), p - 1)[-1] / lam
 
     return _basis.project_function(phi_tf, degree)
 
@@ -467,7 +473,7 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     if depth < 1:
         raise InvalidMap("tower depth must be >= 1")
     levels, periods, scalings = [], [], []
-    p_cum, lam, c, tip = 1, 1.0, f.coeffs.tolist(), [0.0]
+    p_cum, lam, c, tip = 1, 1.0, f.series.tolist(), [0.0]
     truncated_at, note = None, None
     for k in range(1, depth + 1):
         try:

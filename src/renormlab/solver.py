@@ -178,8 +178,8 @@ def _residual_grid() -> np.ndarray:
 
 def _sup_distance(f: UnimodalMap, g: UnimodalMap) -> float:
     """max |f(x) - g(x)| over the residual grid: f and g in one Clenshaw
-    pass (basis.eval_rows), unequal degrees padded."""
-    fx, gx = _basis.eval_rows([f.coeffs, g.coeffs], _residual_grid())
+    pass (basis.eval_rows) over their series, unequal lengths padded."""
+    fx, gx = _basis.eval_rows([f.series, g.series], _residual_grid())
     return float(np.max(np.abs(fx - gx)))
 
 

@@ -95,6 +95,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
+def degree_12_fixed_points():
+    """The doubling and tripling fixed points' coefficients at degree 12,
+    where Newton solves them; every higher degree pads them with zeros."""
+    return {"doubling": solve_fixed_point(degree=12).map.coeffs,
+            "tripling": solve_fixed_point(theta=THETA_TRIPLING,
+                                          degree=12).map.coeffs}
+
+
+@pytest.fixture(scope="session")
 def fixed_point_24():
     return solve_fixed_point(degree=24)
 

@@ -3,8 +3,9 @@
 Nothing in the package calls these: pointwise application of an
 L-operator with its rank-one tails, the positive operator L_gamma applied
 to a function, powers of an L-operator by repeated compose, exactly
-self-similar interval towers with closed-form sums and dimension, and the
-superstable-parameter scan as one array pass over its grid.
+self-similar interval towers with closed-form sums and dimension, the
+superstable-parameter scan as one array pass over its grid, and maps
+evaluated over their whole coefficient vector, zero top included.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from renormlab.errors import DomainError, OperatorDomainError
 from renormlab.loperator import (CONTAINMENT_TOL, LOperator, RankOneTail,
                                  _positive_gamma, _principal, compose)
+from renormlab.maps import UnimodalMap
 from renormlab.renorm import (IntervalTower, _check_level_disjoint,
                               _check_nesting)
 from renormlab.roots import brent, sign_changes
@@ -132,3 +134,18 @@ def superstable_in(fam, q: int, lo: float, hi: float, grid: int):
         else:
             return c
     return None
+
+
+# ---------------------------------------------------------------------------
+# maps evaluated over their whole coefficient vector
+
+
+def over_the_full_vector(f: UnimodalMap) -> UnimodalMap:
+    """f with every evaluation running over its whole coefficient vector,
+    exact-zero top included, rather than over its trimmed series: the
+    same map with series set to coeffs, so detect, tower, project_T,
+    derivative_matrix and _sup_distance take the code path of a map whose
+    series was never trimmed."""
+    g = UnimodalMap(f.coeffs, check=f.check)
+    object.__setattr__(g, "series", g.coeffs)
+    return g

@@ -7,7 +7,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from renormlab.basis import (clenshaw, collocation_nodes, deriv_coeffs,
                              eval_phi, eval_rows, fit_phi, phi_at_zero,
-                             project_function)
+                             project_function, trimmed)
 
 degrees = st.integers(min_value=0, max_value=64)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -88,6 +88,44 @@ def test_clenshaw_is_chebval_on_arrays(degree, seed, ts):
     assert np.array_equal(eval_phi(c, u),
                           cheb.chebval(2.0 * u - 1.0, c))
     assert phi_at_zero(c) == cheb.chebval(-1.0, c)
+
+
+def _bytes_up_to_zero_sign(got, want):
+    """got and want as float64 bytes, a zero of either sign read as +0.0."""
+    got, want = (np.where(np.asarray(v) == 0.0, 0.0, v) for v in (got, want))
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1,
+                  max_size=65).filter(lambda c: c[-1] != 0.0),
+       k=st.integers(min_value=1, max_value=64),
+       ts=st.lists(args, min_size=1, max_size=40))
+@example(c=[1.0, 1.0], k=3, ts=[-1.0, 0.0])  # zero results
+@example(c=[-0.5, 0.0, 2.0], k=1, ts=[0.5, -1.0])
+def test_a_zero_top_changes_no_clenshaw_value(c, k, ts):
+    """clenshaw over c with k zeros appended gives clenshaw over c, as
+    bytes, on Python floats and on float64 arrays, and trimmed drops
+    exactly those zeros again.  This is what lets a map evaluate over its
+    series instead of its coefficients."""
+    top = c + [0.0] * k
+    for t in ts:
+        got, want = clenshaw(top, t), clenshaw(c, t)
+        assert type(got) is float and _bytes_up_to_zero_sign(got, want)
+    t = np.array(ts)
+    assert _bytes_up_to_zero_sign(clenshaw(np.array(top), t),
+                                  clenshaw(np.array(c), t))
+    assert trimmed(np.array(top)).tobytes() == np.array(c).tobytes()
+
+
+def test_trimmed_keeps_one_coefficient_and_every_nonzero_one():
+    assert trimmed(np.zeros(5)).tolist() == [0.0]
+    assert trimmed(np.array([0.0, -0.0])).tobytes() == b"\0" * 8
+    assert trimmed(np.array([1.0, 0.0, 2.0, 0.0, -0.0])).tolist() == [
+        1.0, 0.0, 2.0]
+    assert np.isnan(trimmed(np.array([1.0, np.nan, 0.0]))[-1])
+    c = np.array([0.5, -0.5, 0.0])
+    assert np.shares_memory(trimmed(c), c)
 
 
 @settings(max_examples=300, deadline=None)

@@ -187,6 +187,15 @@ def test_parameter_outside_family_domain_exits_two(tmp_path):
     assert rep["status"] == "DomainError"
 
 
+def test_cascade_past_its_cap_reports_a_domain_error(tmp_path, capsys):
+    assert run(tmp_path, "cascade", "--n", "15") == 2
+    rep = load_report(tmp_path, "cascade")
+    assert rep["status"] == "DomainError"
+    assert "4..14" in rep["diagnostics"][0]
+    assert "DomainError" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_chaotic_parameter_yields_empty_tower_note(tmp_path):
     # outside every renormalization window the tower truncates at the root
     assert run(tmp_path, "tower", "--c", "1.9", "--degree", "16") == 0

@@ -93,6 +93,13 @@ def test_a_reversed_superstable_range_is_a_domain_error(quadratic, c_range):
         F.superstable_parameters(quadratic, [2, 4], c_range=c_range)
 
 
+def test_cascade_refuses_levels_past_its_cap(quadratic):
+    assert F.CASCADE_N_CAP == 14
+    assert len(F.cascade(quadratic, 14).params) == 14
+    with pytest.raises(DomainError, match="4..14, got 15"):
+        F.cascade(quadratic, 15)
+
+
 def test_missing_period_raises(quadratic):
     with pytest.raises(BracketNotFound):
         F.superstable_parameters(quadratic, [7], c_range=(0.4, 0.9))

@@ -238,18 +238,24 @@ def test_one_derivative_runs_one_orbit(which, p, fixed_point_24, request,
     """Clenshaw passes over arrays: derivative_matrix makes p + 1 (p - 1
     orbit steps, one slope pass and the p-th step, the critical functional
     riding on the same orbit), the L-operator's branches p (no p-th
-    step)."""
+    step).  A pass is a call of the function basis.clenshaw_of builds,
+    which every Clenshaw evaluation, basis.clenshaw's too, goes through."""
     g, step = _case(which, fixed_point_24, request)
     assert step.p == p
     L = lop.renorm_derivative_as_loperator(g, step)
-    kernel, calls = basis.clenshaw, []
+    kernel, calls = basis.clenshaw_of, []
 
-    def counted(c, t):
-        if isinstance(t, np.ndarray):
-            calls.append(t.shape)
-        return kernel(c, t)
+    def counted(c):
+        at = kernel(c)
 
-    monkeypatch.setattr(basis, "clenshaw", counted)
+        def counted_at(t):
+            if isinstance(t, np.ndarray):
+                calls.append(t.shape)
+            return at(t)
+
+        return counted_at
+
+    monkeypatch.setattr(basis, "clenshaw_of", counted)
     derivative_matrix(g, step)
     assert len(calls) == p + 1
     calls.clear()

@@ -39,6 +39,16 @@ def test_domain_is_clamped_with_slack():
         f(1.1)
 
 
+def test_nan_is_outside_the_domain():
+    f = quadratic_map(1.4)
+    with pytest.raises(DomainError, match="nan"):
+        f(float("nan"))
+    with pytest.raises(DomainError, match="nan"):
+        f(np.array([0.5, np.nan]))
+    with pytest.raises(DomainError):
+        f(2.0)
+
+
 def test_increasing_phi_is_rejected():
     # phi(u) = 1 + u grows, so f has a minimum at 0 instead of a maximum
     with pytest.raises(InvalidMap):

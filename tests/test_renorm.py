@@ -12,7 +12,7 @@ from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
                               InvalidMap, NotRenormalizable, OverlapError,
                               RenormlabError, TruncationLoss)
 from renormlab import families as F
-from renormlab.basis import normalized_constant
+from renormlab.basis import normalized_constant, padded
 from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
@@ -23,9 +23,11 @@ from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
                               tower_rows)
-from renormlab.solver import solve_fixed_point
+from renormlab.solver import (_sup_distance, derivative_matrix,
+                              solve_fixed_point)
 
 from conftest import C_INF
+from oracles import over_the_full_vector
 
 fam = QuadraticFamily()
 
@@ -1114,3 +1116,81 @@ def test_period_test_matches_the_sampled_test_at_the_fixed_points(
         step, ref = detect(g), _detect_sampled(g)
         assert (step.p, step.lam, step.perm) == (ref.p, ref.lam, ref.perm)
         assert np.array_equal(step.intervals, ref.intervals)
+
+
+# ---------------------------------------------------------------------------
+# a map's zero top is invisible: every evaluation runs over its series,
+# and gives the bytes of a pass over the whole padded vector
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("which", ["doubling", "tripling"])
+def test_the_series_of_a_padded_fixed_point_is_its_degree_12_vector(
+        which, degree_12_fixed_points):
+    c = degree_12_fixed_points[which]
+    assert c.size == 13 and c[-1] != 0.0
+    for degree in (24, 48):
+        g = UnimodalMap(padded(c, degree))
+        assert g.degree == degree and g.coeffs.size == degree + 1
+        assert _same_bytes(g.series, c)
+
+
+@pytest.fixture(scope="module", params=[("doubling", 24), ("doubling", 48),
+                                        ("tripling", 24), ("tripling", 48)],
+                ids=lambda param: f"{param[0]}{param[1]}")
+def padded_pair(request, degree_12_fixed_points):
+    """(g, ref): a degree-12 fixed point padded to 24 or 48, and the same
+    map evaluated over its whole coefficient vector."""
+    which, degree = request.param
+    g = UnimodalMap(padded(degree_12_fixed_points[which], degree))
+    ref = over_the_full_vector(g)
+    assert g.series.size == 13 and ref.series.size == degree + 1
+    return g, ref
+
+
+def test_detect_over_the_series_is_detect_over_the_padded_vector(
+        padded_pair):
+    got, want = (detect(h) for h in padded_pair)
+    assert got.p == want.p and got.perm == want.perm
+    assert _same_bytes(got.lam, want.lam)
+    assert _same_bytes(got.intervals, want.intervals)
+
+
+def test_tower_over_the_series_is_the_tower_over_the_padded_vector(
+        padded_pair):
+    got, want = (tower(h, 9) for h in padded_pair)
+    assert got.depth == want.depth == 9
+    assert got.periods == want.periods
+    assert _same_bytes(got.scalings, want.scalings)
+    assert all(_same_bytes(a, b) for a, b in zip(got.levels, want.levels))
+
+
+def test_projection_over_the_series_is_the_one_over_the_padded_vector(
+        padded_pair):
+    g, ref = padded_pair
+    step = detect(g)
+    (got, got_res), (want, want_res) = (project_T(h, step, g.degree)
+                                        for h in padded_pair)
+    assert _same_bytes(got, want) and _same_bytes(got_res, want_res)
+
+
+def test_derivative_matrix_over_the_series_is_the_padded_one(padded_pair):
+    g, ref = padded_pair
+    step = detect(g)
+    assert _same_bytes(derivative_matrix(g, step),
+                       derivative_matrix(ref, step))
+
+
+def test_sup_distance_over_the_series_is_the_padded_one(padded_pair):
+    """Against g's renormalization, whose top is nonzero, and a family
+    member, whose series has length 2, in both orders."""
+    g, ref = padded_pair
+    for h in (renormalize(g, detect(g)).map, fam.member(1.4, g.degree)):
+        full = over_the_full_vector(h)
+        assert _same_bytes(_sup_distance(h, g), _sup_distance(full, ref))
+        assert _same_bytes(_sup_distance(g, h), _sup_distance(ref, full))
