@@ -61,8 +61,8 @@ MUTANTS = [
        "tail = -(x * (dk[-1, :n] * s[-1, :n]) - zp / lam) / lam"),)),
     loosened("solver.py", "COARSE_DEGREE", "12", "8"),
     ("geometry.py", "usable_depth's floor test reverted to < LENGTH_FLOOR",
-     (("if not tower.lengths(lv).min() >= LENGTH_FLOOR:",
-       "if tower.lengths(lv).min() < LENGTH_FLOOR:"),)),
+     (("if not (lengths.size and lengths.min() >= LENGTH_FLOOR):",
+       "if not lengths.size or lengths.min() < LENGTH_FLOOR:"),)),
     ("solver.py", "_seed_cycle's chase depth cut back to burn + 3",
      (("thetas, burn + max(3, m)).c", "thetas, burn + 3).c"),)),
     ("roots.py", "nan check dropped in brent",
@@ -70,7 +70,7 @@ MUTANTS = [
     ("families.py", "width check dropped in the nested-window chase",
      (("if math.nextafter(lo, math.inf) >= hi:", "if False:"),)),
     ("basis.py", "eval_rows repeats the points where it should tile them",
-     (("np.tile(t, len(rows))", "np.repeat(t, len(rows))"),)),
+     (("points.ravel()", "points.T.ravel()"),)),
     ("solver.py", "_sup_distance compares g with itself",
      (("eval_rows([f.series, g.series]", "eval_rows([g.series, g.series]"),)),
     ("solver.py", "a solved fixed-point coefficient moved by 1e-10",
@@ -137,6 +137,18 @@ MUTANTS = [
        "coeffs[:nonzero[-1] if nonzero.size else 1]"),)),
     ("basis.py", "the series keeps the zero top",
      (("coeffs[:nonzero[-1] + 1 if nonzero.size else 1]", "coeffs"),)),
+    ("renorm.py", "the slope products start one row late",
+     (("for j in range(1, p):", "for j in range(2, p):"),)),
+    ("renorm.py", "the hull ends swap np.minimum and np.maximum",
+     (("np.minimum(a, b, out=out[..., 0])\n"
+       "    np.maximum(a, b, out=out[..., 1])",
+       "np.maximum(a, b, out=out[..., 0])\n"
+       "    np.minimum(a, b, out=out[..., 1])"),)),
+    ("geometry.py", "the dimension's fit window is shifted by one level",
+     (("partial(_mean_log_ratio, loglens[lo - 1:hi])",
+       "partial(_mean_log_ratio, loglens[lo:hi + 1])"),)),
+    ("reporting.py", "a row format prints 16 significant digits",
+     (('{float: "%.17g"', '{float: "%.16g"'),)),
 ]
 
 

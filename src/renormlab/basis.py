@@ -33,12 +33,14 @@ a zero result.)
 
 Several series evaluated at the same points go through eval_rows, which
 lays them out as dense planes: the rows, zero-padded at the top to one
-length, each repeated once per point, against the points tiled once per
-row.  Every value then runs through the same rounded operations as its own
-pass.  One pass over contiguous (D+1, k*n) planes pays numpy's per-call
-cost once, where k passes pay it k times, and each of its steps runs one
-contiguous loop, where a broadcast (D+1, k, 1) stack runs numpy's slower
-broadcasting loop over a (k, 1) operand.
+length, each broadcast over the points, against the points broadcast once
+per row, both assigned into preallocated (D+1, k, n) and (k, n) arrays
+read flat (the layout np.repeat and np.tile build, without their
+per-call cost).  Every value then runs through the same rounded
+operations as its own pass.  One pass over contiguous (D+1, k*n) planes
+pays numpy's per-call cost once, where k passes pay it k times, and each
+of its steps runs one contiguous loop, where a broadcast (D+1, k, 1)
+stack runs numpy's slower broadcasting loop over a (k, 1) operand.
 """
 
 from __future__ import annotations
@@ -117,11 +119,16 @@ def eval_rows(rows, t) -> np.ndarray:
     sign of a zero (module docstring).  Rows may differ in length; shorter
     ones are zero-padded at the top."""
     t = np.asarray(t, dtype=float)
-    coeffs = np.zeros((len(rows), max(len(r) for r in rows)))
+    k = len(rows)
+    coeffs = np.zeros((k, max(len(r) for r in rows)))
     for i, r in enumerate(rows):
         coeffs[i, :len(r)] = r
-    planes = np.repeat(coeffs.T, t.size, axis=1)
-    return clenshaw(planes, np.tile(t, len(rows))).reshape(len(rows), t.size)
+    planes = np.empty((coeffs.shape[1], k, t.size))
+    planes[:] = coeffs.T[:, :, None]
+    points = np.empty((k, t.size))
+    points[:] = t
+    return clenshaw(planes.reshape(len(planes), -1),
+                    points.ravel()).reshape(k, t.size)
 
 
 def deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -147,7 +154,9 @@ def deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def padded(coeffs: np.ndarray, degree: int) -> np.ndarray:
     """The same phi at a higher degree: zeros appended up to degree."""
-    return np.pad(coeffs, (0, degree + 1 - len(coeffs)))
+    out = np.zeros(degree + 1)
+    out[:len(coeffs)] = coeffs
+    return out
 
 
 def phi_at_zero(coeffs: np.ndarray) -> float:

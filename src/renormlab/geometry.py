@@ -3,7 +3,10 @@
 Everything here consumes an IntervalTower and is agnostic to where it came
 from (a map, a parameter sweep, or a synthetic construction).  Lengths below
 LENGTH_FLOOR, and nan lengths, count as lost to rounding: levels containing
-one terminate the usable depth and are excluded from every fit.
+one terminate the usable depth and are excluded from every fit.  A level
+with no piece terminates it too, so each entry point raises EmptyLevel
+on it (partition_sum returns the levels before it) rather than reducing
+over nothing.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ NEAR_DEGENERATE_TAU = 1e-3
 
 
 def usable_depth(tower: IntervalTower) -> int:
-    """Deepest k with every length on levels 1..k >= LENGTH_FLOOR (no nan)."""
+    """Deepest k with levels 1..k nonempty and every length on them >=
+    LENGTH_FLOOR (no nan); a level with no piece ends the usable depth."""
     k = 0
     for lv in range(1, tower.depth + 1):
-        if not tower.lengths(lv).min() >= LENGTH_FLOOR:
+        lengths = tower.lengths(lv)
+        if not (lengths.size and lengths.min() >= LENGTH_FLOOR):
             break
         k = lv
     return k
@@ -207,11 +212,11 @@ def _log_length_levels(tower: IntervalTower, kmax: int) -> list[np.ndarray]:
     return [np.log(tower.lengths(k)) for k in range(1, kmax + 1)]
 
 
-def _mean_log_ratio(loglens: list[np.ndarray], s: float,
-                    lo: int, hi: int) -> float:
-    """Mean of log(S_{k+1}/S_k) over k = lo..hi-1 at exponent s."""
+def _mean_log_ratio(loglens: list[np.ndarray], s: float) -> float:
+    """Mean of log(S_{k+1}/S_k) over consecutive levels of loglens, the
+    log lengths of a fit window's levels, at exponent s."""
     logs = [float(np.log(np.sum(np.exp(s * ll)))) for ll in loglens]
-    return float(np.mean(np.diff(logs[lo - 1:hi])))
+    return float(np.mean(np.diff(logs)))
 
 
 def hausdorff_dimension(tower: IntervalTower,
@@ -237,10 +242,10 @@ def hausdorff_dimension(tower: IntervalTower,
         raise DomainError(f"kmin = {kmin} leaves no fit window in 1..{kmax}")
     loglens = _log_length_levels(tower, kmax)
     s_est, s_lo, s_hi = (
-        brent(partial(_mean_log_ratio, loglens, lo=lo, hi=hi), *bracket)
+        brent(partial(_mean_log_ratio, loglens[lo - 1:hi]), *bracket)
         for lo, hi in ((kmin, kmax), (kmin, kmax - 1), (kmin + 1, kmax)))
     sums = partition_sum(tower, s_est)
-    eta = float(np.exp(_mean_log_ratio(loglens, s_est, kmin, kmax)))
+    eta = float(np.exp(_mean_log_ratio(loglens[kmin - 1:kmax], s_est)))
     return DimensionReport(
         s_estimate=float(s_est),
         sums=sums,

@@ -107,15 +107,19 @@ def _orbit_chain(f: UnimodalMap, z0: np.ndarray, p: int):
     (_orbit, stacked along a new first axis), its slopes s_i = f'(z_i),
     chain[j] = Df^j(z_{p-j}) and dk[j] = Df^j(z_0), j = 0..p-1, each
     multiplied left to right from 1; the one product of slopes along an
-    orbit, in p Clenshaw passes (p - 1 steps and one slope pass).  The
-    p-th step and Df^p(z_0) = dk[p-1] s_{p-1} are left to the callers that
-    read them."""
+    orbit, in p Clenshaw passes (p - 1 steps and one slope pass).  dk is
+    built row by row, dk[j] = dk[j-1] s_{j-1}: the products np.cumprod
+    takes along the first axis, in the same order, without its strided
+    accumulate.  The p-th step and Df^p(z_0) = dk[p-1] s_{p-1} are left
+    to the callers that read them."""
     z = np.stack(_orbit(f.series, z0, p - 1))
     s = slopes(f, z)
     chain = np.ones_like(z)
     for k in range(1, p):
         chain[p - k:] *= s[k]
-    dk = np.cumprod(np.concatenate([np.ones_like(z[:1]), s[:-1]]), axis=0)
+    dk = np.ones_like(z)
+    for j in range(1, p):  # dk[j, ...] is a view even where rows are 0-d
+        np.multiply(dk[j - 1], s[j - 1], out=dk[j, ...])
     return z, s, chain, dk
 
 
@@ -146,11 +150,11 @@ def derivative_terms(f: UnimodalMap, step: RenormStep, x: np.ndarray):
 
 
 def _left_to_right(intervals: np.ndarray):
-    """(order, gaps) of intervals (..., q, 2): order sorts them by left end,
-    gaps[..., k] is the space between the k-th and (k+1)-th in that order."""
-    order = np.argsort(intervals[..., 0], axis=-1)
-    srt = np.take_along_axis(intervals, order[..., None], axis=-2)
-    return order, srt[..., 1:, 0] - srt[..., :-1, 1]
+    """(order, gaps) of intervals (q, 2): order sorts them by left end,
+    gaps[k] is the space between the k-th and (k+1)-th in that order."""
+    order = np.argsort(intervals[:, 0])
+    srt = intervals[order]
+    return order, srt[1:, 0] - srt[:-1, 1]
 
 
 def spatial_permutation(intervals: np.ndarray) -> tuple[int, ...]:
@@ -168,10 +172,14 @@ def spatial_permutation(intervals: np.ndarray) -> tuple[int, ...]:
     return tuple(int(r) for r in np.argsort(order))
 
 
-def _hulls(zs: np.ndarray) -> np.ndarray:
-    """Intervals [min, max] over the last axis of an orbit stack: shape
-    zs.shape[:-1] + (2,)."""
-    return np.stack([zs.min(axis=-1), zs.max(axis=-1)], axis=-1)
+def _pair_hulls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intervals [min, max] of the pairs (a[i], b[i]): shape a.shape +
+    (2,), the ends written by np.minimum and np.maximum into one array,
+    the ufuncs that a min and a max over a length-2 axis apply."""
+    out = np.empty(a.shape + (2,))
+    np.minimum(a, b, out=out[..., 0])
+    np.maximum(a, b, out=out[..., 1])
+    return out
 
 
 def _test_period(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -463,10 +471,11 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     p_k is p_{k-1} times detect's period of f's own (k-1)-th
     renormalization, whose critical orbit is z_{j p_{k-1}}/lam_{k-1}
     (_first_period; p_0 = 1, lam_0 = 1).  lam_k = z_{p_k}, Delta_{0,k} =
-    [-|lam_k|, |lam_k|], Delta_{i,k} = hull(z_i, z_{p_k+i}), i >= 1: about
-    2 p_depth steps.  A level k with no admissible period up to P_MAX
-    truncates the tower, after 2 P_MAX p_{k-1} steps; a failed disjointness
-    or nesting certificate raises OverlapError.  They certify the float
+    [-|lam_k|, |lam_k|], Delta_{i,k} = hull(z_i, z_{p_k+i}), i >= 1, all
+    of a level's at once (_pair_hulls): about 2 p_depth steps.  A level k
+    with no admissible period up to P_MAX truncates the tower, after
+    2 P_MAX p_{k-1} steps; a failed disjointness or nesting certificate
+    raises OverlapError.  They certify the float
     orbit's hulls, not f's: its roundoff, which nothing bounds, grows about
     delta-fold per level (1.2 relative at level 20 of c_inf, read as p_20 =
     3 2^19, not 2^20), so levels that deep are not certified."""
@@ -484,7 +493,7 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
         tip += _orbit(c, tip[-1], 2 * p_cum + 1 - len(tip))[1:]
         lam = tip[p_cum]
         z = np.array(tip)
-        pieces = _hulls(np.stack([z[:p_cum], z[p_cum:2 * p_cum]], -1))
+        pieces = _pair_hulls(z[:p_cum], z[p_cum:2 * p_cum])
         pieces[0] = -abs(lam), abs(lam)
         _check_level_disjoint(pieces, k)
         if levels:

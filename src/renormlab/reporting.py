@@ -2,6 +2,12 @@
 
 CSV files carry a header row, LF line endings, '.' decimal separator and 17
 significant digits, so reruns with identical inputs are byte-identical.
+Each value prints as fmt prints it.  A row whose values are all exactly
+float, np.float64 or int is printed by one %-format, '%.17g' or '%d' per
+value, built once per sequence of value types: the same text as fmt,
+whose f-string and str print these types alike, at one call per row.
+Any other row, one with a bool, np.bool_, np.int64 or str say, goes
+through fmt value by value.
 """
 
 from __future__ import annotations
@@ -29,11 +35,22 @@ def fmt(x) -> str:
     return str(x)
 
 
+# the %-format of a value of exactly this type, where one prints as fmt
+_ROW_SPECS = {float: "%.17g", np.float64: "%.17g", int: "%d"}
+
+
 def write_csv(path, header, rows) -> Path:
     path = Path(path)
     lines = [",".join(header)]
+    formats = {}  # value types of a row -> its %-format, "" to use fmt
     for row in rows:
-        lines.append(",".join(map(fmt, row)))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        form = formats.get(kinds)
+        if form is None:
+            specs = [_ROW_SPECS.get(kind) for kind in kinds]
+            form = formats[kinds] = "" if None in specs else ",".join(specs)
+        lines.append(form % row if form else ",".join(map(fmt, row)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

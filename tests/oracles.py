@@ -4,16 +4,24 @@ Nothing in the package calls these: pointwise application of an
 L-operator with its rank-one tails, the positive operator L_gamma applied
 to a function, powers of an L-operator by repeated compose, exactly
 self-similar interval towers with closed-form sums and dimension, the
-superstable-parameter scan as one array pass over its grid, and maps
-evaluated over their whole coefficient vector, zero top included.
+superstable-parameter scan as one array pass over its grid, maps
+evaluated over their whole coefficient vector, zero top included, and
+the general numpy routines the package once took where it now writes the
+same operations out (np.cumprod, reductions, take_along_axis, np.pad,
+np.repeat and np.tile, one fmt call per CSV value, a fit over every
+level sliced afterwards).
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from renormlab.errors import DomainError, OperatorDomainError
 from renormlab.loperator import (CONTAINMENT_TOL, LOperator, RankOneTail,
                                  _positive_gamma, _principal, compose)
+from renormlab.basis import clenshaw
 from renormlab.maps import UnimodalMap
+from renormlab.reporting import fmt
 from renormlab.renorm import (IntervalTower, _check_level_disjoint,
                               _check_nesting)
 from renormlab.roots import brent, sign_changes
@@ -149,3 +157,58 @@ def over_the_full_vector(f: UnimodalMap) -> UnimodalMap:
     g = UnimodalMap(f.coeffs, check=f.check)
     object.__setattr__(g, "series", g.coeffs)
     return g
+
+
+# ---------------------------------------------------------------------------
+# the general numpy routines, as the package once called them
+
+
+def slope_products(s: np.ndarray) -> np.ndarray:
+    """dk[j] = s[0] ... s[j-1], dk[0] = 1, by np.cumprod along the first
+    axis: renorm._orbit_chain's dk before it was built row by row."""
+    return np.cumprod(np.concatenate([np.ones_like(s[:1]), s[:-1]]), axis=0)
+
+
+def hulls_by_reduction(zs: np.ndarray) -> np.ndarray:
+    """Intervals [min, max] over the last axis of an orbit stack: shape
+    zs.shape[:-1] + (2,), by two reductions and np.stack."""
+    return np.stack([zs.min(axis=-1), zs.max(axis=-1)], axis=-1)
+
+
+def left_to_right_by_take(intervals: np.ndarray):
+    """(order, gaps) of intervals (..., q, 2), any number of leading axes:
+    order sorts them by left end along the second-to-last axis, gaps[...,
+    k] is the space between the k-th and (k+1)-th in that order."""
+    order = np.argsort(intervals[..., 0], axis=-1)
+    srt = np.take_along_axis(intervals, order[..., None], axis=-2)
+    return order, srt[..., 1:, 0] - srt[..., :-1, 1]
+
+
+def mean_log_ratio(loglens: list, s: float, lo: int, hi: int) -> float:
+    """Mean of log(S_{k+1}/S_k) over k = lo..hi-1 at exponent s, from the
+    sums of every level of loglens, sliced to the window afterwards."""
+    logs = [float(np.log(np.sum(np.exp(s * ll)))) for ll in loglens]
+    return float(np.mean(np.diff(logs[lo - 1:hi])))
+
+
+def write_csv_by_fmt(path, header, rows) -> Path:
+    """reporting.write_csv with every value printed by its own fmt call."""
+    path = Path(path)
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return path
+
+
+def padded_by_pad(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """basis.padded by np.pad."""
+    return np.pad(coeffs, (0, degree + 1 - len(coeffs)))
+
+
+def eval_rows_by_repeat(rows, t) -> np.ndarray:
+    """basis.eval_rows with its planes built by np.repeat and np.tile."""
+    t = np.asarray(t, dtype=float)
+    coeffs = np.zeros((len(rows), max(len(r) for r in rows)))
+    for i, r in enumerate(rows):
+        coeffs[i, :len(r)] = r
+    planes = np.repeat(coeffs.T, t.size, axis=1)
+    return clenshaw(planes, np.tile(t, len(rows))).reshape(len(rows), t.size)

@@ -3,11 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import chebyshev as cheb
 
 from renormlab.basis import (clenshaw, collocation_nodes, deriv_coeffs,
-                             eval_phi, eval_rows, fit_phi, phi_at_zero,
-                             project_function, trimmed)
+                             eval_phi, eval_rows, fit_phi, padded,
+                             phi_at_zero, project_function, trimmed)
+
+from oracles import eval_rows_by_repeat, padded_by_pad
 
 degrees = st.integers(min_value=0, max_value=64)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -178,6 +181,38 @@ def test_clenshaw_runs_unchanged_on_other_number_types(degree, seed, ts):
     long = clenshaw(c.astype(np.longdouble), t.astype(np.longdouble))
     assert long.dtype == np.longdouble
     assert np.all(np.abs(long.astype(float) - double) <= tol)
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -1.0]
+_values = st.one_of(st.sampled_from(_EDGES), st.floats())
+
+
+def _vectors(min_size=0, max_size=8):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: hnp.arrays(np.float64, n, elements=_values))
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@given(c=_vectors(), extra=st.integers(min_value=0, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_padded_is_np_pad(c, extra):
+    assert _same_bytes(padded(c, len(c) - 1 + extra),
+                       padded_by_pad(c, len(c) - 1 + extra))
+
+
+@given(rows=st.lists(_vectors(min_size=1), min_size=1, max_size=4),
+       t=_vectors())
+@settings(max_examples=200, deadline=None)
+def test_eval_rows_is_its_pass_over_repeated_and_tiled_planes(rows, t):
+    """The planes filled by broadcast give the bytes of the planes built
+    by np.repeat and np.tile: the same values in the same layout."""
+    with np.errstate(all="ignore"):
+        got, want = eval_rows(rows, t), eval_rows_by_repeat(rows, t)
+    assert _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 97, 400])

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renormlab import cli, reporting
 from renormlab.cli import main
+
+from oracles import write_csv_by_fmt
 
 REPORT_KEYS = {"command", "version", "config", "status", "results",
                "diagnostics"}
@@ -283,6 +289,32 @@ def _chain_fmt(x):
     "text"])
 def test_fmt_is_the_isinstance_chain(value):
     assert reporting.fmt(value) == _chain_fmt(value)
+
+
+_edge_floats = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                -0.0, 5e-324, 0.1])
+_row_floats = st.one_of(st.floats(), _edge_floats)
+# the types write_csv prints with one format per row, and the types fmt
+# prints alone
+_fast = st.one_of(_row_floats, _row_floats.map(np.float64), st.integers())
+_other = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+    st.booleans().map(np.bool_), st.text(max_size=4))
+
+
+@given(rows=st.lists(st.one_of(st.lists(_fast, max_size=6),
+                               st.lists(st.one_of(_fast, _other),
+                                        max_size=6)).map(tuple),
+                     max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_is_one_fmt_call_per_value(rows):
+    """write_csv's bytes, rows of exact float, np.float64 and int types
+    printed by one format per row and the rest by fmt, against fmt on
+    every value: nan, infinities and -0.0 included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got = reporting.write_csv(Path(tmp, "got.csv"), ["a", "b"], rows)
+        want = write_csv_by_fmt(Path(tmp, "want.csv"), ["a", "b"], rows)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_the_shared_parser_keeps_no_state_between_runs(tmp_path):

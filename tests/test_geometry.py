@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from renormlab import geometry as G
 from renormlab.errors import DomainError, EmptyLevel, NoBracket
 from renormlab.renorm import IntervalTower
+from renormlab.roots import brent
 
-from oracles import middle_thirds_tower, self_similar_tower
+from oracles import mean_log_ratio, middle_thirds_tower, self_similar_tower
 
 LOG2_LOG3 = np.log(2.0) / np.log(3.0)
 
@@ -91,6 +93,72 @@ def test_a_nan_length_ends_the_usable_depth():
     dim = G.hausdorff_dimension(tw, kmin=2)
     assert dim.fit_levels == (2, 4)
     assert abs(dim.s_estimate - LOG2_LOG3) < 1e-14
+
+
+# a level with no piece: every entry point reads the levels before it
+EMPTY_AT_2 = IntervalTower(levels=(np.array([[0.0, 1.0]]), np.empty((0, 2))),
+                           periods=(1, 2), scalings=None, kind="synthetic")
+
+
+def test_an_empty_level_ends_the_usable_depth():
+    assert G.usable_depth(EMPTY_AT_2) == 1
+    empty_first = IntervalTower(levels=(np.empty((0, 2)),), periods=(1,),
+                                scalings=None, kind="synthetic")
+    assert G.usable_depth(empty_first) == 0
+
+
+def test_bounded_geometry_refuses_an_empty_level():
+    with pytest.raises(EmptyLevel, match="need two usable levels, have 1"):
+        G.bounded_geometry(EMPTY_AT_2)
+
+
+def test_hausdorff_dimension_refuses_an_empty_level():
+    with pytest.raises(EmptyLevel, match="need five usable levels, have 1"):
+        G.hausdorff_dimension(EMPTY_AT_2)
+    with pytest.raises(EmptyLevel, match="need 3 usable levels"):
+        G.hausdorff_dimension(EMPTY_AT_2, kmin=1)
+
+
+def test_spectral_sum_refuses_an_empty_level():
+    with pytest.raises(EmptyLevel, match="need three usable levels, have 1"):
+        G.spectral_sum(EMPTY_AT_2, 3.0)
+
+
+def test_partition_sum_stops_before_an_empty_level():
+    sums = G.partition_sum(EMPTY_AT_2, 0.5)
+    assert sums.tolist() == [1.0]
+
+
+_log_levels = st.lists(
+    st.lists(st.floats(min_value=-40.0, max_value=0.0), min_size=1,
+             max_size=8).map(np.array), min_size=2, max_size=10)
+
+
+@given(loglens=_log_levels, s=st.floats(min_value=0.01, max_value=0.99),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_window_mean_log_ratio_is_the_full_one_sliced(loglens, s, data):
+    """_mean_log_ratio over a window's levels gives, as bytes, the mean
+    over every level's sum sliced to the window afterwards."""
+    hi = data.draw(st.integers(min_value=2, max_value=len(loglens)))
+    lo = data.draw(st.integers(min_value=1, max_value=hi - 1))
+    got = G._mean_log_ratio(loglens[lo - 1:hi], s)
+    want = mean_log_ratio(loglens, s, lo, hi)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_hausdorff_dimension_is_the_fit_over_every_level_sliced(tower_9):
+    """The estimate, eta and stability on the fixed-point tower, as bytes,
+    are those of brent on the mean over every level sliced to each window."""
+    rep = G.hausdorff_dimension(tower_9)
+    kmin, kmax = rep.fit_levels
+    loglens = [np.log(tower_9.lengths(k)) for k in range(1, kmax + 1)]
+    s_est, s_lo, s_hi = (
+        brent(partial(mean_log_ratio, loglens, lo=lo, hi=hi), 0.01, 0.99)
+        for lo, hi in ((kmin, kmax), (kmin, kmax - 1), (kmin + 1, kmax)))
+    eta = float(np.exp(mean_log_ratio(loglens, s_est, kmin, kmax)))
+    assert (rep.s_estimate, rep.eta, rep.stability) == (
+        s_est, eta, abs(s_hi - s_lo))
 
 
 # --- towers from the period-doubling fixed point ------------------------

@@ -1,11 +1,13 @@
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import chebyshev as cheb
 
 from renormlab.errors import (CombinatoricsMismatch, DegenerateScaling,
@@ -17,8 +19,9 @@ from renormlab import renorm
 from renormlab.maps import QuadraticFamily, UnimodalMap
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, INVARIANCE_TOL,
                               LAMBDA_FLOOR, P_MAX, IntervalTower, RenormStep,
-                              _check_level_disjoint, _check_nesting, _hulls,
-                              _left_to_right, _orbit, _test_one, _test_period,
+                              _check_level_disjoint, _check_nesting,
+                              _left_to_right, _orbit, _orbit_chain,
+                              _pair_hulls, _test_one, _test_period,
                               detect, project_T, renormalize,
                               renormalize_with, scan_periods,
                               slopes, spatial_permutation, tower, tower_header,
@@ -27,7 +30,8 @@ from renormlab.solver import (_sup_distance, derivative_matrix,
                               solve_fixed_point)
 
 from conftest import C_INF
-from oracles import over_the_full_vector
+from oracles import (hulls_by_reduction, left_to_right_by_take,
+                     over_the_full_vector, slope_products)
 
 fam = QuadraticFamily()
 
@@ -459,10 +463,11 @@ def _test_period_reference(z, p):
     t.fail[(t.fail == 0) & ~finite.all(axis=0)] = _NOT_FINITE
     rows = np.nonzero(t.fail == 0)[0]
     if rows.size:
-        pieces = _hulls(np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
+        pieces = hulls_by_reduction(
+            np.stack([tip[:p, rows], ends[:p, rows]], axis=-1))
         pieces[0] = np.stack([-a[rows], a[rows]], axis=-1)
         t.pieces[rows] = np.swapaxes(pieces, 0, 1)
-        order, gaps = _left_to_right(t.pieces[rows])
+        order, gaps = left_to_right_by_take(t.pieces[rows])
         t.fail[rows[np.any(gaps <= 0.0, axis=-1)]] = _OVERLAP
         t.ranks[rows] = np.argsort(order, axis=-1)
     return t
@@ -807,7 +812,7 @@ def _tower_sampled(f, depth, grid=64):
         p_cum *= step.p
         lam = float(_array_orbit(f, 0.0, p_cum)[-1])
         a = abs(lam)
-        pieces = _hulls(
+        pieces = hulls_by_reduction(
             _chebval_orbit(f, _sample_symmetric(a, grid), p_cum - 1))
         _check_level_disjoint(pieces, k)
         if levels:
@@ -968,9 +973,9 @@ def _test_period_sampled(f, zp, p, grid=64):
         fail[rows[bad]] = 3
         rows, xs = rows[~bad], xs[:, ~bad]
     if rows.size:
-        hulls = _hulls(xs[:p * P:P]) / lam[rows, None]
+        hulls = hulls_by_reduction(xs[:p * P:P]) / lam[rows, None]
         pieces[rows] = np.sort(np.swapaxes(hulls, 0, 1), axis=-1)
-        order, gaps = _left_to_right(pieces[rows])
+        order, gaps = left_to_right_by_take(pieces[rows])
         fail[rows[np.any(gaps <= 0.0, axis=-1)]] = 4
         ranks[rows] = np.argsort(order, axis=-1)
     return fail, pieces, ranks
@@ -1194,3 +1199,69 @@ def test_sup_distance_over_the_series_is_the_padded_one(padded_pair):
         full = over_the_full_vector(h)
         assert _same_bytes(_sup_distance(h, g), _sup_distance(full, ref))
         assert _same_bytes(_sup_distance(g, h), _sup_distance(ref, full))
+
+
+# ---------------------------------------------------------------------------
+# the tower's products and hulls, written out, against numpy's general
+# routines (tests/oracles.py), as bytes: signed zeros, infinities, nan,
+# subnormals and tied ends included
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+          2.2250738585072009e-308, 1.0, -1.0]
+_values = st.one_of(st.sampled_from(_EDGES), st.floats())
+
+
+@st.composite
+def _stacks(draw, tail):
+    """(p, tail...) float64 stacks, p = 1..6."""
+    p = draw(st.integers(min_value=1, max_value=6))
+    return draw(hnp.arrays(np.float64, (p,) + tail, elements=_values))
+
+
+@given(data=st.data(),
+       tail=st.sampled_from([(), (1,), (4,), (2, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_the_slope_products_are_cumprods(data, tail):
+    """_orbit_chain's dk, its slopes replaced by any stack s of p rows
+    (0-d rows included), is np.cumprod of (1, s_0, .., s_{p-2})."""
+    s = data.draw(_stacks(tail))
+    f = fam.member(1.4)
+    with (mock.patch.object(renorm, "slopes", lambda f, z: s.copy()),
+          np.errstate(all="ignore")):
+        dk = _orbit_chain(f, np.zeros(tail), len(s))[3]
+        want = slope_products(s)
+    assert _same_bytes(dk, want)
+
+
+@given(data=st.data(), tail=st.sampled_from([(), (3,)]))
+@settings(max_examples=200, deadline=None)
+def test_the_pair_hulls_are_the_reductions_over_the_pairs(data, tail):
+    """_pair_hulls(a, b), on the 1-d orbit slices tower gives it and on
+    (p, 3) stacks, is the min and max over the last axis of the stack of
+    (a, b), with b tied to a wherever tie holds: as bytes, apart from the
+    payload and sign of a nan.  A reduction that meets a nan first
+    returns numpy's default nan, where np.minimum and np.maximum keep the
+    operand's.  tower's hull ends are finite: its period test certifies
+    the orbit finite to the level's last step, and an orbit that leaves
+    the finite floats never returns to them (a Clenshaw step on inf or
+    nan gives inf or nan)."""
+    a = data.draw(_stacks(tail))
+    b = data.draw(hnp.arrays(np.float64, a.shape, elements=_values))
+    tie = data.draw(hnp.arrays(np.bool_, a.shape))
+    b[tie] = a[tie]
+    with np.errstate(all="ignore"):
+        got = _pair_hulls(a, b)
+        want = hulls_by_reduction(np.stack([a, b], axis=-1))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    got[nan] = want[nan] = np.nan
+    assert _same_bytes(got, want)
+
+
+@given(pieces=_stacks((2,)))
+@settings(max_examples=200, deadline=None)
+def test_left_to_right_is_the_sort_by_take_along_axis(pieces):
+    with np.errstate(all="ignore"):
+        order, gaps = _left_to_right(pieces)
+        want_order, want_gaps = left_to_right_by_take(pieces)
+    assert _same_bytes(order, want_order) and _same_bytes(gaps, want_gaps)
