@@ -107,6 +107,8 @@ MUTANTS = [
     ("families.py", "a family level runs its orbit on from 0",
      (("self.fam.iterate(self.c, z[-1], self.P)",
        "self.fam.iterate(self.c, 0.0, self.P)"),)),
+    ("maps.py", "UnimodalMap skips its validation",
+     (("        if not diag.ok:\n", "        if False:\n"),)),
     ("maps.py", "validate's derivative rows read the basis one column on",
      (("rows[:, :-1] @ deriv.T", "rows[:, 1:] @ deriv.T"),)),
     ("solver.py", "the lazily computed vectors keep the eigensolver's sign",

@@ -262,7 +262,7 @@ class FamilyLevel:
 
     def renormalize_each(self, thetas) -> list:
         """[(hit, level) for theta in thetas]: hit indexes the rows whose
-        first renormalization has type theta (detect(p_max=len(theta))
+        first renormalization has type theta (detect's period len(theta)
         with ranks exactly theta), level holds them renormalized once more
         (P times len(theta)).  One scan_periods up to the longest theta q
         runs z on once, to z[2q]; a child of period p keeps every p-th z."""

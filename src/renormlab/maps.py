@@ -4,7 +4,9 @@ Maps are stored as f(x) = phi(x^2) with phi a polynomial on [0, 1], normalized
 so f(0) = phi(0) = 1 and phi strictly decreasing.  That decomposition makes
 evenness and the quadratic critical point structural instead of numerical: the
 coefficient vector of phi is the state everything downstream (renormalization,
-Newton, spectra) operates on.
+Newton, spectra) operates on.  A UnimodalMap is validated on construction, so
+every map is normalized, decreasing in u and maps [-1, 1] into itself; validate
+reports on any coefficient vector, including those that make no map.
 """
 
 from __future__ import annotations
@@ -61,15 +63,14 @@ class MapDiagnostics:
 class UnimodalMap:
     """f(x) = phi(x^2), phi polynomial on [0, 1], f(0) = 1.
 
-    Construction validates the structure and raises InvalidMap on violation;
-    pass check=False only to build deliberately broken maps for diagnostics.
+    Construction validates the structure and raises InvalidMap on
+    violation, so every UnimodalMap is a valid map.
     coeffs is the full-degree vector (degree, the JSON, Newton, validate);
     series, coeffs without its exact-zero top (basis.trimmed), is what
     every evaluation of the map runs over, bit for bit the same values.
     """
 
     coeffs: np.ndarray
-    check: bool = field(default=True, repr=False, compare=False)
     series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,14 +82,13 @@ class UnimodalMap:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "series", _basis.trimmed(arr))
-        if self.check:
-            diag = validate(self)
-            if not diag.ok:
-                raise InvalidMap(
-                    "structural invariant violated: "
-                    f"normalization residual {diag.normalization_residual:.3e}, "
-                    f"monotonicity margin {diag.monotonicity_margin:.3e}, "
-                    f"range [{diag.range_min:.6f}, {diag.range_max:.6f}]")
+        diag = validate(arr)
+        if not diag.ok:
+            raise InvalidMap(
+                "structural invariant violated: "
+                f"normalization residual {diag.normalization_residual:.3e}, "
+                f"monotonicity margin {diag.monotonicity_margin:.3e}, "
+                f"range [{diag.range_min:.6f}, {diag.range_max:.6f}]")
 
     @property
     def degree(self) -> int:
@@ -143,13 +143,14 @@ class UnimodalMap:
         return UnimodalMap(coeffs)
 
 
-def validate(f: UnimodalMap) -> MapDiagnostics:
-    """Structural diagnostics; never raises.
+def validate(coeffs: np.ndarray) -> MapDiagnostics:
+    """Structural diagnostics of phi's coefficient vector, a 1-d float
+    array of size 2 or more; never raises.
 
     phi and phi' on the grid are one product with the cached check matrix,
     within 2(D+1) eps sum |c_k| of a Clenshaw pass (sum |c'_k| for phi');
     the values only decide the verdict and the InvalidMap message."""
-    both = _check_matrix(f.degree) @ f.coeffs
+    both = _check_matrix(coeffs.size - 1) @ coeffs
     n = both.size // 2
     vals, derivs = both[:n], both[n:]
     # slices and reduction methods: np.split and np.min cost more than

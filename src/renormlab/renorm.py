@@ -45,7 +45,7 @@ import numpy as np
 from . import basis as _basis
 from .errors import (CombinatoricsMismatch, DegenerateScaling, InvalidMap,
                      NotRenormalizable, OverlapError, TruncationLoss)
-from .maps import UnimodalMap, validate
+from .maps import UnimodalMap
 
 LAMBDA_FLOOR = 1e-8
 INVARIANCE_TOL = 1e-12
@@ -86,8 +86,8 @@ def _orbit(c, z, n: int) -> list:
     """[z, f(z), ..., f^n(z)] by _step, the one orbit of a map: on Python
     floats for a coefficient list c, elementwise on float64 arrays for
     c = f.series and an array z, rounding the same operations either way.
-    It works on phi directly, unclamped, so orbits of slightly
-    denormalized maps (derivative probes) extrapolate smoothly."""
+    It works on phi directly, unclamped, so an orbit is smooth in the
+    coefficients, also at vectors near a map that make no map."""
     step = _step(c)
     zs = [z]
     for _ in range(n):
@@ -259,20 +259,19 @@ def _test_one(z: list, p: int):
     return None, pieces, ranks
 
 
-def _first_period(c: list, tip: list, P: int, lam: float,
-                  p_max: int) -> RenormStep:
+def _first_period(c: list, tip: list, P: int, lam: float) -> RenormStep:
     """detect on g(x) = f^P(lam x)/lam, lam = f^P(0), f with coefficients c
     (g is f at P = 1, lam = 1.0), from g^j(0) = f^{jP}(0)/lam.  tip, f's
     critical orbit as far as known, is extended in place to step 4P, as
     far as the pieces of period 2 reach; past 4P only the stride is kept,
-    so refuting every p holds 2 p_max + 1 samples, not 2 p_max P steps.
+    so refuting every p holds 2 P_MAX + 1 samples, not 2 P_MAX P steps.
     Returns g's step, in g's coordinates."""
     tip += _orbit(c, tip[-1], 4 * P + 1 - len(tip))[1:]
     z = [t / lam for t in tip[:4 * P + 1:P]]
     x = tip[4 * P]
     step = _step(c)
     reasons: dict[int, str] = {}
-    for p in range(2, p_max + 1):
+    for p in range(2, P_MAX + 1):
         for _ in range(2 * p + 1 - len(z)):
             for _ in range(P):
                 x = step(x)
@@ -286,14 +285,13 @@ def _first_period(c: list, tip: list, P: int, lam: float,
             continue
         return RenormStep(p=p, lam=z[p], perm=ranks, intervals=pieces)
     raise NotRenormalizable(
-        f"no admissible period up to {p_max}", reasons=reasons)
+        f"no admissible period up to {P_MAX}", reasons=reasons)
 
 
-def detect(f: UnimodalMap, p_max: int = P_MAX,
-           validate_input: bool = True) -> RenormStep:
+def detect(f: UnimodalMap) -> RenormStep:
     """Smallest admissible renormalization period and its combinatorics.
 
-    Scans p = 2..p_max.  For each candidate the scaling lam = f^p(0) must be
+    Scans p = 2..P_MAX.  For each candidate the scaling lam = f^p(0) must be
     nondegenerate, J = [-|lam|, |lam|] invariant under f^p, the critical
     orbit finite to step 2p, and the pieces f^i(J) pairwise disjoint, all
     read from the critical orbit, extended to step 2p per candidate
@@ -301,20 +299,14 @@ def detect(f: UnimodalMap, p_max: int = P_MAX,
     tests run on Python floats (_first_period, _test_one), bit for bit what
     the batched _test_period finds on a one-row stack.  The first reason
     each candidate fails is kept and reported on NotRenormalizable.
-
-    A map built with check=True was validated on construction, so only
-    unchecked maps get the structural pre-check, and validate_input=False
-    skips it for them too; derivative probes evaluate T at maps that are off
-    the normalized slice by construction.
+    A UnimodalMap is valid by construction, so nothing of f is checked
+    again; detect reads only f.series.
     """
-    if validate_input and not f.check:
-        if not validate(f).ok:
-            raise InvalidMap("detect requires a structurally valid map")
-    return _first_period(f.series.tolist(), [0.0], 1, 1.0, p_max)
+    return _first_period(f.series.tolist(), [0.0], 1, 1.0)
 
 
 def scan_periods(z: np.ndarray, q: int) -> dict:
-    """What detect(p_max=p) finds at period p, p = 2..q, for every column
+    """What detect's scan finds at period p, p = 2..q, for every column
     of the critical orbits z[k, i] = f_i^k(0), k = 0..2q or more, at once
     (FamilyLevel.orbit): entry p is (degenerate, rows, ok, ranks);
     degenerate and rows split the rows where no period below p is
@@ -486,7 +478,7 @@ def tower(f: UnimodalMap, depth: int) -> IntervalTower:
     truncated_at, note = None, None
     for k in range(1, depth + 1):
         try:
-            p_cum *= _first_period(c, tip, p_cum, lam, P_MAX).p
+            p_cum *= _first_period(c, tip, p_cum, lam).p
         except (NotRenormalizable, DegenerateScaling) as exc:
             truncated_at, note = k, f"{type(exc).__name__}: {exc}"
             break

@@ -201,10 +201,11 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, history: list):
     return step
 
 
-def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
+def _newton_polish(start: list[np.ndarray],
                    thetas: tuple[tuple[int, ...], ...], tol: float):
     """Damped Newton on the m-cycle system R(g_i) = g_{i+1 mod m} from
-    start_cycle (one map per type, at the degree Newton keeps).
+    start (one coefficient vector per type, at the degree Newton keeps),
+    whose maps the first build validates.
 
     A start under tol takes no step.  Otherwise Newton runs until a step
     lands under tol; then one chord step follows, with that step's
@@ -216,7 +217,7 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
     equation; the block Jacobian couples consecutive cycle positions.
     """
     m = len(thetas)
-    dim = start_cycle[0].coeffs.size
+    dim = start[0].size
     norm_row = (-1.0) ** np.arange(dim)   # T_n(-1): the row of phi(0)
     pinned = np.arange(m) * dim   # row of each g_i's constant equation
 
@@ -257,7 +258,7 @@ def _newton_polish(start_cycle: tuple[UnimodalMap, ...],
         except _NEWTON_RECOVERABLE:
             return None
 
-    c_stack = np.stack([h.coeffs for h in start_cycle])
+    c_stack = np.stack(start)
     cycle, rens, res = build_cycle(c_stack)
     history = [res]
     if res < tol:
@@ -304,13 +305,10 @@ def _solve_cycle(thetas: tuple[tuple[int, ...], ...], degree: int,
         raise InvalidMap(f"degree above {_basis.DEGREE_MAX} unsupported")
     coarse = min(degree, COARSE_DEGREE)
     cycle, rens, res, history, iters = _newton_polish(
-        _seed_cycle(thetas, coarse), thetas, tol)
+        [g.coeffs for g in _seed_cycle(thetas, coarse)], thetas, tol)
     if degree > coarse:
-        # unchecked: Newton's first build validates them at `degree`
-        cycle = tuple(UnimodalMap(_basis.padded(g.coeffs, degree),
-                                  check=False) for g in cycle)
         cycle, rens, res, fine_history, fine_iters = _newton_polish(
-            cycle, thetas, tol)
+            [_basis.padded(g.coeffs, degree) for g in cycle], thetas, tol)
         history, iters = history + fine_history, iters + fine_iters
     return cycle, rens, res, history, iters
 
@@ -418,7 +416,10 @@ def convergence_experiment(f: UnimodalMap, g: UnimodalMap,
 
     Both maps must make the same combinatorial choices level by level;
     the first disagreement raises CombinatoricsMismatch with the level.
+    The fit needs two distances, so n_max < 1 raises DomainError.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     ds = []
     cur_f, cur_g = f, g
     for n in range(n_max + 1):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import settings
 
 from renormlab.loperator import LOperator
-from renormlab.maps import QuadraticFamily, UnimodalMap
+from renormlab.maps import QuadraticFamily
 from renormlab.renorm import (THETA_DOUBLING, THETA_TRIPLING, detect,
                               project_T, tower)
 from renormlab import solver
 from renormlab.solver import solve_fixed_point, solve_periodic_orbit, spectrum
+
+from oracles import UncheckedMap
 
 # Hypothesis imports libcst when it reports a failing example, and libcst
 # raises a mypy_extensions DeprecationWarning on import.  The suite turns
@@ -51,21 +53,21 @@ def cold_doubling(degree, c=QUADRATIC_SEED_C, tol=1e-10):
     the default coarse-to-fine one: Newton at `degree` only, from the
     quadratic member at c, not from solver's seed.  Returns
     solver._newton_polish's tuple."""
-    start = (QuadraticFamily().member(c, degree=degree),)
+    start = [QuadraticFamily().member(c, degree=degree).coeffs]
     return solver._newton_polish(start, (THETA_DOUBLING,), tol)
 
 
 def finite_difference_matrix(f, h=1e-6):
     """Central-difference check of solver.derivative_matrix via raw
-    coefficient perturbations (the perturbed maps are built unchecked on
+    coefficient perturbations (the perturbed vectors are UncheckedMaps on
     purpose: the operator itself never assumes f(0) = 1)."""
     dim = f.degree + 1
     base = np.array(f.coeffs)
     cols = np.empty((dim, dim))
 
     def coeffs_of_T(c):
-        g = UnimodalMap(c, check=False)
-        return project_T(g, detect(g, validate_input=False), f.degree)[0]
+        g = UncheckedMap(c)
+        return project_T(g, detect(g), f.degree)[0]
 
     for n in range(dim):
         plus, minus = base.copy(), base.copy()

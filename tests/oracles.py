@@ -5,8 +5,9 @@ L-operator with its rank-one tails, the positive operator L_gamma applied
 to a function, powers of an L-operator by repeated compose, exactly
 self-similar interval towers with closed-form sums and dimension, the
 superstable-parameter scan as one array pass over its grid, maps
-evaluated over their whole coefficient vector, zero top included, and
-the general numpy routines the package once took where it now writes the
+evaluated over their whole coefficient vector, zero top included, a
+stand-in map for coefficient vectors that make no map, and the general
+numpy routines the package once took where it now writes the
 same operations out (np.cumprod, reductions, take_along_axis, np.pad,
 np.repeat and np.tile, one fmt call per CSV value, a fit over every
 level sliced afterwards).
@@ -19,7 +20,7 @@ import numpy as np
 from renormlab.errors import DomainError, OperatorDomainError
 from renormlab.loperator import (CONTAINMENT_TOL, LOperator, RankOneTail,
                                  _positive_gamma, _principal, compose)
-from renormlab.basis import clenshaw
+from renormlab.basis import clenshaw, eval_phi, trimmed
 from renormlab.maps import UnimodalMap
 from renormlab.reporting import fmt
 from renormlab.renorm import (IntervalTower, _check_level_disjoint,
@@ -154,9 +155,24 @@ def over_the_full_vector(f: UnimodalMap) -> UnimodalMap:
     same map with series set to coeffs, so detect, tower, project_T,
     derivative_matrix and _sup_distance take the code path of a map whose
     series was never trimmed."""
-    g = UnimodalMap(f.coeffs, check=f.check)
+    g = UnimodalMap(f.coeffs)
     object.__setattr__(g, "series", g.coeffs)
     return g
+
+
+class UncheckedMap:
+    """A coefficient vector with what detect and project_T read of a
+    UnimodalMap (coeffs, series and phi, as the map sets them up) and no
+    validation: T and detect at vectors that make no map, such as
+    finite-difference probes off the normalized slice and perturbed maps
+    whose orbits leave [-1, 1]."""
+
+    def __init__(self, coeffs):
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.series = trimmed(self.coeffs)
+
+    def phi(self, u):
+        return eval_phi(self.series, u=u)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,14 @@ def test_depth_limits(quadratic):
         F.infinitely_renormalizable_parameter(quadratic, [THETA_DOUBLING], 11)
 
 
+@pytest.mark.parametrize("build", [F.parameter_window_tower,
+                                   F.parameter_cantor_dimension])
+@pytest.mark.parametrize("depth", [0, 7])
+def test_window_tower_depth_limits(quadratic, build, depth):
+    with pytest.raises(DomainError, match="depth must lie in 1..6"):
+        build(quadratic, [THETA_DOUBLING, THETA_TRIPLING], depth)
+
+
 @pytest.mark.parametrize("theta", [(), (0,), (1,), (0, 0), (1, 2),
                                    (0, 2, 2)])
 def test_a_malformed_type_is_a_domain_error(quadratic, theta, monkeypatch):
@@ -654,13 +662,14 @@ def test_find_windows_edges_match_mpmath_roots(quadratic, p, c_range, grid):
 
 def reference_classify(fam, c, p):
     """The scalar first-period classification: (matches_p, theta_or_None)
-    from detect up to period p; a degenerate scaling at p counts as
-    inside."""
+    from detect, read up to period p: a degenerate scaling at p counts as
+    inside, a step or a degenerate scaling past p as outside."""
     try:
-        g = fam.member(c)
-        step = detect(g, p_max=p)
+        step = detect(fam.member(c))
     except RenormlabError as err:
         return getattr(err, "p", None) == p, None
+    if step.p > p:
+        return False, None
     return step.p == p, step.perm
 
 

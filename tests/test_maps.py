@@ -65,7 +65,7 @@ def test_normalization_off_by_1e_9_is_rejected(offset):
     # T_0 = 1 shifts phi(0) by offset; at -1e-9 the range stays inside
     # [-1, 1], so only the normalization guard can refuse the map
     coeffs = quadratic_map(1.4, degree=4).coeffs + offset * np.eye(5)[0]
-    diag = validate(UnimodalMap(coeffs, check=False))
+    diag = validate(coeffs)
     assert diag.normalization_residual == pytest.approx(1e-9, rel=1e-6)
     with pytest.raises(InvalidMap):
         UnimodalMap(coeffs)
@@ -76,7 +76,7 @@ def test_range_just_below_minus_one_is_rejected():
     # phi(1) = -1 - 1e-9, so only the range guard can refuse the map
     c = 2.0 + 1e-9
     coeffs = np.array([1.0 - c / 2, -c / 2])
-    diag = validate(UnimodalMap(coeffs, check=False))
+    diag = validate(coeffs)
     assert diag.normalization_residual <= 1e-15
     assert diag.monotonicity_margin > 0
     assert diag.range_min == pytest.approx(-1.0 - 1e-9, abs=1e-15)
@@ -84,15 +84,8 @@ def test_range_just_below_minus_one_is_rejected():
         UnimodalMap(coeffs)
 
 
-def test_check_false_defers_validation():
-    f = UnimodalMap(np.array([0.7, -0.4]), check=False)
-    diag = validate(f)
-    assert not diag.ok
-    assert diag.normalization_residual > 1e-3
-
-
 def test_diagnostics_fields_on_good_map():
-    diag = validate(quadratic_map(1.4))
+    diag = validate(quadratic_map(1.4).coeffs)
     assert diag.ok
     assert diag.normalization_residual < 1e-12
     assert diag.monotonicity_margin > 0
@@ -182,7 +175,7 @@ def test_critical_value_map_scalar_path_is_the_vector_path_bit_for_bit(c, q):
 @given(c=st.floats(min_value=0.05, max_value=1.99))
 @settings(max_examples=60, deadline=None)
 def test_family_members_always_validate(c):
-    diag = validate(QuadraticFamily().member(c))
+    diag = validate(QuadraticFamily().member(c).coeffs)
     assert diag.ok
 
 
@@ -218,7 +211,6 @@ def test_validate_fields_are_the_two_pass_values(degree, c, seed, size):
     coeffs = np.array(quadratic_map(c, degree).coeffs)
     coeffs += size * np.random.default_rng(seed).uniform(
         -1.0, 1.0, degree + 1) / (1.0 + np.arange(degree + 1))
-    f = UnimodalMap(coeffs, check=False)
     t = 2.0 * np.linspace(0.0, 1.0, max(4 * degree + 1, 17)) - 1.0
     dcoeffs = cheb.chebder(coeffs) * 2.0
     vals = cheb.chebval(t, coeffs)
@@ -228,7 +220,7 @@ def test_validate_fields_are_the_two_pass_values(degree, c, seed, size):
     ref = MapDiagnostics(normalization_residual=abs(vals[0] - 1.0),
                          monotonicity_margin=np.min(-derivs),
                          range_min=np.min(vals), range_max=np.max(vals))
-    diag = validate(f)
+    diag = validate(coeffs)
     for name, bound in [("normalization_residual", tol),
                         ("monotonicity_margin", dtol),
                         ("range_min", tol), ("range_max", tol)]:

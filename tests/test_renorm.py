@@ -30,7 +30,7 @@ from renormlab.solver import (_sup_distance, derivative_matrix,
                               solve_fixed_point)
 
 from conftest import C_INF
-from oracles import (hulls_by_reduction, left_to_right_by_take,
+from oracles import (UncheckedMap, hulls_by_reduction, left_to_right_by_take,
                      over_the_full_vector, slope_products)
 
 fam = QuadraticFamily()
@@ -69,19 +69,6 @@ def test_chaotic_parameter_reports_reasons():
         detect(fam.member(1.9))
     assert err.value.reasons
     assert all(isinstance(k, int) for k in err.value.reasons)
-
-
-def test_detect_validates_unchecked_maps():
-    # phi(0) = 1.1: built unchecked, so detect must validate it itself
-    f = UnimodalMap(np.array([0.7, -0.4]), check=False)
-    with pytest.raises(InvalidMap):
-        detect(f)
-    try:
-        detect(f, validate_input=False)
-    except InvalidMap:
-        pytest.fail("validate_input=False still validated")
-    except RenormlabError:
-        pass
 
 
 def test_renormalized_map_is_normalized_exactly():
@@ -307,7 +294,7 @@ def test_scalar_orbit_is_the_one_row_array_orbit(degree, c, seed, z, n):
     rng = np.random.default_rng(seed)
     coeffs += 1e-3 * rng.uniform(-1.0, 1.0, degree + 1) / 2.5 ** np.arange(
         degree + 1)
-    f = UnimodalMap(coeffs, check=False)
+    f = UncheckedMap(coeffs)
     ref = _chebval_orbit(f, np.array([z]), n)
     scalar = _orbit(f.coeffs.tolist(), z, n)
     assert len(scalar) == n + 1 and all(type(x) is float for x in scalar)
@@ -336,16 +323,16 @@ def _array_orbit(f, z, n):
         return _chebval_orbit(f, np.array([z]), n)[:, 0]
 
 
-def _detect_upfront(f, p_max=16):
-    """detect with f^p(0) computed to p_max before the period loop and each
-    candidate tested by _test_period_reference on a one-row stack (no
-    structural pre-check), whose verdict and ranks the batched _test_period
-    must share.  Steps p + 1..2p of the stack come from an orbit of its
-    own, started at |lam|, so detect's reading of them off the critical
-    orbit is checked bit for bit."""
+def _detect_upfront(f):
+    """detect with f^p(0) computed to P_MAX before the period loop and each
+    candidate tested by _test_period_reference on a one-row stack, whose
+    verdict and ranks the batched _test_period must share.  Steps p + 1..2p
+    of the stack come from an orbit of its own, started at |lam|, so
+    detect's reading of them off the critical orbit is checked bit for
+    bit."""
     reasons = {}
-    lam_path = _array_orbit(f, 0.0, p_max)
-    for p in range(2, p_max + 1):
+    lam_path = _array_orbit(f, 0.0, P_MAX)
+    for p in range(2, P_MAX + 1):
         lam = float(lam_path[p])
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(
@@ -362,7 +349,7 @@ def _detect_upfront(f, p_max=16):
         return RenormStep(p=p, lam=lam, perm=trial.ranks[0],
                           intervals=trial.pieces[0])
     raise NotRenormalizable(
-        f"no admissible period up to {p_max}", reasons=reasons)
+        f"no admissible period up to {P_MAX}", reasons=reasons)
 
 
 def _outcome(fn, *args):
@@ -658,10 +645,9 @@ def test_detect_matches_the_upfront_orbit_on_perturbed_maps():
             coeffs = np.array(fam.member(c, 24).coeffs)
             rng = np.random.default_rng(seed)
             coeffs += 1e-3 * rng.uniform(-1.0, 1.0, 25) / 2.5 ** np.arange(25)
-            f = UnimodalMap(coeffs, check=False)
+            f = UncheckedMap(coeffs)
             ref = _outcome(_detect_upfront, f)
-            _assert_same_outcome(
-                _outcome(lambda g: detect(g, validate_input=False), f), ref)
+            _assert_same_outcome(_outcome(detect, f), ref)
             seen |= {r.split(" ")[0]
                      for r in (getattr(ref, "reasons", None) or {}).values()}
             escaped += not np.all(np.isfinite(_array_orbit(f, 0.0, 16)))
@@ -677,9 +663,9 @@ def test_detect_fails_a_candidate_with_a_non_finite_orbit():
     coeffs = np.array(fam.member(2.0, 24).coeffs)
     rng = np.random.default_rng(0)
     coeffs += 1e-3 * rng.uniform(-1.0, 1.0, 25) / 2.5 ** np.arange(25)
-    f = UnimodalMap(coeffs, check=False)
+    f = UncheckedMap(coeffs)
     assert not np.all(np.isfinite(_array_orbit(f, 0.0, 16)))
-    step = _outcome(lambda g: detect(g, validate_input=False), f)
+    step = _outcome(detect, f)
     if not isinstance(step, RenormlabError):
         assert np.isfinite(step.lam)
         assert np.all(np.isfinite(step.intervals))
@@ -1000,11 +986,11 @@ def _scan_periods_sampled(f, q, grid=64):
             _test_period_sampled(f[rows], z[q * f.P, rows], q, grid))
 
 
-def _detect_sampled(f, p_max=16, grid=64):
+def _detect_sampled(f, grid=64):
     """detect with the sampled period test (reasons are not kept)."""
     row = _OneRow(f.coeffs)
-    lam_path = _array_orbit(f, 0.0, p_max)
-    for p in range(2, p_max + 1):
+    lam_path = _array_orbit(f, 0.0, P_MAX)
+    for p in range(2, P_MAX + 1):
         lam = float(lam_path[p])
         if abs(lam) <= LAMBDA_FLOOR:
             raise DegenerateScaling(f"f^{p}(0) = {lam:.3e}", p=p)
@@ -1013,7 +999,7 @@ def _detect_sampled(f, p_max=16, grid=64):
         if not fail[0]:
             return RenormStep(p=p, lam=lam, perm=ranks[0],
                               intervals=pieces[0])
-    raise NotRenormalizable(f"no admissible period up to {p_max}")
+    raise NotRenormalizable(f"no admissible period up to {P_MAX}")
 
 
 def _assert_scan_matches_sampled(f, z, q, grid=64):

@@ -15,6 +15,7 @@ from renormlab.solver import (convergence_experiment, derivative_matrix,
                               solve_fixed_point, solve_periodic_orbit,
                               spectral_report, spectrum)
 from conftest import C_INF, cold_doubling, finite_difference_matrix
+from oracles import UncheckedMap
 
 fam = QuadraticFamily()
 
@@ -89,8 +90,8 @@ def test_resolve_from_perturbed_seed(fixed_point_24):
     seed = fam.member(C_INF)
     for _ in range(2):
         seed = renormalize(seed, detect(seed)).map
-    _, rens, res, _, _ = solver._newton_polish((seed,), (THETA_DOUBLING,),
-                                               1e-10)
+    _, rens, res, _, _ = solver._newton_polish([seed.coeffs],
+                                               (THETA_DOUBLING,), 1e-10)
     assert seed.degree == 24 and res < 1e-10
     assert abs(rens[0].step.lam - fixed_point_24.lambda_star) < 1e-11
 
@@ -140,7 +141,7 @@ def test_cold_route_agrees_with_the_default_route_beyond_doubling(thetas,
                                                                   degree):
     default = solve_periodic_orbit(thetas, degree=degree)
     cold, _, res, _, _ = solver._newton_polish(
-        solver._seed_cycle(thetas, degree), thetas, 1e-10)
+        [g.coeffs for g in solver._seed_cycle(thetas, degree)], thetas, 1e-10)
     assert res < 1e-10
     for g, h in zip(default.cycle, cold):
         assert g.degree == h.degree == degree
@@ -166,8 +167,8 @@ def test_default_route_is_the_cold_route_up_to_the_coarse_degree(degree):
     # Newton at the degree only, from the same seed as the default route
     fp = solve_fixed_point(degree=degree)
     cycle, rens, res, history, iters = solver._newton_polish(
-        solver._seed_cycle((THETA_DOUBLING,), degree), (THETA_DOUBLING,),
-        1e-10)
+        [g.coeffs for g in solver._seed_cycle((THETA_DOUBLING,), degree)],
+        (THETA_DOUBLING,), 1e-10)
     assert np.array_equal(fp.map.coeffs, cycle[0].coeffs)
     assert fp.lambda_star == rens[0].step.lam
     assert fp.residual == res
@@ -406,6 +407,15 @@ def _stable_normalized_direction(g, rep):
     return w / np.max(np.abs(w))
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_convergence_experiment_refuses_fewer_than_one_step(n_max):
+    # n_max = 0 left one distance to fit a line to (SVD did not converge),
+    # n_max = -1 none (TypeError from np.polyfit)
+    f = fam.member(C_INF)
+    with pytest.raises(DomainError, match="n_max must be >= 1"):
+        convergence_experiment(f, f, n_max)
+
+
 def test_stable_perturbations_contract(fixed_point_24, spectrum_24):
     g = fixed_point_24.map
     w = _stable_normalized_direction(g, spectrum_24)
@@ -434,10 +444,10 @@ def test_derivative_action_matches_directional_difference(fixed_point_24):
     rng = np.random.default_rng(7)
     v = rng.normal(size=g.degree + 1) * 1e-0
     h = 1e-7
-    fp = UnimodalMap(g.coeffs + h * v, check=False)
-    fm = UnimodalMap(g.coeffs - h * v, check=False)
+    fp = UncheckedMap(g.coeffs + h * v)
+    fm = UncheckedMap(g.coeffs - h * v)
     def T(f):
-        return project_T(f, detect(f, validate_input=False), g.degree)[0]
+        return project_T(f, detect(f), g.degree)[0]
 
     diff = (T(fp) - T(fm)) / (2 * h)
     assert np.max(np.abs(A @ v - diff)) < 1e-4 * np.max(np.abs(A @ v))
